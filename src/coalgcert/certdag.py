@@ -127,14 +127,9 @@ class CertificateSet:
     blocks: list     # final partition, sorted state lists
     block_ids: list
 
-    def block_of_state(self, s):
-        for bid, states in zip(self.block_ids, self.blocks):
-            if s in states:
-                return bid
-        raise CertError("state %d not covered" % s)
-
-    def certificate(self, bid):
-        return self.delta[bid]
+    def states_by_block(self):
+        """Block id -> sorted state list of the final partition."""
+        return dict(zip(self.block_ids, self.blocks))
 
 
 def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
@@ -217,12 +212,6 @@ def build_certificates(c, result, reduced_negation=True):
                           result.block_ids)
 
 
-def build_certificates_cancellative(c, result, **kw):
-    if result.trace.mode != "cancellative":
-        raise CertError("trace was not produced in cancellative mode")
-    return build_certificates(c, result, **kw)
-
-
 def distinguish(certs, x, y):
     """Smallest recorded conjunct separating x from y.
 
@@ -240,7 +229,7 @@ def distinguish(certs, x, y):
     if bx is None or by is None:
         raise CertError("state out of range")
     if bx != by:
-        return modal_if_distinct(certs, -1, bx, by)
+        return certs.modal_of[(-1, bx)]
     for i, ev in enumerate(trace.splits):
         for ref_ in ev.refinements:
             if ref_.parent != bx:
@@ -248,14 +237,9 @@ def distinguish(certs, x, y):
             bx = _child_of(ref_, x, bx)
             by = _child_of(ref_, y, by)
             if bx != by:
-                return modal_if_distinct(certs, i, bx, by)
+                return certs.modal_of[(i, bx)]
             break
     return None
-
-
-def modal_if_distinct(certs, event, bx, by):
-    phi = certs.modal_of[(event, bx)]
-    return phi
 
 
 def _child_of(ref_, s, parent):
@@ -306,8 +290,9 @@ def serialize(certs, include_beta=False, restrict_blocks=None):
     from .functor import pretty_functor
     ids = certs.block_ids if restrict_blocks is None else restrict_blocks
     lines = ["functor: %s" % pretty_functor(c.functor), "blocks:"]
+    states_of = certs.states_by_block()
     for bid in ids:
-        states = certs.blocks[certs.block_ids.index(bid)]
+        states = states_of[bid]
         lines.append("  %d: %s" % (bid, " ".join(c.states[s] for s in states)))
     roots = [certs.delta[bid] for bid in ids]
     if include_beta:

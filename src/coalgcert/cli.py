@@ -134,12 +134,11 @@ def cmd_certify(args):
     ids = _visible_blocks(certs, visible)
     if args.json:
         nodes = reachable(certs.dag, [certs.delta[b] for b in ids])
+        states_of = certs.states_by_block()
         payload = {
             "functor": pretty_functor(c.functor),
             "mode": args.mode,
-            "blocks": [{"id": b,
-                        "states": [c.states[s]
-                                   for s in certs.blocks[certs.block_ids.index(b)]]}
+            "blocks": [{"id": b, "states": [c.states[s] for s in states_of[b]]}
                        for b in ids],
             "dag": [{"id": nid,
                      "node": render_node(certs.dag, nid, c.functor)}
@@ -223,8 +222,9 @@ def cmd_translate(args):
     ids = _visible_blocks(certs, visible)
     formulas = translate(certs, args.logic, blocks=ids)
     lines = []
+    states_of = certs.states_by_block()
     for bid in ids:
-        states = certs.blocks[certs.block_ids.index(bid)]
+        states = states_of[bid]
         lines.append("block %d (%s): %s"
                      % (bid, " ".join(c.states[s] for s in states),
                         pretty_ds(formulas[bid])))

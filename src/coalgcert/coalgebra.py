@@ -23,8 +23,10 @@ introducing one auxiliary state per occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .functor import (
     BOOL, INT, NAT, Composite, Constant, Coproduct, Distribution,
@@ -48,7 +50,7 @@ class Coalgebra:
     def n(self):
         return len(self.states)
 
-    @property
+    @cached_property
     def m(self):
         """Total number of state occurrences in all structure terms."""
         return sum(len(list(term_states(t))) for t in self.structure)
@@ -217,7 +219,11 @@ class _TermParser:
             return ("tuple", tuple(parts))
         if isinstance(f, Coproduct):
             self.eat("in")
-            idx = int(self.token()) - 1
+            tok = self.token()
+            if not tok.isdecimal():
+                raise ModelError("expected an injection number, got 'in%s'"
+                                 % tok)
+            idx = int(tok) - 1
             if not 0 <= idx < len(f.parts):
                 raise ModelError("injection in%d out of range" % (idx + 1))
             self.eat("(")
@@ -451,7 +457,7 @@ def desugar_composite(c):
     used = set(names)
     sort_of = [0] * c.n
     structure = [None] * c.n
-    aux_rows = []  # (state slot index, depth, inner term) worklist results
+    aux_rows = deque()  # (state slot index, depth, inner term) worklist
 
     def fresh_name():
         i = len(names) - c.n
@@ -504,7 +510,7 @@ def desugar_composite(c):
     for x in range(c.n):
         structure[x] = ("in", 0, walk(c.structure[x], layers[0], 0))
     while aux_rows:
-        sid, depth, inner = aux_rows.pop(0)
+        sid, depth, inner = aux_rows.popleft()
         structure[sid] = ("in", depth, walk(inner, layers[depth], depth))
     new_functor = Coproduct(tuple(layers))
     out = Coalgebra(new_functor, tuple(names), tuple(structure))

@@ -10,10 +10,38 @@ P-block is refined by the key
                                             1: in B minus S, 2: in S}
     cancellative mode   F(chi_S) . c        over palette {0: outside S, 1: in S}
 
-Only predecessors of S are rekeyed; states without an edge into S keep
-their block's shared default key, computed once per refined block from a
-representative.  Keyed states whose key happens to equal the default key
+In these two modes a split costs the edges into S, not the rows of their
+sources.  Every `set` or `vec` node of a structure term is a collection
+leaf, numbered per state in walk order.  Its total weight (the set size,
+or the sum of the entries) is stored once.  Its weight w(l, C) into a
+compound C lives in a cell shared by the leaves of its state: cell (x, C)
+holds the number of edges from x into C and, per leaf l of x, w(l, C).
+Initially each state has one cell, toward the root compound, holding its
+totals.  The in-edges y <- x are kept grouped by target, each with its
+weight and the index of x's cell toward the compound of y.  A vec leaf's
+weights are kept as integers over its common denominator, so bookkeeping
+adds and subtracts integers and only keys build fractions.  Splitting S
+off B:
+
+  1. walk the in-edges of S; for each source x (a touched state) remember
+     its cell (x, B) from the edge, accumulate its weights into S in a
+     fresh cell (x, S), and point the edge at that cell;
+  2. key each touched state by walking the skeleton of its term, never a
+     collection's contents.  A set leaf yields the colours present among
+     (total - w(l,B), w(l,B) - w_S, w_S), a vec leaf those three weights
+     (two-colour: total - w_S, w_S); identity and op positions read the
+     colour of their state;
+  3. subtract the weights into S from cell (x, B); a cell no edge points
+     to any more is recycled.
+
+States without an edge into S keep their block's shared default key.  P
+is stable for Q: the states of a block share the value of F(chi_C) for
+every compound C.  So the default key is the key any state of the block
+gets with S merged back into its surroundings (into B in generic mode,
+into the outside in cancellative mode); it is computed from the block's
+first touched state.  Keyed states whose key equals the default key
 (possible with cancelling weights) merge back into the default group.
+Naive mode rekeys every state from its whole row each round.
 
 Every refinement step is recorded in a trace from which the certificate
 builder and the distinguishing-formula search replay the whole run.
@@ -21,15 +49,29 @@ builder and the distinguishing-formula search replay the whole run.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
-from .coalgebra import degrees, predecessor_lists, term_states
+from .coalgebra import degrees
 from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
 from .values import f_apply_coloring
 
 MODES = ("generic", "cancellative", "naive")
+
+_ZERO = Fraction(0)
+
+
+def _frac(a, d):
+    return Fraction(a, d) if a else _ZERO  # keys share one zero
+
+
+# key of a set leaf, by the colours present: bit i set when colour i occurs
+_SET_KEYS = [("set", tuple(i for i in range(3) if mask >> i & 1))
+             for mask in range(8)]
 
 
 class RefineError(RuntimeError):
@@ -92,16 +134,6 @@ class _ChiSB:
         return 1 if self.qof[self.block_of[y]] == self.cmpB else 0
 
 
-class _ChiS:
-    """Colouring chi_S: 1 on S, 0 elsewhere."""
-
-    def __init__(self, in_S):
-        self.in_S = in_S
-
-    def __getitem__(self, y):
-        return 1 if y in self.in_S else 0
-
-
 def initial_partition(c):
     """Group states by the output value F! . c (palette of size 1).
 
@@ -112,6 +144,224 @@ def initial_partition(c):
     zero = [0] * c.n
     key = lambda s: f_apply_coloring(c.functor, c.structure[s], zero, 1)
     return part, part.split_by_key(0, key)
+
+
+def _flatten(t, base, tgt, slots, wts, total, scale):
+    """Append the edges and collection leaves of term t, in walk order.
+
+    Edge i goes to tgt[i] with weight wts[i], counted in slot slots[i] of
+    its source's cell: 1 + the index of its leaf among the state's leaves,
+    whose numbering starts at ``base``, or 0 at an identity or op position.
+    A vec leaf's weights and total are integer multiples of 1 / scale, the
+    common denominator of its entries; a set leaf counts its entries and
+    has scale 0."""
+    tag = t[0]
+    if tag == "set":
+        k = len(t[1])
+        total.append(k)
+        scale.append(0)
+        tgt.extend(t[1])
+        slots.extend([len(total) - base] * k)
+        wts.extend([1] * k)
+    elif tag == "vec":
+        d = lcm(*(w.denominator for _y, w in t[1]))
+        ints = [w.numerator * (d // w.denominator) for _y, w in t[1]]
+        total.append(sum(ints))
+        scale.append(d)
+        tgt.extend(y for y, _w in t[1])
+        slots.extend([len(total) - base] * len(ints))
+        wts.extend(ints)
+    elif tag == "state":
+        tgt.append(t[1])
+        slots.append(0)
+        wts.append(0)
+    elif tag == "op":
+        tgt.extend(t[2])
+        slots.extend([0] * len(t[2]))
+        wts.extend([0] * len(t[2]))
+    elif tag == "in":
+        _flatten(t[2], base, tgt, slots, wts, total, scale)
+    elif tag == "tuple" or tag == "fun":
+        for u in t[1]:
+            _flatten(u, base, tgt, slots, wts, total, scale)
+
+
+def _skeleton(t, leaf, colour):
+    """Functor value of term t from leaf() at its collection leaves, called
+    in walk order, and colour(state) at its identity and op positions.
+
+    The value has the shape f_apply_coloring gives; the contents of the
+    collections are never read."""
+    tag = t[0]
+    if tag == "set" or tag == "vec":
+        return leaf()
+    if tag == "state":
+        return colour(t[1])
+    if tag == "in":
+        return ("in", t[1], _skeleton(t[2], leaf, colour))
+    if tag == "op":
+        return ("op", t[1], tuple([colour(y) for y in t[2]]))
+    if tag == "tuple" or tag == "fun":
+        return (tag, tuple([_skeleton(u, leaf, colour) for u in t[1]]))
+    return t  # ('atom', name)
+
+
+class _SplitWeights:
+    """In-edges and per-compound leaf weights (see the module docstring).
+
+    The edges into y are the positions p in range(start[y], start[y + 1]),
+    ordered by source: src[p] is the source, wt[p] the weight, which counts
+    in slot slot[p] of the source's cell cell[p].  Cells live in the flat
+    list cw: cell c holds the edge count at cw[c] and the weight of leaf j
+    at cw[c + 1 + j].  The leaves of x are numbered leaf_start[x] onwards,
+    with totals in `total`; positions[x] counts the skeleton positions
+    (leaves, identity and op positions) a key of x reads."""
+
+    def __init__(self, c):
+        n = c.n
+        # pass 1: every term's edges in source order, and its leaves
+        tgt, slots, wts = array("i"), array("i"), []
+        self.total = total = []
+        self.scale = scale = []
+        self.cw = cw = [0]  # cell 0: the dummy cell of every leafless state
+        self.leaf_start = leaf_start = [0] * (n + 1)
+        self.positions = positions = [0] * n
+        row_start = [0] * (n + 1)
+        home = [0] * n
+        for x, t in enumerate(c.structure):
+            base, lo = len(total), len(tgt)
+            _flatten(t, base, tgt, slots, wts, total, scale)
+            hi = len(tgt)
+            leaf_start[x + 1] = len(total)
+            row_start[x + 1] = hi
+            positions[x] = len(total) - base + slots[lo:hi].count(0)
+            if len(total) > base:
+                home[x] = len(cw)
+                cw.append(hi - lo)
+                cw.extend(total[base:])
+        # pass 2: group the edges by target, keeping the source order
+        m = len(tgt)
+        start = [0] * (n + 1)
+        for y in tgt:
+            start[y + 1] += 1
+        for y in range(n):
+            start[y + 1] += start[y]
+        fill = start[:n]
+        self.start = start
+        self.src = src = [0] * m
+        self.slot = slot = array("i", bytes(4 * m))
+        self.wt = wt = [0] * m
+        self.cell = cell = array("i", bytes(4 * m))
+        for x in range(n):
+            hx = home[x]
+            for q in range(row_start[x], row_start[x + 1]):
+                y = tgt[q]
+                p = fill[y]
+                fill[y] = p + 1
+                src[p] = x
+                slot[p] = slots[q]
+                wt[p] = wts[q]
+                cell[p] = hx
+        widest = max((leaf_start[x + 1] - leaf_start[x] for x in range(n)),
+                     default=0)
+        self.zeros = [[0] * (k + 1) for k in range(widest + 1)]
+        self.free = [[] for _ in range(widest + 1)]  # recycled cells by width
+        # per state, valid for the touched states of the current split:
+        # its cell toward B, its cell toward S, and the split it was
+        # last touched in
+        self.toward_B = [0] * n
+        self.toward_S = [0] * n
+        self.touched_in = [0] * n
+        self.splits = 0
+
+    def collect(self, S_states, block_of):
+        """Read the edges into S.
+
+        Returns (touched states grouped by block in order of first touch,
+        number of edges read).  Each touched state's cell toward B and its
+        fresh cell holding its weights into S are kept for key() and
+        commit().  States without leaves share the dummy cell 0."""
+        start, src, slot, wt, cell, cw = (
+            self.start, self.src, self.slot, self.wt, self.cell, self.cw)
+        leaf_start, free, zeros = self.leaf_start, self.free, self.zeros
+        toward_B, toward_S, touched_in = (
+            self.toward_B, self.toward_S, self.touched_in)
+        self.splits += 1
+        now = self.splits
+        touched = {}
+        read = 0
+        for y in S_states:
+            lo, hi = start[y], start[y + 1]
+            read += hi - lo
+            for p in range(lo, hi):
+                x = src[p]
+                if touched_in[x] == now:
+                    cs = toward_S[x]
+                else:
+                    touched_in[x] = now
+                    toward_B[x] = cell[p]
+                    width = leaf_start[x + 1] - leaf_start[x]
+                    if not width:
+                        cs = 0
+                    elif free[width]:
+                        cs = free[width].pop()
+                        cw[cs:cs + width + 1] = zeros[width]
+                    else:
+                        cs = len(cw)
+                        cw.extend(zeros[width])
+                    toward_S[x] = cs
+                    touched.setdefault(block_of[x], []).append(x)
+                cell[p] = cs
+                cw[cs] += 1
+                s = slot[p]
+                if s:
+                    cw[cs + s] += wt[p]
+        return touched, read
+
+    def key(self, x, term, colour, three, merged=False):
+        """Split key of a touched state from its cells.
+
+        ``three`` selects the generic three-colour palette over the
+        two-colour one.  With ``merged`` the weights into S count as
+        weights into B (generic) or into the outside (two-colour): that is
+        the block's default key."""
+        lo, hi = self.leaf_start[x], self.leaf_start[x + 1]
+        if lo == hi:
+            return _skeleton(term, None, colour)
+        total, scale, cw = self.total, self.scale, self.cw
+        b = self.toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
+        s = self.toward_S[x] + 1 - lo
+        values = []
+        for j in range(lo, hi):
+            t, d, wb = total[j], scale[j], cw[b + j]
+            ws = 0 if merged else cw[s + j]
+            if not d:
+                values.append(_SET_KEYS[(t > wb) | (wb > ws) << 1
+                                        | (ws > 0) << 2])
+            elif three:
+                values.append(("vec", (_frac(t - wb, d), _frac(wb - ws, d),
+                                       _frac(ws, d))))
+            else:  # cancellative functors have vec leaves only
+                values.append(("vec", (_frac(t - ws, d), _frac(ws, d))))
+        if hi - lo == 1 and term[0] in ("set", "vec"):
+            return values[0]
+        return _skeleton(term, iter(values).__next__, colour)
+
+    def commit(self, touched):
+        """Move the weights into S out of the touched states' cells toward B."""
+        cw, leaf_start, free = self.cw, self.leaf_start, self.free
+        for states in touched.values():
+            for x in states:
+                width = leaf_start[x + 1] - leaf_start[x]
+                if not width:
+                    continue
+                cb, cs = self.toward_B[x], self.toward_S[x]
+                cw[cb] -= cw[cs]
+                if cw[cb] == 0:  # every edge of x into B went into S
+                    free[width].append(cb)
+                else:
+                    for i in range(1, width + 1):
+                        cw[cb + i] -= cw[cs + i]
 
 
 def refine(c, mode="generic", audit=False):
@@ -138,8 +388,12 @@ def refine(c, mode="generic", audit=False):
     stats = {"iterations": 0, "new_blocks": 0, "refined_parents": 0,
              "visited_edges": 0, "splitter_states": 0, "max_in_splitter": 0}
     in_splitter = [0] * n  # how often each state sat inside S
-    preds = predecessor_lists(c)
-    deg = degrees(c)
+    block_of = part.block_of
+    if mode == "naive":
+        deg = degrees(c)
+    else:
+        weights = _SplitWeights(c)
+        positions = weights.positions
 
     qof = {}            # block id -> compound id
     members = {}        # compound id -> insertion-ordered dict of block ids
@@ -178,7 +432,6 @@ def refine(c, mode="generic", audit=False):
         S = a if part.size(a) <= part.size(b2) else b2
         assert 2 * part.size(S) <= cmp_size[cmpB]
         S_states = tuple(part.block_states(S))
-        in_S = set(S_states)
         stats["iterations"] += 1
         stats["splitter_states"] += len(S_states)
         for s in S_states:
@@ -186,44 +439,51 @@ def refine(c, mode="generic", audit=False):
             if in_splitter[s] > stats["max_in_splitter"]:
                 stats["max_in_splitter"] = in_splitter[s]
 
-        if mode == "cancellative":
-            col, k = _ChiS(in_S), 2
-        else:
-            col, k = _ChiSB(in_S, part.block_of, qof, cmpB), 3
-
         # phase 1: key the affected states while S still counts as part of B
         plans = []  # (parent, groups dict key->state list, default key or None)
         if mode == "naive":
+            col = _ChiSB(set(S_states), block_of, qof, cmpB)
             for T in range(part.num_blocks()):
                 t_states = part.block_states(T)
                 stats["visited_edges"] += sum(deg[x] for x in t_states)
                 groups = {}
                 for x in t_states:
                     groups.setdefault(
-                        f_apply_coloring(f, structure[x], col, k), []).append(x)
+                        f_apply_coloring(f, structure[x], col, 3), []).append(x)
                 if len(groups) > 1:
                     plans.append((T, groups, None))
         else:
-            touched = {}
-            seen = set()
-            for y in S_states:
-                for x in preds[y]:
-                    if x not in seen:
-                        seen.add(x)
-                        touched.setdefault(part.block_of[x], []).append(x)
+            three = mode == "generic"
+            if three:
+                def colour(y):
+                    b = block_of[y]
+                    return 2 if b == S else (1 if qof[b] == cmpB else 0)
+
+                def merged_colour(y):
+                    return 1 if qof[block_of[y]] == cmpB else 0
+            else:
+                def colour(y):
+                    return 1 if block_of[y] == S else 0
+
+                def merged_colour(y):
+                    return 0
+            touched, read = weights.collect(S_states, block_of)
+            stats["visited_edges"] += read
             for T, t_states in touched.items():
-                stats["visited_edges"] += sum(deg[x] for x in t_states)
                 for x in t_states:
                     part.mark(x)
                 groups = {}
                 for x in t_states:
+                    stats["visited_edges"] += positions[x]
                     groups.setdefault(
-                        f_apply_coloring(f, structure[x], col, k), []).append(x)
+                        weights.key(x, structure[x], colour, three),
+                        []).append(x)
                 default = None
                 if part.marked[T] < part.size(T):
-                    rep = part.elems[part.first[T] + part.marked[T]]
-                    stats["visited_edges"] += deg[rep]
-                    default = f_apply_coloring(f, structure[rep], col, k)
+                    x = t_states[0]
+                    stats["visited_edges"] += positions[x]
+                    default = weights.key(x, structure[x], merged_colour,
+                                          three, merged=True)
                     groups.pop(default, None)  # cancelled back to the default
                     if not groups:
                         part.marked[T] = 0
@@ -233,6 +493,7 @@ def refine(c, mode="generic", audit=False):
                     continue
                 part.marked[T] = 0
                 plans.append((T, groups, default))
+            weights.commit(touched)
 
         # phase 2: extract S from its compound (refine Q)
         members[cmpB].pop(S)
@@ -285,25 +546,3 @@ def replay_trace(trace):
                     for s in states:
                         block_of[s] = cid
     return block_of
-
-
-def compute_split_keys(c, S_states, in_B, mode="generic"):
-    """Split keys of all predecessors of S (standalone helper).
-
-    ``in_B`` is a membership predicate for the surrounding compound block B
-    (ignored in cancellative mode).  Returns {state: key value}."""
-    in_S = set(S_states)
-    if mode == "cancellative":
-        col, k = _ChiS(in_S), 2
-    else:
-        class _Col:
-            def __getitem__(self, y):
-                return 2 if y in in_S else (1 if in_B(y) else 0)
-        col, k = _Col(), 3
-    preds = predecessor_lists(c)
-    out = {}
-    for y in S_states:
-        for x in preds[y]:
-            if x not in out:
-                out[x] = f_apply_coloring(c.functor, c.structure[x], col, k)
-    return out

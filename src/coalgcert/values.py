@@ -85,10 +85,6 @@ def relabel_value(f, v, mapping, k_new):
     raise FunctorError("cannot relabel value for functor %r" % (f,))
 
 
-def _frac_str(w):
-    return str(w)
-
-
 def pretty_value(f, v):
     """Print a value in the concrete syntax used in modal labels."""
     if isinstance(f, Identity):
@@ -96,7 +92,7 @@ def pretty_value(f, v):
     if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
         return "{%s}" % ",".join(str(c) for c in v[1])
     if isinstance(f, (MonoidValued, Distribution)):
-        return "(%s)" % ",".join(_frac_str(w) for w in v[1])
+        return "(%s)" % ",".join(str(w) for w in v[1])
     if isinstance(f, Signature):
         name, cols = v[1], v[2]
         return name if not cols else "%s(%s)" % (name, ",".join(map(str, cols)))
@@ -157,8 +153,14 @@ class _ValueParser:
         self.i = j
         return tok
 
+    def index(self, what):
+        tok = self.token()
+        if not tok.isdecimal():
+            raise ValueError_("expected %s, got %r" % (what, tok))
+        return int(tok)
+
     def colour(self):
-        c = int(self.token())
+        c = self.index("a colour")
         if not 0 <= c < self.k:
             raise ValueError_("colour %d out of palette %d" % (c, self.k))
         return c
@@ -213,7 +215,7 @@ class _ValueParser:
             return ("tuple", tuple(parts))
         if isinstance(f, Coproduct):
             self.eat("in")
-            idx = int(self.token()) - 1
+            idx = self.index("an injection number") - 1
             if not 0 <= idx < len(f.parts):
                 raise ValueError_("injection in%d out of range" % (idx + 1))
             self.eat("(")

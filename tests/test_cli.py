@@ -149,3 +149,10 @@ def test_composite_model(capsys, tmp_path):
 def test_missing_model_file(capsys):
     code, _, err = run(capsys, "certify", "/nonexistent.model")
     assert code == 2 and err
+
+
+def test_malformed_coproduct_row(capsys, tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_text("functor: P + C{a}\nstates: s\ns -> inx({s})\n")
+    code, _, err = run(capsys, "certify", str(model))
+    assert code == 2 and "injection" in err

@@ -46,6 +46,7 @@ def test_degrees_predecessors(ts1):
     "functor: D(X)\nstates: a\na -> {a: 1/2}",      # distribution sum != 1
     "functor: Sig(f/2)\nstates: a\na -> f(a)",      # arity mismatch
     "functor: P\nstates: a\na -> {a}\nb -> {}",     # row for unknown state
+    "functor: P + C{a}\nstates: s\ns -> inx({s})",  # injection not a number
 ])
 def test_parse_errors(text):
     with pytest.raises(ModelError):

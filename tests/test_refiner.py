@@ -1,15 +1,21 @@
 """Partition refinement: goldens, mode agreement, traces, complexity bounds."""
 
 import math
+import random
+from collections import deque
 
 import pytest
 
-from coalgcert.coalgebra import Coalgebra, parse_coalgebra
-from coalgcert.functor import parse_functor
+from coalgcert.coalgebra import Coalgebra, parse_coalgebra, predecessor_lists
+from coalgcert.functor import parse_functor, pretty_functor
 from coalgcert.oracle import (
     GeneratorSpec, generate, naive_bisimilarity, partition_key,
 )
-from coalgcert.refiner import RefineError, refine, replay_trace
+from coalgcert.refiner import (
+    InitEvent, Refinement, RefineError, SplitEvent, Trace, initial_partition,
+    refine, replay_trace,
+)
+from coalgcert.values import f_apply_coloring
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 
 
@@ -95,3 +101,135 @@ def test_stats_counters_present():
                 "visited_edges", "splitter_states", "max_in_splitter"):
         assert key in st and st[key] >= 0
     assert st["new_blocks"] == len(res.blocks) - len(res.trace.init.blocks)
+
+
+def whole_row_trace(c, mode):
+    """Reference trace: the same splitter queue, but every predecessor of
+    the splitter and one untouched representative per block are keyed by
+    f_apply_coloring over their whole row."""
+    f, n = c.functor, c.n
+    part, init_groups = initial_partition(c)
+    trace = Trace(mode, n, InitEvent(
+        [(b, v, tuple(sorted(part.block_states(b)))) for b, v in init_groups]),
+        [])
+    preds = predecessor_lists(c)
+    qof, members = {}, {}
+    queue = deque()
+
+    def compound(blocks):
+        cid = len(members)
+        members[cid] = dict.fromkeys(blocks)
+        for b in blocks:
+            qof[b] = cid
+        if len(blocks) >= 2:
+            queue.append(cid)
+        return cid
+
+    if n:
+        compound(list(range(part.num_blocks())))
+    while queue:
+        cmpB = queue.popleft()
+        if len(members[cmpB]) < 2:
+            continue
+        a, b2 = list(members[cmpB])[:2]
+        S = a if part.size(a) <= part.size(b2) else b2
+        S_states = tuple(part.block_states(S))
+        in_S = set(S_states)
+        if mode == "cancellative":
+            col, k = [int(y in in_S) for y in range(n)], 2
+        else:
+            col = [2 if y in in_S else int(qof[part.block_of[y]] == cmpB)
+                   for y in range(n)]
+            k = 3
+        touched = {}
+        for y in S_states:
+            for x in preds[y]:
+                states = touched.setdefault(part.block_of[x], [])
+                if x not in states:
+                    states.append(x)
+        plans = []
+        for T, t_states in touched.items():
+            for x in t_states:
+                part.mark(x)
+            groups = {}
+            for x in t_states:
+                groups.setdefault(f_apply_coloring(f, c.structure[x], col, k),
+                                  []).append(x)
+            default = None
+            if part.marked[T] < part.size(T):
+                rep = part.elems[part.first[T] + part.marked[T]]
+                default = f_apply_coloring(f, c.structure[rep], col, k)
+                groups.pop(default, None)
+            part.marked[T] = 0
+            if len(groups) > (default is None):
+                plans.append((T, groups, default))
+        members[cmpB].pop(S)
+        cmpS = compound([S])
+        if len(members[cmpB]) >= 2 and cmpB not in queue:
+            queue.append(cmpB)
+        refinements = []
+        for T, groups, default in plans:
+            items = list(groups.items())
+            if default is None:
+                children = [(T, items[0][0], tuple(items[0][1]))]
+                items = items[1:]
+            else:
+                children = [(T, default, None)]
+            new_ids = part.extract_groups(T, [g for _, g in items])
+            children += [(nb, key, tuple(g))
+                         for nb, (key, g) in zip(new_ids, items)]
+            cmpT = qof[T]
+            for nb in new_ids:
+                members[cmpT][nb] = None
+                qof[nb] = cmpT
+            if len(members[cmpT]) >= 2 and cmpT not in queue:
+                queue.append(cmpT)
+            refinements.append(Refinement(T, children))
+        trace.splits.append(SplitEvent(S, S_states, cmpB, cmpS, refinements))
+    return trace
+
+
+def test_split_keys_match_whole_row_reference():
+    """Keys read from stored weights give the whole-row trace exactly."""
+    cases = [(c, "generic") for _l, c in random_instances(seeds=range(5), n=16)]
+    cases += [(c, "cancellative") for _l, c in random_instances(
+        CANCELLATIVE_FUNCTORS, seeds=range(5), n=16)]
+    for c, mode in cases:
+        assert refine(c, mode=mode, audit=True).trace == whole_row_trace(
+            c, mode), (pretty_functor(c.functor), mode)
+
+
+def test_cancelling_weights_fall_back_to_default_key():
+    """x sends +1 and -1 into the splitter {s1, s2}: its key equals the
+    default key of its block, so x stays with the untouched y."""
+    c = parse_coalgebra(
+        "functor: Z^(X)\nstates: x, y, s1, s2, a, b, c\n"
+        "x -> {s1: 1, s2: -1}\ny -> {}\ns1 -> {a: 1}\ns2 -> {b: 1}\n"
+        "a -> {a: 2}\nb -> {a: 2}\nc -> {a: 2}\n")
+    for mode in ("generic", "cancellative"):
+        res = refine(c, mode=mode, audit=True)
+        assert res.trace == whole_row_trace(c, mode)
+        assert [sorted(ev.splitter_states) for ev in res.trace.splits] == [
+            [0, 1], [2, 3]]
+        assert all(not ev.refinements for ev in res.trace.splits)
+        assert canon(res.blocks) == canon([[0, 1], [2, 3], [4, 5, 6]])
+
+
+def hub_family(n, hubs=3):
+    """A chain 0 -> 1 -> ... -> n-1 whose first states instead point at a
+    random half of all states."""
+    rng = random.Random(n)
+    rows = [("set", (i + 1,)) for i in range(n - 1)] + [("set", ())]
+    for h in range(hubs):
+        rows[h] = ("set", tuple(sorted(rng.sample(range(n), n // 2))))
+    return Coalgebra(parse_functor("P"), tuple("s%d" % i for i in range(n)),
+                     tuple(rows))
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_hub_work_follows_edges_into_splitter(n):
+    """Rekeying reads the edges into the splitter, not the hubs' rows."""
+    c = hub_family(n)
+    res = refine(c)
+    assert len(res.blocks) == n
+    assert res.stats["visited_edges"] <= 2 * (n + c.m) * math.log2(n)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coalgcert.functor import parse_functor
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.values import (
-    f_apply_coloring, parse_rational, parse_value, pretty_value,
+    ValueError_, f_apply_coloring, parse_rational, parse_value, pretty_value,
     relabel_value, validate_value,
 )
 
@@ -95,6 +95,15 @@ def test_value_print_parse_round_trip(fx, seed, n, k, data):
 ])
 def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize("fx, text", [
+    ("P", "{x}"),                # colour not a number
+    ("P + C{a}", "inx({1})"),    # injection not a number
+])
+def test_parse_value_rejects_bad_numbers(fx, text):
+    with pytest.raises(ValueError_):
+        parse_value(text, parse_functor(fx), 2)
 
 
 def test_parse_rational_rejects():
