@@ -23,7 +23,7 @@ from .coalgebra import (
 from .functor import Composite, FunctorError, is_cancellative, pretty_functor
 from .logic import EvalError, check_certificates, eval_ref, parse_formula
 from .oracle import GeneratorSpec, generate, naive_bisimilarity, partition_key
-from .refiner import refine, replay_trace
+from .refiner import RefineError, refine, replay_trace
 from .translate import (
     TranslateError, default_logic, eval_ds, parse_ds, pretty_ds, translate,
     translate_ref,
@@ -347,6 +347,9 @@ def main(argv=None):
             CertError) as e:
         print("error: %s" % e, file=sys.stderr)
         return INPUT_ERROR
+    except RefineError as e:  # e.g. minimize --mode cancellative on P
+        print("error: %s" % e, file=sys.stderr)
+        return INCOMPATIBLE
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ are hashable and comparable.
 Term encoding (plain, composition-free functor):
 
     ('state', sid)                    identity position
-    ('set', (sid, ...))               powerset / boolean layer
+    ('set', (sid, ...))               powerset layer
     ('vec', ((sid, w), ...))          monoid or distribution weights
     ('op', name, (sid, ...))          signature operation
     ('tuple', (t1, ..., tn))          product
@@ -29,11 +29,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from .functor import (
-    BOOL, INT, NAT, Composite, Constant, Coproduct, Distribution,
-    Exponent, FunctorError, Identity, MonoidValued, Powerset, Product,
-    Signature, composite_spine, is_zippable, parse_functor, pretty_functor,
+    INT, NAT, Coproduct, Distribution, FunctorError, composite_spine,
+    is_zippable, parse_functor, pretty_functor,
 )
-from .values import parse_rational
+from .values import ShapeReader
 
 
 class ModelError(ValueError):
@@ -71,14 +70,11 @@ def term_states(term):
             yield s
     elif tag == "op":
         yield from term[2]
-    elif tag == "tuple":
+    elif tag == "tuple" or tag == "fun":
         for t in term[1]:
             yield from term_states(t)
     elif tag == "in":
         yield from term_states(term[2])
-    elif tag == "fun":
-        for t in term[1]:
-            yield from term_states(t)
     elif tag == "atom":
         pass
     elif tag == "sub":
@@ -102,186 +98,69 @@ def predecessor_lists(c):
 
 # ---------------------------------------------------------------- parsing
 
-class _TermParser:
-    def __init__(self, text, layers, state_ids):
-        self.text = text
-        self.layers = layers  # composition spine, outermost first
+class _TermReader(ShapeReader):
+    """Structure terms: identity positions hold state names, or whole
+    terms of the next layer of a composed functor; weights are sparse
+    ``{s: w, ...}``."""
+
+    error = ModelError
+
+    def __init__(self, f, state_ids):
+        super().__init__("")
+        self.layers = composite_spine(f)  # outermost first
+        self.depth = 0
         self.state_ids = state_ids
-        self.i = 0
 
-    def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+    def term(self, text):
+        self.text, self.i = text, 0
+        return self.done(self.read(self.layers[0]))
 
-    def peek(self):
-        self.ws()
-        return self.text[self.i] if self.i < len(self.text) else None
-
-    def eat(self, s):
-        self.ws()
-        if not self.text.startswith(s, self.i):
-            raise ModelError("expected %r at %r" % (s, self.text[self.i:]))
-        self.i += len(s)
-
-    def try_eat(self, s):
-        self.ws()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
-
-    def token(self, extra="_"):
-        self.ws()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] in extra):
-            j += 1
-        if j == self.i:
-            raise ModelError("expected a name at %r" % self.text[self.i:])
-        tok = self.text[self.i:j]
-        self.i = j
-        return tok
-
-    def weight(self):
-        return parse_rational(self.token("_/.-"))
-
-    def slot(self, depth):
-        # identity position of layer `depth`: a state name, or a whole term
-        # of the next composition layer
-        if depth + 1 < len(self.layers):
-            return ("sub", self.term(self.layers[depth + 1], depth + 1))
+    def slot(self):
+        if self.depth + 1 < len(self.layers):
+            self.depth += 1
+            t = ("sub", self.read(self.layers[self.depth]))
+            self.depth -= 1
+            return t
         name = self.token()
-        if name not in self.state_ids:
+        sid = self.state_ids.get(name)
+        if sid is None:
             raise ModelError("unknown state %r" % name)
-        return ("state", self.state_ids[name])
+        return sid
 
-    def term(self, f, depth):
-        if isinstance(f, Identity):
-            return self.slot(depth)
-        if isinstance(f, Powerset) or (isinstance(f, MonoidValued)
-                                       and f.kind == BOOL):
-            self.eat("{")
-            elems = []
-            if not self.try_eat("}"):
-                while True:
-                    elems.append(self.slot(depth))
-                    if self.try_eat("}"):
-                        break
-                    self.eat(",")
-            if all(e[0] == "state" for e in elems):
-                ids = [e[1] for e in elems]
-                if len(set(ids)) != len(ids):
-                    raise ModelError("duplicate state in set %r" % self.text)
-                return ("set", tuple(sorted(ids)))
-            return ("set", tuple(elems))  # composite layer, slots kept
-        if isinstance(f, (MonoidValued, Distribution)):
-            self.eat("{")
-            entries = []
-            if not self.try_eat("}"):
-                while True:
-                    s = self.slot(depth)
-                    self.eat(":")
-                    entries.append((s, self.weight()))
-                    if self.try_eat("}"):
-                        break
-                    self.eat(",")
-            self._check_weights(f, [w for _, w in entries])
-            entries = [(s, w) for s, w in entries if w != 0]
-            if all(s[0] == "state" for s, _ in entries):
-                ids = [s[1] for s, _ in entries]
-                if len(set(ids)) != len(ids):
-                    raise ModelError("duplicate state in %r" % self.text)
-                return ("vec", tuple(sorted((s[1], w) for s, w in entries)))
-            return ("vec", tuple(entries))
-        if isinstance(f, Signature):
-            name = self.token()
-            ar = f.arity(name)
-            args = []
-            if self.try_eat("("):
-                if not self.try_eat(")"):
-                    while True:
-                        args.append(self.slot(depth))
-                        if self.try_eat(")"):
-                            break
-                        self.eat(",")
-            if len(args) != ar:
-                raise ModelError("operation %s expects %d arguments" % (name, ar))
-            if all(a[0] == "state" for a in args):
-                return ("op", name, tuple(a[1] for a in args))
-            return ("op", name, tuple(args))
-        if isinstance(f, Product):
-            self.eat("(")
-            parts = []
-            for j, p in enumerate(f.parts):
-                if j:
-                    self.eat(",")
-                parts.append(self.term(p, depth))
-            self.eat(")")
-            return ("tuple", tuple(parts))
-        if isinstance(f, Coproduct):
-            self.eat("in")
-            tok = self.token()
-            if not tok.isdecimal():
-                raise ModelError("expected an injection number, got 'in%s'"
-                                 % tok)
-            idx = int(tok) - 1
-            if not 0 <= idx < len(f.parts):
-                raise ModelError("injection in%d out of range" % (idx + 1))
-            self.eat("(")
-            t = self.term(f.parts[idx], depth)
-            self.eat(")")
-            return ("in", idx, t)
-        if isinstance(f, Exponent):
-            self.eat("[")
-            by_label = {}
-            if not self.try_eat("]"):
-                while True:
-                    lab = self.token()
-                    if lab not in f.labels:
-                        raise ModelError("unknown label %r" % lab)
-                    if lab in by_label:
-                        raise ModelError("duplicate label %r" % lab)
-                    self.eat(":")
-                    by_label[lab] = self.term(f.base, depth)
-                    if self.try_eat("]"):
-                        break
-                    self.eat(",")
-            if set(by_label) != set(f.labels):
-                raise ModelError("exponent term must give every label of %s"
-                                 % (f.labels,))
-            return ("fun", tuple(by_label[lab] for lab in f.labels))
-        if isinstance(f, Constant):
-            name = self.token()
-            if name not in f.atoms:
-                raise ModelError("unknown atom %r" % name)
-            return ("atom", name)
-        raise FunctorError("cannot parse term for functor %r" % (f,))
+    def identity(self):  # a state on its own is tagged ('state', sid)
+        s = self.slot()
+        return ("state", s) if type(s) is int else s
 
-    @staticmethod
-    def _check_weights(f, weights):
+    def entry(self):
+        s = self.slot()
+        self.eat(":")
+        return s, self.rational()
+
+    def weights(self, f):
+        self.eat("{")
+        entries = self.items("}", self.entry)
+        ws = [w for _, w in entries]
         if isinstance(f, Distribution):
-            if sum(weights, Fraction(0)) != 1:
+            if sum(ws, Fraction(0)) != 1:
                 raise ModelError("distribution weights must sum to 1")
-            if any(w < 0 for w in weights):
+            if any(w < 0 for w in ws):
                 raise ModelError("distribution weights must be nonnegative")
         elif f.kind == NAT:
-            if any(w.denominator != 1 or w < 0 for w in weights):
+            if any(w.denominator != 1 or w < 0 for w in ws):
                 raise ModelError("N-weights must be nonnegative integers")
         elif f.kind == INT:
-            if any(w.denominator != 1 for w in weights):
+            if any(w.denominator != 1 for w in ws):
                 raise ModelError("Z-weights must be integers")
-        elif f.kind == BOOL:
-            if any(w not in (0, 1) for w in weights):
-                raise ModelError("B-weights must be 0 or 1")
+        entries = [(s, w) for s, w in entries if w != 0]
+        if entries and type(entries[0][0]) is tuple:
+            return ("vec", tuple(entries))  # terms of a composed functor
+        if len({s for s, _ in entries}) != len(entries):
+            raise ModelError("duplicate state in %r" % self.text)
+        return ("vec", tuple(sorted(entries)))
 
 
 def parse_term(text, f, state_ids):
-    layers = composite_spine(f)
-    p = _TermParser(text, layers, state_ids)
-    t = p.term(layers[0], 0)
-    p.ws()
-    if p.i != len(text):
-        raise ModelError("trailing input in term %r" % text)
-    return t
+    return _TermReader(f, state_ids).term(text)
 
 
 def parse_coalgebra(text):
@@ -322,11 +201,12 @@ def parse_coalgebra(text):
     for name in rows:
         if name not in ids:
             raise ModelError("row for undeclared state %r" % name)
+    reader = _TermReader(functor, ids)
     structure = []
     for name in states:
         if name not in rows:
             raise ModelError("missing row for state %r" % name)
-        structure.append(parse_term(rows[name], functor, ids))
+        structure.append(reader.term(rows[name]))
     return Coalgebra(functor, states, tuple(structure))
 
 
@@ -336,28 +216,26 @@ def pretty_term(term, f, names, layers=None, depth=0):
     if layers is None:
         layers = composite_spine(f)
         f = layers[0]
+    if type(term) is int:  # a state inside a collection or an operation
+        return names[term]
     tag = term[0]
     if tag == "sub":
         return pretty_term(term[1], layers[depth + 1], names, layers, depth + 1)
     if tag == "state":
         return names[term[1]]
     if tag == "set":
-        elems = [e if isinstance(e, tuple) and e[0] in ("state", "sub")
-                 else ("state", e) for e in term[1]]
         return "{%s}" % ", ".join(
-            pretty_term(e, Identity(), names, layers, depth) for e in elems)
+            pretty_term(e, f, names, layers, depth) for e in term[1])
     if tag == "vec":
         return "{%s}" % ", ".join(
-            "%s: %s" % (pretty_term(s if isinstance(s, tuple) else ("state", s),
-                                    Identity(), names, layers, depth), w)
+            "%s: %s" % (pretty_term(s, f, names, layers, depth), w)
             for s, w in term[1])
     if tag == "op":
         name, args = term[1], term[2]
         if not args:
             return name
-        rendered = [pretty_term(a if isinstance(a, tuple) else ("state", a),
-                                Identity(), names, layers, depth) for a in args]
-        return "%s(%s)" % (name, ", ".join(rendered))
+        return "%s(%s)" % (name, ", ".join(
+            pretty_term(a, f, names, layers, depth) for a in args))
     if tag == "tuple":
         return "(%s)" % ", ".join(
             pretty_term(t, p, names, layers, depth)
@@ -385,7 +263,7 @@ def pretty_model(c):
 
 # ------------------------------------------------------------- quotient
 
-def relabel_term(term, f, mapping):
+def relabel_term(term, mapping):
     """Rename state ids and re-canonicalise collection layers."""
     tag = term[0]
     if tag == "state":
@@ -400,13 +278,10 @@ def relabel_term(term, f, mapping):
         return ("vec", tuple(sorted((s, w) for s, w in acc.items() if w != 0)))
     if tag == "op":
         return ("op", term[1], tuple(mapping[s] for s in term[2]))
-    if tag == "tuple":
-        return ("tuple", tuple(relabel_term(t, p, mapping)
-                               for p, t in zip(f.parts, term[1])))
+    if tag == "tuple" or tag == "fun":
+        return (tag, tuple(relabel_term(t, mapping) for t in term[1]))
     if tag == "in":
-        return ("in", term[1], relabel_term(term[2], f.parts[term[1]], mapping))
-    if tag == "fun":
-        return ("fun", tuple(relabel_term(t, f.base, mapping) for t in term[1]))
+        return ("in", term[1], relabel_term(term[2], mapping))
     if tag == "atom":
         return term
     raise ModelError("bad term tag %r" % (tag,))
@@ -425,7 +300,7 @@ def quotient(c, blocks):
         raise ModelError("blocks do not partition the state set")
     names = tuple(c.states[min(members)] for members in blocks)
     structure = tuple(
-        relabel_term(c.structure[min(members)], c.functor, block_of)
+        relabel_term(c.structure[min(members)], block_of)
         for members in blocks)
     return Coalgebra(c.functor, names, structure)
 
@@ -467,51 +342,46 @@ def desugar_composite(c):
         used.add(name)
         return name
 
-    def convert(term, depth):
-        tag = term[0]
+    def convert(pos, depth):
+        if type(pos) is int:  # a state inside a collection or an operation
+            return pos
+        tag = pos[0]
         if tag == "sub":
             # allocate an auxiliary state holding the inner term
             sid = len(names)
             names.append(fresh_name())
             sort_of.append(depth + 1)
             structure.append(None)
-            aux_rows.append((sid, depth + 1, term[1]))
+            aux_rows.append((sid, depth + 1, pos[1]))
             return sid
         if tag == "state":
-            return term[1]
+            return pos[1]
         raise ModelError("bad slot %r" % (tag,))
 
-    def walk(term, f, depth):
+    def walk(term, depth):
         tag = term[0]
         if tag in ("state", "sub"):
             return ("state", convert(term, depth))
         if tag == "set":
-            elems = [e if isinstance(e, tuple) else ("state", e) for e in term[1]]
-            return ("set", tuple(sorted(convert(e, depth) for e in elems)))
+            return ("set", tuple(sorted(convert(e, depth) for e in term[1])))
         if tag == "vec":
-            entries = [((s if isinstance(s, tuple) else ("state", s)), w)
-                       for s, w in term[1]]
             return ("vec", tuple(sorted(
-                (convert(s, depth), w) for s, w in entries)))
+                (convert(s, depth), w) for s, w in term[1])))
         if tag == "op":
-            args = [a if isinstance(a, tuple) else ("state", a) for a in term[2]]
-            return ("op", term[1], tuple(convert(a, depth) for a in args))
-        if tag == "tuple":
-            return ("tuple", tuple(walk(t, p, depth)
-                                   for p, t in zip(f.parts, term[1])))
+            return ("op", term[1], tuple(convert(a, depth) for a in term[2]))
+        if tag == "tuple" or tag == "fun":
+            return (tag, tuple(walk(t, depth) for t in term[1]))
         if tag == "in":
-            return ("in", term[1], walk(term[2], f.parts[term[1]], depth))
-        if tag == "fun":
-            return ("fun", tuple(walk(t, f.base, depth) for t in term[1]))
+            return ("in", term[1], walk(term[2], depth))
         if tag == "atom":
             return term
         raise ModelError("bad term tag %r" % (tag,))
 
     for x in range(c.n):
-        structure[x] = ("in", 0, walk(c.structure[x], layers[0], 0))
+        structure[x] = ("in", 0, walk(c.structure[x], 0))
     while aux_rows:
         sid, depth, inner = aux_rows.popleft()
-        structure[sid] = ("in", depth, walk(inner, layers[depth], depth))
+        structure[sid] = ("in", depth, walk(inner, depth))
     new_functor = Coproduct(tuple(layers))
     out = Coalgebra(new_functor, tuple(names), tuple(structure))
     return Desugared(out, sort_of, c.n)

@@ -31,13 +31,13 @@ class Powerset:
     pass
 
 
-# monoid kinds
-REAL, INT, NAT, BOOL = "real", "int", "nat", "bool"
+# monoid kinds; B^(X), the boolean monoid, is read as P
+REAL, INT, NAT = "real", "int", "nat"
 
 
 @dataclass(frozen=True)
 class MonoidValued:
-    kind: str  # real | int | nat | bool
+    kind: str  # real | int | nat
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ FunctorExpr = (
     | Signature | Product | Coproduct | Exponent | Composite
 )
 
-_MONOID_TOKENS = {"R^(X)": REAL, "Z^(X)": INT, "N^(X)": NAT, "B^(X)": BOOL}
-_MONOID_NAMES = {REAL: "R^(X)", INT: "Z^(X)", NAT: "N^(X)", BOOL: "B^(X)"}
+_MONOID_TOKENS = {"R^(X)": REAL, "Z^(X)": INT, "N^(X)": NAT}
+_MONOID_NAMES = {REAL: "R^(X)", INT: "Z^(X)", NAT: "N^(X)"}
 
 _TOKEN_RE = re.compile(
     r"\s*(R\^\(X\)|Z\^\(X\)|N\^\(X\)|B\^\(X\)|D\(X\)|Sig\b|[A-Za-z_][A-Za-z_0-9]*"
@@ -188,7 +188,7 @@ class _Parser:
             return f
         if tok == "X":
             return Identity()
-        if tok == "P":
+        if tok == "P" or tok == "B^(X)":
             return Powerset()
         if tok == "D(X)":
             return Distribution()
@@ -285,13 +285,11 @@ def is_cancellative(f):
 
     True for functors whose collection layers are valued in cancellative
     monoids (weights over R, Z, N, and probabilities); false as soon as a
-    powerset / boolean layer occurs anywhere."""
+    powerset layer occurs anywhere."""
     for g in subfunctors(f):
         if isinstance(g, Composite):
             raise FunctorError("unfold composition before querying cancellativity")
         if isinstance(g, Powerset):
-            return False
-        if isinstance(g, MonoidValued) and g.kind == BOOL:
             return False
     return True
 

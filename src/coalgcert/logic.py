@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 
 from .certdag import FormulaDag
-from .values import ValueError_, f_apply_coloring, parse_value, validate_value
+from .values import (
+    Scanner, ValueError_, f_apply_coloring, parse_value, validate_value,
+)
 
 
 class EvalError(ValueError):
@@ -95,32 +97,15 @@ def check_certificates(certs, c=None):
 
 # ------------------------------------------------------------- parsing
 
-class _FormulaParser:
+class _FormulaParser(Scanner):
+    error = EvalError
+
     def __init__(self, text, functor):
-        self.text = text
+        super().__init__(text)
         self.functor = functor
-        self.i = 0
         self.dag = FormulaDag()
 
-    def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def eat(self, s):
-        self.ws()
-        if not self.text.startswith(s, self.i):
-            raise EvalError("expected %r at %r" % (s, self.text[self.i:]))
-        self.i += len(s)
-
-    def try_eat(self, s):
-        self.ws()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
-
     def formula(self):
-        self.ws()
         if self.try_eat("true"):
             return (0, False)
         if self.try_eat("~"):
@@ -154,11 +139,7 @@ def parse_formula(text, functor):
     """Parse the generic formula syntax; returns (dag, reference)."""
     try:
         p = _FormulaParser(text, functor)
-        ref = p.formula()
-        p.ws()
-        if p.i != len(text):
-            raise EvalError("trailing input %r" % text[p.i:])
-        return p.dag, ref
+        return p.dag, p.done(p.formula())
     except (ValueError_, ValueError, IndexError) as e:
         raise EvalError("bad formula %r: %s" % (text, e)) from None
 

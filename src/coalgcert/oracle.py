@@ -12,12 +12,12 @@ stays linear.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .coalgebra import Coalgebra
 from .functor import (
-    BOOL, INT, NAT, REAL, Constant, Coproduct, Distribution, Exponent,
+    INT, NAT, REAL, Constant, Coproduct, Distribution, Exponent,
     FunctorError, Identity, MonoidValued, Powerset, Product, Signature,
     is_zippable, parse_functor,
 )
@@ -114,8 +114,6 @@ def generate(spec):
         if isinstance(g, Powerset):
             return ("set", tuple(targets()))
         if isinstance(g, MonoidValued):
-            if g.kind == BOOL:
-                return ("set", tuple(targets()))
             return ("vec", tuple((y, weight(g.kind)) for y in targets()))
         if isinstance(g, Distribution):
             ys = targets() or [rng.randrange(n)]

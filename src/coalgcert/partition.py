@@ -1,7 +1,9 @@
 """Refinable partition of the state set with O(1) marking and splitting.
 
 States live in a permuted array; each block owns a contiguous slice and a
-counter for the marked prefix.  Splitting moves only the touched states, so
+counter for the marked prefix.  Marking a state moves it to the front of
+its block's slice, so the refiner can tell in O(1) whether it touched every
+state of a block.  Splitting moves only the states that leave the block, so
 the cost of a split is proportional to how many states were marked or
 keyed, never to the total number of states.
 """
@@ -51,25 +53,6 @@ class RefinablePartition:
             return
         self._swap(i, m)
         self.marked[b] += 1
-
-    def split_marked(self, b):
-        """Carve the marked states of b into a fresh block.
-
-        Returns the new block id, or None if nothing was marked or all of b
-        was marked (then marks are simply cleared)."""
-        m = self.marked[b]
-        self.marked[b] = 0
-        if m == 0 or m == self.size(b):
-            return None
-        new = len(self.first)
-        cut = self.first[b] + m
-        self.first.append(self.first[b])
-        self.end.append(cut)
-        self.marked.append(0)
-        self.first[b] = cut
-        for i in range(self.first[new], self.end[new]):
-            self.block_of[self.elems[i]] = new
-        return new
 
     def extract_groups(self, b, groups):
         """Split off explicit state groups from block b.

@@ -119,21 +119,6 @@ class PartitionResult:
     stats: dict
 
 
-class _ChiSB:
-    """Colouring chi_S^B: 2 on S, 1 on B minus S, 0 elsewhere."""
-
-    def __init__(self, in_S, block_of, qof, cmpB):
-        self.in_S = in_S
-        self.block_of = block_of
-        self.qof = qof
-        self.cmpB = cmpB
-
-    def __getitem__(self, y):
-        if y in self.in_S:
-            return 2
-        return 1 if self.qof[self.block_of[y]] == self.cmpB else 0
-
-
 def initial_partition(c):
     """Group states by the output value F! . c (palette of size 1).
 
@@ -442,7 +427,9 @@ def refine(c, mode="generic", audit=False):
         # phase 1: key the affected states while S still counts as part of B
         plans = []  # (parent, groups dict key->state list, default key or None)
         if mode == "naive":
-            col = _ChiSB(set(S_states), block_of, qof, cmpB)
+            col = [1 if qof[b] == cmpB else 0 for b in block_of]
+            for s in S_states:
+                col[s] = 2
             for T in range(part.num_blocks()):
                 t_states = part.block_states(T)
                 stats["visited_edges"] += sum(deg[x] for x in t_states)

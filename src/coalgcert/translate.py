@@ -2,7 +2,7 @@
 
 Four target logics are supported, each tied to a functor shape:
 
-    hm         Powerset / boolean weights: diamond modality
+    hm         powerset: diamond modality
     weighted   monoid-valued over R, Z, N: <m> "weight into the argument
                set is exactly m"
     signature  polynomial functors: nullary operation tests and <I> "the
@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .functor import (
-    BOOL, INT, NAT, REAL, Constant, Coproduct, Distribution, Exponent,
-    MonoidValued, Powerset, Signature,
+    Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
+    Signature,
 )
-from .values import parse_rational, relabel_value
+from .values import Scanner, parse_rational, relabel_value
 
 LOGICS = ("hm", "weighted", "signature", "prob")
 
@@ -51,7 +51,7 @@ def _not(a):
 
 
 def default_logic(f):
-    if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
+    if isinstance(f, Powerset):
         return "hm"
     if isinstance(f, MonoidValued):
         return "weighted"
@@ -403,31 +403,10 @@ def ds_size(phi, memo=None):
 
 # ------------------------------------------------------------- parsing
 
-class _DSParser:
-    def __init__(self, text, logic):
-        self.text = text
-        self.logic = logic
-        self.i = 0
-
-    def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def eat(self, s):
-        self.ws()
-        if not self.text.startswith(s, self.i):
-            raise TranslateError("expected %r at %r" % (s, self.text[self.i:]))
-        self.i += len(s)
-
-    def try_eat(self, s):
-        self.ws()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
+class _DSParser(Scanner):
+    error = TranslateError
 
     def formula(self):
-        self.ws()
         if self.try_eat("true"):
             return TOP
         if self.try_eat("~"):
@@ -460,24 +439,12 @@ class _DSParser:
                 self.i = jj + 1
                 return ("prob", content, p, self.formula())
             return ("w", parse_rational(content), self.formula())
-        # bare identifier: a nullary signature operation
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-            j += 1
-        if j == self.i:
-            raise TranslateError("cannot parse formula at %r" % self.text[self.i:])
-        name = self.text[self.i:j]
-        self.i = j
-        return ("sig", name)
+        return ("sig", self.token())  # a nullary signature operation
 
 
 def parse_ds(text, logic):
     try:
-        p = _DSParser(text, logic)
-        phi = p.formula()
-        p.ws()
-        if p.i != len(text):
-            raise TranslateError("trailing input %r" % text[p.i:])
-        return phi
+        p = _DSParser(text)
+        return p.done(p.formula())
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None

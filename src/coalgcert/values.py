@@ -6,21 +6,26 @@ and the labels of modal operators, so they must be hashable, canonical and
 printable.  Representation (tagged tuples):
 
     int                              colour (identity functor)
-    ('set', (c1, c2, ...))           powerset / boolean layer, sorted, no dups
+    ('set', (c1, c2, ...))           powerset layer, sorted, no dups
     ('vec', (w0, ..., w_{k-1}))      monoid or distribution weights per colour
     ('op', name, (c1, ..., cn))      signature operation applied to colours
     ('tuple', (v1, ..., vn))         product
     ('in', i, v)                     coproduct injection, 0-based internally
     ('fun', (v_a, v_b, ...))         exponent, one value per label in order
     ('atom', name)                   constant
+
+Value literals use the syntax of model rows (coalgebra.py), with colours
+at identity positions and dense weights ``(w0, w1, ...)``.  ShapeReader
+reads both; Scanner is the scanner of every parser in the package.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .functor import (
-    BOOL, Constant, Coproduct, Distribution, Exponent, FunctorError,
+    Constant, Coproduct, Distribution, Exponent, FunctorError,
     Identity, MonoidValued, Powerset, Product, Signature,
 )
 
@@ -38,7 +43,7 @@ def f_apply_coloring(f, term, col, k):
     tag = term[0]
     if isinstance(f, Identity):
         return col[term[1]]
-    if isinstance(f, (Powerset,)) or (isinstance(f, MonoidValued) and f.kind == BOOL):
+    if isinstance(f, Powerset):
         return ("set", tuple(sorted({col[s] for s in term[1]})))
     if isinstance(f, (MonoidValued, Distribution)):
         acc = [Fraction(0)] * k
@@ -64,7 +69,7 @@ def relabel_value(f, v, mapping, k_new):
     """Functorial action on a palette relabelling (merges colours)."""
     if isinstance(f, Identity):
         return mapping[v]
-    if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
+    if isinstance(f, Powerset):
         return ("set", tuple(sorted({mapping[c] for c in v[1]})))
     if isinstance(f, (MonoidValued, Distribution)):
         acc = [Fraction(0)] * k_new
@@ -89,7 +94,7 @@ def pretty_value(f, v):
     """Print a value in the concrete syntax used in modal labels."""
     if isinstance(f, Identity):
         return str(v)
-    if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
+    if isinstance(f, Powerset):
         return "{%s}" % ",".join(str(c) for c in v[1])
     if isinstance(f, (MonoidValued, Distribution)):
         return "(%s)" % ",".join(str(w) for w in v[1])
@@ -110,149 +115,189 @@ def pretty_value(f, v):
     raise FunctorError("cannot print value for functor %r" % (f,))
 
 
-def parse_rational(text):
+def parse_rational(text, error=ValueError_):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
-        raise ValueError_("bad rational %r: %s" % (text, e))
+        raise error("bad rational %r: %s" % (text, e)) from None
 
 
-class _ValueParser:
-    """Shape-directed parser for value literals (palette known)."""
+# ------------------------------------------------------ concrete syntax
 
-    def __init__(self, text, k):
+_SPACE = re.compile(r"\s*").match
+_NAME = re.compile(r"\s*(\w+)").match       # letters, digits and _
+_NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25
+
+
+class Scanner:
+    """Position in a text, shared by the package's parsers.
+
+    Each method skips whitespace first.  Errors raise the subclass's
+    ``error`` class, so every parser raises only its own error."""
+
+    def __init__(self, text):
         self.text = text
-        self.k = k
         self.i = 0
 
     def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
+        self.i = _SPACE(self.text, self.i).end()
 
-    def eat(self, s):
+    def done(self, value):
+        """value, once nothing but whitespace is left of the text."""
         self.ws()
-        if not self.text.startswith(s, self.i):
-            raise ValueError_("expected %r at %r" % (s, self.text[self.i:]))
-        self.i += len(s)
+        if self.i != len(self.text):
+            raise self.error("trailing input %r" % self.text[self.i:])
+        return value
+
+    # eat and try_eat look for s before skipping whitespace, the rarer case
+    def eat(self, s):
+        text, i = self.text, self.i
+        if not text.startswith(s, i):
+            i = self.i = _SPACE(text, i).end()
+            if not text.startswith(s, i):
+                raise self.error("expected %r at %r" % (s, text[i:]))
+        self.i = i + len(s)
 
     def try_eat(self, s):
-        self.ws()
-        if self.text.startswith(s, self.i):
-            self.i += len(s)
-            return True
-        return False
+        text, i = self.text, self.i
+        if not text.startswith(s, i):
+            i = self.i = _SPACE(text, i).end()
+            if not text.startswith(s, i):
+                return False
+        self.i = i + len(s)
+        return True
 
-    def token(self, chars="_"):
-        self.ws()
-        j = self.i
-        while j < len(self.text) and (self.text[j].isalnum() or self.text[j] in chars):
-            j += 1
-        if j == self.i:
-            raise ValueError_("expected token at %r" % self.text[self.i:])
-        tok = self.text[self.i:j]
-        self.i = j
-        return tok
+    def token(self, match=_NAME):
+        m = match(self.text, self.i)
+        if m is None:
+            raise self.error("expected a name at %r" % self.text[self.i:])
+        self.i = m.end()
+        return m.group(1)
 
     def index(self, what):
         tok = self.token()
         if not tok.isdecimal():
-            raise ValueError_("expected %s, got %r" % (what, tok))
+            raise self.error("expected %s, got %r" % (what, tok))
         return int(tok)
 
-    def colour(self):
-        c = self.index("a colour")
-        if not 0 <= c < self.k:
-            raise ValueError_("colour %d out of palette %d" % (c, self.k))
-        return c
+    def rational(self):
+        return parse_rational(self.token(_NUMBER), self.error)
 
-    def value(self, f):
-        if isinstance(f, Identity):
-            return self.colour()
-        if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
-            self.eat("{")
-            cols = set()
-            if not self.try_eat("}"):
-                while True:
-                    cols.add(self.colour())
-                    if self.try_eat("}"):
-                        break
-                    self.eat(",")
-            return ("set", tuple(sorted(cols)))
-        if isinstance(f, (MonoidValued, Distribution)):
-            self.eat("(")
-            ws = []
+
+class ShapeReader(Scanner):
+    """Functor-directed reader of the syntax that structure terms and value
+    literals share: products ``(t, u)``, injections ``in1(t)``, exponents
+    ``[a: t, b: u]``, constants, signature terms ``f(x, y)`` and sets
+    ``{x, y}``.  A subclass supplies ``slot()``, which reads an identity
+    position (a state or a colour), and ``weights(f)``, a weight layer."""
+
+    def identity(self):
+        """An identity position on its own; a subclass may tag it."""
+        return self.slot()
+
+    def items(self, close, item):
+        """item(), comma-separated, up to the bracket ``close``."""
+        out = []
+        if not self.try_eat(close):
             while True:
-                ws.append(parse_rational(self.token("_/.-")))
-                if self.try_eat(")"):
-                    break
+                out.append(item())
+                if self.try_eat(close):
+                    return out
                 self.eat(",")
-            if len(ws) != self.k:
-                raise ValueError_(
-                    "weight vector has %d entries, palette is %d" % (len(ws), self.k))
-            return ("vec", tuple(ws))
+        return out
+
+    def labelled(self, f):
+        lab = self.token()
+        self.eat(":")
+        return lab, self.read(f)
+
+    def read(self, f):
+        if isinstance(f, Identity):
+            return self.identity()
+        if isinstance(f, Powerset):
+            self.eat("{")
+            xs = self.items("}", self.slot)
+            if xs and type(xs[0]) is tuple:
+                return ("set", tuple(xs))  # terms of a composed functor
+            if len(set(xs)) != len(xs):
+                raise self.error("duplicate element in set %r" % self.text)
+            return ("set", tuple(sorted(xs)))
+        if isinstance(f, (MonoidValued, Distribution)):
+            return self.weights(f)
         if isinstance(f, Signature):
             name = self.token()
-            ar = f.arity(name)
-            cols = []
-            if self.try_eat("("):
-                if not self.try_eat(")"):
-                    while True:
-                        cols.append(self.colour())
-                        if self.try_eat(")"):
-                            break
-                        self.eat(",")
-            if len(cols) != ar:
-                raise ValueError_("operation %s expects %d colours" % (name, ar))
-            return ("op", name, tuple(cols))
+            ar = dict(f.ops).get(name)
+            if ar is None:
+                raise self.error("unknown operation %r" % name)
+            args = self.items(")", self.slot) if self.try_eat("(") else []
+            if len(args) != ar:
+                raise self.error("operation %s expects %d arguments" % (name, ar))
+            return ("op", name, tuple(args))
         if isinstance(f, Product):
             self.eat("(")
             parts = []
             for j, p in enumerate(f.parts):
                 if j:
                     self.eat(",")
-                parts.append(self.value(p))
+                parts.append(self.read(p))
             self.eat(")")
             return ("tuple", tuple(parts))
         if isinstance(f, Coproduct):
             self.eat("in")
             idx = self.index("an injection number") - 1
             if not 0 <= idx < len(f.parts):
-                raise ValueError_("injection in%d out of range" % (idx + 1))
+                raise self.error("injection in%d out of range" % (idx + 1))
             self.eat("(")
-            v = self.value(f.parts[idx])
+            v = self.read(f.parts[idx])
             self.eat(")")
             return ("in", idx, v)
         if isinstance(f, Exponent):
             self.eat("[")
             by_label = {}
-            while True:
-                lab = self.token()
-                if lab not in f.labels:
-                    raise ValueError_("unknown label %r" % lab)
-                self.eat(":")
-                by_label[lab] = self.value(f.base)
-                if self.try_eat("]"):
-                    break
-                self.eat(",")
-            if set(by_label) != set(f.labels):
-                raise ValueError_("exponent value must list every label")
+            for lab, v in self.items("]", lambda: self.labelled(f.base)):
+                if lab not in f.labels or lab in by_label:
+                    raise self.error("unknown or repeated label %r" % lab)
+                by_label[lab] = v
+            if len(by_label) != len(f.labels):
+                raise self.error("exponent must give every label of %s"
+                                 % (f.labels,))
             return ("fun", tuple(by_label[lab] for lab in f.labels))
         if isinstance(f, Constant):
             name = self.token()
             if name not in f.atoms:
-                raise ValueError_("unknown atom %r" % name)
+                raise self.error("unknown atom %r" % name)
             return ("atom", name)
-        raise FunctorError("cannot parse value for functor %r" % (f,))
+        raise self.error("cannot read functor %r" % (f,))
+
+
+class _ValueReader(ShapeReader):
+    """Value literals over a palette of k colours; weights are dense."""
+
+    error = ValueError_
+
+    def __init__(self, text, k):
+        super().__init__(text)
+        self.k = k
+
+    def slot(self):
+        c = self.index("a colour")
+        if not 0 <= c < self.k:
+            raise ValueError_("colour %d out of palette %d" % (c, self.k))
+        return c
+
+    def weights(self, f):
+        self.eat("(")
+        ws = self.items(")", self.rational)
+        if len(ws) != self.k:
+            raise ValueError_(
+                "weight vector has %d entries, palette is %d" % (len(ws), self.k))
+        return ("vec", tuple(ws))
 
 
 def parse_value(text, f, k):
     """Parse a value literal for functor f over palette k."""
-    p = _ValueParser(text, k)
-    v = p.value(f)
-    p.ws()
-    if p.i != len(text):
-        raise ValueError_("trailing input in value %r" % text)
-    return v
+    r = _ValueReader(text, k)
+    return r.done(r.read(f))
 
 
 def validate_value(f, v, k):
@@ -261,7 +306,7 @@ def validate_value(f, v, k):
         return isinstance(v, int) and 0 <= v < k
     if not isinstance(v, tuple):
         return False
-    if isinstance(f, Powerset) or (isinstance(f, MonoidValued) and f.kind == BOOL):
+    if isinstance(f, Powerset):
         return (v[0] == "set" and list(v[1]) == sorted(set(v[1]))
                 and all(0 <= c < k for c in v[1]))
     if isinstance(f, (MonoidValued, Distribution)):

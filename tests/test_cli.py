@@ -113,6 +113,12 @@ def test_translate_cancellative_needs_two_sided(capsys):
     assert code == 4 and err
 
 
+def test_minimize_cancellative_needs_cancellative_functor(capsys):
+    code, out, err = run(capsys, "minimize", TS1, "--mode", "cancellative")
+    assert code == 4 and not out
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_stats_json(capsys):
     code, out, _ = run(capsys, "stats", TS1, "--json")
     assert code == 0

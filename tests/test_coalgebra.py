@@ -47,6 +47,8 @@ def test_degrees_predecessors(ts1):
     "functor: Sig(f/2)\nstates: a\na -> f(a)",      # arity mismatch
     "functor: P\nstates: a\na -> {a}\nb -> {}",     # row for unknown state
     "functor: P + C{a}\nstates: s\ns -> inx({s})",  # injection not a number
+    "functor: Sig(f/1)\nstates: a\na -> t",       # unknown operation
+    "functor: R^(X)\nstates: a\na -> {a: x}",     # weight not a number
 ])
 def test_parse_errors(text):
     with pytest.raises(ModelError):

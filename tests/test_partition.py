@@ -12,32 +12,6 @@ def test_initial():
     assert RefinablePartition(0).num_blocks() == 0
 
 
-def test_mark_and_split():
-    p = RefinablePartition(5)
-    p.mark(1)
-    p.mark(3)
-    p.mark(1)  # idempotent
-    new = p.split_marked(0)
-    assert new is not None
-    assert sorted(p.block_states(new)) == [1, 3]
-    assert sorted(p.block_states(0)) == [0, 2, 4]
-    assert p.audit()
-
-
-def test_split_all_marked_is_noop():
-    p = RefinablePartition(3)
-    for s in range(3):
-        p.mark(s)
-    assert p.split_marked(0) is None
-    assert p.blocks() == [[0, 1, 2]]
-    assert p.marked[0] == 0
-
-
-def test_split_none_marked_is_noop():
-    p = RefinablePartition(3)
-    assert p.split_marked(0) is None
-
-
 def test_extract_groups():
     p = RefinablePartition(6)
     ids = p.extract_groups(0, [[1, 2], [5]])
@@ -81,24 +55,16 @@ def test_split_by_key_single_group():
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 24), data=st.data())
 def test_random_operation_sequence(n, data):
-    """Arbitrary interleavings of mark/split keep the structure consistent
-    and agree with a straightforward set-of-sets model."""
+    """Arbitrary interleavings of marks and keyed splits keep the structure
+    consistent and agree with a straightforward set-of-sets model."""
     p = RefinablePartition(n)
     model = [set(range(n))]  # model[b] mirrors block b
     steps = data.draw(st.integers(0, 30))
     for _ in range(steps):
-        op = data.draw(st.sampled_from(["mark", "split", "key"]))
+        op = data.draw(st.sampled_from(["mark", "key"]))
         if op == "mark":
             s = data.draw(st.integers(0, n - 1))
             p.mark(s)
-        elif op == "split":
-            b = data.draw(st.integers(0, p.num_blocks() - 1))
-            marked = {p.elems[i]
-                      for i in range(p.first[b], p.first[b] + p.marked[b])}
-            new = p.split_marked(b)
-            if new is not None:
-                model[b] -= marked
-                model.append(marked)
         else:
             b = data.draw(st.integers(0, p.num_blocks() - 1))
             r = data.draw(st.integers(2, 4))

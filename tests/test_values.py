@@ -106,6 +106,16 @@ def test_parse_value_rejects_bad_numbers(fx, text):
         parse_value(text, parse_functor(fx), 2)
 
 
+@pytest.mark.parametrize("fx, text", [
+    ("P^{a,b}", "[a: {0}, a: {1}, b: {}]"),  # repeated label
+    ("P", "{0,0}"),                          # repeated colour
+    ("Sig(f/1)", "t"),                       # unknown operation
+])
+def test_parse_value_rejects_what_rows_reject(fx, text):
+    with pytest.raises(ValueError_):
+        parse_value(text, parse_functor(fx), 2)
+
+
 def test_parse_rational_rejects():
     for text in ("", "1/0", "x", "1.2.3"):
         with pytest.raises(ValueError):
