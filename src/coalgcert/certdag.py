@@ -104,15 +104,9 @@ class FormulaDag:
     def tree_size(self, ref, _memo=None):
         """Number of nodes of the formula read as a tree (full unfolding)."""
         memo = _memo if _memo is not None else {}
-
-        def go(nid):
-            if nid in memo:
-                return memo[nid]
-            s = 1 + sum(go(cid) for cid, _ in self.children(nid))
-            memo[nid] = s
-            return s
-
-        return go(ref[0])
+        for nid in reachable(self, [ref], memo):  # children before parents
+            memo[nid] = 1 + sum(memo[cid] for cid, _ in self.children(nid))
+        return memo[ref[0]]
 
 
 @dataclass
@@ -266,18 +260,20 @@ def render_node(dag, nid, functor):
     if node[0] == "and":
         return "(%s & %s)" % (_ref_str(node[1]), _ref_str(node[2]))
     _, val, arity, args = node
-    label = "<%s>" % pretty_value(functor, val)
+    label = "<%s>" % pretty_value(functor, val, arity + 1)
     if arity == 0:
         return label
     return "%s(%s)" % (label, ", ".join(_ref_str(a) for a in args))
 
 
-def reachable(dag, refs):
+def reachable(dag, refs, known=()):
+    """Ids of the nodes reachable from refs without entering a node in
+    ``known``, in ascending order: arena ids order children before parents."""
     seen = set()
     stack = [nid for nid, _ in refs]
     while stack:
         nid = stack.pop()
-        if nid in seen:
+        if nid in seen or nid in known:
             continue
         seen.add(nid)
         stack.extend(cid for cid, _ in dag.children(nid))
@@ -312,18 +308,25 @@ def expand(dag, ref, functor, limit=100000):
         raise CertError("expansion exceeds %d nodes; print the shared dag "
                         "instead" % limit)
 
-    def go(ref):
-        nid, neg = ref
+    out, todo = [], [ref]  # todo: references and text, the next one last
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        nid, neg = item
         node = dag.nodes[nid]
+        if neg:
+            out.append("~")
         if node[0] == "top":
-            s = "true"
+            out.append("true")
         elif node[0] == "and":
-            s = "(%s & %s)" % (go(node[1]), go(node[2]))
+            todo += (")", node[2], " & ", node[1], "(")
         else:
             _, val, arity, args = node
-            s = "<%s>" % pretty_value(functor, val)
+            out.append("<%s>" % pretty_value(functor, val, arity + 1))
             if arity:
-                s += "(%s)" % ", ".join(go(a) for a in args)
-        return "~" + s if neg else s
-
-    return go(ref)
+                parts = [x for a in args for x in (", ", a)]
+                parts[0] = "("
+                todo += [")"] + parts[::-1]
+    return "".join(out)

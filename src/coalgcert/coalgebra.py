@@ -1,20 +1,11 @@
 """Finite coalgebras: states with one structured successor term each.
 
-Structure terms mirror the functor shape; at identity positions they hold a
-state id.  Collection layers are canonicalised at parse time (sets sorted
-and duplicate-free, weight maps sorted with zero weights dropped), so terms
-are hashable and comparable.
-
-Term encoding (plain, composition-free functor):
-
-    ('state', sid)                    identity position
-    ('set', (sid, ...))               powerset layer
-    ('vec', ((sid, w), ...))          monoid or distribution weights
-    ('op', name, (sid, ...))          signature operation
-    ('tuple', (t1, ..., tn))          product
-    ('in', i, t)                      coproduct injection, 0-based
-    ('fun', (t_a, t_b, ...))          exponent, one term per label
-    ('atom', name)                    constant
+A structure term is an element of F(states) in the encoding of values.py:
+it mirrors the functor shape and holds a bare state id at every identity
+position; a weight layer is ('vec', ((sid, w), ...)).  Collection layers
+are canonicalised at parse time (sets sorted and duplicate-free, weight
+maps sorted with zero weights dropped), so terms are hashable and
+comparable, and values.fmap relabels them.
 
 For a composed functor the identity positions of an outer layer hold whole
 inner terms, wrapped as ('sub', term); desugar_composite removes these by
@@ -32,7 +23,7 @@ from .functor import (
     INT, NAT, Coproduct, Distribution, FunctorError, composite_spine,
     is_zippable, parse_functor, pretty_functor,
 )
-from .values import ShapeReader
+from .values import ShapeReader, fmap
 
 
 class ModelError(ValueError):
@@ -60,10 +51,11 @@ class Coalgebra:
 
 def term_states(term):
     """Iterate the state ids occurring in a (plain) term, with multiplicity."""
+    if type(term) is int:
+        yield term
+        return
     tag = term[0]
-    if tag == "state":
-        yield term[1]
-    elif tag == "set":
+    if tag == "set":
         yield from term[1]
     elif tag == "vec":
         for s, _ in term[1]:
@@ -126,10 +118,6 @@ class _TermReader(ShapeReader):
         if sid is None:
             raise ModelError("unknown state %r" % name)
         return sid
-
-    def identity(self):  # a state on its own is tagged ('state', sid)
-        s = self.slot()
-        return ("state", s) if type(s) is int else s
 
     def entry(self):
         s = self.slot()
@@ -216,13 +204,11 @@ def pretty_term(term, f, names, layers=None, depth=0):
     if layers is None:
         layers = composite_spine(f)
         f = layers[0]
-    if type(term) is int:  # a state inside a collection or an operation
+    if type(term) is int:
         return names[term]
     tag = term[0]
     if tag == "sub":
         return pretty_term(term[1], layers[depth + 1], names, layers, depth + 1)
-    if tag == "state":
-        return names[term[1]]
     if tag == "set":
         return "{%s}" % ", ".join(
             pretty_term(e, f, names, layers, depth) for e in term[1])
@@ -263,30 +249,6 @@ def pretty_model(c):
 
 # ------------------------------------------------------------- quotient
 
-def relabel_term(term, mapping):
-    """Rename state ids and re-canonicalise collection layers."""
-    tag = term[0]
-    if tag == "state":
-        return ("state", mapping[term[1]])
-    if tag == "set":
-        return ("set", tuple(sorted({mapping[s] for s in term[1]})))
-    if tag == "vec":
-        acc = {}
-        for s, w in term[1]:
-            t = mapping[s]
-            acc[t] = acc.get(t, Fraction(0)) + w
-        return ("vec", tuple(sorted((s, w) for s, w in acc.items() if w != 0)))
-    if tag == "op":
-        return ("op", term[1], tuple(mapping[s] for s in term[2]))
-    if tag == "tuple" or tag == "fun":
-        return (tag, tuple(relabel_term(t, mapping) for t in term[1]))
-    if tag == "in":
-        return ("in", term[1], relabel_term(term[2], mapping))
-    if tag == "atom":
-        return term
-    raise ModelError("bad term tag %r" % (tag,))
-
-
 def quotient(c, blocks):
     """Quotient coalgebra on the given partition (list of state-id lists).
 
@@ -299,9 +261,8 @@ def quotient(c, blocks):
     if len(block_of) != c.n:
         raise ModelError("blocks do not partition the state set")
     names = tuple(c.states[min(members)] for members in blocks)
-    structure = tuple(
-        relabel_term(c.structure[min(members)], block_of)
-        for members in blocks)
+    structure = tuple(fmap(c.structure[min(members)], block_of)
+                      for members in blocks)
     return Coalgebra(c.functor, names, structure)
 
 
@@ -342,33 +303,25 @@ def desugar_composite(c):
         used.add(name)
         return name
 
-    def convert(pos, depth):
-        if type(pos) is int:  # a state inside a collection or an operation
-            return pos
-        tag = pos[0]
+    def walk(term, depth):
+        if type(term) is int:
+            return term
+        tag = term[0]
         if tag == "sub":
             # allocate an auxiliary state holding the inner term
             sid = len(names)
             names.append(fresh_name())
             sort_of.append(depth + 1)
             structure.append(None)
-            aux_rows.append((sid, depth + 1, pos[1]))
+            aux_rows.append((sid, depth + 1, term[1]))
             return sid
-        if tag == "state":
-            return pos[1]
-        raise ModelError("bad slot %r" % (tag,))
-
-    def walk(term, depth):
-        tag = term[0]
-        if tag in ("state", "sub"):
-            return ("state", convert(term, depth))
         if tag == "set":
-            return ("set", tuple(sorted(convert(e, depth) for e in term[1])))
+            return ("set", tuple(sorted(walk(e, depth) for e in term[1])))
         if tag == "vec":
             return ("vec", tuple(sorted(
-                (convert(s, depth), w) for s, w in term[1])))
+                (walk(s, depth), w) for s, w in term[1])))
         if tag == "op":
-            return ("op", term[1], tuple(convert(a, depth) for a in term[2]))
+            return ("op", term[1], tuple(walk(a, depth) for a in term[2]))
         if tag == "tuple" or tag == "fun":
             return (tag, tuple(walk(t, depth) for t in term[1]))
         if tag == "in":

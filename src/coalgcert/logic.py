@@ -7,11 +7,9 @@ value t; unary and nullary modalities use two- and one-colour maps."""
 
 from __future__ import annotations
 
-import random
-
-from .certdag import FormulaDag
+from .certdag import FormulaDag, reachable
 from .values import (
-    Scanner, ValueError_, f_apply_coloring, parse_value, validate_value,
+    Scanner, ValueError_, fmap, parse_value, validate_value,
 )
 
 
@@ -30,18 +28,23 @@ def _colouring(n, ext_s, ext_b):
 
 
 def eval_ref(dag, ref, c, memo=None):
-    """Extension of a formula reference: the set of satisfying states."""
+    """Extension of a formula reference: the set of satisfying states.
+
+    memo maps node ids to extensions.  The nodes below ref that it lacks
+    are evaluated in one forward pass in ascending id order, in which
+    children come before parents."""
     if memo is None:
         memo = {}
-    ext = eval_node(dag, ref[0], c, memo)
+    for nid in reachable(dag, [ref], memo):
+        memo[nid] = eval_node(dag, nid, c, memo)
+    ext = memo[ref[0]]
     if ref[1]:
         return frozenset(range(c.n)) - ext
     return ext
 
 
 def eval_node(dag, nid, c, memo):
-    if nid in memo:
-        return memo[nid]
+    """Extension of node nid, whose children memo already holds."""
     node = dag.nodes[nid]
     if node[0] == "top":
         out = frozenset(range(c.n))
@@ -62,11 +65,9 @@ def eval_node(dag, nid, c, memo):
             ext_b = eval_ref(dag, args[1], c, memo)
             col = _colouring(c.n, ext_s, ext_b)
         out = frozenset(
-            x for x in range(c.n)
-            if f_apply_coloring(c.functor, c.structure[x], col, k) == val)
+            x for x in range(c.n) if fmap(c.structure[x], col) == val)
     else:
         raise EvalError("bad node %r" % (node,))
-    memo[nid] = out
     return out
 
 
@@ -142,56 +143,5 @@ def parse_formula(text, functor):
         return p.dag, p.done(p.formula())
     except (ValueError_, ValueError, IndexError) as e:
         raise EvalError("bad formula %r: %s" % (text, e)) from None
-
-
-# ------------------------------------------------------- adequacy probe
-
-def adequacy_probe(c, blocks, rng=None, samples=200, depth=3):
-    """Sanity-check the logic against a known equivalence.
-
-    Samples random formulas (with realizable modal labels) and verifies
-    that states in the same block of `blocks` are never separated.  Returns
-    the number of formulas tried; raises on any violation."""
-    rng = rng or random.Random(0)
-    n = c.n
-    if n == 0:
-        return 0
-    dag = FormulaDag()
-    block_of = {}
-    for b, states in enumerate(blocks):
-        for s in states:
-            block_of[s] = b
-
-    def rand_formula(d):
-        r = rng.random()
-        if d == 0 or r < 0.2:
-            return (0, False)
-        if r < 0.35:
-            nid, neg = rand_formula(d - 1)
-            return (nid, not neg)
-        if r < 0.55:
-            return dag.add_and(rand_formula(d - 1), rand_formula(d - 1))
-        arity = rng.choice((0, 1, 2))
-        x = rng.randrange(n)
-        if arity == 0:
-            val = f_apply_coloring(c.functor, c.structure[x], [0] * n, 1)
-            return dag.add_modal(val, 0, ())
-        sub = [rand_formula(d - 1) for _ in range(arity)]
-        memo = {}
-        exts = [eval_ref(dag, s, c, memo) for s in sub]
-        if arity == 1:
-            col = [1 if y in exts[0] else 0 for y in range(n)]
-        else:
-            col = _colouring(n, exts[0], exts[1])
-        val = f_apply_coloring(c.functor, c.structure[x], col, arity + 1)
-        return dag.add_modal(val, arity, tuple(sub))
-
-    for _ in range(samples):
-        ref = rand_formula(depth)
-        ext = eval_ref(dag, ref, c, {})
-        for states in blocks:
-            inside = sum(1 for s in states if s in ext)
-            if inside not in (0, len(states)):
-                raise EvalError(
-                    "formula separates equivalent states in block %r" % states)
-    return samples
+    except RecursionError:  # the parser recurses once per nesting level
+        raise EvalError("formula nested too deeply") from None

@@ -2,7 +2,7 @@
 
 naive_bisimilarity computes behavioural equivalence as a plain fixed point
 (repeatedly rekey every state against the current partition), sharing only
-the functor-application primitive with the fast engine.  generate produces
+the functorial action values.fmap with the fast engine.  generate produces
 seeded random coalgebras for any composition-free functor, and
 layered_worstcase builds the weighted system whose minimal negation-free
 certificates grow exponentially with the layer index while the shared dag
@@ -21,7 +21,7 @@ from .functor import (
     FunctorError, Identity, MonoidValued, Powerset, Product, Signature,
     is_zippable, parse_functor,
 )
-from .values import f_apply_coloring
+from .values import fmap
 
 
 def naive_bisimilarity(c):
@@ -34,12 +34,10 @@ def naive_bisimilarity(c):
     if n == 0:
         return []
     zero = [0] * n
-    keys = [f_apply_coloring(c.functor, t, zero, 1) for t in c.structure]
+    keys = [fmap(t, zero) for t in c.structure]
     block_of = _group(range(n), keys)
     while True:
-        k = max(block_of) + 1
-        keys = [(block_of[x],
-                 f_apply_coloring(c.functor, c.structure[x], block_of, k))
+        keys = [(block_of[x], fmap(c.structure[x], block_of))
                 for x in range(n)]
         new = _group(range(n), keys)
         if new == block_of:
@@ -110,7 +108,7 @@ def generate(spec):
 
     def term(g):
         if isinstance(g, Identity):
-            return ("state", rng.randrange(n))
+            return rng.randrange(n)
         if isinstance(g, Powerset):
             return ("set", tuple(targets()))
         if isinstance(g, MonoidValued):

@@ -58,15 +58,9 @@ from math import lcm
 from .coalgebra import degrees
 from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
-from .values import f_apply_coloring
+from .values import fmap
 
 MODES = ("generic", "cancellative", "naive")
-
-_ZERO = Fraction(0)
-
-
-def _frac(a, d):
-    return Fraction(a, d) if a else _ZERO  # keys share one zero
 
 
 # key of a set leaf, by the colours present: bit i set when colour i occurs
@@ -127,8 +121,7 @@ def initial_partition(c):
     if c.n == 0:
         return part, []
     zero = [0] * c.n
-    key = lambda s: f_apply_coloring(c.functor, c.structure[s], zero, 1)
-    return part, part.split_by_key(0, key)
+    return part, part.split_by_key(0, lambda s: fmap(c.structure[s], zero))
 
 
 def _flatten(t, base, tgt, slots, wts, total, scale):
@@ -140,6 +133,11 @@ def _flatten(t, base, tgt, slots, wts, total, scale):
     A vec leaf's weights and total are integer multiples of 1 / scale, the
     common denominator of its entries; a set leaf counts its entries and
     has scale 0."""
+    if type(t) is int:
+        tgt.append(t)
+        slots.append(0)
+        wts.append(0)
+        return
     tag = t[0]
     if tag == "set":
         k = len(t[1])
@@ -156,10 +154,6 @@ def _flatten(t, base, tgt, slots, wts, total, scale):
         tgt.extend(y for y, _w in t[1])
         slots.extend([len(total) - base] * len(ints))
         wts.extend(ints)
-    elif tag == "state":
-        tgt.append(t[1])
-        slots.append(0)
-        wts.append(0)
     elif tag == "op":
         tgt.extend(t[2])
         slots.extend([0] * len(t[2]))
@@ -175,13 +169,13 @@ def _skeleton(t, leaf, colour):
     """Functor value of term t from leaf() at its collection leaves, called
     in walk order, and colour(state) at its identity and op positions.
 
-    The value has the shape f_apply_coloring gives; the contents of the
-    collections are never read."""
+    The value has the shape fmap gives; the contents of the collections are
+    never read."""
+    if type(t) is int:
+        return colour(t)
     tag = t[0]
     if tag == "set" or tag == "vec":
         return leaf()
-    if tag == "state":
-        return colour(t[1])
     if tag == "in":
         return ("in", t[1], _skeleton(t[2], leaf, colour))
     if tag == "op":
@@ -323,11 +317,10 @@ class _SplitWeights:
             if not d:
                 values.append(_SET_KEYS[(t > wb) | (wb > ws) << 1
                                         | (ws > 0) << 2])
-            elif three:
-                values.append(("vec", (_frac(t - wb, d), _frac(wb - ws, d),
-                                       _frac(ws, d))))
-            else:  # cancellative functors have vec leaves only
-                values.append(("vec", (_frac(t - ws, d), _frac(ws, d))))
+            else:  # a vec leaf; cancellative functors have no set leaves
+                ints = (t - wb, wb - ws, ws) if three else (t - ws, ws)
+                values.append(("vec", tuple([(c, Fraction(a, d))
+                                             for c, a in enumerate(ints) if a])))
         if hi - lo == 1 and term[0] in ("set", "vec"):
             return values[0]
         return _skeleton(term, iter(values).__next__, colour)
@@ -363,7 +356,6 @@ def refine(c, mode="generic", audit=False):
         raise RefineError(why)
     if mode == "cancellative" and not is_cancellative(c.functor):
         raise RefineError("functor is not cancellative; use generic mode")
-    f = c.functor
     structure = c.structure
     n = c.n
     part, init_groups = initial_partition(c)
@@ -435,8 +427,7 @@ def refine(c, mode="generic", audit=False):
                 stats["visited_edges"] += sum(deg[x] for x in t_states)
                 groups = {}
                 for x in t_states:
-                    groups.setdefault(
-                        f_apply_coloring(f, structure[x], col, 3), []).append(x)
+                    groups.setdefault(fmap(structure[x], col), []).append(x)
                 if len(groups) > 1:
                     plans.append((T, groups, None))
         else:

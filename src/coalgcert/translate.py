@@ -25,7 +25,7 @@ from .functor import (
     Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
     Signature,
 )
-from .values import Scanner, parse_rational, relabel_value
+from .values import Scanner, fmap, parse_rational
 
 LOGICS = ("hm", "weighted", "signature", "prob")
 
@@ -34,6 +34,11 @@ TOP = ("top",)
 
 class TranslateError(ValueError):
     pass
+
+
+def _weight(v, c):
+    """Weight of colour c in a ('vec', ((c, w), ...)) value."""
+    return dict(v[1]).get(c, Fraction(0))
 
 
 def _and(a, b):
@@ -87,7 +92,7 @@ def tau(logic, f, o):
     if logic == "hm":
         return ("dia", TOP) if o[1] else _not(("dia", TOP))
     if logic == "weighted":
-        return ("w", o[1][0], TOP)
+        return ("w", _weight(o, 0), TOP)
     if logic == "signature":
         return ("sig", o[1])
     if logic == "prob":
@@ -114,7 +119,7 @@ def lam(logic, f, t, delta, rho):
         return TOP
     if logic == "weighted":
         # cancellative monoids: the weight into B\S follows by subtraction
-        return ("w", t[1][2], delta)
+        return ("w", _weight(t, 2), delta)
     if logic == "signature":
         into = frozenset(i + 1 for i, cc in enumerate(t[2]) if cc == 2)
         return ("args", into, delta)
@@ -122,9 +127,8 @@ def lam(logic, f, t, delta, rho):
         out = TOP
         for a, v in zip(f.labels, t[1]):
             if v[1] == 0:  # distribution branch
-                _, (_w0, w1, w2) = v[2]
-                out = _and(out, ("prob", a, w2, delta))
-                out = _and(out, ("prob", a, w1, rho))
+                out = _and(out, ("prob", a, _weight(v[2], 2), delta))
+                out = _and(out, ("prob", a, _weight(v[2], 1), rho))
         return out
     raise TranslateError("unknown logic %r" % logic)
 
@@ -132,7 +136,7 @@ def lam(logic, f, t, delta, rho):
 def kappa(logic, f, s, delta):
     """Decoding of a two-colour value (negation-free runs)."""
     if logic == "weighted":
-        return ("w", s[1][1], delta)
+        return ("w", _weight(s, 1), delta)
     if logic == "signature":
         into = frozenset(i + 1 for i, cc in enumerate(s[2]) if cc == 1)
         return ("args", into, delta)
@@ -187,64 +191,94 @@ def translate(certs, logic, blocks=None):
 
 # ------------------------------------------------------------ evaluation
 
+def _ds_args(phi):
+    """The argument subformulas of a domain-specific formula node."""
+    tag = phi[0]
+    if tag in ("top", "sig", "atom"):
+        return ()
+    if tag in ("not", "dia", "box"):
+        return (phi[1],)
+    if tag in ("and", "or"):
+        return phi[1:]
+    if tag in ("w", "args"):
+        return (phi[2],)
+    if tag == "prob":
+        return (phi[3],)
+    raise TranslateError("bad formula node %r" % (tag,))
+
+
+def _bottom_up(phi, node, memo):
+    """memo[id(psi)] = node(psi) for phi and every subformula psi, each
+    after its arguments, with an explicit stack; returns phi's entry."""
+    todo = [phi]
+    while todo:
+        psi = todo[-1]
+        if id(psi) in memo:
+            todo.pop()
+            continue
+        args = [a for a in _ds_args(psi) if id(a) not in memo]
+        if args:
+            todo += args
+        else:
+            memo[id(todo.pop())] = node(psi)
+    return memo[id(phi)]
+
+
 def eval_ds(phi, c, memo=None):
     """Extension of a domain-specific formula over the coalgebra."""
-    if memo is None:
-        memo = {}
-    key = id(phi)
-    if key in memo:
-        return memo[key]
-    tag = phi[0]
+    memo = {} if memo is None else memo
     universe = frozenset(range(c.n))
-    if tag == "top":
-        out = universe
-    elif tag == "not":
-        out = universe - eval_ds(phi[1], c, memo)
-    elif tag == "and":
-        out = eval_ds(phi[1], c, memo) & eval_ds(phi[2], c, memo)
-    elif tag == "or":
-        out = eval_ds(phi[1], c, memo) | eval_ds(phi[2], c, memo)
-    elif tag == "dia":
-        ext = eval_ds(phi[1], c, memo)
-        out = frozenset(x for x in range(c.n)
-                        if any(y in ext for y in c.structure[x][1]))
-    elif tag == "box":
-        # total box: at least one successor, and all successors satisfy
-        ext = eval_ds(phi[1], c, memo)
-        out = frozenset(x for x in range(c.n)
-                        if c.structure[x][1]
-                        and all(y in ext for y in c.structure[x][1]))
-    elif tag == "w":
-        ext = eval_ds(phi[2], c, memo)
-        out = frozenset(
-            x for x in range(c.n)
-            if sum((w for y, w in c.structure[x][1] if y in ext),
-                   Fraction(0)) == phi[1])
-    elif tag == "sig":
-        out = frozenset(x for x in range(c.n) if c.structure[x][1] == phi[1])
-    elif tag == "args":
-        ext = eval_ds(phi[2], c, memo)
-        out = frozenset(
-            x for x in range(c.n)
-            if frozenset(i + 1 for i, y in enumerate(c.structure[x][2])
-                         if y in ext) == phi[1])
-    elif tag == "prob":
-        a, p = phi[1], phi[2]
-        idx = c.functor.labels.index(a)
-        ext = eval_ds(phi[3], c, memo)
-        def holds(x):
-            branch = c.structure[x][1][idx]
-            if branch[1] != 0:
-                return False
-            return sum((w for y, w in branch[2][1] if y in ext),
-                       Fraction(0)) >= p
-        out = frozenset(x for x in range(c.n) if holds(x))
-    elif tag == "atom":
+
+    def node(psi):
+        tag = psi[0]
+        if tag == "top":
+            return universe
+        if tag == "not":
+            return universe - memo[id(psi[1])]
+        if tag == "and":
+            return memo[id(psi[1])] & memo[id(psi[2])]
+        if tag == "or":
+            return memo[id(psi[1])] | memo[id(psi[2])]
+        if tag == "dia":
+            ext = memo[id(psi[1])]
+            return frozenset(x for x in range(c.n)
+                             if any(y in ext for y in c.structure[x][1]))
+        if tag == "box":
+            # total box: at least one successor, and all successors satisfy
+            ext = memo[id(psi[1])]
+            return frozenset(x for x in range(c.n)
+                             if c.structure[x][1]
+                             and all(y in ext for y in c.structure[x][1]))
+        if tag == "w":
+            ext = memo[id(psi[2])]
+            return frozenset(
+                x for x in range(c.n)
+                if sum((w for y, w in c.structure[x][1] if y in ext),
+                       Fraction(0)) == psi[1])
+        if tag == "sig":
+            return frozenset(x for x in range(c.n)
+                             if c.structure[x][1] == psi[1])
+        if tag == "args":
+            ext = memo[id(psi[2])]
+            return frozenset(
+                x for x in range(c.n)
+                if frozenset(i + 1 for i, y in enumerate(c.structure[x][2])
+                             if y in ext) == psi[1])
+        if tag == "prob":
+            a, p = psi[1], psi[2]
+            idx = c.functor.labels.index(a)
+            ext = memo[id(psi[3])]
+
+            def holds(x):
+                branch = c.structure[x][1][idx]
+                if branch[1] != 0:
+                    return False
+                return sum((w for y, w in branch[2][1] if y in ext),
+                           Fraction(0)) >= p
+            return frozenset(x for x in range(c.n) if holds(x))
         raise TranslateError("unsubstituted placeholder in formula")
-    else:
-        raise TranslateError("bad formula node %r" % (tag,))
-    memo[key] = out
-    return out
+
+    return _bottom_up(phi, node, memo)
 
 
 # ------------------------------------------------------- lifting checks
@@ -288,7 +322,7 @@ def lift_eval(phi, value, env, f, k):
                 and set(value[1]) <= _prop_ext(phi[1], env, k))
     if tag == "w":
         ext = _prop_ext(phi[2], env, k)
-        return sum((value[1][j] for j in ext), Fraction(0)) == phi[1]
+        return sum((w for j, w in value[1] if j in ext), Fraction(0)) == phi[1]
     if tag == "sig":
         return value[1] == phi[1]
     if tag == "args":
@@ -302,7 +336,7 @@ def lift_eval(phi, value, env, f, k):
         if branch[1] != 0:
             return False
         ext = _prop_ext(phi[3], env, k)
-        return sum((branch[2][1][j] for j in ext), Fraction(0)) >= p
+        return sum((w for j, w in branch[2][1] if j in ext), Fraction(0)) >= p
     raise TranslateError("bad formula node %r" % (tag,))
 
 
@@ -326,9 +360,9 @@ def verify_dsi(logic, c, values1, values2, values3):
     env3 = {0: frozenset({2}), 1: frozenset({1})}
     for t in values3:
         phi = lam(logic, f, t, ("atom", 0), ("atom", 1))
-        cls = relabel_value(f, t, [0, 1, 1], 2)
+        cls = fmap(t, [0, 1, 1])
         hits = {t2 for t2 in values3
-                if relabel_value(f, t2, [0, 1, 1], 2) == cls
+                if fmap(t2, [0, 1, 1]) == cls
                 and lift_eval(phi, t2, env3, f, 3)}
         if hits != {t}:
             bad.append(("lambda", t, hits))
@@ -336,9 +370,9 @@ def verify_dsi(logic, c, values1, values2, values3):
         env2 = {0: frozenset({1})}
         for s in values2:
             phi = kappa(logic, f, s, ("atom", 0))
-            out = relabel_value(f, s, [0, 0], 1)
+            out = fmap(s, [0, 0])
             hits = {s2 for s2 in values2
-                    if relabel_value(f, s2, [0, 0], 1) == out
+                    if fmap(s2, [0, 0]) == out
                     and lift_eval(phi, s2, env2, f, 2)}
             if hits != {s}:
                 bad.append(("kappa", s, hits))
@@ -377,28 +411,9 @@ def pretty_ds(phi):
 
 def ds_size(phi, memo=None):
     """Tree size of a domain-specific formula (shared subtrees recounted)."""
-    if memo is None:
-        memo = {}
-    key = id(phi)
-    if key in memo:
-        return memo[key]
-    tag = phi[0]
-    if tag in ("top", "sig", "atom"):
-        out = 1
-    elif tag in ("not", "dia", "box"):
-        out = 1 + ds_size(phi[1], memo)
-    elif tag in ("and", "or"):
-        out = 1 + ds_size(phi[1], memo) + ds_size(phi[2], memo)
-    elif tag == "w":
-        out = 1 + ds_size(phi[2], memo)
-    elif tag == "args":
-        out = 1 + ds_size(phi[2], memo)
-    elif tag == "prob":
-        out = 1 + ds_size(phi[3], memo)
-    else:
-        raise TranslateError("bad formula node %r" % (tag,))
-    memo[key] = out
-    return out
+    memo = {} if memo is None else memo
+    return _bottom_up(
+        phi, lambda psi: 1 + sum(memo[id(a)] for a in _ds_args(psi)), memo)
 
 
 # ------------------------------------------------------------- parsing
@@ -448,3 +463,5 @@ def parse_ds(text, logic):
         return p.done(p.formula())
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None
+    except RecursionError:  # the parser recurses once per nesting level
+        raise TranslateError("formula nested too deeply") from None

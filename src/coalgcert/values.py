@@ -1,22 +1,27 @@
-"""Canonical functor values over finite colour palettes.
+"""Elements of F(Y) and the functorial action F(g).
 
-Applying a functor to a colouring of the state set yields an element of
-F(k) for a palette size k.  These values are the split keys of the refiner
-and the labels of modal operators, so they must be hashable, canonical and
-printable.  Representation (tagged tuples):
+A structure term (coalgebra.py) is an element of F(states); applying the
+functor to a colouring of the states gives an element of F(k) for a
+palette size k.  Both are written in one encoding, so F(g) is a single
+function, fmap, for every map g.  F(k) values are the split keys of the
+refiner and the labels of modal operators; they are hashable, canonical
+and printable.  Encoding (tagged tuples), with a state or a colour at
+every identity position:
 
-    int                              colour (identity functor)
+    int                              identity position
     ('set', (c1, c2, ...))           powerset layer, sorted, no dups
-    ('vec', (w0, ..., w_{k-1}))      monoid or distribution weights per colour
-    ('op', name, (c1, ..., cn))      signature operation applied to colours
+    ('vec', ((c, w), ...))           monoid or distribution weights, sorted
+                                     by colour, zero weights dropped
+    ('op', name, (c1, ..., cn))      signature operation
     ('tuple', (v1, ..., vn))         product
     ('in', i, v)                     coproduct injection, 0-based internally
     ('fun', (v_a, v_b, ...))         exponent, one value per label in order
     ('atom', name)                   constant
 
-Value literals use the syntax of model rows (coalgebra.py), with colours
-at identity positions and dense weights ``(w0, w1, ...)``.  ShapeReader
-reads both; Scanner is the scanner of every parser in the package.
+Value literals use the syntax of model rows, with colours at identity
+positions and dense weights ``(w0, w1, ...)``, which is also how
+pretty_value prints them.  ShapeReader reads both; Scanner is the scanner
+of every parser in the package.
 """
 
 from __future__ import annotations
@@ -34,85 +39,53 @@ class ValueError_(FunctorError):
     pass
 
 
-def f_apply_coloring(f, term, col, k):
-    """Apply functor f to a colouring, evaluating a structure term.
-
-    ``col`` maps state ids to colours in range(k); ``term`` is the encoded
-    structure of one state (see coalgebra.py).  The result is the canonical
-    value of F(colouring) at that state."""
-    tag = term[0]
-    if isinstance(f, Identity):
-        return col[term[1]]
-    if isinstance(f, Powerset):
-        return ("set", tuple(sorted({col[s] for s in term[1]})))
-    if isinstance(f, (MonoidValued, Distribution)):
-        acc = [Fraction(0)] * k
-        for s, w in term[1]:
-            acc[col[s]] += w
-        return ("vec", tuple(acc))
-    if isinstance(f, Signature):
-        return ("op", term[1], tuple(col[s] for s in term[2]))
-    if isinstance(f, Product):
-        return ("tuple", tuple(
-            f_apply_coloring(p, t, col, k) for p, t in zip(f.parts, term[1])))
-    if isinstance(f, Coproduct):
-        return ("in", term[1], f_apply_coloring(f.parts[term[1]], term[2], col, k))
-    if isinstance(f, Exponent):
-        return ("fun", tuple(
-            f_apply_coloring(f.base, t, col, k) for t in term[1]))
-    if isinstance(f, Constant):
-        return ("atom", term[1])
-    raise FunctorError("cannot apply functor %r (tag %r)" % (f, tag))
+def fmap(t, g):
+    """F(g)(t) for the map g (a list or a dict) from the states or colours
+    at t's identity positions to colours.  Sets are re-sorted without
+    duplicates; weights that land on one colour are summed, zeros dropped."""
+    if type(t) is int:
+        return g[t]
+    tag = t[0]
+    if tag == "set":
+        return ("set", tuple(sorted({g[x] for x in t[1]})))
+    if tag == "vec":
+        acc = {}
+        for x, w in t[1]:
+            c = g[x]
+            acc[c] = acc[c] + w if c in acc else w
+        return ("vec", tuple(sorted((c, w) for c, w in acc.items() if w)))
+    if tag == "op":
+        return ("op", t[1], tuple([g[x] for x in t[2]]))
+    if tag == "tuple" or tag == "fun":
+        return (tag, tuple([fmap(u, g) for u in t[1]]))
+    if tag == "in":
+        return ("in", t[1], fmap(t[2], g))
+    return t  # ('atom', name)
 
 
-def relabel_value(f, v, mapping, k_new):
-    """Functorial action on a palette relabelling (merges colours)."""
-    if isinstance(f, Identity):
-        return mapping[v]
-    if isinstance(f, Powerset):
-        return ("set", tuple(sorted({mapping[c] for c in v[1]})))
-    if isinstance(f, (MonoidValued, Distribution)):
-        acc = [Fraction(0)] * k_new
-        for c, w in enumerate(v[1]):
-            acc[mapping[c]] += w
-        return ("vec", tuple(acc))
-    if isinstance(f, Signature):
-        return ("op", v[1], tuple(mapping[c] for c in v[2]))
-    if isinstance(f, Product):
-        return ("tuple", tuple(
-            relabel_value(p, x, mapping, k_new) for p, x in zip(f.parts, v[1])))
-    if isinstance(f, Coproduct):
-        return ("in", v[1], relabel_value(f.parts[v[1]], v[2], mapping, k_new))
-    if isinstance(f, Exponent):
-        return ("fun", tuple(relabel_value(f.base, x, mapping, k_new) for x in v[1]))
-    if isinstance(f, Constant):
-        return v
-    raise FunctorError("cannot relabel value for functor %r" % (f,))
-
-
-def pretty_value(f, v):
-    """Print a value in the concrete syntax used in modal labels."""
-    if isinstance(f, Identity):
+def pretty_value(f, v, k):
+    """Print a value of F(k) in the concrete syntax of modal labels."""
+    if type(v) is int:
         return str(v)
-    if isinstance(f, Powerset):
+    tag = v[0]
+    if tag == "set":
         return "{%s}" % ",".join(str(c) for c in v[1])
-    if isinstance(f, (MonoidValued, Distribution)):
-        return "(%s)" % ",".join(str(w) for w in v[1])
-    if isinstance(f, Signature):
+    if tag == "vec":
+        ws = dict(v[1])
+        return "(%s)" % ",".join(str(ws.get(c, 0)) for c in range(k))
+    if tag == "op":
         name, cols = v[1], v[2]
         return name if not cols else "%s(%s)" % (name, ",".join(map(str, cols)))
-    if isinstance(f, Product):
+    if tag == "tuple":
         return "(%s)" % ",".join(
-            pretty_value(p, x) for p, x in zip(f.parts, v[1]))
-    if isinstance(f, Coproduct):
-        return "in%d(%s)" % (v[1] + 1, pretty_value(f.parts[v[1]], v[2]))
-    if isinstance(f, Exponent):
+            pretty_value(p, x, k) for p, x in zip(f.parts, v[1]))
+    if tag == "in":
+        return "in%d(%s)" % (v[1] + 1, pretty_value(f.parts[v[1]], v[2], k))
+    if tag == "fun":
         return "[%s]" % ", ".join(
-            "%s: %s" % (lab, pretty_value(f.base, x))
+            "%s: %s" % (lab, pretty_value(f.base, x, k))
             for lab, x in zip(f.labels, v[1]))
-    if isinstance(f, Constant):
-        return v[1]
-    raise FunctorError("cannot print value for functor %r" % (f,))
+    return v[1]  # ('atom', name)
 
 
 def parse_rational(text, error=ValueError_):
@@ -191,10 +164,6 @@ class ShapeReader(Scanner):
     ``{x, y}``.  A subclass supplies ``slot()``, which reads an identity
     position (a state or a colour), and ``weights(f)``, a weight layer."""
 
-    def identity(self):
-        """An identity position on its own; a subclass may tag it."""
-        return self.slot()
-
     def items(self, close, item):
         """item(), comma-separated, up to the bracket ``close``."""
         out = []
@@ -213,7 +182,7 @@ class ShapeReader(Scanner):
 
     def read(self, f):
         if isinstance(f, Identity):
-            return self.identity()
+            return self.slot()
         if isinstance(f, Powerset):
             self.eat("{")
             xs = self.items("}", self.slot)
@@ -271,7 +240,8 @@ class ShapeReader(Scanner):
 
 
 class _ValueReader(ShapeReader):
-    """Value literals over a palette of k colours; weights are dense."""
+    """Value literals over a palette of k colours; weights are dense, and
+    read into sparse ('vec', ((c, w), ...)) layers."""
 
     error = ValueError_
 
@@ -291,7 +261,7 @@ class _ValueReader(ShapeReader):
         if len(ws) != self.k:
             raise ValueError_(
                 "weight vector has %d entries, palette is %d" % (len(ws), self.k))
-        return ("vec", tuple(ws))
+        return ("vec", tuple((c, w) for c, w in enumerate(ws) if w))
 
 
 def parse_value(text, f, k):
@@ -310,7 +280,8 @@ def validate_value(f, v, k):
         return (v[0] == "set" and list(v[1]) == sorted(set(v[1]))
                 and all(0 <= c < k for c in v[1]))
     if isinstance(f, (MonoidValued, Distribution)):
-        return v[0] == "vec" and len(v[1]) == k
+        return (v[0] == "vec" and all(0 <= c < k and w for c, w in v[1])
+                and list(v[1]) == sorted(dict(v[1]).items()))
     if isinstance(f, Signature):
         return (v[0] == "op" and f.arity(v[1]) == len(v[2])
                 and all(0 <= c < k for c in v[2]))

@@ -75,10 +75,10 @@ def realizable_values(c, rng=None, extra_subsets=8):
     import random
 
     from coalgcert.oracle import naive_bisimilarity
-    from coalgcert.values import f_apply_coloring
+    from coalgcert.values import fmap
 
     rng = rng or random.Random(0)
-    f, n = c.functor, c.n
+    n = c.n
     everything = set(range(n))
     subsets = [set(b) for b in naive_bisimilarity(c)] + [everything]
     for _ in range(extra_subsets):
@@ -86,16 +86,16 @@ def realizable_values(c, rng=None, extra_subsets=8):
     v1, v2, v3 = set(), set(), set()
     col1 = {s: 0 for s in range(n)}
     for t in c.structure:
-        v1.add(f_apply_coloring(f, t, col1, 1))
+        v1.add(fmap(t, col1))
     for S in subsets:
         col2 = {s: int(s in S) for s in range(n)}
         for t in c.structure:
-            v2.add(f_apply_coloring(f, t, col2, 2))
+            v2.add(fmap(t, col2))
     for B in subsets:
         for S in subsets:
             if S and S < B:
                 col3 = {s: 2 if s in S else (1 if s in B else 0)
                         for s in range(n)}
                 for t in c.structure:
-                    v3.add(f_apply_coloring(f, t, col3, 3))
+                    v3.add(fmap(t, col3))
     return v1, v2, v3

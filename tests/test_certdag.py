@@ -3,7 +3,7 @@
 import math
 
 from coalgcert.certdag import (
-    build_certificates, distinguish, expand, reachable, serialize,
+    FormulaDag, build_certificates, distinguish, expand, reachable, serialize,
 )
 from coalgcert.logic import eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
@@ -128,3 +128,16 @@ def test_cancellative_certificates_random():
         for bid, states in zip(res.block_ids, res.blocks):
             assert eval_ref(certs.dag, certs.delta[bid], c) == set(states), \
                 label
+
+
+def test_deep_chain_walks_without_recursion(ts1):
+    # 5,000 nested conjunctions, far past the interpreter's recursion limit
+    dag = FormulaDag()
+    leaf = dag.add_modal(("set", (0,)), 0, ())
+    ref = leaf
+    for _ in range(5000):
+        ref = dag.add_and(ref, leaf)
+    assert dag.tree_size(ref) == 10001
+    text = expand(dag, ref, ts1.functor)
+    assert text == "(" * 5000 + "<{0}>" + " & <{0}>)" * 5000
+    assert expand(dag, (ref[0], True), ts1.functor) == "~" + text

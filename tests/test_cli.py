@@ -162,3 +162,65 @@ def test_malformed_coproduct_row(capsys, tmp_path):
     model.write_text("functor: P + C{a}\nstates: s\ns -> inx({s})\n")
     code, _, err = run(capsys, "certify", str(model))
     assert code == 2 and "injection" in err
+
+
+MC1_LISTING = """\
+functor: R^(X)
+blocks:
+  0: x
+  1: z1
+  2: z2 y
+dag:
+  #0 = true
+  #1 = <(1)>
+  #2 = <(0)>
+  #4 = <(0,1/2,1/2)>(#2, #0)
+  #5 = (#1 & #4)
+  #6 = <(0,0,1)>(#2, #0)
+  #7 = (#1 & #6)
+certificates:
+  0: #5
+  1: #2
+  2: #7
+"""
+
+PR1_LISTING = """\
+functor: (D(X) + C{stop})^{a,b}
+blocks:
+  0: s
+  1: u
+  2: v
+  3: t
+dag:
+  #0 = true
+  #1 = <[a: in1((1)), b: in2(stop)]>
+  #2 = <[a: in2(stop), b: in1((1))]>
+  #3 = <[a: in2(stop), b: in2(stop)]>
+  #5 = <[a: in1((0,1/2,1/2)), b: in2(stop)]>(#2, #0)
+  #6 = (#1 & #5)
+  #7 = <[a: in1((0,0,1)), b: in2(stop)]>(#2, #0)
+  #8 = (#1 & #7)
+certificates:
+  0: #6
+  1: #2
+  2: #3
+  3: #8
+"""
+
+
+@pytest.mark.parametrize("model, listing", [(MC1, MC1_LISTING),
+                                            (PR1, PR1_LISTING)],
+                         ids=["mc1", "pr1"])
+def test_certify_weighted_listing_golden(capsys, model, listing):
+    # weights print densely, zero weights included, one per colour
+    code, out, _ = run(capsys, "certify", model)
+    assert code == 0 and out == listing
+
+
+@pytest.mark.parametrize("formula", ["~" * 3000 + "true",
+                                     "<>" * 3000 + "true"],
+                         ids=["negations", "diamonds"])
+def test_check_deeply_nested_formula(capsys, formula):
+    code, out, err = run(capsys, "check", TS1, formula)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Traceback" not in err

@@ -7,11 +7,63 @@ from hypothesis import given, settings, strategies as st
 
 from coalgcert.certdag import FormulaDag, build_certificates
 from coalgcert.logic import (
-    EvalError, adequacy_probe, check_certificates, eval_ref, parse_formula,
+    EvalError, _colouring, check_certificates, eval_ref, parse_formula,
 )
 from coalgcert.oracle import naive_bisimilarity
 from coalgcert.refiner import refine
+from coalgcert.values import fmap
 from conftest import random_instances
+
+
+def adequacy_probe(c, blocks, rng=None, samples=200, depth=3):
+    """Sanity-check the logic against a known equivalence.
+
+    Samples random formulas (with realizable modal labels) and verifies
+    that states in the same block of `blocks` are never separated.  Returns
+    the number of formulas tried; raises on any violation."""
+    rng = rng or random.Random(0)
+    n = c.n
+    if n == 0:
+        return 0
+    dag = FormulaDag()
+    block_of = {}
+    for b, states in enumerate(blocks):
+        for s in states:
+            block_of[s] = b
+
+    def rand_formula(d):
+        r = rng.random()
+        if d == 0 or r < 0.2:
+            return (0, False)
+        if r < 0.35:
+            nid, neg = rand_formula(d - 1)
+            return (nid, not neg)
+        if r < 0.55:
+            return dag.add_and(rand_formula(d - 1), rand_formula(d - 1))
+        arity = rng.choice((0, 1, 2))
+        x = rng.randrange(n)
+        if arity == 0:
+            val = fmap(c.structure[x], [0] * n)
+            return dag.add_modal(val, 0, ())
+        sub = [rand_formula(d - 1) for _ in range(arity)]
+        memo = {}
+        exts = [eval_ref(dag, s, c, memo) for s in sub]
+        if arity == 1:
+            col = [1 if y in exts[0] else 0 for y in range(n)]
+        else:
+            col = _colouring(n, exts[0], exts[1])
+        val = fmap(c.structure[x], col)
+        return dag.add_modal(val, arity, tuple(sub))
+
+    for _ in range(samples):
+        ref = rand_formula(depth)
+        ext = eval_ref(dag, ref, c, {})
+        for states in blocks:
+            inside = sum(1 for s in states if s in ext)
+            if inside not in (0, len(states)):
+                raise EvalError(
+                    "formula separates equivalent states in block %r" % states)
+    return samples
 
 
 def ext(text, c):
@@ -34,6 +86,18 @@ def test_eval_weighted(mc1):
     # total outgoing weight 0: only the terminal state
     assert ext("<(0,0,0)>(true, true)", mc1) == {z1}
     assert x in ext("~<(0,0,0)>(true, true)", mc1)
+
+
+def test_eval_deep_chain_without_recursion(ts1):
+    # 5,000 nested conjunctions, far past the interpreter's recursion limit
+    dag = FormulaDag()
+    has_successor = dag.add_modal(("set", (0,)), 0, ())
+    ref = has_successor
+    for _ in range(5000):
+        ref = dag.add_and(ref, has_successor)
+    memo = {}
+    assert eval_ref(dag, ref, ts1, memo) == {0, 1, 2}
+    assert eval_ref(dag, (ref[0], True), ts1, memo) == {3}
 
 
 def test_parse_formula_errors(ts1):

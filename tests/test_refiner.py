@@ -15,7 +15,7 @@ from coalgcert.refiner import (
     InitEvent, Refinement, RefineError, SplitEvent, Trace, initial_partition,
     refine, replay_trace,
 )
-from coalgcert.values import f_apply_coloring
+from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 
 
@@ -106,8 +106,8 @@ def test_stats_counters_present():
 def whole_row_trace(c, mode):
     """Reference trace: the same splitter queue, but every predecessor of
     the splitter and one untouched representative per block are keyed by
-    f_apply_coloring over their whole row."""
-    f, n = c.functor, c.n
+    fmap over their whole row."""
+    n = c.n
     part, init_groups = initial_partition(c)
     trace = Trace(mode, n, InitEvent(
         [(b, v, tuple(sorted(part.block_states(b)))) for b, v in init_groups]),
@@ -153,12 +153,11 @@ def whole_row_trace(c, mode):
                 part.mark(x)
             groups = {}
             for x in t_states:
-                groups.setdefault(f_apply_coloring(f, c.structure[x], col, k),
-                                  []).append(x)
+                groups.setdefault(fmap(c.structure[x], col), []).append(x)
             default = None
             if part.marked[T] < part.size(T):
                 rep = part.elems[part.first[T] + part.marked[T]]
-                default = f_apply_coloring(f, c.structure[rep], col, k)
+                default = fmap(c.structure[rep], col)
                 groups.pop(default, None)
             part.marked[T] = 0
             if len(groups) > (default is None):

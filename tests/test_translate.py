@@ -44,7 +44,7 @@ def test_tau_goldens():
     assert pretty_ds(tau("hm", p, ("set", (0,)))) == "<>true"
     assert pretty_ds(tau("hm", p, ("set", ()))) == "~<>true"
     r = parse_functor("R^(X)")
-    assert tau("weighted", r, ("vec", (F(3, 2),))) == ("w", F(3, 2), TOP)
+    assert tau("weighted", r, ("vec", ((0, F(3, 2)),))) == ("w", F(3, 2), TOP)
     sig = parse_functor("Sig(f/2, g/0)")
     assert tau("signature", sig, ("op", "g", ())) == ("sig", "g")
 
@@ -58,7 +58,7 @@ def test_lam_goldens():
     assert lam("hm", p, ("set", (1,)), d, r) == ("not", ("dia", d))
     assert lam("hm", p, ("set", ()), d, r) == TOP
     w = parse_functor("R^(X)")
-    assert lam("weighted", w, ("vec", (F(0), F(1), F(2))), d, r) == \
+    assert lam("weighted", w, ("vec", ((1, F(1)), (2, F(2)))), d, r) == \
         ("w", F(2), d)
     sig = parse_functor("Sig(f/2, g/0)")
     assert lam("signature", sig, ("op", "f", (2, 1)), d, r) == \
@@ -67,7 +67,7 @@ def test_lam_goldens():
 
 def test_kappa_goldens():
     w = parse_functor("R^(X)")
-    assert kappa("weighted", w, ("vec", (F(1), F(4))), ("atom", 0)) == \
+    assert kappa("weighted", w, ("vec", ((0, F(1)), (1, F(4)))), ("atom", 0)) == \
         ("w", F(4), ("atom", 0))
     for logic in ("hm", "prob"):
         with pytest.raises(TranslateError):

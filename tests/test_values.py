@@ -8,51 +8,49 @@ from hypothesis import given, settings, strategies as st
 from coalgcert.functor import parse_functor
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.values import (
-    ValueError_, f_apply_coloring, parse_rational, parse_value, pretty_value,
-    relabel_value, validate_value,
+    ValueError_, fmap, parse_rational, parse_value, pretty_value,
+    validate_value,
 )
 
 F = Fraction
 
 
 def test_f_apply_powerset():
-    f = parse_functor("P")
     col = {0: 0, 1: 1, 2: 1}
-    assert f_apply_coloring(f, ("set", (0, 1, 2)), col, 2) == ("set", (0, 1))
-    assert f_apply_coloring(f, ("set", ()), col, 2) == ("set", ())
+    assert fmap(("set", (0, 1, 2)), col) == ("set", (0, 1))
+    assert fmap(("set", ()), col) == ("set", ())
 
 
 def test_f_apply_weights():
-    f = parse_functor("R^(X)")
     col = {0: 0, 1: 1, 2: 1}
-    v = f_apply_coloring(f, ("vec", ((0, F(1, 2)), (1, F(1)), (2, F(-1)))),
-                         col, 2)
-    assert v == ("vec", (F(1, 2), F(0)))  # colour-1 weights cancel
+    v = fmap(("vec", ((0, F(1, 2)), (1, F(1)), (2, F(-1)))), col)
+    assert v == ("vec", ((0, F(1, 2)),))  # colour-1 weights cancel
 
 
 def test_f_apply_product_coproduct_exponent():
-    f = parse_functor("(C{a} + P)^{u,v}")
     col = {0: 0, 1: 1}
     t = ("fun", (("in", 0, ("atom", "a")), ("in", 1, ("set", (0, 1)))))
-    v = f_apply_coloring(f, t, col, 2)
+    v = fmap(t, col)
     assert v == ("fun", (("in", 0, ("atom", "a")),
                          ("in", 1, ("set", (0, 1)))))
 
 
 def test_f_apply_signature():
-    f = parse_functor("Sig(f/2, g/0)")
     col = {0: 1, 1: 0}
-    assert f_apply_coloring(f, ("op", "f", (0, 0)), col, 2) == \
-        ("op", "f", (1, 1))
-    assert f_apply_coloring(f, ("op", "g", ()), col, 2) == ("op", "g", ())
+    assert fmap(("op", "f", (0, 0)), col) == ("op", "f", (1, 1))
+    assert fmap(("op", "g", ()), col) == ("op", "g", ())
 
 
 def test_relabel_value_merges():
-    f = parse_functor("R^(X)")
-    v = ("vec", (F(1), F(2), F(3)))
-    assert relabel_value(f, v, [0, 1, 1], 2) == ("vec", (F(1), F(5)))
-    p = parse_functor("P")
-    assert relabel_value(p, ("set", (0, 2)), [0, 1, 0], 2) == ("set", (0,))
+    v = ("vec", ((0, F(1)), (1, F(2)), (2, F(3))))
+    assert fmap(v, [0, 1, 1]) == ("vec", ((0, F(1)), (1, F(5))))
+    assert fmap(("set", (0, 2)), [0, 1, 0]) == ("set", (0,))
+
+
+def test_fmap_keeps_sparse_weights_over_a_huge_palette():
+    # one entry per colour present, whatever the palette size
+    g = list(range(10**6))
+    assert fmap(("vec", ((0, 1), (5, 2))), g) == ("vec", ((0, 1), (5, 2)))
 
 
 FUNCTORS_FOR_VALUES = ["P", "R^(X)", "D(X) + C{done}", "Sig(f/2, g/0, h/1)",
@@ -70,10 +68,9 @@ def test_naturality(fx, seed, n, k, data):
     col = {s: data.draw(st.integers(0, k - 1)) for s in range(n)}
     mapping = [data.draw(st.integers(0, 1)) for _ in range(k)]
     for t in c.structure:
-        v = f_apply_coloring(c.functor, t, col, k)
+        v = fmap(t, col)
         composed = {s: mapping[col[s]] for s in range(n)}
-        assert relabel_value(c.functor, v, mapping, 2) == \
-            f_apply_coloring(c.functor, t, composed, 2)
+        assert fmap(v, mapping) == fmap(t, composed)
         assert validate_value(c.functor, v, k)
 
 
@@ -85,8 +82,8 @@ def test_value_print_parse_round_trip(fx, seed, n, k, data):
     c = generate(GeneratorSpec(functor=fx, n=n, seed=seed, density=0.4))
     col = {s: data.draw(st.integers(0, k - 1)) for s in range(n)}
     for t in c.structure:
-        v = f_apply_coloring(c.functor, t, col, k)
-        assert parse_value(pretty_value(c.functor, v), c.functor, k) == v
+        v = fmap(t, col)
+        assert parse_value(pretty_value(c.functor, v, k), c.functor, k) == v
 
 
 @pytest.mark.parametrize("text,expected", [
