@@ -102,19 +102,49 @@ def _visible_blocks(certs, visible):
 
 
 def _verify(c, mode, result, certs):
+    """The four checks of --verify.  A failure names the check, a block or
+    compound, and a state."""
     bad = check_certificates(certs, c)
     if bad:
-        raise CliFailure(VERIFY_ERROR,
-                         "certificate extensions do not match blocks: %r"
-                         % bad[:3])
-    want = partition_key(naive_bisimilarity(c))
+        bid, want, got = bad[0]
+        x = min(want ^ got)
+        if type(bid) is int:
+            where = "certificate of block %d" % bid
+            why = ("satisfies it but is not in the block" if x in got
+                   else "is in the block but does not satisfy it")
+        else:
+            where = "compound formula %s" % bid
+            why = "satisfies it but not all of its block does"
+        more = " (and %d more)" % (len(bad) - 1) if len(bad) > 1 else ""
+        raise CliFailure(VERIFY_ERROR, "%s: %s %s%s"
+                         % (where, c.states[x], why, more))
+    oracle = naive_bisimilarity(c)
+    want = partition_key(oracle)
     if partition_key(result.blocks) != want:
-        raise CliFailure(VERIFY_ERROR, "partition differs from the oracle")
+        raise CliFailure(VERIFY_ERROR, "partition differs from the oracle: %s"
+                         % _disagreement(c, result.blocks, oracle))
     cross = refine(c, mode="naive")
     if partition_key(cross.blocks) != want:
-        raise CliFailure(VERIFY_ERROR, "naive cross-check disagrees")
-    if replay_trace(result.trace) != result.block_of:
-        raise CliFailure(VERIFY_ERROR, "trace replay mismatch")
+        raise CliFailure(VERIFY_ERROR, "naive cross-check differs from the "
+                         "oracle: %s" % _disagreement(c, cross.blocks, oracle))
+    replayed = replay_trace(result.trace)
+    if replayed != result.block_of:
+        x = next(x for x in range(c.n) if replayed[x] != result.block_of[x])
+        raise CliFailure(VERIFY_ERROR, "trace replay puts %s in block %s, "
+                         "not %s" % (c.states[x], replayed[x],
+                                     result.block_of[x]))
+
+
+def _disagreement(c, p, q):
+    """Two states that one of the partitions p and q puts in one block and
+    the other apart."""
+    for one, other in ((p, q), (q, p)):
+        block_at = {x: i for i, states in enumerate(other) for x in states}
+        for states in one:
+            for y in states:
+                if block_at.get(y) != block_at.get(states[0]):
+                    return "%s and %s" % (c.states[states[0]], c.states[y])
+    return "the blocks cover different states"
 
 
 def _emit(text, out):
@@ -196,6 +226,8 @@ def cmd_check(args):
         dag, ref = parse_formula(args.formula, c.functor)
         ext = eval_ref(dag, ref, c)
     except EvalError:
+        if args.logic:
+            _require_logic(c, args.logic)
         logic = args.logic or default_logic(c.functor)
         if logic is None:
             raise CliFailure(INPUT_ERROR,

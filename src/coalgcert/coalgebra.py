@@ -75,10 +75,6 @@ def term_states(term):
         raise ModelError("bad term tag %r" % (tag,))
 
 
-def degrees(c):
-    return [len(list(term_states(t))) for t in c.structure]
-
-
 def predecessor_lists(c):
     """preds[y] = sorted list of states with at least one edge to y."""
     preds = [set() for _ in range(c.n)]

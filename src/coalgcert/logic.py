@@ -3,11 +3,24 @@
 The modal clause is colouring-based: a binary modality <t>(phi, psi) holds
 at x when applying the functor to the three-colour map induced by the two
 extensions (2 on both, 1 on psi only, 0 elsewhere) reproduces exactly the
-value t; unary and nullary modalities use two- and one-colour maps."""
+value t; unary and nullary modalities use two- and one-colour maps.
+
+An extension is an int bitset, bit x for state x.  The nodes below a
+reference are evaluated in one forward pass in ascending id order, in
+which children come before parents: ``top`` is the full mask, a
+conjunction is ``&`` and a negated reference ``full ^ ext``.  A modal
+node applies F to the colouring only at the predecessors of the states
+outside its largest colour class L.  Every other state has all its
+successors coloured L, so its key is F(const_L)(row), which depends on
+the node only through L.  One table per L maps these keys to bitsets of
+states.  The tables and the predecessor masks are built once per
+evaluator, not once per node; check_certificates uses one evaluator for
+all its formulas."""
 
 from __future__ import annotations
 
 from .certdag import FormulaDag, reachable
+from .coalgebra import predecessor_lists
 from .values import (
     Scanner, ValueError_, fmap, parse_value, validate_value,
 )
@@ -17,58 +30,108 @@ class EvalError(ValueError):
     pass
 
 
-def _colouring(n, ext_s, ext_b):
-    col = [0] * n
-    for y in ext_b:
-        col[y] = 1
-    for y in ext_s:
-        if col[y] == 1:
-            col[y] = 2
-    return col
+def _members(mask):
+    """The state ids in a bitset, ascending."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return out
+
+
+def _mask(states):
+    m = 0
+    for x in states:
+        m |= 1 << x
+    return m
+
+
+class _Extensions:
+    """Bitset extensions of dag nodes over one coalgebra."""
+
+    def __init__(self, c):
+        self.c = c
+        self.full = (1 << c.n) - 1
+        self._preds = None  # preds[y]: the states with an edge to y
+        self._const = {}    # L -> {F(const_L)(row): states with that key}
+
+    def preds(self):
+        if self._preds is None:
+            self._preds = [_mask(p) for p in predecessor_lists(self.c)]
+        return self._preds
+
+    def const(self, L):
+        table = self._const.get(L)
+        if table is None:
+            g = [L] * self.c.n
+            table = self._const[L] = {}
+            for x, t in enumerate(self.c.structure):
+                key = fmap(t, g)
+                table[key] = table.get(key, 0) | 1 << x
+        return table
+
+    def ext(self, dag, ref, memo):
+        """Bitset extension of ref; memo maps node ids to bitsets, and
+        gains every node below ref that it lacked."""
+        for nid in reachable(dag, [ref], memo):
+            node = dag.nodes[nid]
+            if node[0] == "top":
+                memo[nid] = self.full
+            elif node[0] == "and":
+                memo[nid] = self.at(node[1], memo) & self.at(node[2], memo)
+            elif node[0] == "modal":
+                memo[nid] = self.modal(node, memo)
+            else:
+                raise EvalError("bad node %r" % (node,))
+        return self.at(ref, memo)
+
+    def at(self, ref, memo):
+        """Bitset extension of ref, whose node memo holds."""
+        return self.full ^ memo[ref[0]] if ref[1] else memo[ref[0]]
+
+    def modal(self, node, memo):
+        _, val, arity, args = node
+        k = (1, 2, 3)[arity]
+        if not validate_value(self.c.functor, val, k):
+            raise EvalError("modal label %r does not fit palette %d" % (val, k))
+        if arity == 0:
+            classes = [self.full]
+        elif arity == 1:
+            phi = self.at(args[0], memo)
+            classes = [self.full ^ phi, phi]
+        else:
+            phi, psi = self.at(args[0], memo), self.at(args[1], memo)
+            classes = [self.full ^ psi, psi & ~phi, phi & psi]
+        sizes = [m.bit_count() for m in classes]
+        L = sizes.index(max(sizes))
+        out = self.const(L).get(val, 0)
+        if sizes[L] == self.c.n:
+            return out
+        col = [L] * self.c.n
+        preds = self.preds()
+        keyed = 0
+        for colour, m in enumerate(classes):
+            if colour != L:
+                for y in _members(m):
+                    col[y] = colour
+                    keyed |= preds[y]
+        structure = self.c.structure
+        hits = 0
+        for x in _members(keyed):
+            if fmap(structure[x], col) == val:
+                hits |= 1 << x
+        return out & ~keyed | hits
 
 
 def eval_ref(dag, ref, c, memo=None):
     """Extension of a formula reference: the set of satisfying states.
 
-    memo maps node ids to extensions.  The nodes below ref that it lacks
-    are evaluated in one forward pass in ascending id order, in which
-    children come before parents."""
-    if memo is None:
-        memo = {}
-    for nid in reachable(dag, [ref], memo):
-        memo[nid] = eval_node(dag, nid, c, memo)
-    ext = memo[ref[0]]
-    if ref[1]:
-        return frozenset(range(c.n)) - ext
-    return ext
-
-
-def eval_node(dag, nid, c, memo):
-    """Extension of node nid, whose children memo already holds."""
-    node = dag.nodes[nid]
-    if node[0] == "top":
-        out = frozenset(range(c.n))
-    elif node[0] == "and":
-        out = eval_ref(dag, node[1], c, memo) & eval_ref(dag, node[2], c, memo)
-    elif node[0] == "modal":
-        _, val, arity, args = node
-        k = (1, 2, 3)[arity]
-        if not validate_value(c.functor, val, k):
-            raise EvalError("modal label %r does not fit palette %d" % (val, k))
-        if arity == 0:
-            col = [0] * c.n
-        elif arity == 1:
-            ext = eval_ref(dag, args[0], c, memo)
-            col = [1 if y in ext else 0 for y in range(c.n)]
-        else:
-            ext_s = eval_ref(dag, args[0], c, memo)
-            ext_b = eval_ref(dag, args[1], c, memo)
-            col = _colouring(c.n, ext_s, ext_b)
-        out = frozenset(
-            x for x in range(c.n) if fmap(c.structure[x], col) == val)
-    else:
-        raise EvalError("bad node %r" % (node,))
-    return out
+    memo maps node ids to bitset extensions; the nodes below ref that it
+    lacks are evaluated and added."""
+    memo = {} if memo is None else memo
+    return frozenset(_members(_Extensions(c).ext(dag, ref, memo)))
 
 
 def check_certificates(certs, c=None):
@@ -78,21 +141,28 @@ def check_certificates(certs, c=None):
     certificate set is sound and complete for the final partition."""
     if c is None:
         c = certs.coalgebra
+    ev = _Extensions(c)
     memo = {}
     bad = []
-    for bid, states in zip(certs.block_ids, certs.blocks):
-        got = eval_ref(certs.dag, certs.delta[bid], c, memo)
-        if got != frozenset(states):
-            bad.append((bid, frozenset(states), got))
+    masks = [_mask(states) for states in certs.blocks]
+    for bid, states, want in zip(certs.block_ids, certs.blocks, masks):
+        got = ev.ext(certs.dag, certs.delta[bid], memo)
+        if got != want:
+            bad.append((bid, frozenset(states), frozenset(_members(got))))
+    block_at = [0] * c.n
+    for i, states in enumerate(certs.blocks):
+        for x in states:
+            block_at[x] = i
     for cmp_id, ref in certs.beta.items():
         # compound formulas must cover whole unions of blocks
-        got = eval_ref(certs.dag, ref, c, memo)
-        covered = set()
-        for bid, states in zip(certs.block_ids, certs.blocks):
-            if set(states) <= got:
-                covered |= set(states)
-        if got != frozenset(covered):
-            bad.append(("beta%d" % cmp_id, frozenset(covered), got))
+        got = ev.ext(certs.dag, ref, memo)
+        covered = 0
+        for i in {block_at[x] for x in _members(got)}:
+            if masks[i] & got == masks[i]:
+                covered |= masks[i]
+        if got != covered:
+            bad.append(("beta%d" % cmp_id, frozenset(_members(covered)),
+                        frozenset(_members(got))))
     return bad
 
 

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .coalgebra import degrees
 from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
 from .values import fmap
@@ -366,9 +365,7 @@ def refine(c, mode="generic", audit=False):
              "visited_edges": 0, "splitter_states": 0, "max_in_splitter": 0}
     in_splitter = [0] * n  # how often each state sat inside S
     block_of = part.block_of
-    if mode == "naive":
-        deg = degrees(c)
-    else:
+    if mode != "naive":
         weights = _SplitWeights(c)
         positions = weights.positions
 
@@ -419,12 +416,17 @@ def refine(c, mode="generic", audit=False):
         # phase 1: key the affected states while S still counts as part of B
         plans = []  # (parent, groups dict key->state list, default key or None)
         if mode == "naive":
-            col = [1 if qof[b] == cmpB else 0 for b in block_of]
+            in_B = [0] * part.num_blocks()
+            for b in members[cmpB]:
+                in_B[b] = 1
+            col = list(map(in_B.__getitem__, block_of))
             for s in S_states:
                 col[s] = 2
+            stats["visited_edges"] += c.m  # every row, once per round
             for T in range(part.num_blocks()):
                 t_states = part.block_states(T)
-                stats["visited_edges"] += sum(deg[x] for x in t_states)
+                if len(t_states) < 2:
+                    continue  # one state cannot split
                 groups = {}
                 for x in t_states:
                     groups.setdefault(fmap(structure[x], col), []).append(x)

@@ -266,6 +266,8 @@ def eval_ds(phi, c, memo=None):
                              if y in ext) == psi[1])
         if tag == "prob":
             a, p = psi[1], psi[2]
+            if a not in c.functor.labels:
+                raise TranslateError("unknown label %r" % a)
             idx = c.functor.labels.index(a)
             ext = memo[id(psi[3])]
 
@@ -418,8 +420,25 @@ def ds_size(phi, memo=None):
 
 # ------------------------------------------------------------- parsing
 
+# the modal node kinds of each logic; every logic has top, ~, & and |
+_MODALITIES = {"hm": ("dia", "box"), "weighted": ("w",),
+               "signature": ("sig", "args"), "prob": ("prob",)}
+
+
 class _DSParser(Scanner):
     error = TranslateError
+
+    def __init__(self, text, logic):
+        super().__init__(text)
+        if logic not in _MODALITIES:
+            raise TranslateError("unknown logic %r" % logic)
+        self.logic = logic
+
+    def modal(self, *node):
+        if node[0] not in _MODALITIES[self.logic]:
+            raise TranslateError("logic %r has no %r modality"
+                                 % (self.logic, node[0]))
+        return node
 
     def formula(self):
         if self.try_eat("true"):
@@ -437,9 +456,9 @@ class _DSParser(Scanner):
             self.eat(")")
             return (op, left, right)
         if self.try_eat("<>"):
-            return ("dia", self.formula())
+            return self.modal("dia", self.formula())
         if self.try_eat("[]"):
-            return ("box", self.formula())
+            return self.modal("box", self.formula())
         if self.try_eat("<"):
             j = self.text.index(">", self.i)
             content = self.text[self.i:j].strip()
@@ -447,19 +466,21 @@ class _DSParser(Scanner):
             if content.startswith("{"):
                 inner = content.strip("{}").strip()
                 idxs = frozenset(int(t) for t in inner.split(",") if t.strip())
-                return ("args", idxs, self.formula())
+                return self.modal("args", idxs, self.formula())
             if self.try_eat("_{"):
                 jj = self.text.index("}", self.i)
                 p = parse_rational(self.text[self.i:jj])
                 self.i = jj + 1
-                return ("prob", content, p, self.formula())
-            return ("w", parse_rational(content), self.formula())
-        return ("sig", self.token())  # a nullary signature operation
+                return self.modal("prob", content, p, self.formula())
+            return self.modal("w", parse_rational(content), self.formula())
+        return self.modal("sig", self.token())  # a nullary operation
 
 
 def parse_ds(text, logic):
+    """Parse a formula of the domain-specific logic ``logic``; modalities of
+    the other logics raise TranslateError."""
     try:
-        p = _DSParser(text)
+        p = _DSParser(text, logic)
         return p.done(p.formula())
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None

@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from coalgcert import cli
 from coalgcert.cli import main
 
 MODELS = Path(__file__).parent / "models"
@@ -224,3 +226,69 @@ def test_check_deeply_nested_formula(capsys, formula):
     code, out, err = run(capsys, "check", TS1, formula)
     assert code == 2 and not out
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_names_block_and_state(capsys, monkeypatch):
+    victims = []
+
+    def wrong_delta(c, result):
+        certs = build(c, result)
+        # z's certificate says "has a successor": x, x1 and y satisfy it
+        victims.append(result.block_of[c.states.index("z")])
+        certs.delta[victims[0]] = certs.dag.add_modal(("set", (0,)), 0, ())
+        return certs
+
+    build = cli.build_certificates
+    monkeypatch.setattr(cli, "build_certificates", wrong_delta)
+    code, out, err = run(capsys, "certify", TS1, "--verify")
+    assert code == 3 and not out
+    assert err.startswith("error: certificate of block %d: x satisfies it "
+                          "but is not in the block" % victims[0])
+
+
+@pytest.mark.parametrize("model, formula, logic, code", [
+    ("ts1", "<1/2>true", None, 2),      # a weight modality on a powerset
+    ("mc1", "<>true", None, 2),         # a diamond on weights
+    ("mc1", "<>true", "hm", 4),
+    ("pr1", "<c>_{1/2}true", None, 2),  # a label the functor lacks
+    ("mc1", "<1/2>true", "weighted", 0),
+])
+def test_check_formula_of_another_logic(capsys, model, formula, logic, code):
+    argv = ["check", str(MODELS / (model + ".model")), formula]
+    argv += ["--logic", logic] if logic else []
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert bool(err) == (code != 0) and "Traceback" not in err
+
+
+# pieces of the generic syntax and of the four domain-specific logics
+FORMULA_PIECES = [
+    "true", "~", "(", " & ", " | ", ")", ",", "<", ">", "{", "}", "0", "1",
+    "2", "1/2", "<>", "[]", "<1/2>", "<{1}>", "<{}>", "<(0,1/2,1/2)>",
+    "<a>_{1/2}", "<c>_{1}", "a", "stop", "in1(", "[a: ",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS.glob("*.model"))),
+       pieces=st.lists(st.sampled_from(FORMULA_PIECES), max_size=8),
+       logic=st.sampled_from([None, "hm", "weighted", "signature", "prob"]))
+def test_check_exit_codes(model, pieces, logic):
+    argv = ["check", str(model), "".join(pieces)]
+    if logic:
+        argv += ["--logic", logic]
+    assert main(argv) in (0, 2, 4)
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("naive_bisimilarity", "partition differs from the oracle: x and z"),
+    ("replay_trace", "trace replay puts y in block 0, not 2"),
+])
+def test_verify_names_oracle_and_replay_failures(capsys, monkeypatch, patch,
+                                                 message):
+    fakes = {"naive_bisimilarity": lambda c: [[0, 3], [1, 2]],
+             "replay_trace": lambda trace: [0, 2, 0, 1]}
+    monkeypatch.setattr(cli, patch, fakes[patch])
+    code, out, err = run(capsys, "certify", TS1, "--verify")
+    assert code == 3 and not out
+    assert err == "error: %s\n" % message

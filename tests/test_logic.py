@@ -5,14 +5,53 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coalgcert.certdag import FormulaDag, build_certificates
+from coalgcert import logic
+from coalgcert.certdag import FormulaDag, build_certificates, reachable
+from coalgcert.coalgebra import desugar_composite
 from coalgcert.logic import (
-    EvalError, _colouring, check_certificates, eval_ref, parse_formula,
+    EvalError, check_certificates, eval_ref, parse_formula,
 )
-from coalgcert.oracle import naive_bisimilarity
+from coalgcert.oracle import GeneratorSpec, generate, naive_bisimilarity
 from coalgcert.refiner import refine
 from coalgcert.values import fmap
-from conftest import random_instances
+from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
+from test_acceptance import composite_instance
+
+
+def _colouring(n, ext_s, ext_b):
+    col = [0] * n
+    for y in ext_b:
+        col[y] = 1
+    for y in ext_s:
+        if col[y] == 1:
+            col[y] = 2
+    return col
+
+
+def frozenset_ext(dag, ref, c, memo):
+    """Reference evaluator: frozenset extensions, and every modal node
+    applies F to the colouring of all n states."""
+    for nid in reachable(dag, [ref], memo):
+        node = dag.nodes[nid]
+        if node[0] == "top":
+            out = frozenset(range(c.n))
+        elif node[0] == "and":
+            out = (frozenset_ext(dag, node[1], c, memo)
+                   & frozenset_ext(dag, node[2], c, memo))
+        else:
+            _, val, arity, args = node
+            exts = [frozenset_ext(dag, a, c, memo) for a in args]
+            if arity == 0:
+                col = [0] * c.n
+            elif arity == 1:
+                col = [1 if y in exts[0] else 0 for y in range(c.n)]
+            else:
+                col = _colouring(c.n, exts[0], exts[1])
+            out = frozenset(
+                x for x in range(c.n) if fmap(c.structure[x], col) == val)
+        memo[nid] = out
+    ext = memo[ref[0]]
+    return frozenset(range(c.n)) - ext if ref[1] else ext
 
 
 def adequacy_probe(c, blocks, rng=None, samples=200, depth=3):
@@ -169,3 +208,65 @@ def test_random_formula_never_splits_blocks(seed):
     for label, c in random_instances(seeds=(seed % 5,), n=8):
         blocks = naive_bisimilarity(c)
         adequacy_probe(c, blocks, rng=random.Random(seed), samples=30)
+
+
+def assert_extensions_match_reference(c, certs):
+    memo, ref_memo = {}, {}
+    for nid in range(len(certs.dag.nodes)):
+        for neg in (False, True):
+            got = eval_ref(certs.dag, (nid, neg), c, memo)
+            assert got == frozenset_ext(certs.dag, (nid, neg), c, ref_memo)
+
+
+@pytest.mark.parametrize("fx", FUNCTORS)
+def test_extensions_match_reference_generic(fx):
+    for label, c in random_instances([fx], seeds=range(4), n=14):
+        assert_extensions_match_reference(c, build_certificates(c, refine(c)))
+
+
+@pytest.mark.parametrize("fx", CANCELLATIVE_FUNCTORS)
+def test_extensions_match_reference_cancellative(fx):
+    unary = 0
+    for label, c in random_instances([fx], seeds=range(4), n=14):
+        certs = build_certificates(c, refine(c, mode="cancellative"))
+        unary += sum(1 for node in certs.dag.nodes
+                     if node[0] == "modal" and node[2] == 1)
+        assert_extensions_match_reference(c, certs)
+    assert unary
+
+
+def test_extensions_match_reference_composite():
+    for seed in range(4):
+        c = desugar_composite(composite_instance(seed)).coalgebra
+        assert_extensions_match_reference(c, build_certificates(c, refine(c)))
+
+
+def test_check_certificates_detects_corrupt_beta_label(ts1):
+    certs = build_certificates(ts1, refine(ts1))
+    # the first modal node below a compound formula whose label a
+    # different, well-formed label can replace
+    for ref in certs.beta.values():
+        for nid in reachable(certs.dag, [ref]):
+            node = certs.dag.nodes[nid]
+            if node[0] == "modal" and node[1] == ("set", (1,)):
+                certs.dag.nodes[nid] = ("modal", ("set", (2,))) + node[2:]
+                assert check_certificates(certs) != []
+                return
+    pytest.fail("no compound formula has a modal node labelled {1}")
+
+
+def test_check_certificates_keys_only_rows_crossing_classes(monkeypatch):
+    # mean out-degree 2: the saving shrinks as rows grow, since a state
+    # must be keyed once any successor leaves the largest colour class
+    c = generate(GeneratorSpec(functor="P", n=400, seed=0, density=0.005))
+    certs = build_certificates(c, refine(c))
+    calls = []
+
+    def counted_fmap(t, g):
+        calls.append(1)
+        return fmap(t, g)
+
+    monkeypatch.setattr(logic, "fmap", counted_fmap)
+    assert check_certificates(certs) == []
+    modal = sum(1 for node in certs.dag.nodes if node[0] == "modal")
+    assert len(calls) < modal * c.n / 2
