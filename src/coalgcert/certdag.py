@@ -41,24 +41,27 @@ class CertError(RuntimeError):
 class FormulaDag:
     """Arena of formula nodes addressed by (id, negated) edge references.
 
-    Nodes: ('top',) | ('and', left, right) | ('modal', value, arity, args);
-    left/right/args are edge references."""
+    Nodes: ('top',) | ('and', left, right) | ('modal', value, arity, args)
+    for certificates, and ('or', left, right) | ('ds', label, args) for the
+    domain-specific formulas of translate.py; left/right/args are edge
+    references, and every node's children precede it."""
 
     def __init__(self):
         self.nodes = [("top",)]
         # owner[i]: id of the compound whose beta formula inherited node i
         # as a conjunct, or None while it only appears in delta chains
         self.owner = [None]
-        self.allocs = 1
 
     def _add(self, node):
         self.nodes.append(node)
         self.owner.append(None)
-        self.allocs += 1
         return (len(self.nodes) - 1, False)
 
     def add_and(self, left, right):
         return self._add(("and", left, right))
+
+    def add_or(self, left, right):
+        return self._add(("or", left, right))
 
     def add_modal(self, value, arity, args):
         if len(args) != (0 if arity == 0 else (1 if arity == 1 else 2)):
@@ -66,13 +69,17 @@ class FormulaDag:
                             % (arity, arity))
         return self._add(("modal", value, arity, args))
 
+    def add_ds(self, label, args):
+        return self._add(("ds", label, args))
+
     def children(self, nid):
         node = self.nodes[nid]
-        if node[0] == "and":
-            return (node[1], node[2])
-        if node[0] == "modal":
-            return node[3]
-        return ()
+        tag = node[0]
+        if tag == "and" or tag == "or":
+            return node[1:]
+        if tag == "top":
+            return ()
+        return node[-1]  # modal and ds nodes end in their arguments
 
     def size(self):
         nodes = len(self.nodes)
@@ -253,17 +260,37 @@ def _ref_str(ref):
     return ("~#%d" % nid) if neg else ("#%d" % nid)
 
 
-def render_node(dag, nid, functor):
-    node = dag.nodes[nid]
-    if node[0] == "top":
-        return "true"
-    if node[0] == "and":
-        return "(%s & %s)" % (_ref_str(node[1]), _ref_str(node[2]))
-    _, val, arity, args = node
-    label = "<%s>" % pretty_value(functor, val, arity + 1)
-    if arity == 0:
-        return label
-    return "%s(%s)" % (label, ", ".join(_ref_str(a) for a in args))
+def value_label(functor):
+    """Label renderer of a certificate arena: a modal node's value."""
+    return lambda node: "<%s>" % pretty_value(functor, node[1], node[2] + 1)
+
+
+def _pieces(node, label):
+    """A node's text: strings, and the edge references of its children.
+    label(node) is the text of a modal node's label; a generic node's
+    arguments follow it in parentheses, a domain-specific node's one
+    argument directly."""
+    tag = node[0]
+    if tag == "top":
+        return ["true"]
+    if tag == "and" or tag == "or":
+        return ["(", node[1], " & " if tag == "and" else " | ", node[2], ")"]
+    pieces = [label(node)]
+    args = node[-1]
+    if tag == "ds":
+        pieces += args
+    elif args:
+        pieces.append("(")
+        for a in args:
+            pieces += (a, ", ")
+        pieces[-1] = ")"
+    return pieces
+
+
+def render_node(dag, nid, label):
+    """One node's text, with its children as #id references."""
+    return "".join([p if type(p) is str else _ref_str(p)
+                    for p in _pieces(dag.nodes[nid], label)])
 
 
 def reachable(dag, refs, known=()):
@@ -280,53 +307,39 @@ def reachable(dag, refs, known=()):
     return sorted(seen)
 
 
-def serialize(certs, include_beta=False, restrict_blocks=None):
-    """Shared-dag listing: header, block table, nodes, certificate roots."""
+def serialize(certs, restrict_blocks=None, label=None):
+    """Shared-dag listing: header, block table, nodes, certificate roots.
+    label renders modal labels, by default as values of the functor."""
     c = certs.coalgebra
     from .functor import pretty_functor
+    label = label or value_label(c.functor)
     ids = certs.block_ids if restrict_blocks is None else restrict_blocks
     lines = ["functor: %s" % pretty_functor(c.functor), "blocks:"]
     states_of = certs.states_by_block()
     for bid in ids:
         states = states_of[bid]
         lines.append("  %d: %s" % (bid, " ".join(c.states[s] for s in states)))
-    roots = [certs.delta[bid] for bid in ids]
-    if include_beta:
-        roots.extend(certs.beta.values())
     lines.append("dag:")
-    for nid in reachable(certs.dag, roots):
-        lines.append("  #%d = %s" % (nid, render_node(certs.dag, nid, c.functor)))
+    for nid in reachable(certs.dag, [certs.delta[bid] for bid in ids]):
+        lines.append("  #%d = %s" % (nid, render_node(certs.dag, nid, label)))
     lines.append("certificates:")
     for bid in ids:
         lines.append("  %d: %s" % (bid, _ref_str(certs.delta[bid])))
     return "\n".join(lines) + "\n"
 
 
-def expand(dag, ref, functor, limit=100000):
+def expand(dag, ref, label, limit=100000):
     """Fully expanded formula text; refuses beyond `limit` tree nodes."""
     if dag.tree_size(ref) > limit:
         raise CertError("expansion exceeds %d nodes; print the shared dag "
                         "instead" % limit)
-
     out, todo = [], [ref]  # todo: references and text, the next one last
     while todo:
         item = todo.pop()
         if type(item) is str:
             out.append(item)
             continue
-        nid, neg = item
-        node = dag.nodes[nid]
-        if neg:
+        if item[1]:
             out.append("~")
-        if node[0] == "top":
-            out.append("true")
-        elif node[0] == "and":
-            todo += (")", node[2], " & ", node[1], "(")
-        else:
-            _, val, arity, args = node
-            out.append("<%s>" % pretty_value(functor, val, arity + 1))
-            if arity:
-                parts = [x for a in args for x in (", ", a)]
-                parts[0] = "("
-                todo += [")"] + parts[::-1]
+        todo += reversed(_pieces(dag.nodes[item[0]], label))
     return "".join(out)

@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .certdag import (
-    CertError, build_certificates, distinguish, expand, render_node,
-    reachable, serialize,
+    CertError, build_certificates, distinguish, expand, reachable,
+    render_node, serialize, value_label,
 )
 from .coalgebra import (
     ModelError, desugar_composite, parse_coalgebra, pretty_model, quotient,
@@ -25,8 +25,8 @@ from .logic import EvalError, check_certificates, eval_ref, parse_formula
 from .oracle import GeneratorSpec, generate, naive_bisimilarity, partition_key
 from .refiner import RefineError, refine, replay_trace
 from .translate import (
-    TranslateError, default_logic, eval_ds, parse_ds, pretty_ds, translate,
-    translate_ref,
+    TranslateError, check_compatible, default_logic, ds_label, parse_ds,
+    translate,
 )
 
 OK, INPUT_ERROR, VERIFY_ERROR, INCOMPATIBLE = 0, 2, 3, 4
@@ -164,6 +164,7 @@ def cmd_certify(args):
     ids = _visible_blocks(certs, visible)
     if args.json:
         nodes = reachable(certs.dag, [certs.delta[b] for b in ids])
+        label = value_label(c.functor)
         states_of = certs.states_by_block()
         payload = {
             "functor": pretty_functor(c.functor),
@@ -171,7 +172,7 @@ def cmd_certify(args):
             "blocks": [{"id": b, "states": [c.states[s] for s in states_of[b]]}
                        for b in ids],
             "dag": [{"id": nid,
-                     "node": render_node(certs.dag, nid, c.functor)}
+                     "node": render_node(certs.dag, nid, label)}
                     for nid in nodes],
             "certificates": {str(b): "#%d" % certs.delta[b][0] for b in ids},
         }
@@ -198,13 +199,13 @@ def cmd_distinguish(args):
         raise CliFailure(VERIFY_ERROR, "distinguishing formula check failed")
     if args.logic:
         _require_logic(c, args.logic)
-        phi = translate_ref(certs, ref, args.logic)
-        ds_ext = eval_ds(phi, c)
+        dag, (phi,) = translate(certs, args.logic, [ref])
+        ds_ext = eval_ref(dag, phi, c)
         if idx[args.x] not in ds_ext or idx[args.y] in ds_ext:
             raise CliFailure(VERIFY_ERROR, "translated formula check failed")
-        print(pretty_ds(phi))
+        print(expand(dag, phi, ds_label))
     else:
-        print(expand(certs.dag, ref, c.functor))
+        print(expand(certs.dag, ref, value_label(c.functor)))
     return OK
 
 
@@ -222,21 +223,21 @@ def cmd_minimize(args):
 def cmd_check(args):
     c0 = _load(args.model)
     c, visible = _prepare(c0, "generic")
+    if args.logic:
+        _require_logic(c, args.logic)
     try:
         dag, ref = parse_formula(args.formula, c.functor)
         ext = eval_ref(dag, ref, c)
     except EvalError:
-        if args.logic:
-            _require_logic(c, args.logic)
         logic = args.logic or default_logic(c.functor)
         if logic is None:
             raise CliFailure(INPUT_ERROR,
                              "cannot parse formula %r" % args.formula)
         try:
-            phi = parse_ds(args.formula, logic)
-            ext = eval_ds(phi, c)
+            dag, ref = parse_ds(args.formula, logic)
         except TranslateError as e:
             raise CliFailure(INPUT_ERROR, str(e))
+        ext = eval_ref(dag, ref, c)
     names = sorted(c.states[s] for s in ext if s in set(visible))
     print(" ".join(names))
     return OK
@@ -252,15 +253,10 @@ def cmd_translate(args):
                          % args.logic)
     result, certs, _, _ = _run(c, args.mode)
     ids = _visible_blocks(certs, visible)
-    formulas = translate(certs, args.logic, blocks=ids)
-    lines = []
-    states_of = certs.states_by_block()
-    for bid in ids:
-        states = states_of[bid]
-        lines.append("block %d (%s): %s"
-                     % (bid, " ".join(c.states[s] for s in states),
-                        pretty_ds(formulas[bid])))
-    _emit("\n".join(lines) + "\n", args.out)
+    dag, refs = translate(certs, args.logic, [certs.delta[b] for b in ids])
+    translated = replace(certs, dag=dag, delta=dict(zip(ids, refs)), beta={})
+    _emit(serialize(translated, restrict_blocks=ids, label=ds_label),
+          args.out)
     return OK
 
 
@@ -275,7 +271,7 @@ def cmd_stats(args):
         new_blocks=result.stats["new_blocks"],
         visited_edges=result.stats["visited_edges"],
         blocks=len(result.blocks), dag_nodes=nodes, dag_edges=edges,
-        dag_height=certs.dag.height(), dag_allocs=certs.dag.allocs,
+        dag_height=certs.dag.height(), dag_allocs=len(certs.dag.nodes),
         refine_ms=round(rms, 3), certify_ms=round(cms, 3))
     if args.json:
         print(json.dumps(asdict(report), sort_keys=True))
@@ -296,13 +292,10 @@ def cmd_gen(args):
 
 
 def _require_logic(c, logic):
-    want = default_logic(c.functor)
-    if want != logic:
-        raise CliFailure(
-            INCOMPATIBLE,
-            "logic %r does not fit functor %s%s"
-            % (logic, pretty_functor(c.functor),
-               "" if want is None else " (expected --logic %s)" % want))
+    try:
+        check_compatible(logic, c.functor)
+    except TranslateError as e:
+        raise CliFailure(INCOMPATIBLE, str(e))
 
 
 def build_parser():

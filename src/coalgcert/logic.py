@@ -15,9 +15,17 @@ successors coloured L, so its key is F(const_L)(row), which depends on
 the node only through L.  One table per L maps these keys to bitsets of
 states.  The tables and the predecessor masks are built once per
 evaluator, not once per node; check_certificates uses one evaluator for
-all its formulas."""
+all its formulas.
+
+The domain-specific formulas of translate.py live in the same kind of
+arena and go through the same pass: ``or`` is ``|``, and a node
+('ds', label, args) holds where ds_holds accepts the row coloured 1 on
+its argument and 0 elsewhere, decided once per key of the table for L
+and once per keyed state."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .certdag import FormulaDag, reachable
 from .coalgebra import predecessor_lists
@@ -83,6 +91,10 @@ class _Extensions:
                 memo[nid] = self.at(node[1], memo) & self.at(node[2], memo)
             elif node[0] == "modal":
                 memo[nid] = self.modal(node, memo)
+            elif node[0] == "ds":
+                memo[nid] = self.ds(node, memo)
+            elif node[0] == "or":
+                memo[nid] = self.at(node[1], memo) | self.at(node[2], memo)
             else:
                 raise EvalError("bad node %r" % (node,))
         return self.at(ref, memo)
@@ -90,6 +102,25 @@ class _Extensions:
     def at(self, ref, memo):
         """Bitset extension of ref, whose node memo holds."""
         return self.full ^ memo[ref[0]] if ref[1] else memo[ref[0]]
+
+    def recolour(self, classes):
+        """(L, col, keyed) for the colour classes of a modal node: the
+        largest class L, the colouring of the states by class, and the
+        predecessors of the states outside L, the only states whose key
+        is not F(const_L)(row).  col is None when L holds every state."""
+        sizes = [m.bit_count() for m in classes]
+        L = sizes.index(max(sizes))
+        if sizes[L] == self.c.n:
+            return L, None, 0
+        col = [L] * self.c.n
+        preds = self.preds()
+        keyed = 0
+        for colour, m in enumerate(classes):
+            if colour != L:
+                for y in _members(m):
+                    col[y] = colour
+                    keyed |= preds[y]
+        return L, col, keyed
 
     def modal(self, node, memo):
         _, val, arity, args = node
@@ -104,25 +135,66 @@ class _Extensions:
         else:
             phi, psi = self.at(args[0], memo), self.at(args[1], memo)
             classes = [self.full ^ psi, psi & ~phi, phi & psi]
-        sizes = [m.bit_count() for m in classes]
-        L = sizes.index(max(sizes))
+        L, col, keyed = self.recolour(classes)
         out = self.const(L).get(val, 0)
-        if sizes[L] == self.c.n:
-            return out
-        col = [L] * self.c.n
-        preds = self.preds()
-        keyed = 0
-        for colour, m in enumerate(classes):
-            if colour != L:
-                for y in _members(m):
-                    col[y] = colour
-                    keyed |= preds[y]
         structure = self.c.structure
         hits = 0
         for x in _members(keyed):
             if fmap(structure[x], col) == val:
                 hits |= 1 << x
         return out & ~keyed | hits
+
+    def ds(self, node, memo):
+        """A domain-specific modality holds at x when x's row, coloured 1
+        on its argument's extension and 0 elsewhere, satisfies it."""
+        _, label, args = node
+        phi = self.at(args[0], memo) if args else self.full
+        L, col, keyed = self.recolour([self.full ^ phi, phi])
+        f = self.c.functor
+        out = 0
+        for key, states in self.const(L).items():
+            if ds_holds(label, key, (1,), f):
+                out |= states
+        structure = self.c.structure
+        hits = 0
+        for x in _members(keyed):
+            if ds_holds(label, fmap(structure[x], col), (1,), f):
+                hits |= 1 << x
+        return out & ~keyed | hits
+
+
+def ds_holds(label, value, inside, f):
+    """Whether a value of F(k) satisfies the domain-specific modality
+    `label` of functor f, whose argument holds at the colours in `inside`.
+
+        ('dia',)        some successor satisfies the argument
+        ('box',)        there is a successor, and all satisfy it
+        ('w', m)        the weight into the argument is exactly m
+        ('sig', g)      the operation is g
+        ('args', I)     the argument positions satisfying it are I
+        ('prob', a, p)  on input a, the argument holds with
+                        probability at least p"""
+    tag = label[0]
+    if tag == "dia":
+        return any(j in inside for j in value[1])
+    if tag == "box":
+        return bool(value[1]) and all(j in inside for j in value[1])
+    if tag == "w":
+        return sum((w for j, w in value[1] if j in inside),
+                   Fraction(0)) == label[1]
+    if tag == "sig":
+        return value[1] == label[1]
+    if tag == "args":
+        return frozenset(i + 1 for i, j in enumerate(value[2])
+                         if j in inside) == label[1]
+    if tag == "prob":
+        _, a, p = label
+        if a not in f.labels:
+            raise EvalError("unknown label %r" % a)
+        branch = value[1][f.labels.index(a)]
+        return branch[1] == 0 and sum(
+            (w for j, w in branch[2][1] if j in inside), Fraction(0)) >= p
+    raise EvalError("unsubstituted placeholder in formula")
 
 
 def eval_ref(dag, ref, c, memo=None):

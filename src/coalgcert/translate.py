@@ -10,26 +10,36 @@ Four target logics are supported, each tied to a functor shape:
     prob       labelled Markov chains (D(X)+1)^A: <a>_p "on input a the
                next state satisfies the argument with probability >= p"
 
-A block certificate translates conjunct by conjunct: nullary labels map to
-an output-value test, and a binary label <t>(delta, beta) maps to the
+Domain-specific formulas are nodes of a FormulaDag arena, like the
+certificates they translate: ('ds', label, args) carries one of the
+modalities above (logic.ds_holds gives their meaning), ('or', l, r) comes
+only from parsed text, and negation is the bit of an edge reference.  So
+logic.eval_ref evaluates them, FormulaDag.tree_size sizes them, and
+certdag.serialize and certdag.expand print them, with ds_label rendering
+their labels.
+
+translate maps the certificate dag node by node, in one forward pass over
+the nodes below the requested references: nullary labels map to an
+output-value test, and a binary label <t>(delta, beta) maps to the
 logic's decoding of t applied to (translated delta, translated beta minus
 delta).  Unary labels from negation-free runs use the one-argument
-decoding (weighted and signature logics).
+decoding (weighted and signature logics).  The translated arena is
+therefore linear in the certificate dag.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .certdag import TOP, FormulaDag, reachable
 from .functor import (
     Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
-    Signature,
+    Signature, pretty_functor,
 )
+from .logic import ds_holds
 from .values import Scanner, fmap, parse_rational
 
 LOGICS = ("hm", "weighted", "signature", "prob")
-
-TOP = ("top",)
 
 
 class TranslateError(ValueError):
@@ -41,18 +51,12 @@ def _weight(v, c):
     return dict(v[1]).get(c, Fraction(0))
 
 
-def _and(a, b):
+def _and(dag, a, b):
     if a == TOP:
         return b
     if b == TOP:
         return a
-    return ("and", a, b)
-
-
-def _not(a):
-    if a[0] == "not":
-        return a[1]
-    return ("not", a)
+    return dag.add_and(a, b)
 
 
 def default_logic(f):
@@ -81,65 +85,68 @@ def check_compatible(logic, f):
     want = default_logic(f)
     if want != logic:
         raise TranslateError(
-            "logic %r does not fit this functor (expected %s)"
-            % (logic, want or "no supported logic"))
+            "logic %r does not fit functor %s (expected %s)"
+            % (logic, pretty_functor(f), want or "no supported logic"))
 
 
 # ------------------------------------- modality decodings per logic
 
-def tau(logic, f, o):
+def tau(dag, logic, f, o):
     """Closed formula whose one-colour extension is exactly the value o."""
     if logic == "hm":
-        return ("dia", TOP) if o[1] else _not(("dia", TOP))
+        nid, _ = dag.add_ds(("dia",), (TOP,))
+        return (nid, not o[1])
     if logic == "weighted":
-        return ("w", _weight(o, 0), TOP)
+        return dag.add_ds(("w", _weight(o, 0)), (TOP,))
     if logic == "signature":
-        return ("sig", o[1])
+        return dag.add_ds(("sig", o[1]), ())
     if logic == "prob":
         out = TOP
         for a, v in zip(f.labels, o[1]):
-            clause = ("prob", a, Fraction(1), TOP)
-            out = _and(out, clause if v[1] == 0 else _not(clause))
+            nid, _ = dag.add_ds(("prob", a, Fraction(1)), (TOP,))
+            out = _and(dag, out, (nid, v[1] != 0))
         return out
     raise TranslateError("unknown logic %r" % logic)
 
 
-def lam(logic, f, t, delta, rho):
+def lam(dag, logic, f, t, delta, rho):
     """Decoding of a three-colour value: a formula in (delta, rho) whose
     extension, within the class of values agreeing outside the split, pins
     the value t (2-coloured part satisfies delta, 1-coloured part rho)."""
     if logic == "hm":
         has_s, has_rest = 2 in t[1], 1 in t[1]
         if has_s and not has_rest:
-            return _not(("dia", rho))
+            return (dag.add_ds(("dia",), (rho,))[0], True)
         if has_s and has_rest:
-            return _and(("dia", delta), ("dia", rho))
+            return _and(dag, dag.add_ds(("dia",), (delta,)),
+                        dag.add_ds(("dia",), (rho,)))
         if has_rest:
-            return _not(("dia", delta))
+            return (dag.add_ds(("dia",), (delta,))[0], True)
         return TOP
     if logic == "weighted":
         # cancellative monoids: the weight into B\S follows by subtraction
-        return ("w", _weight(t, 2), delta)
+        return dag.add_ds(("w", _weight(t, 2)), (delta,))
     if logic == "signature":
         into = frozenset(i + 1 for i, cc in enumerate(t[2]) if cc == 2)
-        return ("args", into, delta)
+        return dag.add_ds(("args", into), (delta,))
     if logic == "prob":
         out = TOP
         for a, v in zip(f.labels, t[1]):
             if v[1] == 0:  # distribution branch
-                out = _and(out, ("prob", a, _weight(v[2], 2), delta))
-                out = _and(out, ("prob", a, _weight(v[2], 1), rho))
+                for colour, arg in ((2, delta), (1, rho)):
+                    out = _and(dag, out, dag.add_ds(
+                        ("prob", a, _weight(v[2], colour)), (arg,)))
         return out
     raise TranslateError("unknown logic %r" % logic)
 
 
-def kappa(logic, f, s, delta):
+def kappa(dag, logic, f, s, delta):
     """Decoding of a two-colour value (negation-free runs)."""
     if logic == "weighted":
-        return ("w", _weight(s, 1), delta)
+        return dag.add_ds(("w", _weight(s, 1)), (delta,))
     if logic == "signature":
         into = frozenset(i + 1 for i, cc in enumerate(s[2]) if cc == 1)
-        return ("args", into, delta)
+        return dag.add_ds(("args", into), (delta,))
     raise TranslateError(
         "logic %r has no one-argument decoding; translate a certificate "
         "set built in generic mode" % logic)
@@ -147,199 +154,68 @@ def kappa(logic, f, s, delta):
 
 # ------------------------------------------------------------ translation
 
-def translate_ref(certs, ref, logic, memo=None):
-    if memo is None:
-        memo = {}
-    nid, neg = ref
-    phi = _translate_node(certs, nid, logic, memo)
-    return _not(phi) if neg else phi
+def translate(certs, logic, refs):
+    """Translate edge references of the certificate dag into ``logic``.
 
+    One forward pass over the nodes that refs reach, children first, maps
+    each node to a reference into a fresh arena.  Returns the arena and
+    the translated references, in the order of refs."""
+    f = certs.coalgebra.functor
+    check_compatible(logic, f)
+    dag, out = FormulaDag(), {}
 
-def _translate_node(certs, nid, logic, memo):
-    if nid in memo:
-        return memo[nid]
-    dag, f = certs.dag, certs.coalgebra.functor
-    node = dag.nodes[nid]
-    if node[0] == "top":
-        out = TOP
-    elif node[0] == "and":
-        out = _and(translate_ref(certs, node[1], logic, memo),
-                   translate_ref(certs, node[2], logic, memo))
-    else:
-        _, val, arity, args = node
-        if arity == 0:
-            out = tau(logic, f, val)
-        elif arity == 2:
-            d = translate_ref(certs, args[0], logic, memo)
-            b = translate_ref(certs, args[1], logic, memo)
-            out = lam(logic, f, val, d, _and(b, _not(d)))
+    def tr(ref):
+        nid, neg = out[ref[0]]
+        return (nid, neg != ref[1])
+
+    for nid in reachable(certs.dag, refs):
+        node = certs.dag.nodes[nid]
+        if node[0] == "top":
+            out[nid] = TOP
+        elif node[0] == "and":
+            out[nid] = _and(dag, tr(node[1]), tr(node[2]))
         else:
-            d = translate_ref(certs, args[0], logic, memo)
-            out = kappa(logic, f, val, d)
-    memo[nid] = out
-    return out
-
-
-def translate(certs, logic, blocks=None):
-    """Translate block certificates; returns {block id: formula}."""
-    check_compatible(logic, certs.coalgebra.functor)
-    memo = {}
-    ids = certs.block_ids if blocks is None else blocks
-    return {bid: translate_ref(certs, certs.delta[bid], logic, memo)
-            for bid in ids}
-
-
-# ------------------------------------------------------------ evaluation
-
-def _ds_args(phi):
-    """The argument subformulas of a domain-specific formula node."""
-    tag = phi[0]
-    if tag in ("top", "sig", "atom"):
-        return ()
-    if tag in ("not", "dia", "box"):
-        return (phi[1],)
-    if tag in ("and", "or"):
-        return phi[1:]
-    if tag in ("w", "args"):
-        return (phi[2],)
-    if tag == "prob":
-        return (phi[3],)
-    raise TranslateError("bad formula node %r" % (tag,))
-
-
-def _bottom_up(phi, node, memo):
-    """memo[id(psi)] = node(psi) for phi and every subformula psi, each
-    after its arguments, with an explicit stack; returns phi's entry."""
-    todo = [phi]
-    while todo:
-        psi = todo[-1]
-        if id(psi) in memo:
-            todo.pop()
-            continue
-        args = [a for a in _ds_args(psi) if id(a) not in memo]
-        if args:
-            todo += args
-        else:
-            memo[id(todo.pop())] = node(psi)
-    return memo[id(phi)]
-
-
-def eval_ds(phi, c, memo=None):
-    """Extension of a domain-specific formula over the coalgebra."""
-    memo = {} if memo is None else memo
-    universe = frozenset(range(c.n))
-
-    def node(psi):
-        tag = psi[0]
-        if tag == "top":
-            return universe
-        if tag == "not":
-            return universe - memo[id(psi[1])]
-        if tag == "and":
-            return memo[id(psi[1])] & memo[id(psi[2])]
-        if tag == "or":
-            return memo[id(psi[1])] | memo[id(psi[2])]
-        if tag == "dia":
-            ext = memo[id(psi[1])]
-            return frozenset(x for x in range(c.n)
-                             if any(y in ext for y in c.structure[x][1]))
-        if tag == "box":
-            # total box: at least one successor, and all successors satisfy
-            ext = memo[id(psi[1])]
-            return frozenset(x for x in range(c.n)
-                             if c.structure[x][1]
-                             and all(y in ext for y in c.structure[x][1]))
-        if tag == "w":
-            ext = memo[id(psi[2])]
-            return frozenset(
-                x for x in range(c.n)
-                if sum((w for y, w in c.structure[x][1] if y in ext),
-                       Fraction(0)) == psi[1])
-        if tag == "sig":
-            return frozenset(x for x in range(c.n)
-                             if c.structure[x][1] == psi[1])
-        if tag == "args":
-            ext = memo[id(psi[2])]
-            return frozenset(
-                x for x in range(c.n)
-                if frozenset(i + 1 for i, y in enumerate(c.structure[x][2])
-                             if y in ext) == psi[1])
-        if tag == "prob":
-            a, p = psi[1], psi[2]
-            if a not in c.functor.labels:
-                raise TranslateError("unknown label %r" % a)
-            idx = c.functor.labels.index(a)
-            ext = memo[id(psi[3])]
-
-            def holds(x):
-                branch = c.structure[x][1][idx]
-                if branch[1] != 0:
-                    return False
-                return sum((w for y, w in branch[2][1] if y in ext),
-                           Fraction(0)) >= p
-            return frozenset(x for x in range(c.n) if holds(x))
-        raise TranslateError("unsubstituted placeholder in formula")
-
-    return _bottom_up(phi, node, memo)
+            _, val, arity, args = node
+            if arity == 0:
+                out[nid] = tau(dag, logic, f, val)
+            elif arity == 2:
+                d, b = tr(args[0]), tr(args[1])
+                out[nid] = lam(dag, logic, f, val, d,
+                               _and(dag, b, (d[0], not d[1])))
+            else:
+                out[nid] = kappa(dag, logic, f, val, tr(args[0]))
+    return dag, [tr(r) for r in refs]
 
 
 # ------------------------------------------------------- lifting checks
 
-def _prop_ext(phi, env, k):
-    """Extension of a propositional formula over the palette {0..k-1}."""
-    tag = phi[0]
-    if tag == "top":
-        return frozenset(range(k))
-    if tag == "atom":
-        return env[phi[1]]
-    if tag == "not":
-        return frozenset(range(k)) - _prop_ext(phi[1], env, k)
-    if tag == "and":
-        return _prop_ext(phi[1], env, k) & _prop_ext(phi[2], env, k)
-    if tag == "or":
-        return _prop_ext(phi[1], env, k) | _prop_ext(phi[2], env, k)
-    raise TranslateError("modal operator nested inside a modal argument")
-
-
-def lift_eval(phi, value, env, f, k):
+def lift_eval(dag, ref, value, env, f, k):
     """Whether the F(k)-value satisfies a one-layer modal formula.
 
-    The formula's modalities are applied directly to `value`; their
-    arguments are propositional over the palette with atoms bound by env."""
-    tag = phi[0]
-    if tag == "top":
-        return True
-    if tag == "not":
-        return not lift_eval(phi[1], value, env, f, k)
-    if tag == "and":
-        return (lift_eval(phi[1], value, env, f, k)
-                and lift_eval(phi[2], value, env, f, k))
-    if tag == "or":
-        return (lift_eval(phi[1], value, env, f, k)
-                or lift_eval(phi[2], value, env, f, k))
-    if tag == "dia":
-        return len(set(value[1]) & _prop_ext(phi[1], env, k)) > 0
-    if tag == "box":
-        return (len(value[1]) > 0
-                and set(value[1]) <= _prop_ext(phi[1], env, k))
-    if tag == "w":
-        ext = _prop_ext(phi[2], env, k)
-        return sum((w for j, w in value[1] if j in ext), Fraction(0)) == phi[1]
-    if tag == "sig":
-        return value[1] == phi[1]
-    if tag == "args":
-        ext = _prop_ext(phi[2], env, k)
-        return frozenset(i + 1 for i, cc in enumerate(value[2])
-                         if cc in ext) == phi[1]
-    if tag == "prob":
-        a, p = phi[1], phi[2]
-        idx = f.labels.index(a)
-        branch = value[1][idx]
-        if branch[1] != 0:
-            return False
-        ext = _prop_ext(phi[3], env, k)
-        return sum((w for j, w in branch[2][1] if j in ext), Fraction(0)) >= p
-    raise TranslateError("bad formula node %r" % (tag,))
+    The formula's modalities apply directly to `value`; their arguments
+    are propositional over the palette {0..k-1}, with the nodes of env
+    (node id -> colour set) as atoms.  A modal node's own extension is
+    the whole palette or nothing, so the formula holds iff its extension
+    is not empty."""
+    full = frozenset(range(k))
+    ext = dict(env)
+
+    def at(r):
+        return full - ext[r[0]] if r[1] else ext[r[0]]
+
+    for nid in reachable(dag, [ref], env):
+        node = dag.nodes[nid]
+        if node[0] == "top":
+            ext[nid] = full
+        elif node[0] == "and":
+            ext[nid] = at(node[1]) & at(node[2])
+        elif node[0] == "or":
+            ext[nid] = at(node[1]) | at(node[2])
+        else:
+            _, label, args = node
+            holds = ds_holds(label, value, at(args[0]) if args else full, f)
+            ext[nid] = full if holds else frozenset()
+    return bool(at(ref))
 
 
 def verify_dsi(logic, c, values1, values2, values3):
@@ -353,29 +229,31 @@ def verify_dsi(logic, c, values1, values2, values3):
     Returns a list of violations (empty = all axioms hold)."""
     f = c.functor
     check_compatible(logic, f)
+    dag = FormulaDag()
+    delta, rho = dag.add_ds(("atom", 0), ()), dag.add_ds(("atom", 1), ())
     bad = []
     for o in values1:
-        phi = tau(logic, f, o)
-        hits = {o2 for o2 in values1 if lift_eval(phi, o2, {}, f, 1)}
+        phi = tau(dag, logic, f, o)
+        hits = {o2 for o2 in values1 if lift_eval(dag, phi, o2, {}, f, 1)}
         if hits != {o}:
             bad.append(("tau", o, hits))
-    env3 = {0: frozenset({2}), 1: frozenset({1})}
+    env3 = {delta[0]: frozenset({2}), rho[0]: frozenset({1})}
     for t in values3:
-        phi = lam(logic, f, t, ("atom", 0), ("atom", 1))
+        phi = lam(dag, logic, f, t, delta, rho)
         cls = fmap(t, [0, 1, 1])
         hits = {t2 for t2 in values3
                 if fmap(t2, [0, 1, 1]) == cls
-                and lift_eval(phi, t2, env3, f, 3)}
+                and lift_eval(dag, phi, t2, env3, f, 3)}
         if hits != {t}:
             bad.append(("lambda", t, hits))
     if logic in ("weighted", "signature"):
-        env2 = {0: frozenset({1})}
+        env2 = {delta[0]: frozenset({1})}
         for s in values2:
-            phi = kappa(logic, f, s, ("atom", 0))
+            phi = kappa(dag, logic, f, s, delta)
             out = fmap(s, [0, 0])
             hits = {s2 for s2 in values2
                     if fmap(s2, [0, 0]) == out
-                    and lift_eval(phi, s2, env2, f, 2)}
+                    and lift_eval(dag, phi, s2, env2, f, 2)}
             if hits != {s}:
                 bad.append(("kappa", s, hits))
     return bad
@@ -383,39 +261,24 @@ def verify_dsi(logic, c, values1, values2, values3):
 
 # ------------------------------------------------------------- printing
 
-def pretty_ds(phi):
-    tag = phi[0]
-    if tag == "top":
-        return "true"
-    if tag == "not":
-        return "~" + pretty_ds(phi[1])
-    if tag == "and":
-        return "(%s & %s)" % (pretty_ds(phi[1]), pretty_ds(phi[2]))
-    if tag == "or":
-        return "(%s | %s)" % (pretty_ds(phi[1]), pretty_ds(phi[2]))
+def ds_label(node):
+    """Label renderer of a domain-specific arena, for certdag.expand and
+    certdag.serialize: the text of a node's label, before its argument."""
+    label = node[1]
+    tag = label[0]
     if tag == "dia":
-        return "<>" + pretty_ds(phi[1])
+        return "<>"
     if tag == "box":
-        return "[]" + pretty_ds(phi[1])
+        return "[]"
     if tag == "w":
-        return "<%s>%s" % (phi[1], pretty_ds(phi[2]))
+        return "<%s>" % label[1]
     if tag == "sig":
-        return phi[1]
+        return label[1]
     if tag == "args":
-        return "<{%s}>%s" % (",".join(str(i) for i in sorted(phi[1])),
-                             pretty_ds(phi[2]))
+        return "<{%s}>" % ",".join(str(i) for i in sorted(label[1]))
     if tag == "prob":
-        return "<%s>_{%s}%s" % (phi[1], phi[2], pretty_ds(phi[3]))
-    if tag == "atom":
-        return "_%d" % phi[1]
-    raise TranslateError("bad formula node %r" % (tag,))
-
-
-def ds_size(phi, memo=None):
-    """Tree size of a domain-specific formula (shared subtrees recounted)."""
-    memo = {} if memo is None else memo
-    return _bottom_up(
-        phi, lambda psi: 1 + sum(memo[id(a)] for a in _ds_args(psi)), memo)
+        return "<%s>_{%s}" % label[1:]
+    return "_%d" % label[1]  # an atom of verify_dsi
 
 
 # ------------------------------------------------------------- parsing
@@ -433,32 +296,34 @@ class _DSParser(Scanner):
         if logic not in _MODALITIES:
             raise TranslateError("unknown logic %r" % logic)
         self.logic = logic
+        self.dag = FormulaDag()
 
-    def modal(self, *node):
-        if node[0] not in _MODALITIES[self.logic]:
+    def modal(self, label, *args):
+        if label[0] not in _MODALITIES[self.logic]:
             raise TranslateError("logic %r has no %r modality"
-                                 % (self.logic, node[0]))
-        return node
+                                 % (self.logic, label[0]))
+        return self.dag.add_ds(label, args)
 
     def formula(self):
         if self.try_eat("true"):
             return TOP
         if self.try_eat("~"):
-            return _not(self.formula())
+            nid, neg = self.formula()
+            return (nid, not neg)
         if self.try_eat("("):
             left = self.formula()
             if self.try_eat("&"):
-                op = "and"
+                add = self.dag.add_and
             else:
                 self.eat("|")
-                op = "or"
+                add = self.dag.add_or
             right = self.formula()
             self.eat(")")
-            return (op, left, right)
+            return add(left, right)
         if self.try_eat("<>"):
-            return self.modal("dia", self.formula())
+            return self.modal(("dia",), self.formula())
         if self.try_eat("[]"):
-            return self.modal("box", self.formula())
+            return self.modal(("box",), self.formula())
         if self.try_eat("<"):
             j = self.text.index(">", self.i)
             content = self.text[self.i:j].strip()
@@ -466,22 +331,23 @@ class _DSParser(Scanner):
             if content.startswith("{"):
                 inner = content.strip("{}").strip()
                 idxs = frozenset(int(t) for t in inner.split(",") if t.strip())
-                return self.modal("args", idxs, self.formula())
+                return self.modal(("args", idxs), self.formula())
             if self.try_eat("_{"):
                 jj = self.text.index("}", self.i)
                 p = parse_rational(self.text[self.i:jj])
                 self.i = jj + 1
-                return self.modal("prob", content, p, self.formula())
-            return self.modal("w", parse_rational(content), self.formula())
-        return self.modal("sig", self.token())  # a nullary operation
+                return self.modal(("prob", content, p), self.formula())
+            return self.modal(("w", parse_rational(content)), self.formula())
+        return self.modal(("sig", self.token()))  # a nullary operation
 
 
 def parse_ds(text, logic):
-    """Parse a formula of the domain-specific logic ``logic``; modalities of
-    the other logics raise TranslateError."""
+    """Parse a formula of the domain-specific logic ``logic`` into a fresh
+    arena; returns (dag, reference).  Modalities of the other logics raise
+    TranslateError."""
     try:
         p = _DSParser(text, logic)
-        return p.done(p.formula())
+        return p.dag, p.done(p.formula())
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None
     except RecursionError:  # the parser recurses once per nesting level

@@ -11,7 +11,9 @@ import sys
 import time
 from fractions import Fraction
 
-from coalgcert.certdag import build_certificates, distinguish, reachable
+from coalgcert.certdag import (
+    build_certificates, distinguish, expand, reachable,
+)
 from coalgcert.coalgebra import desugar_composite, parse_coalgebra
 from coalgcert.logic import check_certificates, eval_ref, parse_formula
 from coalgcert.oracle import (
@@ -19,7 +21,7 @@ from coalgcert.oracle import (
     partition_key,
 )
 from coalgcert.refiner import refine
-from coalgcert.translate import eval_ds, parse_ds, pretty_ds, translate, verify_dsi
+from coalgcert.translate import ds_label, parse_ds, translate, verify_dsi
 from conftest import (
     CANCELLATIVE_FUNCTORS, FUNCTORS, load_model, realizable_values,
 )
@@ -137,10 +139,9 @@ def test_criterion_04_transition_system_golden():
     d = distinguish(certs, x, y)
     ok &= eval_ref(certs.dag, d, c) == {x}
     # surface box is total: exactly x can always eventually deadlock-avoid
-    ok &= eval_ds(parse_ds("[]<>true", "hm"), c) == {x}
-    phi = translate(certs, "hm")
-    fx = phi[res.block_of[x]]
-    ext = eval_ds(fx, c)
+    ok &= eval_ref(*parse_ds("[]<>true", "hm"), c) == {x}
+    dag, (fx,) = translate(certs, "hm", [certs.delta[res.block_of[x]]])
+    ext = eval_ref(dag, fx, c)
     ok &= (x in ext) and (y not in ext) and ext == {x}
     report(4, "transition-system golden model: partition, box formula, "
               "translated certificate", bool(ok))
@@ -156,11 +157,11 @@ def test_criterion_05_weighted_golden():
         ok &= partition_key(refine(c, mode=mode).blocks) == expected
     res = refine(c, mode="cancellative")
     certs = build_certificates(c, res)
-    phi = translate(certs, "weighted")
-    fx = phi[res.block_of[idx["x"]]]
-    text = pretty_ds(fx)
+    dag, (fx,) = translate(certs, "weighted",
+                           [certs.delta[res.block_of[idx["x"]]]])
+    text = expand(dag, fx, ds_label)
     ok &= "~" not in text
-    ext = eval_ds(fx, c)
+    ext = eval_ref(dag, fx, c)
     ok &= ext == {idx["x"]}
     report(5, "weighted golden model: partition in all modes, negation-free "
               "certificate separating x from y", bool(ok))
@@ -247,8 +248,8 @@ def test_criterion_09_allocation_budget():
         split_events = (st["iterations"] + st["new_blocks"]
                         + st["refined_parents"])
         budget = 4 * split_events + 2 * c.n
-        if certs.dag.allocs > budget:
-            bad.append((label, certs.dag.allocs, budget))
+        if len(certs.dag.nodes) > budget:
+            bad.append((label, len(certs.dag.nodes), budget))
     report(9, "dag allocations stay within 4x split events + 2n",
            not bad, "" if not bad else repr(bad[:3]))
 

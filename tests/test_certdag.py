@@ -4,6 +4,7 @@ import math
 
 from coalgcert.certdag import (
     FormulaDag, build_certificates, distinguish, expand, reachable, serialize,
+    value_label,
 )
 from coalgcert.logic import eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
@@ -18,8 +19,9 @@ def block_map(res):
 def test_ts1_certificates_golden(ts1):
     res = refine(ts1)
     certs = build_certificates(ts1, res)
+    label = value_label(ts1.functor)
     rendered = {tuple(sorted(states)):
-                expand(certs.dag, certs.delta[bid], ts1.functor)
+                expand(certs.dag, certs.delta[bid], label)
                 for bid, states in zip(res.block_ids, res.blocks)}
     assert rendered[(0,)] == "(<{0}> & <{1}>(<{}>, true))"
     assert rendered[(1, 2)] == "(<{0}> & <{1,2}>(<{}>, true))"
@@ -31,7 +33,8 @@ def test_ts1_distinguish_golden(ts1):
     certs = build_certificates(ts1, res)
     x, x1, y, z = range(4)
     d = distinguish(certs, x, y)
-    assert expand(certs.dag, d, ts1.functor) == "<{1}>(<{}>, true)"
+    assert expand(certs.dag, d, value_label(ts1.functor)) == \
+        "<{1}>(<{}>, true)"
     assert eval_ref(certs.dag, d, ts1) == {x}
     assert distinguish(certs, x1, y) is None
     d = distinguish(certs, y, z)
@@ -138,6 +141,7 @@ def test_deep_chain_walks_without_recursion(ts1):
     for _ in range(5000):
         ref = dag.add_and(ref, leaf)
     assert dag.tree_size(ref) == 10001
-    text = expand(dag, ref, ts1.functor)
+    label = value_label(ts1.functor)
+    text = expand(dag, ref, label)
     assert text == "(" * 5000 + "<{0}>" + " & <{0}>)" * 5000
-    assert expand(dag, (ref[0], True), ts1.functor) == "~" + text
+    assert expand(dag, (ref[0], True), label) == "~" + text

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert import cli
+from coalgcert.certdag import build_certificates, reachable
 from coalgcert.cli import main
+from coalgcert.coalgebra import parse_coalgebra
+from coalgcert.refiner import refine
 
 MODELS = Path(__file__).parent / "models"
 TS1 = str(MODELS / "ts1.model")
@@ -100,6 +103,54 @@ def test_translate_prob(capsys):
     code, out, _ = run(capsys, "translate", PR1, "--logic", "prob")
     assert code == 0
     assert "_{1/2}" in out
+
+
+TS1_HM_LISTING = """\
+functor: P
+blocks:
+  0: x
+  1: z
+  2: x1 y
+dag:
+  #0 = true
+  #1 = <>#0
+  #2 = <>#0
+  #3 = <>~#2
+  #4 = (#1 & ~#3)
+  #5 = <>~#2
+  #6 = <>#2
+  #7 = (#5 & #6)
+  #8 = (#1 & #7)
+certificates:
+  0: #4
+  1: ~#2
+  2: #8
+"""
+
+
+def test_translate_listing_golden(capsys):
+    # the shared listing of certify, with the logic's modalities
+    code, out, _ = run(capsys, "translate", TS1, "--logic", "hm")
+    assert code == 0 and out == TS1_HM_LISTING
+
+
+def test_translate_deep_dag(capsys, tmp_path):
+    # a chain of 1,500 states: the certificate dag is deeper than the
+    # interpreter's recursion limit
+    n = 1500
+    names = ["s%d" % i for i in range(n)]
+    rows = ["%s -> {%s}" % (a, b) for a, b in zip(names, names[1:])]
+    text = "functor: P\nstates: %s\n%s\n%s -> {}\n" % (
+        ", ".join(names), "\n".join(rows), names[-1])
+    model = tmp_path / "chain.model"
+    model.write_text(text)
+    c = parse_coalgebra(text)
+    certs = build_certificates(c, refine(c))
+    assert certs.dag.height() > 1000
+    nodes = len(reachable(certs.dag, list(certs.delta.values())))
+    code, out, err = run(capsys, "translate", str(model), "--logic", "hm")
+    assert code == 0 and not err
+    assert len(out.splitlines()) <= 5 * nodes + 3 * n
 
 
 def test_translate_incompatible_logic(capsys):
@@ -250,6 +301,7 @@ def test_verify_names_block_and_state(capsys, monkeypatch):
     ("ts1", "<1/2>true", None, 2),      # a weight modality on a powerset
     ("mc1", "<>true", None, 2),         # a diamond on weights
     ("mc1", "<>true", "hm", 4),
+    ("mc1", "true", "hm", 4),           # generic syntax, logic still checked
     ("pr1", "<c>_{1/2}true", None, 2),  # a label the functor lacks
     ("mc1", "<1/2>true", "weighted", 0),
 ])
@@ -269,13 +321,33 @@ FORMULA_PIECES = [
 ]
 
 
+MODEL_FILES = sorted(MODELS.glob("*.model"))
+STATE_NAMES = sorted({name for path in MODEL_FILES
+                      for name in parse_coalgebra(path.read_text()).states})
+
+
 @settings(max_examples=300, deadline=None)
-@given(model=st.sampled_from(sorted(MODELS.glob("*.model"))),
+@given(model=st.sampled_from(MODEL_FILES),
+       command=st.sampled_from(["check", "certify", "minimize",
+                                "distinguish", "translate", "stats"]),
        pieces=st.lists(st.sampled_from(FORMULA_PIECES), max_size=8),
-       logic=st.sampled_from([None, "hm", "weighted", "signature", "prob"]))
-def test_check_exit_codes(model, pieces, logic):
-    argv = ["check", str(model), "".join(pieces)]
-    if logic:
+       mode=st.sampled_from([None, "generic", "cancellative", "naive"]),
+       logic=st.sampled_from([None, "hm", "weighted", "signature", "prob"]),
+       names=st.lists(st.sampled_from(STATE_NAMES + ["nope"]),
+                      min_size=2, max_size=2))
+def test_check_exit_codes(model, command, pieces, mode, logic, names):
+    # every subcommand ends in a documented exit code, never a traceback;
+    # no draw requests --verify, so 3 would be a failed internal check
+    argv = [command, str(model)]
+    if command == "check":
+        argv.append("".join(pieces))
+    elif mode:
+        argv += ["--mode", mode]
+    if command == "distinguish":
+        argv += names
+    if command == "translate":
+        argv += ["--logic", logic or "hm"]
+    elif logic and command in ("check", "distinguish"):
         argv += ["--logic", logic]
     assert main(argv) in (0, 2, 4)
 
