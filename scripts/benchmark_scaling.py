@@ -37,7 +37,7 @@ def run(args):
             gc.disable()
             try:
                 t0 = time.process_time()
-                res = refine(c, mode=args.mode)
+                res = refine(c)
                 t1 = time.process_time()
                 certs = build_certificates(c, res)
                 t2 = time.process_time()
@@ -63,8 +63,6 @@ def main():
     ap.add_argument("--avg-degree", type=float, default=4.0,
                     help="average out-degree of generated states")
     ap.add_argument("--max-branch", type=int, default=16)
-    ap.add_argument("--mode", default="generic",
-                    choices=["generic", "naive"])
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     run(ap.parse_args())

@@ -125,12 +125,7 @@ class CertificateSet:
     beta: dict       # compound id -> edge reference
     modal_of: dict   # (event index, block id) -> the conjunct's modal ref
     trace: object
-    blocks: list     # final partition, sorted state lists
-    block_ids: list
-
-    def states_by_block(self):
-        """Block id -> sorted state list of the final partition."""
-        return dict(zip(self.block_ids, self.blocks))
+    blocks: list     # final partition, sorted state lists, by block id
 
 
 def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
@@ -180,7 +175,7 @@ def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
 def build_certificates(c, result, reduced_negation=True):
     """Replay a refinement trace into a certificate set.
 
-    Generic and naive traces carry three-colour keys and produce binary
+    Generic traces carry three-colour keys and produce binary
     modalities with compound formulas; cancellative traces carry two-colour
     keys and produce unary, negation-free certificates."""
     trace = result.trace
@@ -206,11 +201,9 @@ def build_certificates(c, result, reduced_negation=True):
                        else dag.add_modal(val, 1, (dS,)))
                 delta[cid] = dag.add_and(old, mod)
                 modal_of[(i, cid)] = mod
-    live = set(result.block_ids)
-    return CertificateSet(c, dag, trace.mode,
-                          {b: r for b, r in delta.items() if b in live},
-                          beta, modal_of, trace, result.blocks,
-                          result.block_ids)
+    # blocks are never removed, so every block id in delta is final
+    return CertificateSet(c, dag, trace.mode, delta, beta, modal_of, trace,
+                          result.blocks)
 
 
 def distinguish(certs, x, y):
@@ -313,11 +306,11 @@ def serialize(certs, restrict_blocks=None, label=None):
     c = certs.coalgebra
     from .functor import pretty_functor
     label = label or value_label(c.functor)
-    ids = certs.block_ids if restrict_blocks is None else restrict_blocks
+    ids = (range(len(certs.blocks)) if restrict_blocks is None
+           else restrict_blocks)
     lines = ["functor: %s" % pretty_functor(c.functor), "blocks:"]
-    states_of = certs.states_by_block()
     for bid in ids:
-        states = states_of[bid]
+        states = certs.blocks[bid]
         lines.append("  %d: %s" % (bid, " ".join(c.states[s] for s in states)))
     lines.append("dag:")
     for nid in reachable(certs.dag, [certs.delta[bid] for bid in ids]):

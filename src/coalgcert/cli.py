@@ -97,12 +97,12 @@ def _run(c, mode):
 
 def _visible_blocks(certs, visible):
     vis = set(visible)
-    return [bid for bid, states in zip(certs.block_ids, certs.blocks)
+    return [bid for bid, states in enumerate(certs.blocks)
             if states[0] in vis]
 
 
-def _verify(c, mode, result, certs):
-    """The four checks of --verify.  A failure names the check, a block or
+def _verify(c, result, certs):
+    """The three checks of --verify.  A failure names the check, a block or
     compound, and a state."""
     bad = check_certificates(certs, c)
     if bad:
@@ -119,14 +119,9 @@ def _verify(c, mode, result, certs):
         raise CliFailure(VERIFY_ERROR, "%s: %s %s%s"
                          % (where, c.states[x], why, more))
     oracle = naive_bisimilarity(c)
-    want = partition_key(oracle)
-    if partition_key(result.blocks) != want:
+    if partition_key(result.blocks) != partition_key(oracle):
         raise CliFailure(VERIFY_ERROR, "partition differs from the oracle: %s"
                          % _disagreement(c, result.blocks, oracle))
-    cross = refine(c, mode="naive")
-    if partition_key(cross.blocks) != want:
-        raise CliFailure(VERIFY_ERROR, "naive cross-check differs from the "
-                         "oracle: %s" % _disagreement(c, cross.blocks, oracle))
     replayed = replay_trace(result.trace)
     if replayed != result.block_of:
         x = next(x for x in range(c.n) if replayed[x] != result.block_of[x])
@@ -160,16 +155,16 @@ def cmd_certify(args):
     c, visible = _prepare(c0, args.mode)
     result, certs, rms, cms = _run(c, args.mode)
     if args.verify:
-        _verify(c, args.mode, result, certs)
+        _verify(c, result, certs)
     ids = _visible_blocks(certs, visible)
     if args.json:
         nodes = reachable(certs.dag, [certs.delta[b] for b in ids])
         label = value_label(c.functor)
-        states_of = certs.states_by_block()
         payload = {
             "functor": pretty_functor(c.functor),
             "mode": args.mode,
-            "blocks": [{"id": b, "states": [c.states[s] for s in states_of[b]]}
+            "blocks": [{"id": b,
+                        "states": [c.states[s] for s in certs.blocks[b]]}
                        for b in ids],
             "dag": [{"id": nid,
                      "node": render_node(certs.dag, nid, label)}
@@ -308,13 +303,14 @@ def build_parser():
     def common(sp, mode=True):
         sp.add_argument("model", help="model file")
         if mode:
-            sp.add_argument("--mode", choices=("generic", "cancellative",
-                                               "naive"), default="generic")
+            sp.add_argument("--mode", choices=("generic", "cancellative"),
+                            default="generic")
 
     sp = sub.add_parser("certify", help="partition + certificate dag")
     common(sp)
     sp.add_argument("--verify", action="store_true",
-                    help="cross-check against the oracle and naive mode")
+                    help="check the certificates, the partition against "
+                         "the oracle, and the trace")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_certify)

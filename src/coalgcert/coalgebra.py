@@ -288,49 +288,32 @@ def desugar_composite(c):
     names = list(c.states)
     used = set(names)
     sort_of = [0] * c.n
-    structure = [None] * c.n
-    aux_rows = deque()  # (state slot index, depth, inner term) worklist
+    inner = deque()  # (depth, term) of each auxiliary state, in id order
 
-    def fresh_name():
-        i = len(names) - c.n
-        name = "aux%d" % i
-        while name in used:
-            name = "_" + name
-        used.add(name)
-        return name
+    class Slots:
+        """fmap's map at one depth: a state to itself, an inner term
+        ('sub', t) to a fresh auxiliary state holding t one layer down."""
 
-    def walk(term, depth):
-        if type(term) is int:
-            return term
-        tag = term[0]
-        if tag == "sub":
-            # allocate an auxiliary state holding the inner term
-            sid = len(names)
-            names.append(fresh_name())
-            sort_of.append(depth + 1)
-            structure.append(None)
-            aux_rows.append((sid, depth + 1, term[1]))
-            return sid
-        if tag == "set":
-            return ("set", tuple(sorted(walk(e, depth) for e in term[1])))
-        if tag == "vec":
-            return ("vec", tuple(sorted(
-                (walk(s, depth), w) for s, w in term[1])))
-        if tag == "op":
-            return ("op", term[1], tuple(walk(a, depth) for a in term[2]))
-        if tag == "tuple" or tag == "fun":
-            return (tag, tuple(walk(t, depth) for t in term[1]))
-        if tag == "in":
-            return ("in", term[1], walk(term[2], depth))
-        if tag == "atom":
-            return term
-        raise ModelError("bad term tag %r" % (tag,))
+        def __init__(self, depth):
+            self.depth = depth
 
-    for x in range(c.n):
-        structure[x] = ("in", 0, walk(c.structure[x], 0))
-    while aux_rows:
-        sid, depth, inner = aux_rows.popleft()
-        structure[sid] = ("in", depth, walk(inner, depth))
+        def __getitem__(self, slot):
+            if type(slot) is int:
+                return slot
+            name = "aux%d" % (len(names) - c.n)
+            while name in used:
+                name = "_" + name
+            used.add(name)
+            names.append(name)
+            sort_of.append(self.depth + 1)
+            inner.append((self.depth + 1, slot[1]))
+            return len(names) - 1
+
+    slots = [Slots(depth) for depth in range(len(layers))]
+    structure = [("in", 0, fmap(t, slots[0])) for t in c.structure]
+    while inner:
+        depth, t = inner.popleft()
+        structure.append(("in", depth, fmap(t, slots[depth])))
     new_functor = Coproduct(tuple(layers))
     out = Coalgebra(new_functor, tuple(names), tuple(structure))
     return Desugared(out, sort_of, c.n)

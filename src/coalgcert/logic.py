@@ -217,7 +217,7 @@ def check_certificates(certs, c=None):
     memo = {}
     bad = []
     masks = [_mask(states) for states in certs.blocks]
-    for bid, states, want in zip(certs.block_ids, certs.blocks, masks):
+    for bid, (states, want) in enumerate(zip(certs.blocks, masks)):
         got = ev.ext(certs.dag, certs.delta[bid], memo)
         if got != want:
             bad.append((bid, frozenset(states), frozenset(_members(got))))

@@ -11,6 +11,7 @@ stays linear.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,13 @@ class GeneratorSpec:
     max_branch: int = 6        # cap on successors per collection layer
     weight_range: tuple = (1, 4)
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("n must be nonnegative, got %d" % self.n)
+        if not (math.isfinite(self.density) and self.density >= 0):
+            raise ValueError("density must be a nonnegative finite number, "
+                             "got %r" % self.density)
+
     def resolved_functor(self):
         f = self.functor
         return parse_functor(f) if isinstance(f, str) else f
@@ -90,7 +98,8 @@ def generate(spec):
     lo, hi = spec.weight_range
 
     def targets():
-        want = min(n, int(rng.random() * 2 * spec.density * n + 0.5),
+        # clamped before int(): a huge density overflows to inf
+        want = min(int(min(rng.random() * 2 * spec.density * n + 0.5, n)),
                    spec.max_branch)
         return sorted(rng.sample(range(n), want))
 

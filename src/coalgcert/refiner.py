@@ -10,11 +10,11 @@ P-block is refined by the key
                                             1: in B minus S, 2: in S}
     cancellative mode   F(chi_S) . c        over palette {0: outside S, 1: in S}
 
-In these two modes a split costs the edges into S, not the rows of their
-sources.  Every `set` or `vec` node of a structure term is a collection
-leaf, numbered per state in walk order.  Its total weight (the set size,
-or the sum of the entries) is stored once.  Its weight w(l, C) into a
-compound C lives in a cell shared by the leaves of its state: cell (x, C)
+A split costs the edges into S, not the rows of their sources.  Every
+`set` or `vec` node of a structure term is a collection leaf, numbered
+per state in walk order.  Its total weight (the set size, or the sum of
+the entries) is stored once.  Its weight w(l, C) into a compound C
+lives in a cell shared by the leaves of its state: cell (x, C)
 holds the number of edges from x into C and, per leaf l of x, w(l, C).
 Initially each state has one cell, toward the root compound, holding its
 totals.  The in-edges y <- x are kept grouped by target, each with its
@@ -41,7 +41,6 @@ gets with S merged back into its surroundings (into B in generic mode,
 into the outside in cancellative mode); it is computed from the block's
 first touched state.  Keyed states whose key equals the default key
 (possible with cancelling weights) merge back into the default group.
-Naive mode rekeys every state from its whole row each round.
 
 Every refinement step is recorded in a trace from which the certificate
 builder and the distinguishing-formula search replay the whole run.
@@ -59,7 +58,7 @@ from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
 from .values import fmap
 
-MODES = ("generic", "cancellative", "naive")
+MODES = ("generic", "cancellative")
 
 
 # key of a set leaf, by the colours present: bit i set when colour i occurs
@@ -104,9 +103,7 @@ class Trace:
 
 @dataclass
 class PartitionResult:
-    partition: RefinablePartition
-    blocks: list       # sorted state lists, indexed by block id order
-    block_ids: list    # block id per entry of `blocks`
+    blocks: list       # sorted state lists, by block id
     block_of: list
     trace: Trace
     stats: dict
@@ -345,8 +342,7 @@ def refine(c, mode="generic", audit=False):
     """Run partition refinement to behavioural equivalence.
 
     mode: 'generic' uses three-colour keys; 'cancellative' uses the cheaper
-    two-colour keys (sound only for cancellative functors); 'naive' rekeys
-    every state each round with three-colour keys (cross-checking aid).
+    two-colour keys (sound only for cancellative functors).
     """
     if mode not in MODES:
         raise RefineError("unknown mode %r" % mode)
@@ -365,9 +361,8 @@ def refine(c, mode="generic", audit=False):
              "visited_edges": 0, "splitter_states": 0, "max_in_splitter": 0}
     in_splitter = [0] * n  # how often each state sat inside S
     block_of = part.block_of
-    if mode != "naive":
-        weights = _SplitWeights(c)
-        positions = weights.positions
+    weights = _SplitWeights(c)
+    positions = weights.positions
 
     qof = {}            # block id -> compound id
     members = {}        # compound id -> insertion-ordered dict of block ids
@@ -390,6 +385,22 @@ def refine(c, mode="generic", audit=False):
         if len(members[cid]) >= 2 and cid not in queued:
             queue.append(cid)
             queued.add(cid)
+
+    # colours of a state under the current split of S off B
+    three = mode == "generic"
+    if three:
+        def colour(y):
+            b = block_of[y]
+            return 2 if b == S else (1 if qof[b] == cmpB else 0)
+
+        def merged_colour(y):
+            return 1 if qof[block_of[y]] == cmpB else 0
+    else:
+        def colour(y):
+            return 1 if block_of[y] == S else 0
+
+        def merged_colour(y):
+            return 0
 
     if n:
         root = new_compound(list(range(part.num_blocks())), n)
@@ -415,65 +426,33 @@ def refine(c, mode="generic", audit=False):
 
         # phase 1: key the affected states while S still counts as part of B
         plans = []  # (parent, groups dict key->state list, default key or None)
-        if mode == "naive":
-            in_B = [0] * part.num_blocks()
-            for b in members[cmpB]:
-                in_B[b] = 1
-            col = list(map(in_B.__getitem__, block_of))
-            for s in S_states:
-                col[s] = 2
-            stats["visited_edges"] += c.m  # every row, once per round
-            for T in range(part.num_blocks()):
-                t_states = part.block_states(T)
-                if len(t_states) < 2:
-                    continue  # one state cannot split
-                groups = {}
-                for x in t_states:
-                    groups.setdefault(fmap(structure[x], col), []).append(x)
-                if len(groups) > 1:
-                    plans.append((T, groups, None))
-        else:
-            three = mode == "generic"
-            if three:
-                def colour(y):
-                    b = block_of[y]
-                    return 2 if b == S else (1 if qof[b] == cmpB else 0)
-
-                def merged_colour(y):
-                    return 1 if qof[block_of[y]] == cmpB else 0
-            else:
-                def colour(y):
-                    return 1 if block_of[y] == S else 0
-
-                def merged_colour(y):
-                    return 0
-            touched, read = weights.collect(S_states, block_of)
-            stats["visited_edges"] += read
-            for T, t_states in touched.items():
-                for x in t_states:
-                    part.mark(x)
-                groups = {}
-                for x in t_states:
-                    stats["visited_edges"] += positions[x]
-                    groups.setdefault(
-                        weights.key(x, structure[x], colour, three),
-                        []).append(x)
-                default = None
-                if part.marked[T] < part.size(T):
-                    x = t_states[0]
-                    stats["visited_edges"] += positions[x]
-                    default = weights.key(x, structure[x], merged_colour,
-                                          three, merged=True)
-                    groups.pop(default, None)  # cancelled back to the default
-                    if not groups:
-                        part.marked[T] = 0
-                        continue
-                elif len(groups) == 1:
+        touched, read = weights.collect(S_states, block_of)
+        stats["visited_edges"] += read
+        for T, t_states in touched.items():
+            for x in t_states:
+                part.mark(x)
+            groups = {}
+            for x in t_states:
+                stats["visited_edges"] += positions[x]
+                groups.setdefault(
+                    weights.key(x, structure[x], colour, three),
+                    []).append(x)
+            default = None
+            if part.marked[T] < part.size(T):
+                x = t_states[0]
+                stats["visited_edges"] += positions[x]
+                default = weights.key(x, structure[x], merged_colour,
+                                      three, merged=True)
+                groups.pop(default, None)  # cancelled back to the default
+                if not groups:
                     part.marked[T] = 0
                     continue
+            elif len(groups) == 1:
                 part.marked[T] = 0
-                plans.append((T, groups, default))
-            weights.commit(touched)
+                continue
+            part.marked[T] = 0
+            plans.append((T, groups, default))
+        weights.commit(touched)
 
         # phase 2: extract S from its compound (refine Q)
         members[cmpB].pop(S)
@@ -507,10 +486,8 @@ def refine(c, mode="generic", audit=False):
             part.audit()
             assert all(len(ms) >= 1 for ms in members.values())
 
-    block_ids = list(range(part.num_blocks()))
-    blocks = [sorted(part.block_states(b)) for b in block_ids]
-    return PartitionResult(part, blocks, block_ids, list(part.block_of),
-                           trace, stats)
+    blocks = [sorted(part.block_states(b)) for b in range(part.num_blocks())]
+    return PartitionResult(blocks, list(part.block_of), trace, stats)
 
 
 def replay_trace(trace):

@@ -40,8 +40,8 @@ class ValueError_(FunctorError):
 
 
 def fmap(t, g):
-    """F(g)(t) for the map g (a list or a dict) from the states or colours
-    at t's identity positions to colours.  Sets are re-sorted without
+    """F(g)(t) for the map g (anything indexable: a list, a dict) from the
+    states or colours at t's identity positions to colours.  Sets are re-sorted without
     duplicates; weights that land on one colour are summed, zeros dropped."""
     if type(t) is int:
         return g[t]
@@ -60,7 +60,9 @@ def fmap(t, g):
         return (tag, tuple([fmap(u, g) for u in t[1]]))
     if tag == "in":
         return ("in", t[1], fmap(t[2], g))
-    return t  # ('atom', name)
+    if tag == "atom":
+        return t
+    return g[t]  # ('sub', term): an identity position of a composed functor
 
 
 def pretty_value(f, v, k):

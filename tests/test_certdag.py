@@ -13,7 +13,7 @@ from conftest import CANCELLATIVE_FUNCTORS, random_instances
 
 
 def block_map(res):
-    return dict(zip(res.block_ids, res.blocks))
+    return dict(enumerate(res.blocks))
 
 
 def test_ts1_certificates_golden(ts1):
@@ -22,7 +22,7 @@ def test_ts1_certificates_golden(ts1):
     label = value_label(ts1.functor)
     rendered = {tuple(sorted(states)):
                 expand(certs.dag, certs.delta[bid], label)
-                for bid, states in zip(res.block_ids, res.blocks)}
+                for bid, states in enumerate(res.blocks)}
     assert rendered[(0,)] == "(<{0}> & <{1}>(<{}>, true))"
     assert rendered[(1, 2)] == "(<{0}> & <{1,2}>(<{}>, true))"
     assert rendered[(3,)] == "<{}>"
@@ -47,7 +47,7 @@ def test_mc1_cancellative_negation_free(mc1):
     certs = build_certificates(mc1, res)
     listing = serialize(certs)
     assert "~" not in listing
-    for bid, states in zip(res.block_ids, res.blocks):
+    for bid, states in enumerate(res.blocks):
         assert eval_ref(certs.dag, certs.delta[bid], mc1) == set(states)
 
 
@@ -55,7 +55,7 @@ def test_extensions_match_blocks_everywhere():
     for label, c in random_instances(seeds=range(4), n=12):
         res = refine(c)
         certs = build_certificates(c, res)
-        for bid, states in zip(res.block_ids, res.blocks):
+        for bid, states in enumerate(res.blocks):
             ext = eval_ref(certs.dag, certs.delta[bid], c)
             assert ext == set(states), label
 
@@ -65,7 +65,7 @@ def test_reduced_and_unreduced_negation_agree():
         res = refine(c)
         full = build_certificates(c, res, reduced_negation=False)
         red = build_certificates(c, res, reduced_negation=True)
-        for bid in res.block_ids:
+        for bid in range(len(res.blocks)):
             a = eval_ref(full.dag, full.delta[bid], c)
             b = eval_ref(red.dag, red.delta[bid], c)
             assert a == b, label
@@ -128,7 +128,7 @@ def test_cancellative_certificates_random():
         res = refine(c, mode="cancellative")
         certs = build_certificates(c, res)
         assert certs.mode == "cancellative"
-        for bid, states in zip(res.block_ids, res.blocks):
+        for bid, states in enumerate(res.blocks):
             assert eval_ref(certs.dag, certs.delta[bid], c) == set(states), \
                 label
 

@@ -10,7 +10,9 @@ from coalgcert import cli
 from coalgcert.certdag import build_certificates, reachable
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
+from coalgcert.functor import pretty_functor
 from coalgcert.refiner import refine
+from conftest import random_instances
 
 MODELS = Path(__file__).parent / "models"
 TS1 = str(MODELS / "ts1.model")
@@ -191,6 +193,22 @@ def test_gen_deterministic(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n", "-3"], ["--n", "3", "--density", "inf"],
+    ["--n", "3", "--density=-1"], ["--n", "3", "--density", "nan"],
+])
+def test_gen_rejects_bad_size_or_density(capsys, flags):
+    code, out, err = run(capsys, "gen", "--functor", "P", *flags)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "must be" in err
+
+
+def test_gen_huge_density_saturates(capsys):
+    code, out, _ = run(capsys, "gen", "--functor", "P", "--n", "3",
+                       "--density", "1e308")
+    assert code == 0 and out.count("{s0, s1, s2}") == 3
+
+
 def test_composite_model(capsys, tmp_path):
     model = tmp_path / "comp.model"
     model.write_text(
@@ -329,19 +347,28 @@ STATE_NAMES = sorted({name for path in MODEL_FILES
 @settings(max_examples=300, deadline=None)
 @given(model=st.sampled_from(MODEL_FILES),
        command=st.sampled_from(["check", "certify", "minimize",
-                                "distinguish", "translate", "stats"]),
+                                "distinguish", "translate", "stats", "gen"]),
        pieces=st.lists(st.sampled_from(FORMULA_PIECES), max_size=8),
        mode=st.sampled_from([None, "generic", "cancellative", "naive"]),
        logic=st.sampled_from([None, "hm", "weighted", "signature", "prob"]),
        names=st.lists(st.sampled_from(STATE_NAMES + ["nope"]),
-                      min_size=2, max_size=2))
-def test_check_exit_codes(model, command, pieces, mode, logic, names):
+                      min_size=2, max_size=2),
+       n=st.sampled_from([-3, -1, 0, 1, 5]),
+       density=st.sampled_from([-1.0, -0.0, 0.0, 0.3, 2.5, 1e308,
+                                float("inf"), float("-inf"), float("nan")]))
+def test_check_exit_codes(model, command, pieces, mode, logic, names, n,
+                          density):
     # every subcommand ends in a documented exit code, never a traceback;
     # no draw requests --verify, so 3 would be a failed internal check
-    argv = [command, str(model)]
+    if command == "gen":
+        functor = parse_coalgebra(model.read_text()).functor
+        argv = ["gen", "--functor", pretty_functor(functor), "--n=%d" % n,
+                "--density=%r" % density]
+    else:
+        argv = [command, str(model)]
     if command == "check":
         argv.append("".join(pieces))
-    elif mode:
+    elif mode and command != "gen":
         argv += ["--mode", mode]
     if command == "distinguish":
         argv += names
@@ -349,7 +376,14 @@ def test_check_exit_codes(model, command, pieces, mode, logic, names):
         argv += ["--logic", logic or "hm"]
     elif logic and command in ("check", "distinguish"):
         argv += ["--logic", logic]
-    assert main(argv) in (0, 2, 4)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a malformed command line
+        code = e.code
+    if "naive" in argv:
+        assert code == 2
+    else:
+        assert code in ((0, 2) if command == "gen" else (0, 2, 4))
 
 
 @pytest.mark.parametrize("patch, message", [
@@ -364,3 +398,68 @@ def test_verify_names_oracle_and_replay_failures(capsys, monkeypatch, patch,
     code, out, err = run(capsys, "certify", TS1, "--verify")
     assert code == 3 and not out
     assert err == "error: %s\n" % message
+
+
+def _relabel(result, certs, a, b):
+    """Conjunct #a takes the label of its sibling #b: the states of a's
+    block no longer satisfy it."""
+    nodes = certs.dag.nodes
+    nodes[a] = ("modal", nodes[b][1]) + nodes[a][2:]
+
+
+def _move_state(result, certs, x):
+    """State x moves into the next block."""
+    src = result.block_of[x]
+    dst = (src + 1) % len(result.blocks)
+    result.blocks[src].remove(x)
+    result.blocks[dst] = sorted(result.blocks[dst] + [x])
+    result.block_of[x] = dst
+
+
+def _drop_child_state(result, certs, i, r, k):
+    """Child k of refinement r of split i loses a state that no later split
+    moves, so the trace no longer puts that state in its block."""
+    ref = result.trace.splits[i].refinements[r]
+    cid, val, states = ref.children[k]
+    x = next(x for x in states if result.block_of[x] == cid)
+    ref.children[k] = (cid, val, tuple(s for s in states if s != x))
+
+
+def corruptions(result, certs):
+    """(kind, corrupt, args): each corrupt(result, certs, *args) changes
+    one run's output in place."""
+    trace = result.trace
+    siblings = [[certs.modal_of[(-1, b)] for b, _v, _s in trace.init.blocks]]
+    siblings += [[certs.modal_of[(i, cid)] for cid, _v, _s in ref.children]
+                 for i, ev in enumerate(trace.splits)
+                 for ref in ev.refinements]
+    for refs in siblings:
+        if len(refs) >= 2:
+            yield "label", _relabel, (refs[0][0], refs[1][0])
+    if len(result.blocks) >= 2:
+        for x in range(len(result.block_of)):
+            yield "block", _move_state, (x,)
+    for i, ev in enumerate(trace.splits):
+        for r, ref in enumerate(ev.refinements):
+            for k, (cid, _val, states) in enumerate(ref.children):
+                if cid != ref.parent and any(
+                        result.block_of[x] == cid for x in states):
+                    yield "trace", _drop_child_state, (i, r, k)
+
+
+def test_verify_catches_corrupted_output():
+    # a modal label, a block assignment and a trace child, each corrupted
+    # on its own in a fresh run
+    caught = dict.fromkeys(["label", "block", "trace"], 0)
+    for label, c in random_instances():
+        result = refine(c)
+        for kind, corrupt, args in corruptions(result,
+                                               build_certificates(c, result)):
+            run_ = refine(c)
+            certs = build_certificates(c, run_)
+            corrupt(run_, certs, *args)
+            with pytest.raises(cli.CliFailure) as failure:
+                cli._verify(c, run_, certs)
+            assert failure.value.code == cli.VERIFY_ERROR, (label, kind, args)
+            caught[kind] += 1
+    assert min(caught.values()) >= 50, caught

@@ -164,7 +164,7 @@ def test_memoised_equals_fresh(ts1):
     res = refine(ts1)
     certs = build_certificates(ts1, res)
     memo = {}
-    for bid in certs.block_ids:
+    for bid in range(len(certs.blocks)):
         a = eval_ref(certs.dag, certs.delta[bid], ts1, memo)
         b = eval_ref(certs.dag, certs.delta[bid], ts1)
         assert a == b
@@ -181,7 +181,7 @@ def test_check_certificates_detects_corruption(ts1):
     res = refine(ts1)
     certs = build_certificates(ts1, res)
     # point one block's certificate at top: its extension becomes everything
-    victim = next(bid for bid, sts in zip(certs.block_ids, certs.blocks)
+    victim = next(bid for bid, sts in enumerate(certs.blocks)
                   if len(sts) < ts1.n)
     certs.delta[victim] = (0, False)
     bad = check_certificates(certs)

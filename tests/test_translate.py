@@ -226,8 +226,8 @@ def translated_instances(seeds=range(4), n=10):
     for logic, fxs in DEFAULT_LOGIC_FUNCTORS.items():
         for label, c in random_instances(fxs, seeds=seeds, n=n):
             certs = build_certificates(c, refine(c))
-            dag, refs = translate(certs, logic,
-                                  [certs.delta[b] for b in certs.block_ids])
+            roots = [certs.delta[b] for b in range(len(certs.blocks))]
+            dag, refs = translate(certs, logic, roots)
             yield logic, label, c, certs, dag, refs
 
 
@@ -237,7 +237,7 @@ def test_translated_extensions_match_blocks():
             assert eval_ref(dag, ref, c) == set(states), (logic, label)
         # the listing that `translate` prints passes the certificate check
         listing = replace(certs, dag=dag, beta={},
-                          delta=dict(zip(certs.block_ids, refs)))
+                          delta=dict(enumerate(refs)))
         assert check_certificates(listing) == [], (logic, label)
 
 
