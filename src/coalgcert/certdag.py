@@ -23,11 +23,18 @@ suite.
 
 Each conjunct node belongs to exactly one delta chain — sibling children
 never share modal nodes — which is what keeps the flag discipline sound.
+
+distinguish answers from a block-version tree, built in O(n + trace) on its
+first call and kept in CertificateSet.versions: each initial block (under
+a virtual root) and each refinement child is a version, child of T's
+version before the split.  A query climbs to the LCA in O(log n) with
+Myers' skew-binary jump pointers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 from .values import pretty_value
 
@@ -126,6 +133,7 @@ class CertificateSet:
     modal_of: dict   # (event index, block id) -> the conjunct's modal ref
     trace: object
     blocks: list     # final partition, sorted state lists, by block id
+    versions: tuple = field(default=None, init=False, repr=False)
 
 
 def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
@@ -206,44 +214,52 @@ def build_certificates(c, result, reduced_negation=True):
                           result.blocks)
 
 
+def _version_tree(certs):
+    """(leaf version by state, then parent, jump, depth and modal ref by
+    version) of the block-version tree (see the module docstring)."""
+    par, jump, depth, mod = [0], [0], [0], [None]
+    cur = {None: 0}  # block id -> its current version; None: the root
+    trace = certs.trace
+    for i, T, children in chain(
+            [(-1, None, trace.init.blocks)],
+            ((i, ref_.parent, ref_.children)
+             for i, ev in enumerate(trace.splits) for ref_ in ev.refinements)):
+        p = cur[T]
+        for cid, _val, _states in children:
+            j = jump[p]
+            skew = depth[p] - depth[j] == depth[j] - depth[jump[j]]
+            jump.append(jump[j] if skew else p)
+            par.append(p)
+            depth.append(depth[p] + 1)
+            mod.append(certs.modal_of[(i, cid)])
+            cur[cid] = len(par) - 1
+    leaf = {s: cur[bid] for bid, states in enumerate(certs.blocks)
+            for s in states}
+    return leaf, par, jump, depth, mod
+
+
 def distinguish(certs, x, y):
     """Smallest recorded conjunct separating x from y.
 
     Returns an edge reference satisfied by x but not by y, or None when the
-    two states are behaviourally equivalent.  The formula is the single
-    modal conjunct introduced at the first refinement step that put x and y
-    into different blocks."""
-    trace = certs.trace
-    bx = by = None
-    for bid, _val, states in trace.init.blocks:
-        if x in states:
-            bx = bid
-        if y in states:
-            by = bid
-    if bx is None or by is None:
+    two states are behaviourally equivalent.  The formula is the modal ref
+    of the version on x's side just below the LCA of their leaf versions."""
+    if certs.versions is None:
+        certs.versions = _version_tree(certs)
+    leaf, par, jump, depth, mod = certs.versions
+    if x not in leaf or y not in leaf:
         raise CertError("state out of range")
-    if bx != by:
-        return certs.modal_of[(-1, bx)]
-    for i, ev in enumerate(trace.splits):
-        for ref_ in ev.refinements:
-            if ref_.parent != bx:
-                continue
-            bx = _child_of(ref_, x, bx)
-            by = _child_of(ref_, y, by)
-            if bx != by:
-                return certs.modal_of[(i, bx)]
-            break
-    return None
-
-
-def _child_of(ref_, s, parent):
-    default = parent
-    for cid, _val, states in ref_.children:
-        if states is None:
-            default = cid
-        elif s in states:
-            return cid
-    return default
+    a, b = leaf[x], leaf[y]
+    if a == b:
+        return None
+    while depth[a] > depth[b]:  # lift the deeper version
+        a = jump[a] if depth[jump[a]] >= depth[b] else par[a]
+    while depth[b] > depth[a]:
+        b = jump[b] if depth[jump[b]] >= depth[a] else par[b]
+    while par[a] != par[b]:  # climb to the two children of the LCA
+        up = jump if jump[a] != jump[b] else par
+        a, b = up[a], up[b]
+    return mod[a]
 
 
 # ------------------------------------------------------------- rendering

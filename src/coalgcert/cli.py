@@ -122,7 +122,12 @@ def _verify(c, result, certs):
     if partition_key(result.blocks) != partition_key(oracle):
         raise CliFailure(VERIFY_ERROR, "partition differs from the oracle: %s"
                          % _disagreement(c, result.blocks, oracle))
-    replayed = replay_trace(result.trace)
+    try:
+        replayed = replay_trace(result.trace)
+    except RefineError as e:
+        i, bid, x, why = e.args
+        raise CliFailure(VERIFY_ERROR, "trace replay, split %d, block %d: %s "
+                         "%s" % (i, bid, c.states[x], why))
     if replayed != result.block_of:
         x = next(x for x in range(c.n) if replayed[x] != result.block_of[x])
         raise CliFailure(VERIFY_ERROR, "trace replay puts %s in block %s, "

@@ -491,15 +491,33 @@ def refine(c, mode="generic", audit=False):
 
 
 def replay_trace(trace):
-    """Rebuild the final block assignment from the trace alone."""
-    block_of = [None] * trace.n
+    """Rebuild the final block assignment from the trace alone.  Each
+    refinement of T must list distinct states of T, all of them unless a
+    default child keeps the rest, or RefineError(split, T, state, why)."""
+    block_of, listed_in, size = [None] * trace.n, [-1] * trace.n, {}
     for bid, _val, states in trace.init.blocks:
+        size[bid] = len(states)
         for s in states:
             block_of[s] = bid
-    for ev in trace.splits:
+    for i, ev in enumerate(trace.splits):
         for ref in ev.refinements:
+            T, rest = ref.parent, size[ref.parent]  # rest: listed by no child
             for cid, _val, states in ref.children:
-                if states is not None and cid != ref.parent:
-                    for s in states:
-                        block_of[s] = cid
+                for s in states or ():
+                    if block_of[s] != T or listed_in[s] == i:
+                        raise RefineError(i, T, s, "is not in the block, "
+                                          "or listed twice")
+                    listed_in[s], block_of[s] = i, cid
+                if states is not None:
+                    rest -= len(states)
+                    size[cid] = len(states)
+            if ref.children[0][2] is None:  # the default child keeps the rest
+                if not rest:
+                    raise RefineError(i, T, s,
+                                      "leaves the default child empty")
+                size[T] = rest
+            elif rest:
+                x = next(x for x in range(trace.n)
+                         if block_of[x] == T and listed_in[x] != i)
+                raise RefineError(i, T, x, "is in the block but in no child")
     return block_of

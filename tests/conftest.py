@@ -57,6 +57,16 @@ def mc1():
     return load_model("mc1.model")
 
 
+def chain_text(n):
+    """Model text of the powerset chain s0 -> s1 -> ... -> s(n-1): n
+    classes, split one per refinement, so the certificate dag and the
+    block-version tree are about n deep."""
+    names = ["s%d" % i for i in range(n)]
+    rows = ["%s -> {%s}" % (a, b) for a, b in zip(names, names[1:])]
+    return "functor: P\nstates: %s\n%s\n%s -> {}\n" % (
+        ", ".join(names), "\n".join(rows), names[-1])
+
+
 def random_instances(functors=FUNCTORS, seeds=range(8), n=12, density=0.25):
     """Deterministic stream of (label, coalgebra) pairs for cross-checks."""
     for fx in functors:

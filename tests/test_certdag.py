@@ -1,15 +1,20 @@
 """Certificate dag construction, distinguishing formulas, size bounds."""
 
 import math
+import random
+
+import pytest
 
 from coalgcert.certdag import (
-    FormulaDag, build_certificates, distinguish, expand, reachable, serialize,
-    value_label,
+    CertError, FormulaDag, build_certificates, distinguish, expand, reachable,
+    serialize, value_label,
 )
+from coalgcert.coalgebra import desugar_composite, parse_coalgebra
 from coalgcert.logic import eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
 from coalgcert.refiner import refine
-from conftest import CANCELLATIVE_FUNCTORS, random_instances
+from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
+from test_acceptance import composite_instance
 
 
 def block_map(res):
@@ -83,6 +88,91 @@ def test_distinguish_symmetric_soundness():
                 else:
                     ext = eval_ref(certs.dag, d, c)
                     assert (x in ext) != (y in ext), label
+
+
+def scan_distinguish(certs, x, y):
+    """Reference distinguish: follow x and y through the whole trace until
+    a refinement puts them in different blocks."""
+    trace = certs.trace
+    bx = by = None
+    for bid, _val, states in trace.init.blocks:
+        if x in states:
+            bx = bid
+        if y in states:
+            by = bid
+    if bx is None or by is None:
+        raise CertError("state out of range")
+    if bx != by:
+        return certs.modal_of[(-1, bx)]
+    for i, ev in enumerate(trace.splits):
+        for ref_ in ev.refinements:
+            if ref_.parent != bx:
+                continue
+            bx = _child_of(ref_, x, bx)
+            by = _child_of(ref_, y, by)
+            if bx != by:
+                return certs.modal_of[(i, bx)]
+            break
+    return None
+
+
+def _child_of(ref_, s, parent):
+    default = parent
+    for cid, _val, states in ref_.children:
+        if states is None:
+            default = cid
+        elif s in states:
+            return cid
+    return default
+
+
+def reference_cases():
+    """(label, coalgebra, mode) for the comparison with the scan."""
+    for label, c in random_instances():
+        yield label, c, "generic"
+    for label, c in random_instances(CANCELLATIVE_FUNCTORS):
+        yield label, c, "cancellative"
+    for seed in range(16):
+        yield ("composite seed=%d" % seed,
+               desugar_composite(composite_instance(seed)).coalgebra,
+               "generic")
+    for k in range(3, 7):
+        yield "layered k=%d" % k, layered_worstcase(k), "generic"
+
+
+def test_distinguish_matches_scan():
+    for label, c, mode in reference_cases():
+        certs = build_certificates(c, refine(c, mode=mode))
+        for x in range(c.n):
+            for y in range(c.n):
+                assert distinguish(certs, x, y) == \
+                    scan_distinguish(certs, x, y), (label, mode, x, y)
+
+
+def test_distinguish_deep_chain_matches_scan():
+    # version depth 1,499: far past the interpreter's recursion limit
+    c = parse_coalgebra(chain_text(1500))
+    certs = build_certificates(c, refine(c))
+    rng = random.Random(0)
+    pairs = [(rng.randrange(c.n), rng.randrange(c.n)) for _ in range(2000)]
+    pairs += [(0, c.n - 1), (c.n - 1, 0), (c.n - 2, c.n - 1)]
+    for x, y in pairs:
+        assert distinguish(certs, x, y) == scan_distinguish(certs, x, y)
+    _leaf, _par, jump, depth, _mod = certs.versions
+    v = max(range(len(depth)), key=depth.__getitem__)
+    assert depth[v] > 1000
+    hops = 0  # jump pointers reach the root in O(log depth) hops
+    while v:
+        v, hops = jump[v], hops + 1
+    assert hops <= 2 * math.log2(len(depth))
+
+
+def test_distinguish_out_of_range(ts1):
+    certs = build_certificates(ts1, refine(ts1))
+    n = ts1.n
+    for x, y in ((-1, 0), (n, 0), (0, -1), (0, n)):
+        with pytest.raises(CertError):
+            distinguish(certs, x, y)
 
 
 def test_serialize_mentions_blocks(ts1):

@@ -12,7 +12,7 @@ from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import pretty_functor
 from coalgcert.refiner import refine
-from conftest import random_instances
+from conftest import chain_text, random_instances
 
 MODELS = Path(__file__).parent / "models"
 TS1 = str(MODELS / "ts1.model")
@@ -140,10 +140,7 @@ def test_translate_deep_dag(capsys, tmp_path):
     # a chain of 1,500 states: the certificate dag is deeper than the
     # interpreter's recursion limit
     n = 1500
-    names = ["s%d" % i for i in range(n)]
-    rows = ["%s -> {%s}" % (a, b) for a, b in zip(names, names[1:])]
-    text = "functor: P\nstates: %s\n%s\n%s -> {}\n" % (
-        ", ".join(names), "\n".join(rows), names[-1])
+    text = chain_text(n)
     model = tmp_path / "chain.model"
     model.write_text(text)
     c = parse_coalgebra(text)
@@ -416,12 +413,10 @@ def _move_state(result, certs, x):
     result.block_of[x] = dst
 
 
-def _drop_child_state(result, certs, i, r, k):
-    """Child k of refinement r of split i loses a state that no later split
-    moves, so the trace no longer puts that state in its block."""
+def _drop_state(result, certs, i, r, k, x):
+    """Child k of refinement r of split i loses state x."""
     ref = result.trace.splits[i].refinements[r]
     cid, val, states = ref.children[k]
-    x = next(x for x in states if result.block_of[x] == cid)
     ref.children[k] = (cid, val, tuple(s for s in states if s != x))
 
 
@@ -439,18 +434,34 @@ def corruptions(result, certs):
     if len(result.blocks) >= 2:
         for x in range(len(result.block_of)):
             yield "block", _move_state, (x,)
+    # a moved child loses a state that no later split moves, which then
+    # replays into the wrong block, or each state that a later split moves
+    # again, which replays into the right one
     for i, ev in enumerate(trace.splits):
         for r, ref in enumerate(ev.refinements):
             for k, (cid, _val, states) in enumerate(ref.children):
-                if cid != ref.parent and any(
-                        result.block_of[x] == cid for x in states):
-                    yield "trace", _drop_child_state, (i, r, k)
+                if cid == ref.parent:
+                    continue
+                x = next((x for x in states if result.block_of[x] == cid),
+                         None)
+                if x is not None:
+                    yield "trace", _drop_state, (i, r, k, x)
+    moved_later = set()  # states that a split after the current one moves
+    for i in reversed(range(len(trace.splits))):
+        for r, ref in enumerate(trace.splits[i].refinements):
+            for k, (cid, _val, states) in enumerate(ref.children):
+                if cid != ref.parent:
+                    for x in moved_later.intersection(states):
+                        yield "moved again", _drop_state, (i, r, k, x)
+        moved_later.update(x for ref in trace.splits[i].refinements
+                           for cid, _val, states in ref.children
+                           if cid != ref.parent for x in states)
 
 
 def test_verify_catches_corrupted_output():
     # a modal label, a block assignment and a trace child, each corrupted
     # on its own in a fresh run
-    caught = dict.fromkeys(["label", "block", "trace"], 0)
+    caught = dict.fromkeys(["label", "block", "trace", "moved again"], 0)
     for label, c in random_instances():
         result = refine(c)
         for kind, corrupt, args in corruptions(result,

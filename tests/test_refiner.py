@@ -64,6 +64,36 @@ def test_replay_trace_reproduces_partition():
             assert replay_trace(res.trace) == res.block_of, (label, mode)
 
 
+def test_replay_trace_checks_listings():
+    # each refinement without a default child, listed wrongly in one of
+    # three ways: replay names its split, its block and the state
+    checked = 0
+    for label, c in random_instances():
+        trace = refine(c).trace
+        for i, ev in enumerate(trace.splits):
+            for ref in ev.refinements:
+                saved = ref.children
+                (T, val, kept), (cid, val2, moved), *rest = saved
+                if kept is None:
+                    continue
+                wrong = [
+                    ([(T, val, kept[1:])] + saved[1:], kept[0], "in no child"),
+                    ([(T, val, kept + kept[:1])] + saved[1:], kept[0],
+                     "listed twice"),
+                    ([(T, val, None)] + rest + [(cid, val2, moved + kept)],
+                     kept[-1], "leaves the default child empty"),
+                ]
+                for children, x, why in wrong:
+                    ref.children = children
+                    with pytest.raises(RefineError) as err:
+                        replay_trace(trace)
+                    assert err.value.args[:3] == (i, T, x), label
+                    assert why in err.value.args[3], label
+                    checked += 1
+                ref.children = saved
+    assert checked >= 100, checked
+
+
 def test_block_of_consistent():
     for label, c in random_instances(seeds=range(3), n=10):
         res = refine(c)
