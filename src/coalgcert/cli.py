@@ -25,8 +25,8 @@ from .logic import EvalError, check_certificates, eval_ref, parse_formula
 from .oracle import GeneratorSpec, generate, naive_bisimilarity, partition_key
 from .refiner import RefineError, refine, replay_trace
 from .translate import (
-    TranslateError, check_compatible, default_logic, ds_label, parse_ds,
-    translate,
+    LOGICS, TranslateError, check_compatible, default_logic, ds_label,
+    parse_ds, translate,
 )
 
 OK, INPUT_ERROR, VERIFY_ERROR, INCOMPATIBLE = 0, 2, 3, 4
@@ -247,7 +247,8 @@ def cmd_translate(args):
     c0 = _load(args.model)
     c, visible = _prepare(c0, args.mode)
     _require_logic(c, args.logic)
-    if args.mode == "cancellative" and args.logic in ("hm", "prob"):
+    # hm fits only P, which _prepare has already refused in cancellative mode
+    if args.mode == "cancellative" and args.logic == "prob":
         raise CliFailure(INCOMPATIBLE,
                          "logic %r needs certificates from generic mode"
                          % args.logic)
@@ -325,7 +326,7 @@ def build_parser():
     common(sp)
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.add_argument("--logic", choices=("hm", "weighted", "signature", "prob"))
+    sp.add_argument("--logic", choices=LOGICS)
     sp.set_defaults(func=cmd_distinguish)
 
     sp = sub.add_parser("minimize", help="quotient by behavioural equivalence")
@@ -336,14 +337,13 @@ def build_parser():
     sp = sub.add_parser("check", help="states satisfying a formula")
     common(sp, mode=False)
     sp.add_argument("formula")
-    sp.add_argument("--logic", choices=("hm", "weighted", "signature", "prob"))
+    sp.add_argument("--logic", choices=LOGICS)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("translate",
                         help="certificates in a domain-specific logic")
     common(sp)
-    sp.add_argument("--logic", required=True,
-                    choices=("hm", "weighted", "signature", "prob"))
+    sp.add_argument("--logic", required=True, choices=LOGICS)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_translate)
 

@@ -158,8 +158,12 @@ def parse_coalgebra(text):
             continue
         try:
             if line.startswith("functor:"):
+                if functor is not None:
+                    raise ModelError("duplicate functor: line")
                 functor = parse_functor(line[len("functor:"):])
             elif line.startswith("states:"):
+                if states is not None:
+                    raise ModelError("duplicate states: line")
                 names = [s.strip() for s in line[len("states:"):].split(",")]
                 names = [s for s in names if s]
                 if len(set(names)) != len(names):

@@ -4,6 +4,11 @@ A functor expression fixes the branching type of a coalgebra.  The unary
 collection functors (powerset, monoid-valued, distribution) always apply to
 the state set implicitly, so they appear as leaves of the expression; only
 product, coproduct, exponent and composition combine sub-expressions.
+
+This module is the bottom of the package's import graph, so it also holds
+Scanner, the position in a text that every parser of the package reads
+through: the functor grammar here, and the readers of model rows, value
+literals and formulas, which import it.
 """
 
 from __future__ import annotations
@@ -83,146 +88,159 @@ FunctorExpr = (
     | Signature | Product | Coproduct | Exponent | Composite
 )
 
-_MONOID_TOKENS = {"R^(X)": REAL, "Z^(X)": INT, "N^(X)": NAT}
 _MONOID_NAMES = {REAL: "R^(X)", INT: "Z^(X)", NAT: "N^(X)"}
 
-_TOKEN_RE = re.compile(
-    r"\s*(R\^\(X\)|Z\^\(X\)|N\^\(X\)|B\^\(X\)|D\(X\)|Sig\b|[A-Za-z_][A-Za-z_0-9]*"
-    r"|\d+|\^\{|[(){},+./]|\^)"
-)
+
+# ------------------------------------------------------------- scanning
+
+_SPACE = re.compile(r"\s*").match
+_NAME = re.compile(r"\s*(\w+)").match  # letters, digits and _
 
 
-def _tokenize(text):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise FunctorError("bad character %r at position %d" % (text[pos], pos))
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    out.append((None, len(text)))
-    return out
+class Scanner:
+    """Position in a text, shared by the package's parsers.
 
+    Each method skips whitespace first.  Errors raise the subclass's
+    ``error`` class, so every parser raises only its own error."""
 
-class _Parser:
     def __init__(self, text):
         self.text = text
-        self.toks = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.toks[self.i][0]
+    def done(self, value):
+        """value, once nothing but whitespace is left of the text."""
+        self.i = _SPACE(self.text, self.i).end()
+        if self.i != len(self.text):
+            raise self.error("trailing input %r" % self.text[self.i:])
+        return value
 
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok[0]
+    # eat and try_eat look for s before skipping whitespace, the rarer case
+    def eat(self, s):
+        text, i = self.text, self.i
+        if not text.startswith(s, i):
+            i = self.i = _SPACE(text, i).end()
+            if not text.startswith(s, i):
+                raise self.error("expected %r at %r" % (s, text[i:]))
+        self.i = i + len(s)
 
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise FunctorError(
-                "expected %r, got %r in functor %r" % (tok, got, self.text))
-        return got
+    def try_eat(self, s):
+        text, i = self.text, self.i
+        if not text.startswith(s, i):
+            i = self.i = _SPACE(text, i).end()
+            if not text.startswith(s, i):
+                return False
+        self.i = i + len(s)
+        return True
 
-    def parse(self):
-        f = self.expr()
-        if self.peek() is not None:
-            raise FunctorError(
-                "trailing input %r in functor %r" % (self.peek(), self.text))
-        return f
+    def token(self, match=_NAME):
+        m = match(self.text, self.i)
+        if m is None:
+            raise self.error("expected a name at %r" % self.text[self.i:])
+        self.i = m.end()
+        return m.group(1)
+
+    def index(self, what):
+        tok = self.token()
+        if not tok.isdecimal():
+            raise self.error("expected %s, got %r" % (what, tok))
+        return int(tok)
+
+    def items(self, close, item):
+        """item(), comma-separated, up to the bracket ``close``."""
+        out = []
+        if not self.try_eat(close):
+            while True:
+                out.append(item())
+                if self.try_eat(close):
+                    return out
+                self.eat(",")
+        return out
+
+
+# ------------------------------------------------------- functor grammar
+
+_OPERATION = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)").match
+_LABEL = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+)").match  # and atoms
+_TIMES = re.compile(r"\s*x(?![A-Za-z_0-9])").match  # x, not a name's prefix
+_LEAVES = {"R^(X)": MonoidValued(REAL), "Z^(X)": MonoidValued(INT),
+           "N^(X)": MonoidValued(NAT), "B^(X)": Powerset(),
+           "D(X)": Distribution()}
+
+
+class _Parser(Scanner):
+    error = FunctorError
 
     def expr(self):
         # '.' (composition) binds loosest
         f = self.coprod()
-        while self.peek() == ".":
-            self.next()
+        while self.try_eat("."):
             f = Composite(f, self.coprod())
         return f
 
     def coprod(self):
         parts = [self.prod()]
-        while self.peek() == "+":
-            self.next()
+        while self.try_eat("+"):
             parts.append(self.prod())
         return parts[0] if len(parts) == 1 else Coproduct(tuple(parts))
 
     def prod(self):
         parts = [self.postfix()]
-        while self.peek() == "x":
-            self.next()
+        while _TIMES(self.text, self.i):
+            self.eat("x")
             parts.append(self.postfix())
         return parts[0] if len(parts) == 1 else Product(tuple(parts))
 
     def postfix(self):
         f = self.atom()
-        while self.peek() == "^{":
-            self.next()
-            labels = self.ident_list("}")
-            f = Exponent(f, labels)
+        while self.try_eat("^{"):
+            f = Exponent(f, self.labels())
         return f
 
-    def ident_list(self, closer):
-        names = []
-        while True:
-            tok = self.next()
-            if tok is None or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*|\d+", tok):
-                raise FunctorError("expected name, got %r" % (tok,))
-            names.append(tok)
-            tok = self.next()
-            if tok == closer:
-                break
-            if tok != ",":
-                raise FunctorError("expected ',' or %r, got %r" % (closer, tok))
-        if len(set(names)) != len(names):
-            raise FunctorError("duplicate name in %r" % (names,))
-        return tuple(names)
+    def labels(self):
+        """Distinct labels or atoms, comma-separated up to '}'."""
+        out = self.items("}", lambda: self.token(_LABEL))
+        if not out or len(set(out)) != len(out):
+            raise FunctorError("expected distinct names, got %r" % (out,))
+        return tuple(out)
+
+    def operation(self):
+        name = self.token(_OPERATION)
+        self.eat("/")
+        return name, self.index("an arity")
 
     def atom(self):
-        tok = self.next()
-        if tok == "(":
+        if self.try_eat("("):
             f = self.expr()
-            self.expect(")")
+            self.eat(")")
             return f
-        if tok == "X":
+        for text, leaf in _LEAVES.items():
+            if self.try_eat(text):
+                return leaf
+        name = self.token(_OPERATION)
+        if name == "X":
             return Identity()
-        if tok == "P" or tok == "B^(X)":
+        if name == "P":
             return Powerset()
-        if tok == "D(X)":
-            return Distribution()
-        if tok in _MONOID_TOKENS:
-            return MonoidValued(_MONOID_TOKENS[tok])
-        if tok == "C":
-            self.expect("{")
-            return Constant(self.ident_list("}"))
-        if tok == "Sig":
-            self.expect("(")
-            ops = []
-            while True:
-                name = self.next()
-                if name is None or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-                    raise FunctorError("expected operation name, got %r" % (name,))
-                self.expect("/")
-                ar = self.next()
-                if ar is None or not ar.isdigit():
-                    raise FunctorError("expected arity, got %r" % (ar,))
-                ops.append((name, int(ar)))
-                tok = self.next()
-                if tok == ")":
-                    break
-                if tok != ",":
-                    raise FunctorError("expected ',' or ')', got %r" % (tok,))
-            if len({n for n, _ in ops}) != len(ops):
-                raise FunctorError("duplicate operation name")
+        if name == "C":
+            self.eat("{")
+            return Constant(self.labels())
+        if name == "Sig":
+            self.eat("(")
+            ops = self.items(")", self.operation)
+            if not ops or len(dict(ops)) != len(ops):
+                raise FunctorError("expected distinct operations, got %r"
+                                   % (ops,))
             return Signature(tuple(ops))
-        raise FunctorError("unexpected token %r in functor %r" % (tok, self.text))
+        raise FunctorError("unexpected %r in functor %r" % (name, self.text))
 
 
 def parse_functor(text):
     """Parse a functor expression from its concrete syntax."""
-    return _Parser(text).parse()
+    p = _Parser(text)
+    try:
+        return p.done(p.expr())
+    except RecursionError:  # the parser recurses once per nesting level
+        raise FunctorError("functor nested too deeply") from None
 
 
 def pretty_functor(f, _prec=0):

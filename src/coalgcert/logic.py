@@ -25,8 +25,6 @@ and once per keyed state."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .certdag import FormulaDag, reachable
 from .coalgebra import predecessor_lists
 from .values import (
@@ -153,19 +151,19 @@ class _Extensions:
         f = self.c.functor
         out = 0
         for key, states in self.const(L).items():
-            if ds_holds(label, key, (1,), f):
+            if ds_holds(label, key, f):
                 out |= states
         structure = self.c.structure
         hits = 0
         for x in _members(keyed):
-            if ds_holds(label, fmap(structure[x], col), (1,), f):
+            if ds_holds(label, fmap(structure[x], col), f):
                 hits |= 1 << x
         return out & ~keyed | hits
 
 
-def ds_holds(label, value, inside, f):
-    """Whether a value of F(k) satisfies the domain-specific modality
-    `label` of functor f, whose argument holds at the colours in `inside`.
+def ds_holds(label, value, f):
+    """Whether a value of F(2) satisfies the domain-specific modality
+    `label` of functor f, whose argument holds at colour 1.
 
         ('dia',)        some successor satisfies the argument
         ('box',)        there is a successor, and all satisfy it
@@ -176,24 +174,22 @@ def ds_holds(label, value, inside, f):
                         probability at least p"""
     tag = label[0]
     if tag == "dia":
-        return any(j in inside for j in value[1])
+        return 1 in value[1]
     if tag == "box":
-        return bool(value[1]) and all(j in inside for j in value[1])
+        return value[1] == (1,)  # a sorted set without duplicates
     if tag == "w":
-        return sum((w for j, w in value[1] if j in inside),
-                   Fraction(0)) == label[1]
+        return dict(value[1]).get(1, 0) == label[1]
     if tag == "sig":
         return value[1] == label[1]
     if tag == "args":
         return frozenset(i + 1 for i, j in enumerate(value[2])
-                         if j in inside) == label[1]
+                         if j == 1) == label[1]
     if tag == "prob":
         _, a, p = label
         if a not in f.labels:
             raise EvalError("unknown label %r" % a)
         branch = value[1][f.labels.index(a)]
-        return branch[1] == 0 and sum(
-            (w for j, w in branch[2][1] if j in inside), Fraction(0)) >= p
+        return branch[1] == 0 and dict(branch[2][1]).get(1, 0) >= p
     raise EvalError("unsubstituted placeholder in formula")
 
 

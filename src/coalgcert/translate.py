@@ -36,7 +36,8 @@ from .functor import (
     Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
     Signature, pretty_functor,
 )
-from .logic import ds_holds
+from .coalgebra import Coalgebra
+from .logic import _Extensions, _members
 from .values import Scanner, fmap, parse_rational
 
 LOGICS = ("hm", "weighted", "signature", "prob")
@@ -189,33 +190,22 @@ def translate(certs, logic, refs):
 
 # ------------------------------------------------------- lifting checks
 
-def lift_eval(dag, ref, value, env, f, k):
-    """Whether the F(k)-value satisfies a one-layer modal formula.
+def _one_step(f, k, values, dag, atoms):
+    """Satisfaction of one-layer formulas by candidate values.
 
-    The formula's modalities apply directly to `value`; their arguments
-    are propositional over the palette {0..k-1}, with the nodes of env
-    (node id -> colour set) as atoms.  A modal node's own extension is
-    the whole palette or nothing, so the formula holds iff its extension
-    is not empty."""
-    full = frozenset(range(k))
-    ext = dict(env)
+    The one-step coalgebra has the k colours of a palette as its states
+    0..k-1, and state k+i with the i-th value as its row; the colours'
+    rows repeat the first value and are never read.  atoms maps the
+    arena's atom nodes to their colours.  Returns sat(phi), the set of
+    values at which the formula phi holds."""
+    values = list(values)
+    rows = values[:1] * k + values
+    ev = _Extensions(Coalgebra(f, tuple(range(len(rows))), tuple(rows)))
+    memo = {nid: 1 << colour for nid, colour in atoms.items()}
 
-    def at(r):
-        return full - ext[r[0]] if r[1] else ext[r[0]]
-
-    for nid in reachable(dag, [ref], env):
-        node = dag.nodes[nid]
-        if node[0] == "top":
-            ext[nid] = full
-        elif node[0] == "and":
-            ext[nid] = at(node[1]) & at(node[2])
-        elif node[0] == "or":
-            ext[nid] = at(node[1]) | at(node[2])
-        else:
-            _, label, args = node
-            holds = ds_holds(label, value, at(args[0]) if args else full, f)
-            ext[nid] = full if holds else frozenset()
-    return bool(at(ref))
+    def sat(phi):
+        return {values[i] for i in _members(ev.ext(dag, phi, memo) >> k)}
+    return sat
 
 
 def verify_dsi(logic, c, values1, values2, values3):
@@ -226,34 +216,33 @@ def verify_dsi(logic, c, values1, values2, values3):
     among the one-colour values; for every t the open formula lam(t) must
     single out t among the three-colour values that agree with t once the
     two inner colours are merged; analogously for kappa where defined.
+    The formulas are evaluated by logic's bitset pass on the one-step
+    coalgebra of each palette (see _one_step), where the atoms delta and
+    rho hold at colours 2 and 1, and delta at colour 1 for kappa.
     Returns a list of violations (empty = all axioms hold)."""
     f = c.functor
     check_compatible(logic, f)
     dag = FormulaDag()
     delta, rho = dag.add_ds(("atom", 0), ()), dag.add_ds(("atom", 1), ())
     bad = []
+    sat = _one_step(f, 1, values1, dag, {})
     for o in values1:
-        phi = tau(dag, logic, f, o)
-        hits = {o2 for o2 in values1 if lift_eval(dag, phi, o2, {}, f, 1)}
+        hits = sat(tau(dag, logic, f, o))
         if hits != {o}:
             bad.append(("tau", o, hits))
-    env3 = {delta[0]: frozenset({2}), rho[0]: frozenset({1})}
+    sat = _one_step(f, 3, values3, dag, {delta[0]: 2, rho[0]: 1})
     for t in values3:
-        phi = lam(dag, logic, f, t, delta, rho)
         cls = fmap(t, [0, 1, 1])
-        hits = {t2 for t2 in values3
-                if fmap(t2, [0, 1, 1]) == cls
-                and lift_eval(dag, phi, t2, env3, f, 3)}
+        hits = {t2 for t2 in sat(lam(dag, logic, f, t, delta, rho))
+                if fmap(t2, [0, 1, 1]) == cls}
         if hits != {t}:
             bad.append(("lambda", t, hits))
     if logic in ("weighted", "signature"):
-        env2 = {delta[0]: frozenset({1})}
+        sat = _one_step(f, 2, values2, dag, {delta[0]: 1})
         for s in values2:
-            phi = kappa(dag, logic, f, s, delta)
             out = fmap(s, [0, 0])
-            hits = {s2 for s2 in values2
-                    if fmap(s2, [0, 0]) == out
-                    and lift_eval(dag, phi, s2, env2, f, 2)}
+            hits = {s2 for s2 in sat(kappa(dag, logic, f, s, delta))
+                    if fmap(s2, [0, 0]) == out}
             if hits != {s}:
                 bad.append(("kappa", s, hits))
     return bad

@@ -20,8 +20,9 @@ every identity position:
 
 Value literals use the syntax of model rows, with colours at identity
 positions and dense weights ``(w0, w1, ...)``, which is also how
-pretty_value prints them.  ShapeReader reads both; Scanner is the scanner
-of every parser in the package.
+pretty_value prints them.  ShapeReader reads both.  It is a Scanner, the
+scanner of every parser in the package; Scanner lives in functor.py, whose
+grammar is its first user, and is imported here for the other parsers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from .functor import (
     Constant, Coproduct, Distribution, Exponent, FunctorError,
-    Identity, MonoidValued, Powerset, Product, Signature,
+    Identity, MonoidValued, Powerset, Product, Scanner, Signature,
 )
 
 
@@ -99,64 +100,7 @@ def parse_rational(text, error=ValueError_):
 
 # ------------------------------------------------------ concrete syntax
 
-_SPACE = re.compile(r"\s*").match
-_NAME = re.compile(r"\s*(\w+)").match       # letters, digits and _
 _NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25
-
-
-class Scanner:
-    """Position in a text, shared by the package's parsers.
-
-    Each method skips whitespace first.  Errors raise the subclass's
-    ``error`` class, so every parser raises only its own error."""
-
-    def __init__(self, text):
-        self.text = text
-        self.i = 0
-
-    def ws(self):
-        self.i = _SPACE(self.text, self.i).end()
-
-    def done(self, value):
-        """value, once nothing but whitespace is left of the text."""
-        self.ws()
-        if self.i != len(self.text):
-            raise self.error("trailing input %r" % self.text[self.i:])
-        return value
-
-    # eat and try_eat look for s before skipping whitespace, the rarer case
-    def eat(self, s):
-        text, i = self.text, self.i
-        if not text.startswith(s, i):
-            i = self.i = _SPACE(text, i).end()
-            if not text.startswith(s, i):
-                raise self.error("expected %r at %r" % (s, text[i:]))
-        self.i = i + len(s)
-
-    def try_eat(self, s):
-        text, i = self.text, self.i
-        if not text.startswith(s, i):
-            i = self.i = _SPACE(text, i).end()
-            if not text.startswith(s, i):
-                return False
-        self.i = i + len(s)
-        return True
-
-    def token(self, match=_NAME):
-        m = match(self.text, self.i)
-        if m is None:
-            raise self.error("expected a name at %r" % self.text[self.i:])
-        self.i = m.end()
-        return m.group(1)
-
-    def index(self, what):
-        tok = self.token()
-        if not tok.isdecimal():
-            raise self.error("expected %s, got %r" % (what, tok))
-        return int(tok)
-
-    def rational(self):
-        return parse_rational(self.token(_NUMBER), self.error)
 
 
 class ShapeReader(Scanner):
@@ -166,16 +110,8 @@ class ShapeReader(Scanner):
     ``{x, y}``.  A subclass supplies ``slot()``, which reads an identity
     position (a state or a colour), and ``weights(f)``, a weight layer."""
 
-    def items(self, close, item):
-        """item(), comma-separated, up to the bracket ``close``."""
-        out = []
-        if not self.try_eat(close):
-            while True:
-                out.append(item())
-                if self.try_eat(close):
-                    return out
-                self.eat(",")
-        return out
+    def rational(self):
+        return parse_rational(self.token(_NUMBER), self.error)
 
     def labelled(self, f):
         lab = self.token()

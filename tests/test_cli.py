@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coalgcert import cli
+from coalgcert import certdag, cli
 from coalgcert.certdag import build_certificates, reachable
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
@@ -474,3 +475,16 @@ def test_verify_catches_corrupted_output():
             assert failure.value.code == cli.VERIFY_ERROR, (label, kind, args)
             caught[kind] += 1
     assert min(caught.values()) >= 50, caught
+
+
+def test_benchmark_names_exist():
+    # the benchmark harness reaches into cli and certdag by name: its
+    # tracer wraps every key of tracing.CLI_CALLS, and run.py calls the
+    # rest directly; read tracing.py by path, without importing benchmark/
+    path = Path(__file__).parent.parent / "benchmark" / "tracing.py"
+    calls = runpy.run_path(str(path))["CLI_CALLS"]  # writes no bytecode
+    names = list(calls) + [
+        "_load", "_prepare", "refine", "VERIFY_ERROR", "main"]
+    assert [n for n in names if not hasattr(cli, n)] == []
+    assert callable(certdag.build_certificates)
+    assert callable(certdag.distinguish)

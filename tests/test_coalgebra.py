@@ -48,9 +48,25 @@ def test_degrees_predecessors(ts1):
     "functor: P + C{a}\nstates: s\ns -> inx({s})",  # injection not a number
     "functor: Sig(f/1)\nstates: a\na -> t",       # unknown operation
     "functor: R^(X)\nstates: a\na -> {a: x}",     # weight not a number
+    # a repeated header line; a functor nested past the recursion limit
+    "functor: P\nfunctor: R^(X)\nstates: a, b\na -> {b: 1}\nb -> {}",
+    "functor: P\nstates: a, b\nstates: a\na -> {}\nb -> {}",
+    "functor: " + "(" * 3000 + "P" + ")" * 3000 + "\nstates: a\na -> {}",
 ])
 def test_parse_errors(text):
     with pytest.raises(ModelError):
+        parse_coalgebra(text)
+
+
+@pytest.mark.parametrize("text,line,what", [
+    ("functor: P\nfunctor: R^(X)\nstates: a\na -> {}", 2, "functor:"),
+    ("functor: P\nstates: a\na -> {}\nfunctor: P", 4, "functor:"),
+    ("states: a\nfunctor: P\nstates: a\na -> {}", 3, "states:"),
+])
+def test_duplicate_header_lines(text, line, what):
+    # the second header line is refused where it stands, not overridden
+    with pytest.raises(ModelError, match="line %d: duplicate %s line"
+                       % (line, what)):
         parse_coalgebra(text)
 
 

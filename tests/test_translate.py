@@ -1,12 +1,13 @@
 """Translation of certificates into the four domain-specific logics."""
 
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coalgcert.certdag import FormulaDag, build_certificates, expand
+from coalgcert.certdag import TOP, FormulaDag, build_certificates, expand
 from coalgcert.functor import parse_functor
 from coalgcert.logic import check_certificates, eval_ref
 from coalgcert.oracle import GeneratorSpec, generate
@@ -19,6 +20,8 @@ from conftest import load_model, random_instances, realizable_values
 from test_parsers import ds_texts, texts
 
 F = Fraction
+# the module; the package's name `translate` is the function
+translate_mod = importlib.import_module("coalgcert.translate")
 
 DEFAULT_LOGIC_FUNCTORS = {
     "hm": ["P", "B^(X)"],
@@ -287,6 +290,17 @@ def test_cancellative_translation_weighted_only(mc1):
         translate(certs, "hm", refs)
 
 
+def dsi_cases():
+    """The coalgebras of test_verify_dsi_all_logics."""
+    return {
+        "hm": load_model("ts1.model"),
+        "weighted": load_model("mc1.model"),
+        "prob": load_model("pr1.model"),
+        "signature": generate(GeneratorSpec(
+            functor="Sig(f/2, g/0, h/1)", n=8, seed=3, density=0.5)),
+    }
+
+
 def test_verify_dsi_all_logics(ts1, mc1):
     cases = {
         "hm": ts1,
@@ -298,6 +312,46 @@ def test_verify_dsi_all_logics(ts1, mc1):
     for logic, c in cases.items():
         v1, v2, v3 = realizable_values(c)
         assert verify_dsi(logic, c, v1, v2, v3) == [], logic
+
+
+class _HeavierWeights:
+    """An arena whose ('w', m) modalities ask for weight m + 1."""
+
+    def __init__(self, dag):
+        self.dag = dag
+
+    def add_ds(self, label, args):
+        if label[0] == "w":
+            label = ("w", label[1] + 1)
+        return self.dag.add_ds(label, args)
+
+    def __getattr__(self, name):
+        return getattr(self.dag, name)
+
+
+CORRUPTIONS = {
+    "lambda": lambda dag, logic, f, t, d, r: lam(dag, logic, f, t, r, d),
+    "tau": lambda dag, logic, f, o: tau(_HeavierWeights(dag), logic, f, o),
+    "kappa": lambda dag, logic, f, s, d: TOP,
+}
+# violations verify_dsi reports on dsi_cases() for each corrupted
+# decoding: delta and rho swapped in lam, tau's weight off by one, and
+# kappa true everywhere; the logics a corruption does not touch report 0
+CORRUPTED_VIOLATIONS = {
+    "lambda": {"hm": 4, "weighted": 4, "prob": 6, "signature": 10},
+    "tau": {"hm": 0, "weighted": 2, "prob": 0, "signature": 0},
+    "kappa": {"hm": 0, "weighted": 3, "prob": 0, "signature": 6},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_verify_dsi_catches_corrupted_decodings(kind, monkeypatch):
+    name = "lam" if kind == "lambda" else kind
+    monkeypatch.setattr(translate_mod, name, CORRUPTIONS[kind])
+    for logic, c in dsi_cases().items():
+        bad = verify_dsi(logic, c, *realizable_values(c))
+        assert len(bad) == CORRUPTED_VIOLATIONS[kind][logic], (kind, logic)
+        assert {b[0] for b in bad} <= {kind}, (kind, logic)
 
 
 def test_total_box_semantics(ts1):
