@@ -55,13 +55,9 @@ class FormulaDag:
 
     def __init__(self):
         self.nodes = [("top",)]
-        # owner[i]: id of the compound whose beta formula inherited node i
-        # as a conjunct, or None while it only appears in delta chains
-        self.owner = [None]
 
     def _add(self, node):
         self.nodes.append(node)
-        self.owner.append(None)
         return (len(self.nodes) - 1, False)
 
     def add_and(self, left, right):
@@ -136,7 +132,7 @@ class CertificateSet:
     versions: tuple = field(default=None, init=False, repr=False)
 
 
-def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
+def _negation_target(dag, owner, delta_ref, reduced, compound, new_compound):
     """The formula negated in a beta update: delta(S) minus beta(B)'s part.
 
     Walks delta(S)'s conjunct chain from the root, collecting conjuncts
@@ -148,21 +144,25 @@ def _negation_target(dag, delta_ref, reduced, compound=None, new_compound=None):
     wholesale as a single conjunct (extra conjuncts implied by beta(B)
     are harmless inside the negation).  Each node is tagged at most once,
     with the fresh compound {S} whose beta inherits the walked chain, so
-    the total walk work over a run stays linear in the arena size."""
+    the total walk work over a run stays linear in the arena size.
+
+    owner[i] is the id of the compound whose beta formula inherited node i
+    as a conjunct, or None while it only appears in delta chains; nodes
+    past the list's end are unowned.  build_certificates keeps the list."""
     nid, neg = delta_ref
     if neg:
         raise CertError("delta reference must be positive")
     if not reduced:
         return delta_ref
+    owner.extend([None] * (len(dag.nodes) - len(owner)))
     refs = []
     cur = nid
     while True:
-        owner = dag.owner[cur]
-        if owner is not None:
-            if owner != compound:
+        if owner[cur] is not None:
+            if owner[cur] != compound:
                 refs.append((cur, False))  # foreign chain kept wholesale
             break
-        dag.owner[cur] = new_compound
+        owner[cur] = new_compound
         node = dag.nodes[cur]
         if node[0] != "and":
             refs.append((cur, False))  # chain base (initial modality)
@@ -189,6 +189,7 @@ def build_certificates(c, result, reduced_negation=True):
     trace = result.trace
     binary = trace.mode != "cancellative"
     dag = FormulaDag()
+    owner = []  # see _negation_target
     delta, beta, modal_of = {}, {}, {}
     for bid, val, _states in trace.init.blocks:
         ref = dag.add_modal(val, 0, ())
@@ -199,7 +200,7 @@ def build_certificates(c, result, reduced_negation=True):
         bB = beta.get(ev.compound, TOP)
         if binary:
             beta[ev.new_compound] = dS
-            neg = _negation_target(dag, dS, reduced_negation,
+            neg = _negation_target(dag, owner, dS, reduced_negation,
                                    ev.compound, ev.new_compound)
             beta[ev.compound] = dag.add_and(bB, (neg[0], True))
         for ref_ in ev.refinements:

@@ -17,10 +17,10 @@ from .certdag import (
     CertError, build_certificates, distinguish, expand, reachable,
     render_node, serialize, value_label,
 )
-from .coalgebra import (
-    ModelError, desugar_composite, parse_coalgebra, pretty_model, quotient,
+from .coalgebra import ModelError, parse_coalgebra, pretty_model, quotient
+from .functor import (
+    FunctorError, is_cancellative, is_zippable, pretty_functor,
 )
-from .functor import Composite, FunctorError, is_cancellative, pretty_functor
 from .logic import EvalError, check_certificates, eval_ref, parse_formula
 from .oracle import GeneratorSpec, generate, naive_bisimilarity, partition_key
 from .refiner import RefineError, refine, replay_trace
@@ -72,13 +72,17 @@ def _load(path):
 
 
 def _prepare(c, mode):
-    """Unfold composition if needed; returns (coalgebra, visible state ids)."""
-    if isinstance(c.functor, Composite):
-        des = desugar_composite(c)
-        visible = list(range(des.original))
-        c = des.coalgebra
-    else:
-        visible = list(range(c.n))
+    """Refuse a run the refiner cannot make; returns (coalgebra, the ids of
+    the states the model declared)."""
+    if c.declared is None:
+        visible = range(c.n)
+    else:  # unfolded from F1 . F2 . ... into F1 + F2 + ...
+        visible = range(c.declared)
+        for i, layer in enumerate(c.functor.parts):
+            ok, why = is_zippable(layer)
+            if not ok:
+                raise CliFailure(INPUT_ERROR,
+                                 "composition layer %d: %s" % (i, why))
     if mode == "cancellative" and not is_cancellative(c.functor):
         raise CliFailure(INCOMPATIBLE,
                          "functor %s is not cancellative; use --mode generic"
@@ -96,9 +100,8 @@ def _run(c, mode):
 
 
 def _visible_blocks(certs, visible):
-    vis = set(visible)
     return [bid for bid, states in enumerate(certs.blocks)
-            if states[0] in vis]
+            if states[0] in visible]
 
 
 def _verify(c, result, certs):
@@ -109,12 +112,11 @@ def _verify(c, result, certs):
         bid, want, got = bad[0]
         x = min(want ^ got)
         if type(bid) is int:
-            where = "certificate of block %d" % bid
-            why = ("satisfies it but is not in the block" if x in got
-                   else "is in the block but does not satisfy it")
+            where, whole = "certificate of block %d" % bid, "block"
         else:
-            where = "compound formula %s" % bid
-            why = "satisfies it but not all of its block does"
+            where, whole = "compound formula %s" % bid, "compound"
+        why = ("satisfies it but is not in the %s" % whole if x in got
+               else "is in the %s but does not satisfy it" % whole)
         more = " (and %d more)" % (len(bad) - 1) if len(bad) > 1 else ""
         raise CliFailure(VERIFY_ERROR, "%s: %s %s%s"
                          % (where, c.states[x], why, more))
@@ -211,7 +213,7 @@ def cmd_distinguish(args):
 
 def cmd_minimize(args):
     c = _load(args.model)
-    if isinstance(c.functor, Composite):
+    if c.declared is not None:
         raise CliFailure(INCOMPATIBLE,
                          "minimize does not support composed functors")
     result = refine(c, mode=args.mode)
@@ -238,7 +240,7 @@ def cmd_check(args):
         except TranslateError as e:
             raise CliFailure(INPUT_ERROR, str(e))
         ext = eval_ref(dag, ref, c)
-    names = sorted(c.states[s] for s in ext if s in set(visible))
+    names = sorted(c.states[s] for s in ext if s in visible)
     print(" ".join(names))
     return OK
 

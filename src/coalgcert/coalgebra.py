@@ -7,21 +7,26 @@ are canonicalised at parse time (sets sorted and duplicate-free, weight
 maps sorted with zero weights dropped), so terms are hashable and
 comparable, and values.fmap relabels them.
 
-For a composed functor the identity positions of an outer layer hold whole
-inner terms, wrapped as ('sub', term); desugar_composite removes these by
-introducing one auxiliary state per occurrence.
+A composed functor F1 . F2 . ... . Fk is unfolded while the model is read,
+into a coalgebra for the coproduct F1 + F2 + ... + Fk (the many-sorted
+unfolding of Wissmann et al., LMCS 2020).  Each inner term at an identity
+position of layer d becomes an auxiliary state whose row ('in', d + 1, t)
+holds it, and the outer position holds that state.  The declared states
+keep ids 0..n-1 and get rows ('in', 0, t); auxiliary ids follow layer by
+layer, in reading order within a layer, and are named aux0, aux1, ...
+(with a '_' prefix while the name is taken).  Behavioural equivalence on
+the declared states is unchanged; Coalgebra.declared records n.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .functor import (
     INT, NAT, Coproduct, Distribution, FunctorError, composite_spine,
-    is_zippable, parse_functor, pretty_functor,
+    parse_functor, pretty_functor,
 )
 from .values import ShapeReader, fmap
 
@@ -35,6 +40,7 @@ class Coalgebra:
     functor: object
     states: tuple  # state names
     structure: tuple  # one term per state
+    declared: int = None  # states the model declared, if it was unfolded
 
     @property
     def n(self):
@@ -69,8 +75,6 @@ def term_states(term):
         yield from term_states(term[2])
     elif tag == "atom":
         pass
-    elif tag == "sub":
-        yield from term_states(term[1])
     else:
         raise ModelError("bad term tag %r" % (tag,))
 
@@ -87,28 +91,31 @@ def predecessor_lists(c):
 # ---------------------------------------------------------------- parsing
 
 class _TermReader(ShapeReader):
-    """Structure terms: identity positions hold state names, or whole
-    terms of the next layer of a composed functor; weights are sparse
-    ``{s: w, ...}``."""
+    """Structure terms, read into rows[d], the rows of layer d of the
+    functor: an identity position holds a state name at the innermost
+    layer, else a term of the next layer, whose index in that layer's rows
+    it holds.  Weights are sparse ``{s: w, ...}``."""
 
     error = ModelError
 
-    def __init__(self, f, state_ids):
+    def __init__(self, layers, state_ids):
         super().__init__("")
-        self.layers = composite_spine(f)  # outermost first
+        self.layers = layers  # outermost first
+        self.rows = [[] for _ in layers]
         self.depth = 0
         self.state_ids = state_ids
 
     def term(self, text):
         self.text, self.i = text, 0
-        return self.done(self.read(self.layers[0]))
+        self.rows[0].append(self.done(self.read(self.layers[0])))
 
     def slot(self):
         if self.depth + 1 < len(self.layers):
             self.depth += 1
-            t = ("sub", self.read(self.layers[self.depth]))
+            rows = self.rows[self.depth]
+            rows.append(self.read(self.layers[self.depth]))
             self.depth -= 1
-            return t
+            return len(rows) - 1
         name = self.token()
         sid = self.state_ids.get(name)
         if sid is None:
@@ -116,9 +123,14 @@ class _TermReader(ShapeReader):
         return sid
 
     def entry(self):
+        mark = [len(rows) for rows in self.rows]
         s = self.slot()
         self.eat(":")
-        return s, self.rational()
+        w = self.rational()
+        if not w:  # a dropped entry keeps no inner rows
+            for rows, k in zip(self.rows, mark):
+                del rows[k:]
+        return s, w
 
     def weights(self, f):
         self.eat("{")
@@ -136,15 +148,9 @@ class _TermReader(ShapeReader):
             if any(w.denominator != 1 for w in ws):
                 raise ModelError("Z-weights must be integers")
         entries = [(s, w) for s, w in entries if w != 0]
-        if entries and type(entries[0][0]) is tuple:
-            return ("vec", tuple(entries))  # terms of a composed functor
         if len({s for s, _ in entries}) != len(entries):
             raise ModelError("duplicate state in %r" % self.text)
         return ("vec", tuple(sorted(entries)))
-
-
-def parse_term(text, f, state_ids):
-    return _TermReader(f, state_ids).term(text)
 
 
 def parse_coalgebra(text):
@@ -189,50 +195,58 @@ def parse_coalgebra(text):
     for name in rows:
         if name not in ids:
             raise ModelError("row for undeclared state %r" % name)
-    reader = _TermReader(functor, ids)
-    structure = []
+    layers = composite_spine(functor)
+    reader = _TermReader(layers, ids)
     for name in states:
         if name not in rows:
             raise ModelError("missing row for state %r" % name)
-        structure.append(reader.term(rows[name]))
-    return Coalgebra(functor, states, tuple(structure))
+        reader.term(rows[name])
+    if len(layers) == 1:
+        return Coalgebra(functor, states, tuple(reader.rows[0]))
+    # unfold: row i of layer d becomes state start[d] + i
+    start = [0]
+    for layer_rows in reader.rows:
+        start.append(start[-1] + len(layer_rows))
+    names = list(states)
+    for a in range(start[-1] - len(states)):
+        name = "aux%d" % a
+        while name in ids:
+            name = "_" + name
+        names.append(name)
+    structure = []
+    for d, layer_rows in enumerate(reader.rows):
+        if d + 1 < len(layers):  # point identity positions at the next layer
+            inner = range(start[d + 1], start[d + 2])
+            layer_rows = [fmap(t, inner) for t in layer_rows]
+        structure += [("in", d, t) for t in layer_rows]
+    return Coalgebra(Coproduct(tuple(layers)), tuple(names), tuple(structure),
+                     declared=len(states))
 
 
 # ------------------------------------------------------------- printing
 
-def pretty_term(term, f, names, layers=None, depth=0):
-    if layers is None:
-        layers = composite_spine(f)
-        f = layers[0]
+def pretty_term(term, f, names):
     if type(term) is int:
         return names[term]
     tag = term[0]
-    if tag == "sub":
-        return pretty_term(term[1], layers[depth + 1], names, layers, depth + 1)
     if tag == "set":
-        return "{%s}" % ", ".join(
-            pretty_term(e, f, names, layers, depth) for e in term[1])
+        return "{%s}" % ", ".join(names[e] for e in term[1])
     if tag == "vec":
-        return "{%s}" % ", ".join(
-            "%s: %s" % (pretty_term(s, f, names, layers, depth), w)
-            for s, w in term[1])
+        return "{%s}" % ", ".join("%s: %s" % (names[s], w) for s, w in term[1])
     if tag == "op":
         name, args = term[1], term[2]
         if not args:
             return name
-        return "%s(%s)" % (name, ", ".join(
-            pretty_term(a, f, names, layers, depth) for a in args))
+        return "%s(%s)" % (name, ", ".join(names[a] for a in args))
     if tag == "tuple":
         return "(%s)" % ", ".join(
-            pretty_term(t, p, names, layers, depth)
-            for p, t in zip(f.parts, term[1]))
+            pretty_term(t, p, names) for p, t in zip(f.parts, term[1]))
     if tag == "in":
         return "in%d(%s)" % (term[1] + 1,
-                             pretty_term(term[2], f.parts[term[1]], names,
-                                         layers, depth))
+                             pretty_term(term[2], f.parts[term[1]], names))
     if tag == "fun":
         return "[%s]" % ", ".join(
-            "%s: %s" % (lab, pretty_term(t, f.base, names, layers, depth))
+            "%s: %s" % (lab, pretty_term(t, f.base, names))
             for lab, t in zip(f.labels, term[1]))
     if tag == "atom":
         return term[1]
@@ -264,60 +278,3 @@ def quotient(c, blocks):
     structure = tuple(fmap(c.structure[min(members)], block_of)
                       for members in blocks)
     return Coalgebra(c.functor, names, structure)
-
-
-# -------------------------------------------------- composition unfolding
-
-@dataclass
-class Desugared:
-    coalgebra: Coalgebra
-    sort_of: list  # layer index per state; original states have sort 0
-    original: int  # number of original states
-
-
-def desugar_composite(c):
-    """Unfold a composed functor F1 . F2 . ... . Fk into a coproduct.
-
-    Every occurrence of an inner value becomes an auxiliary state carrying
-    that value one layer down; original states keep their identity.  The
-    result is a coalgebra for F1 + F2 + ... + Fk whose behavioural
-    equivalence restricted to original states is unchanged."""
-    layers = composite_spine(c.functor)
-    if len(layers) == 1:
-        return Desugared(c, [0] * c.n, c.n)
-    for i, layer in enumerate(layers):
-        ok, why = is_zippable(layer)
-        if not ok:
-            raise ModelError("composition layer %d: %s" % (i, why))
-    names = list(c.states)
-    used = set(names)
-    sort_of = [0] * c.n
-    inner = deque()  # (depth, term) of each auxiliary state, in id order
-
-    class Slots:
-        """fmap's map at one depth: a state to itself, an inner term
-        ('sub', t) to a fresh auxiliary state holding t one layer down."""
-
-        def __init__(self, depth):
-            self.depth = depth
-
-        def __getitem__(self, slot):
-            if type(slot) is int:
-                return slot
-            name = "aux%d" % (len(names) - c.n)
-            while name in used:
-                name = "_" + name
-            used.add(name)
-            names.append(name)
-            sort_of.append(self.depth + 1)
-            inner.append((self.depth + 1, slot[1]))
-            return len(names) - 1
-
-    slots = [Slots(depth) for depth in range(len(layers))]
-    structure = [("in", 0, fmap(t, slots[0])) for t in c.structure]
-    while inner:
-        depth, t = inner.popleft()
-        structure.append(("in", depth, fmap(t, slots[depth])))
-    new_functor = Coproduct(tuple(layers))
-    out = Coalgebra(new_functor, tuple(names), tuple(structure))
-    return Desugared(out, sort_of, c.n)

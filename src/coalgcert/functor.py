@@ -290,7 +290,7 @@ def is_zippable(f):
 
     Returns (ok, reason).  Composition is the one grammar construct that
     breaks the property; it must be unfolded into a many-sorted coalgebra
-    first (see desugar_composite)."""
+    first, as coalgebra.parse_coalgebra does."""
     for g in subfunctors(f):
         if isinstance(g, Composite):
             return False, "composition is not zippable; unfold it first"

@@ -203,10 +203,12 @@ def eval_ref(dag, ref, c, memo=None):
 
 
 def check_certificates(certs, c=None):
-    """Verify that every block certificate evaluates exactly to its block.
+    """Verify that every block certificate evaluates exactly to its block,
+    and every compound formula to the union of its compound's blocks.
 
-    Returns a list of mismatches (block id, expected, got); empty means the
-    certificate set is sound and complete for the final partition."""
+    Returns a list of mismatches (block id or 'betaC', expected, got);
+    empty means the certificate set is sound and complete for the final
+    partition."""
     if c is None:
         c = certs.coalgebra
     ev = _Extensions(c)
@@ -217,19 +219,23 @@ def check_certificates(certs, c=None):
         got = ev.ext(certs.dag, certs.delta[bid], memo)
         if got != want:
             bad.append((bid, frozenset(states), frozenset(_members(got))))
-    block_at = [0] * c.n
-    for i, states in enumerate(certs.blocks):
-        for x in states:
-            block_at[x] = i
+    # each final block's compound, replayed from the trace: the initial
+    # blocks start in compound 0, a split moves S into its new compound,
+    # and a refinement's children join their parent's compound
+    compound_of = {bid: 0 for bid, _val, _states in certs.trace.init.blocks}
+    for split in certs.trace.splits:
+        compound_of[split.splitter] = split.new_compound
+        for ref_ in split.refinements:
+            for cid, _val, _states in ref_.children:
+                compound_of[cid] = compound_of[ref_.parent]
+    union = {}
+    for bid, mask in enumerate(masks):
+        union[compound_of[bid]] = union.get(compound_of[bid], 0) | mask
     for cmp_id, ref in certs.beta.items():
-        # compound formulas must cover whole unions of blocks
         got = ev.ext(certs.dag, ref, memo)
-        covered = 0
-        for i in {block_at[x] for x in _members(got)}:
-            if masks[i] & got == masks[i]:
-                covered |= masks[i]
-        if got != covered:
-            bad.append(("beta%d" % cmp_id, frozenset(_members(covered)),
+        want = union.get(cmp_id, 0)
+        if got != want:
+            bad.append(("beta%d" % cmp_id, frozenset(_members(want)),
                         frozenset(_members(got))))
     return bad
 

@@ -61,9 +61,7 @@ def fmap(t, g):
         return (tag, tuple([fmap(u, g) for u in t[1]]))
     if tag == "in":
         return ("in", t[1], fmap(t[2], g))
-    if tag == "atom":
-        return t
-    return g[t]  # ('sub', term): an identity position of a composed functor
+    return t  # ('atom', name)
 
 
 def pretty_value(f, v, k):
@@ -124,8 +122,6 @@ class ShapeReader(Scanner):
         if isinstance(f, Powerset):
             self.eat("{")
             xs = self.items("}", self.slot)
-            if xs and type(xs[0]) is tuple:
-                return ("set", tuple(xs))  # terms of a composed functor
             if len(set(xs)) != len(xs):
                 raise self.error("duplicate element in set %r" % self.text)
             return ("set", tuple(sorted(xs)))

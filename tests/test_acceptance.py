@@ -14,7 +14,7 @@ from fractions import Fraction
 from coalgcert.certdag import (
     build_certificates, distinguish, expand, reachable,
 )
-from coalgcert.coalgebra import desugar_composite, parse_coalgebra
+from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.logic import check_certificates, eval_ref, parse_formula
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
@@ -53,7 +53,8 @@ def composite_instance(seed, n=10):
 
 
 def suite(seeds, sizes, composites=0):
-    """Plain-functor instances plus unfolded composite instances."""
+    """Plain-functor instances plus composite instances, which the parser
+    unfolds."""
     for fx in FUNCTORS:
         for seed in seeds:
             n = sizes[seed % len(sizes)]
@@ -62,7 +63,7 @@ def suite(seeds, sizes, composites=0):
                                           density=0.25)))
     for seed in range(composites):
         yield ("composite seed=%d" % seed, None,
-               desugar_composite(composite_instance(seed)).coalgebra)
+               composite_instance(seed))
 
 
 def test_criterion_01_partition_matches_oracle():

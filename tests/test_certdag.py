@@ -9,7 +9,7 @@ from coalgcert.certdag import (
     CertError, FormulaDag, build_certificates, distinguish, expand, reachable,
     serialize, value_label,
 )
-from coalgcert.coalgebra import desugar_composite, parse_coalgebra
+from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.logic import eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
 from coalgcert.refiner import refine
@@ -133,9 +133,7 @@ def reference_cases():
     for label, c in random_instances(CANCELLATIVE_FUNCTORS):
         yield label, c, "cancellative"
     for seed in range(16):
-        yield ("composite seed=%d" % seed,
-               desugar_composite(composite_instance(seed)).coalgebra,
-               "generic")
+        yield "composite seed=%d" % seed, composite_instance(seed), "generic"
     for k in range(3, 7):
         yield "layered k=%d" % k, layered_worstcase(k), "generic"
 

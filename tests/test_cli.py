@@ -1,14 +1,16 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import random
 import runpy
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert import certdag, cli
-from coalgcert.certdag import build_certificates, reachable
+from coalgcert.certdag import TOP, build_certificates, reachable
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import pretty_functor
@@ -88,6 +90,32 @@ def test_check_generic_syntax(capsys):
     code, out, _ = run(capsys, "check", TS1, "<{1}>(<{}>, true)")
     assert code == 0
     assert out.split() == ["x"]
+
+
+def _best_of_three(fn):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        fn()
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def test_check_costs_about_one_parse(capsys, tmp_path):
+    # check lists the satisfying declared states in one pass; testing each
+    # against a list of all states made `check MODEL true` quadratic,
+    # about 25 times the parse at this size
+    n, rng = 2 ** 14, random.Random(1)
+    path = tmp_path / "p.model"
+    path.write_text("functor: P\nstates: %s\n%s\n" % (
+        ", ".join("s%d" % i for i in range(n)),
+        "\n".join("s%d -> {%s}" % (i, ", ".join(
+            "s%d" % y for y in sorted({rng.randrange(n) for _ in range(4)})))
+            for i in range(n))))
+    parse = _best_of_three(lambda: cli._load(str(path)))
+    check = _best_of_three(lambda: main(["check", str(path), "true"]))
+    assert len(capsys.readouterr().out.split()) == 3 * n
+    assert check < 3 * parse, (parse, check)
 
 
 def test_check_bad_formula(capsys):
@@ -421,6 +449,11 @@ def _drop_state(result, certs, i, r, k, x):
     ref.children[k] = (cid, val, tuple(s for s in states if s != x))
 
 
+def _beta_true(result, certs, cmp_id):
+    """Compound formula beta(C) becomes true."""
+    certs.beta[cmp_id] = TOP
+
+
 def corruptions(result, certs):
     """(kind, corrupt, args): each corrupt(result, certs, *args) changes
     one run's output in place."""
@@ -435,6 +468,9 @@ def corruptions(result, certs):
     if len(result.blocks) >= 2:
         for x in range(len(result.block_of)):
             yield "block", _move_state, (x,)
+    # every compound of the trace is a proper part of the state set
+    for cmp_id in certs.beta:
+        yield "beta", _beta_true, (cmp_id,)
     # a moved child loses a state that no later split moves, which then
     # replays into the wrong block, or each state that a later split moves
     # again, which replays into the right one
@@ -460,9 +496,10 @@ def corruptions(result, certs):
 
 
 def test_verify_catches_corrupted_output():
-    # a modal label, a block assignment and a trace child, each corrupted
-    # on its own in a fresh run
-    caught = dict.fromkeys(["label", "block", "trace", "moved again"], 0)
+    # a modal label, a block assignment, a compound formula and a trace
+    # child, each corrupted on its own in a fresh run
+    caught = dict.fromkeys(["label", "block", "beta", "trace", "moved again"],
+                           0)
     for label, c in random_instances():
         result = refine(c)
         for kind, corrupt, args in corruptions(result,
@@ -488,3 +525,35 @@ def test_benchmark_names_exist():
     assert [n for n in names if not hasattr(cli, n)] == []
     assert callable(certdag.build_certificates)
     assert callable(certdag.distinguish)
+
+
+def test_benchmark_call_sequence(tmp_path):
+    # the harness builds the certificates of a composite model the way cli
+    # does: _load, _prepare, refine, build_certificates
+    path = tmp_path / "llts.model"
+    path.write_text("functor: P . (C{a,b} x X)\nstates: s, t, u\n"
+                    "s -> {(a, t), (b, s)}\nt -> {}\nu -> {(a, t)}\n")
+    c = cli._load(str(path))
+    c, visible = cli._prepare(c, "generic")
+    certs = certdag.build_certificates(c, cli.refine(c))
+    assert list(visible) == [0, 1, 2] and c.n == 6
+    assert certdag.distinguish(certs, 0, 2) is not None
+
+
+@pytest.mark.parametrize("functor", ["(P x (P . X)) . P",
+                                     "P . (C{a} + (P . X))"])
+@pytest.mark.parametrize("command", [
+    ["certify"], ["stats"], ["check", "true"], ["translate", "--logic", "hm"],
+    ["distinguish", "a", "b"]])
+def test_nested_composition_without_states(capsys, tmp_path, functor,
+                                           command):
+    # a layer that is itself composed cannot be unfolded; without rows
+    # nothing reads it, and the run still exits 2
+    path = tmp_path / "nested.model"
+    path.write_text("functor: %s\nstates:\n" % functor)
+    argv = [command[0], str(path)] + command[1:]
+    code, out, err = run(capsys, *argv)
+    layer = 0 if functor.startswith("(") else 1
+    assert (code, out) == (2, "")
+    assert err == ("error: composition layer %d: composition is not "
+                   "zippable; unfold it first\n" % layer)

@@ -1,14 +1,16 @@
 """Model parsing, printing, quotients, and composition unfolding."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from coalgcert.coalgebra import (
-    ModelError, desugar_composite, parse_coalgebra, parse_term,
-    predecessor_lists, pretty_model, quotient,
+    ModelError, parse_coalgebra, predecessor_lists, pretty_model, quotient,
 )
-from coalgcert.oracle import naive_bisimilarity
+from coalgcert.functor import parse_functor
+from coalgcert.oracle import naive_bisimilarity, partition_key
+from coalgcert.refiner import refine
 from conftest import random_instances
 
 F = Fraction
@@ -84,14 +86,13 @@ def test_pretty_model_round_trip():
 
 
 def test_parse_term_shapes():
-    from coalgcert.functor import parse_functor
-    f = parse_functor("P x R^(X)")
-    t = parse_term("({a, b}, {a: 1/2})", f, {"a": 0, "b": 1})
-    assert t == ("tuple", (("set", (0, 1)), ("vec", ((0, F(1, 2)),))))
-    g = parse_functor("(C{go} + D(X))^{u,v}")
-    t = parse_term("[u: in1(go), v: in2({a: 1})]", g, {"a": 0})
-    assert t == ("fun", (("in", 0, ("atom", "go")),
-                         ("in", 1, ("vec", ((0, F(1)),)))))
+    c = parse_coalgebra("functor: P x R^(X)\nstates: a, b\n"
+                        "a -> ({a, b}, {a: 1/2})\nb -> ({}, {})")
+    assert c.structure[0] == ("tuple", (("set", (0, 1)), ("vec", ((0, F(1, 2)),))))
+    c = parse_coalgebra("functor: (C{go} + D(X))^{u,v}\nstates: a\n"
+                        "a -> [u: in1(go), v: in2({a: 1})]")
+    assert c.structure[0] == ("fun", (("in", 0, ("atom", "go")),
+                                      ("in", 1, ("vec", ((0, F(1)),)))))
 
 
 def test_quotient_mc1(mc1):
@@ -113,27 +114,95 @@ def test_quotient_merges_weights():
     assert q.structure[0] == ("vec", ((1, F(2)),))
 
 
-def test_desugar_composite_counts():
+def test_composite_unfolds_while_reading():
     c = parse_coalgebra(
         "functor: P . (C{a,b} x X)\nstates: s, t\n"
         "s -> {(a, s), (b, t)}\nt -> {}\n")
-    d = desugar_composite(c)
     # two layers, one aux state per inner occurrence in a powerset row
-    assert d.coalgebra.n == 2 + 2
-    assert d.original == 2
-    assert d.sort_of[:2] == [0, 0] and set(d.sort_of[2:]) == {1}
+    assert c.n == 2 + 2 and c.declared == 2
+    assert c.functor == parse_functor("P + C{a,b} x X")
+    assert [t[1] for t in c.structure] == [0, 0, 1, 1]  # injection = layer
+    assert c.states == ("s", "t", "aux0", "aux1")
+    assert parse_coalgebra("functor: P\nstates: s\ns -> {}").declared is None
 
 
-def test_desugar_preserves_equivalence():
-    # unfolding must not merge or split the original states' classes
+def test_unfolding_preserves_equivalence():
+    # unfolding must not merge or split the declared states' classes
     c = parse_coalgebra(
         "functor: P . (C{a,b} x X)\nstates: s, t, u\n"
         "s -> {(a, s), (b, t)}\nt -> {}\nu -> {(a, u), (b, t)}\n")
-    d = desugar_composite(c)
-    blocks = naive_bisimilarity(d.coalgebra)
+    blocks = naive_bisimilarity(c)
     cls = {}
     for i, b in enumerate(blocks):
         for s in b:
             cls[s] = i
     # s and u are behaviourally equivalent, t differs
     assert cls[0] == cls[2] and cls[0] != cls[1]
+
+
+def _lts_rows(seed, n):
+    """n states of a random labelled system: (label, target) pairs."""
+    rng = random.Random(seed)
+    return [sorted({(rng.choice("ab"), rng.randrange(n))
+                    for _ in range(rng.randrange(0, 4))}) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_composite_matches_exponent_encoding(seed):
+    # P . (C{a,b} x X) and P^{a,b} carry the same labelled system: the
+    # refiner's partition of the unfolded system, cut to the declared
+    # states, is the oracle's partition of the exponent system
+    n = 12
+    rows = _lts_rows(seed, n)
+    head = "states: %s\n" % ", ".join("s%d" % i for i in range(n))
+    comp = "functor: P . (C{a,b} x X)\n" + head + "".join(
+        "s%d -> {%s}\n" % (i, ", ".join("(%s, s%d)" % p for p in row))
+        for i, row in enumerate(rows))
+    expo = "functor: P^{a,b}\n" + head + "".join(
+        "s%d -> [a: {%s}, b: {%s}]\n" % (i, *(
+            ", ".join("s%d" % y for lab, y in row if lab == want)
+            for want in "ab"))
+        for i, row in enumerate(rows))
+    c, e = parse_coalgebra(comp), parse_coalgebra(expo)
+    declared = [[x for x in b if x < n] for b in refine(c).blocks]
+    assert partition_key([b for b in declared if b]) == \
+        partition_key(naive_bisimilarity(e))
+
+
+def test_zero_weight_outer_entry_keeps_no_rows():
+    # a dropped entry's inner terms, at every depth below it, get no state
+    c = parse_coalgebra(
+        "functor: R^(X) . P . (C{a,b} x X)\nstates: s, t\n"
+        "s -> {{(a, s), (b, t)}: 0, {(a, t)}: 2}\n"
+        "t -> {{(b, s)}: 1, {}: 0, {(a, s), (b, s)}: 0}\n")
+    assert c.states == ("s", "t", "aux0", "aux1", "aux2", "aux3")
+    assert c.structure == (
+        ("in", 0, ("vec", ((2, F(2)),))),
+        ("in", 0, ("vec", ((3, F(1)),))),
+        ("in", 1, ("set", (4,))),
+        ("in", 1, ("set", (5,))),
+        ("in", 2, ("tuple", (("atom", "a"), 1))),
+        ("in", 2, ("tuple", (("atom", "b"), 0))),
+    )
+
+
+def test_three_layer_aux_numbering():
+    # aux ids run layer by layer, in reading order within a layer; a name
+    # that is taken gets a '_' prefix
+    c = parse_coalgebra(
+        "functor: P . P . (C{a} x X)\nstates: aux1, t\n"
+        "aux1 -> {{(a, t)}, {(a, aux1), (a, t)}}\n"
+        "t -> {{}}\n")
+    assert c.states == ("aux1", "t", "aux0", "_aux1", "aux2",
+                        "aux3", "aux4", "aux5")
+    assert c.declared == 2
+    assert c.structure == (
+        ("in", 0, ("set", (2, 3))),
+        ("in", 0, ("set", (4,))),
+        ("in", 1, ("set", (5,))),
+        ("in", 1, ("set", (6, 7))),
+        ("in", 1, ("set", ())),
+        ("in", 2, ("tuple", (("atom", "a"), 1))),
+        ("in", 2, ("tuple", (("atom", "a"), 0))),
+        ("in", 2, ("tuple", (("atom", "a"), 1))),
+    )

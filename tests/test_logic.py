@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from coalgcert import logic
 from coalgcert.certdag import FormulaDag, build_certificates, reachable
-from coalgcert.coalgebra import desugar_composite
 from coalgcert.logic import (
     EvalError, check_certificates, eval_ref, parse_formula,
 )
@@ -237,7 +236,7 @@ def test_extensions_match_reference_cancellative(fx):
 
 def test_extensions_match_reference_composite():
     for seed in range(4):
-        c = desugar_composite(composite_instance(seed)).coalgebra
+        c = composite_instance(seed)
         assert_extensions_match_reference(c, build_certificates(c, refine(c)))
 
 
