@@ -60,29 +60,31 @@ class RunReport:
 
 
 def _load(path):
+    """Read a model, refusing a composition that no layer of the unfolding
+    can hold: one under a product, coproduct or exponent."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as e:
         raise CliFailure(INPUT_ERROR, str(e))
     try:
-        return parse_coalgebra(text)
+        c = parse_coalgebra(text)
     except (ModelError, FunctorError) as e:
         raise CliFailure(INPUT_ERROR, "cannot parse %s: %s" % (path, e))
+    # unfolded from F1 . F2 . ... into F1 + F2 + ...
+    layers = c.functor.parts if c.declared is not None else [c.functor]
+    for i, layer in enumerate(layers):
+        ok, why = is_zippable(layer)
+        if not ok:
+            raise CliFailure(INPUT_ERROR, "composition layer %d: %s"
+                             % (i, why))
+    return c
 
 
 def _prepare(c, mode):
     """Refuse a run the refiner cannot make; returns (coalgebra, the ids of
     the states the model declared)."""
-    if c.declared is None:
-        visible = range(c.n)
-    else:  # unfolded from F1 . F2 . ... into F1 + F2 + ...
-        visible = range(c.declared)
-        for i, layer in enumerate(c.functor.parts):
-            ok, why = is_zippable(layer)
-            if not ok:
-                raise CliFailure(INPUT_ERROR,
-                                 "composition layer %d: %s" % (i, why))
+    visible = range(c.n if c.declared is None else c.declared)
     if mode == "cancellative" and not is_cancellative(c.functor):
         raise CliFailure(INCOMPATIBLE,
                          "functor %s is not cancellative; use --mode generic"
@@ -109,17 +111,7 @@ def _verify(c, result, certs):
     compound, and a state."""
     bad = check_certificates(certs, c)
     if bad:
-        bid, want, got = bad[0]
-        x = min(want ^ got)
-        if type(bid) is int:
-            where, whole = "certificate of block %d" % bid, "block"
-        else:
-            where, whole = "compound formula %s" % bid, "compound"
-        why = ("satisfies it but is not in the %s" % whole if x in got
-               else "is in the %s but does not satisfy it" % whole)
-        more = " (and %d more)" % (len(bad) - 1) if len(bad) > 1 else ""
-        raise CliFailure(VERIFY_ERROR, "%s: %s %s%s"
-                         % (where, c.states[x], why, more))
+        raise CliFailure(VERIFY_ERROR, bad[0])
     oracle = naive_bisimilarity(c)
     if partition_key(result.blocks) != partition_key(oracle):
         raise CliFailure(VERIFY_ERROR, "partition differs from the oracle: %s"

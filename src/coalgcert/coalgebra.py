@@ -182,7 +182,7 @@ def parse_coalgebra(text):
                     raise ModelError("rows must follow functor: and states: lines")
                 if name in rows:
                     raise ModelError("duplicate row for state %r" % name)
-                rows[name] = rhs.strip()
+                rows[name] = lineno, rhs.strip()
             else:
                 raise ModelError("unrecognised line")
         except (ModelError, FunctorError) as e:
@@ -192,15 +192,20 @@ def parse_coalgebra(text):
     if states is None:
         raise ModelError("missing states: line")
     ids = {name: i for i, name in enumerate(states)}
-    for name in rows:
+    for name, (lineno, _rhs) in rows.items():
         if name not in ids:
-            raise ModelError("row for undeclared state %r" % name)
+            raise ModelError("line %d: row for undeclared state %r"
+                             % (lineno, name))
     layers = composite_spine(functor)
     reader = _TermReader(layers, ids)
     for name in states:
         if name not in rows:
             raise ModelError("missing row for state %r" % name)
-        reader.term(rows[name])
+        lineno, rhs = rows[name]
+        try:
+            reader.term(rhs)
+        except (ModelError, FunctorError) as e:
+            raise ModelError("line %d: %s" % (lineno, e)) from None
     if len(layers) == 1:
         return Coalgebra(functor, states, tuple(reader.rows[0]))
     # unfold: row i of layer d becomes state start[d] + i

@@ -14,8 +14,14 @@ outside its largest colour class L.  Every other state has all its
 successors coloured L, so its key is F(const_L)(row), which depends on
 the node only through L.  One table per L maps these keys to bitsets of
 states.  The tables and the predecessor masks are built once per
-evaluator, not once per node; check_certificates uses one evaluator for
+evaluator, not once per node; check_extensions uses one evaluator for
 all its formulas.
+
+check_certificates, the first check of ``certify --verify``, instead
+replays the trace and checks each split's keys, the dag's shape and the
+final partition's stability.  That proves each certificate by induction
+over the trace (see _Induction), with no formula evaluated over the whole
+state set.  check_extensions is its semantic reference.
 
 The domain-specific formulas of translate.py live in the same kind of
 arena and go through the same pass: ``or`` is ``|``, and a node
@@ -202,13 +208,15 @@ def eval_ref(dag, ref, c, memo=None):
     return frozenset(_members(_Extensions(c).ext(dag, ref, memo)))
 
 
-def check_certificates(certs, c=None):
+def check_extensions(certs, c=None):
     """Verify that every block certificate evaluates exactly to its block,
     and every compound formula to the union of its compound's blocks.
 
-    Returns a list of mismatches (block id or 'betaC', expected, got);
-    empty means the certificate set is sound and complete for the final
-    partition."""
+    The semantic reference of check_certificates: it evaluates every node
+    over the whole state set, so it also reads arenas that no trace built,
+    such as translated listings.  Returns a list of mismatches (block id
+    or 'betaC', expected, got); empty means the certificate set is sound
+    and complete for the final partition."""
     if c is None:
         c = certs.coalgebra
     ev = _Extensions(c)
@@ -238,6 +246,316 @@ def check_certificates(certs, c=None):
             bad.append(("beta%d" % cmp_id, frozenset(_members(want)),
                         frozenset(_members(got))))
     return bad
+
+
+# why a state and a formula disagree, by whether the state satisfies it
+_WHY = ("is in the %s but does not satisfy it",
+        "satisfies it but is not in the %s")
+
+
+class _Mismatch(Exception):
+    """The first failed step of check_certificates, as its message."""
+
+
+def check_certificates(certs, c=None):
+    """Prove that every block certificate holds at exactly its final block
+    and every compound formula at exactly its compound's final blocks, and
+    that the final partition is stable: by induction over the trace (see
+    _Induction), with no formula evaluated over the whole state set.
+
+    Returns [] or a list of one message naming the failed step, a block or
+    compound, and a state where there is one."""
+    try:
+        _Induction(certs, certs.coalgebra if c is None else c).run()
+    except _Mismatch as e:
+        return [str(e)]
+    return []
+
+
+class _Induction:
+    """check_certificates' proof.  Each initial block and each refinement
+    child is a version, with its block, parent version (-1 for an initial
+    block), depth, key and split (-1 for an initial block).
+
+    1. Keys.  The replay keeps each block's version, states and compound.
+       At each split, every state of every refined parent T is keyed once
+       with fmap(row, self), the colouring of __getitem__, before any
+       state moves; the initial blocks are keyed with F!.  A listed state
+       has its child's key, any other state the default child's, and the
+       children's keys differ.  So if delta(S) and beta(B) hold at exactly
+       S and B, delta(T) /\\ <key>(delta(S), beta(B)) holds at exactly the
+       child.
+    2. The replayed partition is certs.blocks, and it is stable.
+    3. Walked down from certs.delta, a version's node is `and`(its parent
+       version's node, a modal node), an initial version's <key>.  Nodes
+       are compared by id, since the arena is not hash-consed.
+    4. Walked down from certs.beta, compound 0 starts at true and compound
+       C > 0 at delta(S) of split C - 1.  Split i updates beta(B) to
+       beta(B) /\\ ~neg, where neg is a top segment of delta(S)'s conjunct
+       chain.  The rest it drops, below version v, holds on all of B when
+       v is no deeper than the version that started B, since B's blocks
+       all descend from that one; compound 0 drops nothing.
+    5. Each modal node has its version's key, and as arguments delta(S)
+       and beta(B) as they were at its split."""
+
+    def __init__(self, certs, c):
+        self.certs, self.c, self.nodes = certs, c, certs.dag.nodes
+        self.binary = certs.trace.mode != "cancellative"
+        self.top = 2 if self.binary else 1  # the colour of S
+        self.vblock, self.vpar, self.vdepth, self.vval, self.vsplit = (
+            [], [], [], [], [])
+        self.version, self.states, self.compound = [], [], []
+        self.block_of = [None] * c.n
+        self.split_S = []  # per split: the version of its splitter
+
+    def __getitem__(self, y):
+        """The colour of state y at the current split: 2 on S, 1 on the
+        rest of B, 0 elsewhere (1 on S, 0 elsewhere in cancellative mode,
+        where B is None)."""
+        b = self.block_of[y]
+        if b == self.S:
+            return self.top
+        return 1 if self.compound[b] == self.B else 0
+
+    def run(self):
+        trace, n = self.certs.trace, self.c.n
+        self.apply(-1, None, trace.init.blocks, self.group(
+            "initial partition", None, range(n), trace.init.blocks, [0] * n,
+            0))
+        for i, ev in enumerate(trace.splits):
+            self.split(i, ev)
+        self.final_partition()
+        node_of, mod_of = self.delta_chains()
+        before = self.beta_chains(node_of, mod_of)
+        for v, i in enumerate(self.vsplit):  # 5. modal nodes
+            if i < 0:
+                continue
+            dS = (node_of[self.split_S[i]], False)
+            args = (dS, before[i]) if self.binary else (dS,)
+            if self.node(mod_of[v]) != ("modal", self.vval[v], len(args),
+                                        args):
+                b = self.vblock[v]
+                self.bad_root("block", b, self.certs.delta[b], self.states[b])
+
+    def name(self, x):
+        ok = type(x) is int and 0 <= x < self.c.n
+        return self.c.states[x] if ok else repr(x)
+
+    def node(self, nid):
+        ok = type(nid) is int and 0 <= nid < len(self.nodes)
+        return self.nodes[nid] if ok else ()
+
+    def conj(self, ref, negated=False):
+        """(left id, right id) of the `and` node at the positive reference
+        ref, whose left operand is positive and whose right one is negated
+        just when `negated`; else None."""
+        node = self.node(ref[0]) if not ref[1] else ()
+        if node[:1] == ("and",) and not node[1][1] and node[2][1] == negated:
+            return node[1][0], node[2][0]
+        return None
+
+    # ------------------------------------------------------ 1. keys
+    def split(self, i, ev):
+        where, S, blocks = "split %d" % i, ev.splitter, len(self.states)
+        if not (type(S) is int and 0 <= S < blocks
+                and self.compound[S] == ev.compound
+                and ev.new_compound == i + 1):
+            raise _Mismatch("%s: block %r is not in compound %r, or compound "
+                            "%r is not fresh"
+                            % (where, S, ev.compound, ev.new_compound))
+        self.S, self.B = S, ev.compound if self.binary else None
+        self.split_S.append(self.version[S])
+        plans, fresh = {}, blocks
+        for ref_ in ev.refinements:
+            T = ref_.parent
+            if not (type(T) is int and 0 <= T < blocks) or T in plans:
+                raise _Mismatch("%s: %r is not a block, or refined twice"
+                                % (where, T))
+            plans[T] = self.group(where, T, self.states[T], ref_.children,
+                                  self, fresh)
+            fresh += len(ref_.children) - 1
+        self.compound[S] = i + 1
+        for ref_ in ev.refinements:
+            self.apply(i, ref_.parent, ref_.children, plans[ref_.parent])
+
+    def group(self, where, T, members, children, g, fresh):
+        """Check the children of block T (None: the initial partition)
+        against the keys fmap(row, g) of its members; returns each child's
+        states.  The first child keeps id T, the others take fresh ids."""
+        ids = [cid for cid, _val, _states in children]
+        keep = [] if T is None else [T]
+        if ids != keep + list(range(fresh, fresh + len(ids) - len(keep))):
+            raise _Mismatch("%s, block %r: children %r are not the block and "
+                            "fresh ones" % (where, T, ids))
+        by_key, own, default, groups = {}, {}, None, []
+        for k, (cid, val, states) in enumerate(children):
+            by_key.setdefault(val, cid)
+            if states is None:  # a default child keeps the rest
+                if k or T is None:
+                    raise _Mismatch("%s, block %d: only a refinement's first "
+                                    "child may keep the rest" % (where, cid))
+                default, states = cid, ()
+            for x in states:
+                if not (type(x) is int and 0 <= x < self.c.n) or x in own \
+                        or self.block_of[x] != T:
+                    raise _Mismatch("%s, block %d: %s is not in the parent, "
+                                    "or listed twice"
+                                    % (where, cid, self.name(x)))
+                own[x] = cid
+            groups.append(list(states))
+        structure = self.c.structure
+        for x in members:
+            mine = own.get(x, default)
+            hit = by_key.get(fmap(structure[x], g))
+            if hit is None or hit != mine:
+                b, why = ((hit, _WHY[1] % "block") if hit is not None else
+                          (mine, _WHY[0] % "block") if mine is not None else
+                          (T, "is in no child"))
+                raise _Mismatch("%s, block %s: %s %s"
+                                % (where, b, self.name(x), why))
+            if x not in own:
+                groups[0].append(x)
+        for cid, states in zip(ids, groups):
+            if not states:
+                raise _Mismatch("%s, block %d: the block is empty"
+                                % (where, cid))
+        return groups
+
+    def apply(self, i, T, children, groups):
+        """Record the children of T at split i (-1 and None: the initial
+        blocks) as versions, and move their states."""
+        parent = -1 if T is None else self.version[T]
+        depth = 0 if T is None else self.vdepth[parent] + 1
+        compound = 0 if T is None else self.compound[T]
+        for (cid, val, _states), states in zip(children, groups):
+            v = len(self.vpar)
+            self.vblock.append(cid)
+            self.vpar.append(parent)
+            self.vdepth.append(depth)
+            self.vval.append(val)
+            self.vsplit.append(i)
+            if cid == len(self.states):
+                self.version.append(v)
+                self.states.append(states)
+                self.compound.append(compound)
+            else:
+                self.version[cid] = v
+                self.states[cid] = states
+            for x in states:
+                self.block_of[x] = cid
+
+    # ------------------------------------------- 2. the final partition
+    def final_partition(self):
+        blocks, states = self.certs.blocks, self.states
+        if len(blocks) != len(states):
+            raise _Mismatch("the partition has %d blocks, the trace makes %d"
+                            % (len(blocks), len(states)))
+        for bid, (want, got) in enumerate(zip(blocks, states)):
+            diff = set(want).symmetric_difference(got)
+            if diff:  # name the lowest state id, then anything else
+                x = min(diff, key=lambda x: (0, x) if type(x) is int
+                        else (1, repr(x)))
+                raise _Mismatch("certificate of block %d: %s %s" % (
+                    bid, self.name(x), _WHY[x in got] % "block"))
+        structure, block_of = self.c.structure, self.block_of
+        for bid, xs in enumerate(states):
+            key = fmap(structure[xs[0]], block_of)
+            for x in xs[1:]:
+                if fmap(structure[x], block_of) != key:
+                    raise _Mismatch("partition is not stable: block %d holds "
+                                    "%s and %s, whose rows differ on the "
+                                    "blocks" % (bid, self.name(xs[0]),
+                                                self.name(x)))
+
+    def bad_root(self, kind, ident, ref, states):
+        """Raise for a final root that the trace does not build, naming a
+        state where the root, evaluated alone, holds wrongly."""
+        place = ("certificate of block %d" if kind == "block"
+                 else "compound formula beta%d") % ident
+        try:
+            diff = _Extensions(self.c).ext(self.certs.dag, ref, {}) \
+                ^ _mask(states)
+        except (EvalError, LookupError, TypeError, ValueError):
+            diff = 0
+        if not diff:
+            raise _Mismatch("%s: not the formula that the trace builds"
+                            % place)
+        x = (diff & -diff).bit_length() - 1
+        raise _Mismatch("%s: %s %s" % (place, self.c.states[x],
+                                       _WHY[x not in states] % kind))
+
+    # ------------------------------------- 3. and 4. the dag's shape
+    def delta_chains(self):
+        """(node id, modal node id) of each version."""
+        vpar = self.vpar
+        node_of, mod_of = [None] * len(vpar), [None] * len(vpar)
+        for bid, v in enumerate(self.version):
+            ref = self.certs.delta.get(bid, (None, True))
+            nid = None if ref[1] else ref[0]
+            while node_of[v] is None:
+                node_of[v] = nid
+                if vpar[v] < 0:  # an initial block's modality ends the chain
+                    ok = self.node(nid) == ("modal", self.vval[v], 0, ())
+                    mod_of[v] = nid
+                    break
+                ops = self.conj((nid, False))
+                ok = ops is not None
+                if not ok:
+                    break
+                mod_of[v] = ops[1]
+                nid, v = ops[0], vpar[v]
+            else:  # joined a chain walked before
+                ok = node_of[v] == nid
+            if not ok:
+                self.bad_root("block", bid, ref, self.states[bid])
+        return node_of, mod_of
+
+    def beta_chains(self, node_of, mod_of):
+        """before[i]: the reference of beta(B) at split i, before the
+        update; None in cancellative mode, which has no compound formulas."""
+        beta, splits = self.certs.beta, self.certs.trace.splits
+        made = range(len(splits) + 1 if splits and self.binary else 0)
+        if set(beta) != set(made):
+            raise _Mismatch("compound formulas %r, but the trace makes %r"
+                            % (sorted(beta, key=repr), list(made)))
+        if not self.binary:
+            return None
+        updates = [[] for _ in made]
+        for i, ev in enumerate(splits):
+            updates[ev.compound].append(i)
+        before = [None] * len(splits)
+        for C in made:
+            ref = beta[C]
+            for i in reversed(updates[C]):
+                ops = self.conj(ref, negated=True)
+                if ops is None or not self.negation(i, C, ops[1], node_of,
+                                                    mod_of):
+                    break
+                before[i] = ref = (ops[0], False)
+            else:  # down to true, or to delta(S) of split C - 1
+                if C == 0 and ref == (0, False) and self.node(0) == ("top",) \
+                        or C and ref == (node_of[self.split_S[C - 1]], False):
+                    continue
+            union = [x for bid, xs in enumerate(self.states)
+                     if self.compound[bid] == C for x in xs]
+            self.bad_root("compound", C, beta[C], union)
+        return before
+
+    def negation(self, i, B, nid, node_of, mod_of):
+        """Whether node nid is a top segment of delta(S)'s conjunct chain
+        at split i whose dropped rest holds on all of compound B."""
+        v = self.split_S[i]
+        while v >= 0:
+            if nid == node_of[v]:  # the rest kept whole
+                return True
+            if nid == mod_of[v]:  # the chain below v dropped
+                return B > 0 and (self.vdepth[self.vpar[v]]
+                                  <= self.vdepth[self.split_S[B - 1]])
+            ops = self.conj((nid, False))
+            if ops is None or ops[1] != mod_of[v]:
+                return False
+            nid, v = ops[0], self.vpar[v]
+        return False
 
 
 # ------------------------------------------------------------- parsing

@@ -33,6 +33,7 @@ from fractions import Fraction
 from .functor import (
     Constant, Coproduct, Distribution, Exponent, FunctorError,
     Identity, MonoidValued, Powerset, Product, Scanner, Signature,
+    pretty_functor,
 )
 
 
@@ -170,7 +171,7 @@ class ShapeReader(Scanner):
             if name not in f.atoms:
                 raise self.error("unknown atom %r" % name)
             return ("atom", name)
-        raise self.error("cannot read functor %r" % (f,))
+        raise self.error("cannot read functor %s" % pretty_functor(f))
 
 
 class _ValueReader(ShapeReader):

@@ -15,7 +15,7 @@ from coalgcert.certdag import (
     build_certificates, distinguish, expand, reachable,
 )
 from coalgcert.coalgebra import parse_coalgebra
-from coalgcert.logic import check_certificates, eval_ref, parse_formula
+from coalgcert.logic import check_extensions, eval_ref, parse_formula
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
     partition_key,
@@ -94,11 +94,11 @@ def test_criterion_02_certificates_characterise_blocks():
         count += 1
         res = refine(c)
         certs = build_certificates(c, res)
-        if check_certificates(certs):
+        if check_extensions(certs):
             bad.append(label)
         if fx in CANCELLATIVE_FUNCTORS:
             res1 = refine(c, mode="cancellative")
-            if check_certificates(build_certificates(c, res1)):
+            if check_extensions(build_certificates(c, res1)):
                 bad.append(label + " (cancellative)")
     elapsed = time.monotonic() - t0
     report(2, "every certificate's extension is exactly its block",

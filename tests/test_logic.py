@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from coalgcert import logic
 from coalgcert.certdag import FormulaDag, build_certificates, reachable
+from coalgcert.functor import is_cancellative
 from coalgcert.logic import (
-    EvalError, check_certificates, eval_ref, parse_formula,
+    EvalError, check_certificates, check_extensions, eval_ref, parse_formula,
 )
-from coalgcert.oracle import GeneratorSpec, generate, naive_bisimilarity
-from coalgcert.refiner import refine
+from coalgcert.oracle import (
+    GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
+)
+from coalgcert.refiner import PartitionResult, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 from test_acceptance import composite_instance
@@ -174,6 +177,7 @@ def test_check_certificates_passes_everywhere():
         res = refine(c)
         certs = build_certificates(c, res)
         assert check_certificates(certs) == [], label
+        assert check_extensions(certs) == [], label
 
 
 def test_check_certificates_detects_corruption(ts1):
@@ -183,8 +187,13 @@ def test_check_certificates_detects_corruption(ts1):
     victim = next(bid for bid, sts in enumerate(certs.blocks)
                   if len(sts) < ts1.n)
     certs.delta[victim] = (0, False)
-    bad = check_certificates(certs)
+    bad = check_extensions(certs)
     assert any(entry[0] == victim for entry in bad)
+    # the structural check evaluates the bad root alone to name a state
+    outside = ts1.states[min(set(range(ts1.n)) - set(certs.blocks[victim]))]
+    assert check_certificates(certs) == [
+        "certificate of block %d: %s satisfies it but is not in the block"
+        % (victim, outside)]
 
 
 def test_adequacy_probe(ts1, mc1):
@@ -249,12 +258,13 @@ def test_check_certificates_detects_corrupt_beta_label(ts1):
             node = certs.dag.nodes[nid]
             if node[0] == "modal" and node[1] == ("set", (1,)):
                 certs.dag.nodes[nid] = ("modal", ("set", (2,))) + node[2:]
+                assert check_extensions(certs) != []
                 assert check_certificates(certs) != []
                 return
     pytest.fail("no compound formula has a modal node labelled {1}")
 
 
-def test_check_certificates_keys_only_rows_crossing_classes(monkeypatch):
+def test_check_extensions_keys_only_rows_crossing_classes(monkeypatch):
     # mean out-degree 2: the saving shrinks as rows grow, since a state
     # must be keyed once any successor leaves the largest colour class
     c = generate(GeneratorSpec(functor="P", n=400, seed=0, density=0.005))
@@ -266,6 +276,177 @@ def test_check_certificates_keys_only_rows_crossing_classes(monkeypatch):
         return fmap(t, g)
 
     monkeypatch.setattr(logic, "fmap", counted_fmap)
-    assert check_certificates(certs) == []
+    assert check_extensions(certs) == []
     modal = sum(1 for node in certs.dag.nodes if node[0] == "modal")
     assert len(calls) < modal * c.n / 2
+
+
+def test_check_certificates_work_bound(monkeypatch):
+    # one key per state of each refined parent T, plus the initial keys
+    # and the stability pass: far below one key per modal node and state
+    c = generate(GeneratorSpec(functor="P", n=400, seed=0, density=0.005))
+    certs = build_certificates(c, refine(c))
+    size = {bid: len(states) for bid, _v, states in certs.trace.init.blocks}
+    parents = 0  # the sum of |T| over the trace's refinements
+    for ev in certs.trace.splits:
+        for ref in ev.refinements:
+            parents += size[ref.parent]
+            for cid, _v, states in ref.children:
+                if states is not None:
+                    size[cid] = len(states)
+                    if ref.children[0][2] is None:
+                        size[ref.parent] -= len(states)
+    calls = []
+
+    def counted_fmap(t, g):
+        calls.append(1)
+        return fmap(t, g)
+
+    monkeypatch.setattr(logic, "fmap", counted_fmap)
+    assert check_certificates(certs) == []
+    assert len(calls) <= parents + 2 * c.n
+    modal = sum(1 for node in certs.dag.nodes if node[0] == "modal")
+    assert len(calls) < modal * c.n / 20, (len(calls), modal)
+
+
+def _clean_instances(draw):
+    """A coalgebra from random_instances' generator, composite_instance or
+    layered_worstcase."""
+    kind = draw(st.sampled_from(["random", "composite", "layered"]))
+    if kind == "layered":
+        return layered_worstcase(draw(st.integers(0, 6)))
+    seed = draw(st.integers(0, 10_000))
+    n = draw(st.integers(1, 16))
+    if kind == "composite":
+        return composite_instance(seed, n=n)
+    return generate(GeneratorSpec(
+        functor=draw(st.sampled_from(FUNCTORS)), n=n, seed=seed,
+        density=draw(st.sampled_from([0.1, 0.25, 0.5]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_certificates_no_false_alarm(data):
+    c = _clean_instances(data.draw)
+    for mode in ("generic", "cancellative"):
+        if mode == "generic" or is_cancellative(c.functor):
+            certs = build_certificates(c, refine(c, mode=mode))
+            assert check_certificates(certs) == [], mode
+
+
+def test_check_certificates_needs_stability(ts1):
+    # a trace cut before its first split: the initial modalities still hold
+    # at exactly their blocks, but that partition is not stable
+    trace = refine(ts1).trace
+    trace.splits = []
+    blocks = [list(states) for _bid, _val, states in trace.init.blocks]
+    block_of = [bid for x in range(ts1.n)
+                for bid, states in enumerate(blocks) if x in states]
+    certs = build_certificates(ts1, PartitionResult(blocks, block_of, trace,
+                                                    {}))
+    assert check_extensions(certs) == []
+    assert check_certificates(certs) == [
+        "partition is not stable: block 0 holds x and x1, whose rows differ "
+        "on the blocks"]
+
+
+def _set_node(nid, node):
+    return lambda certs: certs.dag.nodes.__setitem__(nid, node)
+
+
+def _list_in_child(states):
+    def corrupt(certs):
+        children = certs.trace.splits[0].refinements[0].children
+        children[1] = children[1][:2] + (states,)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # node 0, the start of beta(0), is no longer true
+    (_set_node(0, ("modal", ("set", ()), 0, ())),
+     "compound formula beta0: x1 is in the compound but does not satisfy it"),
+    # block 2's conjunct from split 0 hangs below block 1's certificate
+    (_set_node(7, ("and", (2, False), (6, False))),
+     "certificate of block 2: x1 is in the block but does not satisfy it"),
+    # a child lists a state of another block, or one state twice
+    (_list_in_child((1, 2, 3)),
+     "split 0, block 2: z is not in the parent, or listed twice"),
+    (_list_in_child((1, 2, 2)),
+     "split 0, block 2: y is not in the parent, or listed twice"),
+])
+def test_check_certificates_names_the_defect(ts1, corrupt, message):
+    certs = build_certificates(ts1, refine(ts1))
+    corrupt(certs)
+    assert check_certificates(certs) == [message]
+
+
+WEIRD = [None, -1, 10**6, "a", 0, 1, (0, False), ("top",)]
+
+
+def _malform(certs, draw):
+    """One random defect in a certificate set's trace, dag or blocks."""
+    trace, nodes = certs.trace, certs.dag.nodes
+    weird = draw(st.sampled_from(WEIRD))
+    kind = draw(st.integers(0, 7))
+    refs = [ref for ev in trace.splits for ref in ev.refinements]
+    if kind == 0 and trace.splits:
+        ev = draw(st.sampled_from(trace.splits))
+        field = draw(st.sampled_from(["splitter", "compound", "new_compound"]))
+        setattr(ev, field, weird)
+    elif kind == 1 and refs:
+        draw(st.sampled_from(refs)).parent = weird
+    elif kind in (2, 3) and (refs or kind == 3):
+        children = (draw(st.sampled_from(refs)).children if kind == 2
+                    else trace.init.blocks)
+        if children:
+            k = draw(st.integers(0, len(children) - 1))
+            cid, val, states = children[k]
+            children[k] = draw(st.sampled_from([
+                (weird, val, states), (cid, weird, states), (cid, val, None),
+                (cid, val, ()), (cid, val, (states or ()) + (weird,))]))
+    elif kind == 4:
+        nid = draw(st.integers(0, len(nodes) - 1))
+        nodes[nid] = draw(st.sampled_from(
+            nodes + [("and", (weird, False), (0, False)), ("modal",), ()]))
+    elif kind == 5 and certs.delta:
+        certs.delta[draw(st.sampled_from(sorted(certs.delta)))] = (weird, False)
+    elif kind == 6:
+        certs.beta[draw(st.sampled_from(sorted(certs.beta) + [weird]))] = (
+            draw(st.integers(0, len(nodes) - 1)), draw(st.booleans()))
+    elif kind == 7 and certs.blocks:
+        k = draw(st.integers(0, len(certs.blocks) - 1))
+        certs.blocks[k] = draw(st.sampled_from([[], [weird], [0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_certificates_on_malformed_input(data):
+    # malformed traces and dags give a mismatch, never an exception, and
+    # every wrong extension is among the mismatches
+    fx = data.draw(st.sampled_from(FUNCTORS))
+    c = generate(GeneratorSpec(functor=fx, n=10, seed=data.draw(
+        st.integers(0, 100)), density=0.25))
+    mode = "cancellative" if fx in CANCELLATIVE_FUNCTORS else "generic"
+    certs = build_certificates(c, refine(c, mode=mode))
+    for _ in range(data.draw(st.integers(1, 2))):
+        _malform(certs, data.draw)
+    bad = check_certificates(certs)
+    assert type(bad) is list and all(type(m) is str for m in bad)
+    try:
+        wrong = check_extensions(certs)
+    except (EvalError, LookupError, TypeError, ValueError):
+        return  # the reference cannot read this arena
+    assert bad or not wrong, wrong
+
+
+def test_check_certificates_by_node_id(ts1):
+    # ts1's second beta update negates a fresh `and` node with the same
+    # operands as a delta node: the check must tell them apart by id
+    certs = build_certificates(ts1, refine(ts1))
+    nodes = certs.dag.nodes
+    chain = {ref[0] for ref in certs.delta.values()}
+    negated = [node[2][0] for node in nodes
+               if node[0] == "and" and node[2][1]]
+    assert any(nodes[nid] == nodes[d] and nid != d
+               for nid in negated for d in chain)
+    assert check_certificates(certs) == []

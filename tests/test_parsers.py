@@ -51,11 +51,27 @@ def ds_texts(logic):
 @settings(max_examples=300, deadline=None)
 @given(fx=functors, a=texts, b=texts)
 def test_model_rows_raise_model_error(fx, a, b):
+    # a malformed row, or a line that a text breaks off it, names its line
     try:
         parse_coalgebra("functor: %s\nstates: a, b\na -> %s\nb -> %s\n"
                         % (fx, a, b))
-    except ModelError:
-        pass
+    except ModelError as e:
+        assert re.match(r"line \d+: ", str(e)), str(e)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("functor: P\nstates: a\na -> {b}\n", "line 3: unknown state 'b'"),
+    ("functor: P\n# rows\nstates: a, b\n\nb -> {}\na -> {c}\n",
+     "line 6: unknown state 'c'"),
+    ("functor: P\nstates: a\na -> {}\nb -> {}\n",
+     "line 4: row for undeclared state 'b'"),
+    ("functor: (P x (P . X)) . P\nstates: a\na -> ({}, {})\n",
+     "line 3: cannot read functor P . X"),
+])
+def test_row_errors_name_their_line(text, message):
+    with pytest.raises(ModelError) as e:
+        parse_coalgebra(text)
+    assert str(e.value) == message
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coalgcert.certdag import TOP, FormulaDag, build_certificates, expand
 from coalgcert.functor import parse_functor
-from coalgcert.logic import check_certificates, eval_ref
+from coalgcert.logic import check_extensions, eval_ref
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.refiner import refine
 from coalgcert.translate import (
@@ -238,10 +238,10 @@ def test_translated_extensions_match_blocks():
     for logic, label, c, certs, dag, refs in translated_instances():
         for ref, states in zip(refs, certs.blocks):
             assert eval_ref(dag, ref, c) == set(states), (logic, label)
-        # the listing that `translate` prints passes the certificate check
+        # the listing that `translate` prints passes the semantic check
         listing = replace(certs, dag=dag, beta={},
                           delta=dict(enumerate(refs)))
-        assert check_certificates(listing) == [], (logic, label)
+        assert check_extensions(listing) == [], (logic, label)
 
 
 def test_arena_evaluation_matches_tuple_reference():
