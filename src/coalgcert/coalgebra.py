@@ -7,6 +7,11 @@ are canonicalised at parse time (sets sorted and duplicate-free, weight
 maps sorted with zero weights dropped), so terms are hashable and
 comparable, and values.fmap relabels them.
 
+Every state occurrence in a row is an edge, so a row f(x, x) has two
+edges to x.  Coalgebra.m counts them: the m of the O((m + n) log n) bound
+(Wissmann et al., LMCS 2020).  Coalgebra.edges lists them once, in an
+EdgeTable that the refiner and Coalgebra.predecessors read.
+
 A composed functor F1 . F2 . ... . Fk is unfolded while the model is read,
 into a coalgebra for the coproduct F1 + F2 + ... + Fk (the many-sorted
 unfolding of Wissmann et al., LMCS 2020).  Each inner term at an identity
@@ -20,19 +25,69 @@ the declared states is unchanged; Coalgebra.declared records n.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .functor import (
     INT, NAT, Coproduct, Distribution, FunctorError, composite_spine,
     parse_functor, pretty_functor,
 )
-from .values import ShapeReader, fmap
+from .values import ShapeReader, ShapeWriter, fmap
 
 
 class ModelError(ValueError):
     pass
+
+
+class EdgeTable:
+    """The edges of a coalgebra, in compressed rows grouped by target.
+
+    The edges into y are the positions p in range(start[y], start[y + 1]),
+    ordered by source: src[p] is the source and wt[p] the integer weight,
+    which counts in slot slot[p] of the source: 0 at an identity or op
+    position, else 1 + the index of the edge's collection leaf among its
+    source's leaves.  Every set or vec node of a row is a collection leaf;
+    the leaves of x are numbered leaf_start[x] onwards.  A vec leaf's
+    weights and its total are integer multiples of 1 / scale, the common
+    denominator of its entries; a set leaf has weight 1 per entry, its
+    size as total and scale 0.  degree[x] counts the edges out of x, and
+    positions[x] the leaves, identity and op positions of its row."""
+
+    def __init__(self, structure):
+        n = len(structure)
+        tgt, slots, wts = array("i"), array("i"), []
+        self.total, self.scale = total, scale = [], []
+        self.leaf_start = leaf_start = [0] * (n + 1)
+        self.degree, self.positions = degree, positions = [0] * n, [0] * n
+        for x, t in enumerate(structure):
+            base, lo = len(total), len(tgt)
+            _row_edges(t, base, tgt, slots, wts, total, scale)
+            leaf_start[x + 1] = len(total)
+            degree[x] = len(tgt) - lo
+            positions[x] = len(total) - base + slots[lo:].count(0)
+        # group the edges by target, keeping the source order
+        m = len(tgt)
+        self.start = start = [0] * (n + 1)
+        for y in tgt:
+            start[y + 1] += 1
+        for y in range(n):
+            start[y + 1] += start[y]
+        fill = start[:n]
+        self.src, self.wt = src, wt = [0] * m, [0] * m
+        self.slot = slot = array("i", bytes(4 * m))
+        hi = 0
+        for x, d in enumerate(degree):
+            lo, hi = hi, hi + d
+            for q in range(lo, hi):
+                y = tgt[q]
+                p = fill[y]
+                fill[y] = p + 1
+                src[p] = x
+                slot[p] = slots[q]
+                wt[p] = wts[q]
 
 
 @dataclass(frozen=True)
@@ -46,46 +101,60 @@ class Coalgebra:
     def n(self):
         return len(self.states)
 
-    @cached_property
+    @property
     def m(self):
-        """Total number of state occurrences in all structure terms."""
-        return sum(len(list(term_states(t))) for t in self.structure)
+        """The number of edges: state occurrences, with multiplicity."""
+        return len(self.edges.src)
+
+    @cached_property
+    def edges(self):
+        """The EdgeTable, built on first use."""
+        return EdgeTable(self.structure)
+
+    def predecessors(self, y):
+        """The sources of the edges into y, ascending, with multiplicity."""
+        e = self.edges
+        return e.src[e.start[y]:e.start[y + 1]]
 
     def state_index(self):
         return {name: i for i, name in enumerate(self.states)}
 
 
-def term_states(term):
-    """Iterate the state ids occurring in a (plain) term, with multiplicity."""
-    if type(term) is int:
-        yield term
+def _row_edges(t, base, tgt, slots, wts, total, scale):
+    """Append the edges and collection leaves of row t, in walk order:
+    edge i goes to tgt[i] with weight wts[i] in slot slots[i], and its
+    leaves' totals and scales go to total and scale, where the row's first
+    leaf has index ``base`` (see EdgeTable)."""
+    if type(t) is int:
+        tgt.append(t)
+        slots.append(0)
+        wts.append(0)
         return
-    tag = term[0]
+    tag = t[0]
     if tag == "set":
-        yield from term[1]
+        k = len(t[1])
+        total.append(k)
+        scale.append(0)
+        tgt.extend(t[1])
+        slots.extend([len(total) - base] * k)
+        wts.extend([1] * k)
     elif tag == "vec":
-        for s, _ in term[1]:
-            yield s
+        d = lcm(*(w.denominator for _y, w in t[1]))
+        ints = [w.numerator * (d // w.denominator) for _y, w in t[1]]
+        total.append(sum(ints))
+        scale.append(d)
+        tgt.extend(y for y, _w in t[1])
+        slots.extend([len(total) - base] * len(ints))
+        wts.extend(ints)
     elif tag == "op":
-        yield from term[2]
-    elif tag == "tuple" or tag == "fun":
-        for t in term[1]:
-            yield from term_states(t)
+        tgt.extend(t[2])
+        slots.extend([0] * len(t[2]))
+        wts.extend([0] * len(t[2]))
     elif tag == "in":
-        yield from term_states(term[2])
-    elif tag == "atom":
-        pass
-    else:
-        raise ModelError("bad term tag %r" % (tag,))
-
-
-def predecessor_lists(c):
-    """preds[y] = sorted list of states with at least one edge to y."""
-    preds = [set() for _ in range(c.n)]
-    for x, t in enumerate(c.structure):
-        for y in set(term_states(t)):
-            preds[y].add(x)
-    return [sorted(p) for p in preds]
+        _row_edges(t[2], base, tgt, slots, wts, total, scale)
+    elif tag == "tuple" or tag == "fun":
+        for u in t[1]:
+            _row_edges(u, base, tgt, slots, wts, total, scale)
 
 
 # ---------------------------------------------------------------- parsing
@@ -230,39 +299,16 @@ def parse_coalgebra(text):
 
 # ------------------------------------------------------------- printing
 
-def pretty_term(term, f, names):
-    if type(term) is int:
-        return names[term]
-    tag = term[0]
-    if tag == "set":
-        return "{%s}" % ", ".join(names[e] for e in term[1])
-    if tag == "vec":
-        return "{%s}" % ", ".join("%s: %s" % (names[s], w) for s, w in term[1])
-    if tag == "op":
-        name, args = term[1], term[2]
-        if not args:
-            return name
-        return "%s(%s)" % (name, ", ".join(names[a] for a in args))
-    if tag == "tuple":
-        return "(%s)" % ", ".join(
-            pretty_term(t, p, names) for p, t in zip(f.parts, term[1]))
-    if tag == "in":
-        return "in%d(%s)" % (term[1] + 1,
-                             pretty_term(term[2], f.parts[term[1]], names))
-    if tag == "fun":
-        return "[%s]" % ", ".join(
-            "%s: %s" % (lab, pretty_term(t, f.base, names))
-            for lab, t in zip(f.labels, term[1]))
-    if tag == "atom":
-        return term[1]
-    raise ModelError("bad term tag %r" % (tag,))
-
-
 def pretty_model(c):
+    names = c.states
+
+    def sparse(entries):
+        return "{%s}" % ", ".join("%s: %s" % (names[s], w) for s, w in entries)
+    write = ShapeWriter(names.__getitem__, sparse, ", ").write
     lines = ["functor: %s" % pretty_functor(c.functor),
-             "states: %s" % ", ".join(c.states)]
-    for name, term in zip(c.states, c.structure):
-        lines.append("%s -> %s" % (name, pretty_term(term, c.functor, c.states)))
+             "states: %s" % ", ".join(names)]
+    for name, term in zip(names, c.structure):
+        lines.append("%s -> %s" % (name, write(c.functor, term)))
     return "\n".join(lines) + "\n"
 
 

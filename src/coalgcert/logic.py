@@ -14,8 +14,9 @@ outside its largest colour class L.  Every other state has all its
 successors coloured L, so its key is F(const_L)(row), which depends on
 the node only through L.  One table per L maps these keys to bitsets of
 states.  The tables and the predecessor masks are built once per
-evaluator, not once per node; check_extensions uses one evaluator for
-all its formulas.
+evaluator, not once per node; the masks come from the in-edges of the
+coalgebra's edge table (Coalgebra.predecessors).  check_extensions uses
+one evaluator for all its formulas.
 
 check_certificates, the first check of ``certify --verify``, instead
 replays the trace and checks each split's keys, the dag's shape and the
@@ -32,7 +33,6 @@ and once per keyed state."""
 from __future__ import annotations
 
 from .certdag import FormulaDag, reachable
-from .coalgebra import predecessor_lists
 from .values import (
     Scanner, ValueError_, fmap, parse_value, validate_value,
 )
@@ -71,7 +71,8 @@ class _Extensions:
 
     def preds(self):
         if self._preds is None:
-            self._preds = [_mask(p) for p in predecessor_lists(self.c)]
+            c = self.c
+            self._preds = [_mask(c.predecessors(y)) for y in range(c.n)]
         return self._preds
 
     def const(self, L):

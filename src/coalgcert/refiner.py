@@ -10,18 +10,16 @@ P-block is refined by the key
                                             1: in B minus S, 2: in S}
     cancellative mode   F(chi_S) . c        over palette {0: outside S, 1: in S}
 
-A split costs the edges into S, not the rows of their sources.  Every
-`set` or `vec` node of a structure term is a collection leaf, numbered
-per state in walk order.  Its total weight (the set size, or the sum of
-the entries) is stored once.  Its weight w(l, C) into a compound C
-lives in a cell shared by the leaves of its state: cell (x, C)
+A split costs the edges into S, not the rows of their sources.  The
+in-edges of S, with their weights and collection leaves, come from the
+coalgebra's edge table (coalgebra.EdgeTable), whose vec weights are
+integers over a common denominator: bookkeeping adds and subtracts
+integers, and only keys build fractions.  A leaf's weight w(l, C) into a
+compound C lives in a cell shared by the leaves of its state: cell (x, C)
 holds the number of edges from x into C and, per leaf l of x, w(l, C).
 Initially each state has one cell, toward the root compound, holding its
-totals.  The in-edges y <- x are kept grouped by target, each with its
-weight and the index of x's cell toward the compound of y.  A vec leaf's
-weights are kept as integers over its common denominator, so bookkeeping
-adds and subtracts integers and only keys build fractions.  Splitting S
-off B:
+totals, and each in-edge points at its source's cell toward the compound
+of its target.  Splitting S off B:
 
   1. walk the in-edges of S; for each source x (a touched state) remember
      its cell (x, B) from the edge, accumulate its weights into S in a
@@ -52,7 +50,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
@@ -87,7 +84,6 @@ class Refinement:
 @dataclass
 class SplitEvent:
     splitter: int          # P-block id of S at the time of the split
-    splitter_states: tuple
     compound: int          # descriptor of B (keeps describing B minus S)
     new_compound: int      # fresh descriptor for {S}
     refinements: list
@@ -120,47 +116,6 @@ def initial_partition(c):
     return part, part.split_by_key(0, lambda s: fmap(c.structure[s], zero))
 
 
-def _flatten(t, base, tgt, slots, wts, total, scale):
-    """Append the edges and collection leaves of term t, in walk order.
-
-    Edge i goes to tgt[i] with weight wts[i], counted in slot slots[i] of
-    its source's cell: 1 + the index of its leaf among the state's leaves,
-    whose numbering starts at ``base``, or 0 at an identity or op position.
-    A vec leaf's weights and total are integer multiples of 1 / scale, the
-    common denominator of its entries; a set leaf counts its entries and
-    has scale 0."""
-    if type(t) is int:
-        tgt.append(t)
-        slots.append(0)
-        wts.append(0)
-        return
-    tag = t[0]
-    if tag == "set":
-        k = len(t[1])
-        total.append(k)
-        scale.append(0)
-        tgt.extend(t[1])
-        slots.extend([len(total) - base] * k)
-        wts.extend([1] * k)
-    elif tag == "vec":
-        d = lcm(*(w.denominator for _y, w in t[1]))
-        ints = [w.numerator * (d // w.denominator) for _y, w in t[1]]
-        total.append(sum(ints))
-        scale.append(d)
-        tgt.extend(y for y, _w in t[1])
-        slots.extend([len(total) - base] * len(ints))
-        wts.extend(ints)
-    elif tag == "op":
-        tgt.extend(t[2])
-        slots.extend([0] * len(t[2]))
-        wts.extend([0] * len(t[2]))
-    elif tag == "in":
-        _flatten(t[2], base, tgt, slots, wts, total, scale)
-    elif tag == "tuple" or tag == "fun":
-        for u in t[1]:
-            _flatten(u, base, tgt, slots, wts, total, scale)
-
-
 def _skeleton(t, leaf, colour):
     """Functor value of term t from leaf() at its collection leaves, called
     in walk order, and colour(state) at its identity and op positions.
@@ -182,61 +137,24 @@ def _skeleton(t, leaf, colour):
 
 
 class _SplitWeights:
-    """In-edges and per-compound leaf weights (see the module docstring).
-
-    The edges into y are the positions p in range(start[y], start[y + 1]),
-    ordered by source: src[p] is the source, wt[p] the weight, which counts
-    in slot slot[p] of the source's cell cell[p].  Cells live in the flat
-    list cw: cell c holds the edge count at cw[c] and the weight of leaf j
-    at cw[c + 1 + j].  The leaves of x are numbered leaf_start[x] onwards,
-    with totals in `total`; positions[x] counts the skeleton positions
-    (leaves, identity and op positions) a key of x reads."""
+    """Per-compound leaf weights over the coalgebra's edge table (see the
+    module docstring).  Cells live in the flat list cw: cell c holds the
+    edge count at cw[c] and the weight of leaf j at cw[c + 1 + j]; edge p
+    counts in cell cell[p] of its source."""
 
     def __init__(self, c):
         n = c.n
-        # pass 1: every term's edges in source order, and its leaves
-        tgt, slots, wts = array("i"), array("i"), []
-        self.total = total = []
-        self.scale = scale = []
+        self.edges = e = c.edges
+        leaf_start, total = e.leaf_start, e.total
         self.cw = cw = [0]  # cell 0: the dummy cell of every leafless state
-        self.leaf_start = leaf_start = [0] * (n + 1)
-        self.positions = positions = [0] * n
-        row_start = [0] * (n + 1)
         home = [0] * n
-        for x, t in enumerate(c.structure):
-            base, lo = len(total), len(tgt)
-            _flatten(t, base, tgt, slots, wts, total, scale)
-            hi = len(tgt)
-            leaf_start[x + 1] = len(total)
-            row_start[x + 1] = hi
-            positions[x] = len(total) - base + slots[lo:hi].count(0)
-            if len(total) > base:
+        for x, d in enumerate(e.degree):
+            lo, hi = leaf_start[x], leaf_start[x + 1]
+            if hi > lo:
                 home[x] = len(cw)
-                cw.append(hi - lo)
-                cw.extend(total[base:])
-        # pass 2: group the edges by target, keeping the source order
-        m = len(tgt)
-        start = [0] * (n + 1)
-        for y in tgt:
-            start[y + 1] += 1
-        for y in range(n):
-            start[y + 1] += start[y]
-        fill = start[:n]
-        self.start = start
-        self.src = src = [0] * m
-        self.slot = slot = array("i", bytes(4 * m))
-        self.wt = wt = [0] * m
-        self.cell = cell = array("i", bytes(4 * m))
-        for x in range(n):
-            hx = home[x]
-            for q in range(row_start[x], row_start[x + 1]):
-                y = tgt[q]
-                p = fill[y]
-                fill[y] = p + 1
-                src[p] = x
-                slot[p] = slots[q]
-                wt[p] = wts[q]
-                cell[p] = hx
+                cw.append(d)
+                cw.extend(total[lo:hi])
+        self.cell = array("i", map(home.__getitem__, e.src))
         widest = max((leaf_start[x + 1] - leaf_start[x] for x in range(n)),
                      default=0)
         self.zeros = [[0] * (k + 1) for k in range(widest + 1)]
@@ -256,9 +174,10 @@ class _SplitWeights:
         number of edges read).  Each touched state's cell toward B and its
         fresh cell holding its weights into S are kept for key() and
         commit().  States without leaves share the dummy cell 0."""
-        start, src, slot, wt, cell, cw = (
-            self.start, self.src, self.slot, self.wt, self.cell, self.cw)
-        leaf_start, free, zeros = self.leaf_start, self.free, self.zeros
+        e, cell, cw = self.edges, self.cell, self.cw
+        start, src, slot, wt, leaf_start = (
+            e.start, e.src, e.slot, e.wt, e.leaf_start)
+        free, zeros = self.free, self.zeros
         toward_B, toward_S, touched_in = (
             self.toward_B, self.toward_S, self.touched_in)
         self.splits += 1
@@ -300,10 +219,11 @@ class _SplitWeights:
         two-colour one.  With ``merged`` the weights into S count as
         weights into B (generic) or into the outside (two-colour): that is
         the block's default key."""
-        lo, hi = self.leaf_start[x], self.leaf_start[x + 1]
+        e = self.edges
+        lo, hi = e.leaf_start[x], e.leaf_start[x + 1]
         if lo == hi:
             return _skeleton(term, None, colour)
-        total, scale, cw = self.total, self.scale, self.cw
+        total, scale, cw = e.total, e.scale, self.cw
         b = self.toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
         s = self.toward_S[x] + 1 - lo
         values = []
@@ -323,7 +243,7 @@ class _SplitWeights:
 
     def commit(self, touched):
         """Move the weights into S out of the touched states' cells toward B."""
-        cw, leaf_start, free = self.cw, self.leaf_start, self.free
+        cw, leaf_start, free = self.cw, self.edges.leaf_start, self.free
         for states in touched.values():
             for x in states:
                 width = leaf_start[x + 1] - leaf_start[x]
@@ -362,7 +282,7 @@ def refine(c, mode="generic", audit=False):
     in_splitter = [0] * n  # how often each state sat inside S
     block_of = part.block_of
     weights = _SplitWeights(c)
-    positions = weights.positions
+    positions = c.edges.positions
 
     qof = {}            # block id -> compound id
     members = {}        # compound id -> insertion-ordered dict of block ids
@@ -481,7 +401,7 @@ def refine(c, mode="generic", audit=False):
                 qof[nb] = cmpT
             maybe_enqueue(cmpT)
             refinements.append(Refinement(T, children))
-        trace.splits.append(SplitEvent(S, S_states, cmpB, cmpS, refinements))
+        trace.splits.append(SplitEvent(S, cmpB, cmpS, refinements))
         if audit:
             part.audit()
             assert all(len(ms) >= 1 for ms in members.values())

@@ -24,7 +24,8 @@ output-value test, and a binary label <t>(delta, beta) maps to the
 logic's decoding of t applied to (translated delta, translated beta minus
 delta).  Unary labels from negation-free runs use the one-argument
 decoding (weighted and signature logics).  The translated arena is
-therefore linear in the certificate dag.
+therefore linear in the certificate dag.  It is hash-consed, unlike the
+certificate arena, whose nodes logic._Induction tells apart by id.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ class TranslateError(ValueError):
 def _weight(v, c):
     """Weight of colour c in a ('vec', ((c, w), ...)) value."""
     return dict(v[1]).get(c, Fraction(0))
+
+
+class _SharedDag(FormulaDag):
+    """A FormulaDag in which an equal node reuses the existing id."""
+
+    def __init__(self):
+        super().__init__()
+        self.ids = {}
+
+    def _add(self, node):
+        if node not in self.ids:
+            self.ids[node] = super()._add(node)
+        return self.ids[node]
 
 
 def _and(dag, a, b):
@@ -163,7 +177,7 @@ def translate(certs, logic, refs):
     the translated references, in the order of refs."""
     f = certs.coalgebra.functor
     check_compatible(logic, f)
-    dag, out = FormulaDag(), {}
+    dag, out = _SharedDag(), {}
 
     def tr(ref):
         nid, neg = out[ref[0]]

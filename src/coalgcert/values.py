@@ -20,9 +20,11 @@ every identity position:
 
 Value literals use the syntax of model rows, with colours at identity
 positions and dense weights ``(w0, w1, ...)``, which is also how
-pretty_value prints them.  ShapeReader reads both.  It is a Scanner, the
-scanner of every parser in the package; Scanner lives in functor.py, whose
-grammar is its first user, and is imported here for the other parsers.
+pretty_value prints them.  ShapeReader reads both, and its mirror
+ShapeWriter writes both, for pretty_value and coalgebra.pretty_model.
+ShapeReader is a Scanner, the scanner of every parser in the package;
+Scanner lives in functor.py, whose grammar is its first user, and is
+imported here for the other parsers.
 """
 
 from __future__ import annotations
@@ -63,31 +65,6 @@ def fmap(t, g):
     if tag == "in":
         return ("in", t[1], fmap(t[2], g))
     return t  # ('atom', name)
-
-
-def pretty_value(f, v, k):
-    """Print a value of F(k) in the concrete syntax of modal labels."""
-    if type(v) is int:
-        return str(v)
-    tag = v[0]
-    if tag == "set":
-        return "{%s}" % ",".join(str(c) for c in v[1])
-    if tag == "vec":
-        ws = dict(v[1])
-        return "(%s)" % ",".join(str(ws.get(c, 0)) for c in range(k))
-    if tag == "op":
-        name, cols = v[1], v[2]
-        return name if not cols else "%s(%s)" % (name, ",".join(map(str, cols)))
-    if tag == "tuple":
-        return "(%s)" % ",".join(
-            pretty_value(p, x, k) for p, x in zip(f.parts, v[1]))
-    if tag == "in":
-        return "in%d(%s)" % (v[1] + 1, pretty_value(f.parts[v[1]], v[2], k))
-    if tag == "fun":
-        return "[%s]" % ", ".join(
-            "%s: %s" % (lab, pretty_value(f.base, x, k))
-            for lab, x in zip(f.labels, v[1]))
-    return v[1]  # ('atom', name)
 
 
 def parse_rational(text, error=ValueError_):
@@ -172,6 +149,47 @@ class ShapeReader(Scanner):
                 raise self.error("unknown atom %r" % name)
             return ("atom", name)
         raise self.error("cannot read functor %s" % pretty_functor(f))
+
+
+class ShapeWriter:
+    """Writer of the syntax ShapeReader reads, its mirror.  slot(x) is the
+    text of an identity position, weights(entries) that of a weight layer's
+    ((x, w), ...) entries, and sep separates the items of products, sets
+    and operation arguments; exponents always separate with ", "."""
+
+    def __init__(self, slot, weights, sep):
+        self.slot, self.weights, self.sep = slot, weights, sep
+
+    def write(self, f, t):
+        if type(t) is int:
+            return self.slot(t)
+        tag = t[0]
+        if tag == "set":
+            return "{%s}" % self.sep.join(map(self.slot, t[1]))
+        if tag == "vec":
+            return self.weights(t[1])
+        if tag == "op":
+            if not t[2]:
+                return t[1]
+            return "%s(%s)" % (t[1], self.sep.join(map(self.slot, t[2])))
+        if tag == "tuple":
+            return "(%s)" % self.sep.join(
+                [self.write(p, u) for p, u in zip(f.parts, t[1])])
+        if tag == "in":
+            return "in%d(%s)" % (t[1] + 1, self.write(f.parts[t[1]], t[2]))
+        if tag == "fun":
+            return "[%s]" % ", ".join(
+                ["%s: %s" % (lab, self.write(f.base, u))
+                 for lab, u in zip(f.labels, t[1])])
+        return t[1]  # ('atom', name)
+
+
+def pretty_value(f, v, k):
+    """Print a value of F(k) in the concrete syntax of modal labels."""
+    def dense(entries):
+        ws = dict(entries)
+        return "(%s)" % ",".join([str(ws.get(c, 0)) for c in range(k)])
+    return ShapeWriter(str, dense, ",").write(f, v)
 
 
 class _ValueReader(ShapeReader):

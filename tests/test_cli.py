@@ -81,6 +81,102 @@ def test_minimize(capsys):
     assert len(lines) == 3  # quotient has three states
 
 
+# minimize's output byte for byte on the golden models, and on one seeded
+# `gen` model per printed shape (operations, a product with sparse
+# weights, an exponent of injections), after gen's own output
+GEN_MODEL = ["--n", "6", "--seed", "3", "--density", "0.3"]
+PRINTED_MODELS = {
+    "ts1": """\
+functor: P
+states: x, z, x1
+x -> {x, x1}
+z -> {}
+x1 -> {z, x1}
+""",
+    "mc1": """\
+functor: R^(X)
+states: x, z1, z2
+x -> {z1: 1/2, z2: 1/2}
+z1 -> {}
+z2 -> {z1: 1}
+""",
+    "pr1": """\
+functor: (D(X) + C{stop})^{a,b}
+states: s, u, v, t
+s -> [a: in1({u: 1/2, v: 1/2}), b: in2(stop)]
+u -> [a: in2(stop), b: in1({u: 1})]
+v -> [a: in2(stop), b: in2(stop)]
+t -> [a: in1({u: 1}), b: in2(stop)]
+""",
+    "Sig(f/2, g/0, h/1)": """\
+functor: Sig(f/2, g/0, h/1)
+states: s0, s1, s2, s3, s4, s5
+s0 -> f(s4, s4)
+s1 -> f(s2, s4)
+s2 -> g
+s3 -> h(s4)
+s4 -> f(s4, s0)
+s5 -> g
+functor: Sig(f/2, g/0, h/1)
+states: s0, s2, s3, s1
+s0 -> f(s0, s0)
+s2 -> g
+s3 -> h(s0)
+s1 -> f(s2, s0)
+""",
+    "P x R^(X)": """\
+functor: P x R^(X)
+states: s0, s1, s2, s3, s4, s5
+s0 -> ({s4}, {})
+s1 -> ({s0, s3, s4}, {s2: 1, s3: 1})
+s2 -> ({s1}, {s1: 4})
+s3 -> ({s0, s1}, {s0: 1/3, s2: 1, s4: 1})
+s4 -> ({s1, s3, s4}, {s0: 2, s1: 3/4, s5: 3/4})
+s5 -> ({s3, s4}, {s4: 2})
+functor: P x R^(X)
+states: s0, s5, s2, s3, s4, s1
+s0 -> ({s4}, {})
+s5 -> ({s3, s4}, {s4: 2})
+s2 -> ({s1}, {s1: 4})
+s3 -> ({s0, s1}, {s0: 1/3, s2: 1, s4: 1})
+s4 -> ({s3, s4, s1}, {s0: 2, s5: 3/4, s1: 3/4})
+s1 -> ({s0, s3, s4}, {s2: 1, s3: 1})
+""",
+    "(D(X) + C{stop})^{a,b}": """\
+functor: (D(X) + C{stop})^{a,b}
+states: s0, s1, s2, s3, s4, s5
+s0 -> [a: in1({s1: 5/9, s2: 4/9}), b: in1({s2: 5/7, s3: 2/7})]
+s1 -> [a: in1({s1: 3/8, s3: 1/8, s4: 1/8, s5: 3/8}), \
+b: in1({s0: 2/3, s3: 1/9, s4: 2/9})]
+s2 -> [a: in1({s0: 1}), b: in2(stop)]
+s3 -> [a: in2(stop), b: in2(stop)]
+s4 -> [a: in2(stop), b: in1({s1: 1})]
+s5 -> [a: in2(stop), b: in2(stop)]
+functor: (D(X) + C{stop})^{a,b}
+states: s1, s2, s3, s4, s0
+s1 -> [a: in1({s1: 3/8, s3: 1/2, s4: 1/8}), \
+b: in1({s3: 1/9, s4: 2/9, s0: 2/3})]
+s2 -> [a: in1({s0: 1}), b: in2(stop)]
+s3 -> [a: in2(stop), b: in2(stop)]
+s4 -> [a: in2(stop), b: in1({s1: 1})]
+s0 -> [a: in1({s1: 5/9, s2: 4/9}), b: in1({s2: 5/7, s3: 2/7})]
+""",
+}
+
+
+@pytest.mark.parametrize("source", list(PRINTED_MODELS))
+def test_printed_models_golden(capsys, tmp_path, source):
+    model, printed = str(MODELS / ("%s.model" % source)), ""
+    if source not in ("ts1", "mc1", "pr1"):
+        model = str(tmp_path / "gen.model")
+        code, _, _ = run(capsys, "gen", "--functor", source, *GEN_MODEL,
+                         "--out", model)
+        assert code == 0
+        printed = Path(model).read_text()
+    code, out, _ = run(capsys, "minimize", model)
+    assert code == 0 and printed + out == PRINTED_MODELS[source]
+
+
 def test_check_golden(capsys):
     code, out, _ = run(capsys, "check", TS1, "[]<>true")
     assert code == 0
@@ -146,17 +242,15 @@ blocks:
 dag:
   #0 = true
   #1 = <>#0
-  #2 = <>#0
-  #3 = <>~#2
-  #4 = (#1 & ~#3)
-  #5 = <>~#2
-  #6 = <>#2
-  #7 = (#5 & #6)
-  #8 = (#1 & #7)
+  #2 = <>~#1
+  #3 = (#1 & ~#2)
+  #4 = <>#1
+  #5 = (#2 & #4)
+  #6 = (#1 & #5)
 certificates:
-  0: #4
-  1: ~#2
-  2: #8
+  0: #3
+  1: ~#1
+  2: #6
 """
 
 

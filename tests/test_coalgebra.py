@@ -6,12 +6,16 @@ from fractions import Fraction
 import pytest
 
 from coalgcert.coalgebra import (
-    ModelError, parse_coalgebra, predecessor_lists, pretty_model, quotient,
+    ModelError, parse_coalgebra, pretty_model, quotient,
 )
 from coalgcert.functor import parse_functor
-from coalgcert.oracle import naive_bisimilarity, partition_key
+from coalgcert.oracle import (
+    layered_worstcase, naive_bisimilarity, partition_key,
+)
 from coalgcert.refiner import refine
-from conftest import random_instances
+from coalgcert.values import fmap
+from conftest import CANCELLATIVE_FUNCTORS, random_instances
+from test_acceptance import composite_instance
 
 F = Fraction
 
@@ -29,10 +33,42 @@ def test_parse_mc1(mc1):
         mc1.states.index("z2"): F(1, 2), mc1.states.index("z1"): F(1, 2)}
 
 
+class _Lookups:
+    """A colouring of every state with 0 that counts its lookups: fmap
+    looks up each identity and collection position once."""
+
+    count = 0
+
+    def __getitem__(self, _y):
+        self.count += 1
+        return 0
+
+
 def test_degrees_predecessors(ts1):
-    preds = predecessor_lists(ts1)
     z = ts1.states.index("z")
-    assert sorted(preds[z]) == [ts1.states.index("x1"), ts1.states.index("y")]
+    assert ts1.predecessors(z) == [ts1.states.index(s) for s in ("x1", "y")]
+    twice = parse_coalgebra("functor: Sig(f/2)\nstates: x\nx -> f(x, x)")
+    assert twice.m == 2 and twice.predecessors(0) == [0, 0]
+    # against a reference that does not read the edge table: x has an edge
+    # to y iff colouring y apart changes x's row, and m counts positions
+    cases = [("ts1", ts1)] + list(random_instances())
+    cases += random_instances(CANCELLATIVE_FUNCTORS)
+    cases += [("composite seed=%d" % seed, composite_instance(seed))
+              for seed in range(8)]
+    cases.append(("layered k=4", layered_worstcase(4)))
+    for label, c in cases:
+        zero = [0] * c.n
+        for y in range(c.n):
+            chi = [int(x == y) for x in range(c.n)]
+            edge = [x for x, t in enumerate(c.structure)
+                    if fmap(t, chi) != fmap(t, zero)]
+            preds = c.predecessors(y)
+            assert preds == sorted(preds) and sorted(set(preds)) == edge, (
+                label, y)
+        lookups = _Lookups()
+        for t in c.structure:
+            fmap(t, lookups)
+        assert c.m == lookups.count, label
 
 
 @pytest.mark.parametrize("text", [

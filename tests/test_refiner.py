@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from coalgcert.coalgebra import Coalgebra, parse_coalgebra, predecessor_lists
+from coalgcert.coalgebra import Coalgebra, parse_coalgebra
 from coalgcert.functor import parse_functor, pretty_functor
 from coalgcert.oracle import (
     GeneratorSpec, generate, naive_bisimilarity, partition_key,
@@ -141,7 +141,6 @@ def whole_row_trace(c, mode):
     trace = Trace(mode, n, InitEvent(
         [(b, v, tuple(sorted(part.block_states(b)))) for b, v in init_groups]),
         [])
-    preds = predecessor_lists(c)
     qof, members = {}, {}
     queue = deque()
 
@@ -172,7 +171,7 @@ def whole_row_trace(c, mode):
             k = 3
         touched = {}
         for y in S_states:
-            for x in preds[y]:
+            for x in c.predecessors(y):
                 states = touched.setdefault(part.block_of[x], [])
                 if x not in states:
                     states.append(x)
@@ -213,7 +212,7 @@ def whole_row_trace(c, mode):
             if len(members[cmpT]) >= 2 and cmpT not in queue:
                 queue.append(cmpT)
             refinements.append(Refinement(T, children))
-        trace.splits.append(SplitEvent(S, S_states, cmpB, cmpS, refinements))
+        trace.splits.append(SplitEvent(S, cmpB, cmpS, refinements))
     return trace
 
 
@@ -237,7 +236,7 @@ def test_cancelling_weights_fall_back_to_default_key():
     for mode in ("generic", "cancellative"):
         res = refine(c, mode=mode, audit=True)
         assert res.trace == whole_row_trace(c, mode)
-        assert [sorted(ev.splitter_states) for ev in res.trace.splits] == [
+        assert [res.blocks[ev.splitter] for ev in res.trace.splits] == [
             [0, 1], [2, 3]]
         assert all(not ev.refinements for ev in res.trace.splits)
         assert canon(res.blocks) == canon([[0, 1], [2, 3], [4, 5, 6]])
