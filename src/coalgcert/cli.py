@@ -22,12 +22,15 @@ from .functor import (
     FunctorError, is_cancellative, is_zippable, pretty_functor,
 )
 from .logic import EvalError, check_certificates, eval_ref, parse_formula
-from .oracle import GeneratorSpec, generate, naive_bisimilarity, partition_key
-from .refiner import RefineError, refine, replay_trace
+from .oracle import GeneratorSpec, generate
+from .refiner import RefineError, refine
 from .translate import (
     LOGICS, TranslateError, check_compatible, default_logic, ds_label,
     parse_ds, translate,
 )
+# benchmark/tracing.py wraps these three by name here; cli calls none of them
+from .oracle import naive_bisimilarity, partition_key
+from .refiner import replay_trace
 
 OK, INPUT_ERROR, VERIFY_ERROR, INCOMPATIBLE = 0, 2, 3, 4
 
@@ -106,39 +109,15 @@ def _visible_blocks(certs, visible):
             if states[0] in visible]
 
 
-def _verify(c, result, certs):
-    """The three checks of --verify.  A failure names the check, a block or
-    compound, and a state."""
+def _verify(c, certs):
+    """--verify: the proof of check_certificates.  A stable partition puts
+    each block inside one behavioural class, and a certificate that holds
+    at exactly its block tells it apart from every other block, so the
+    partition is behavioural equivalence.  A failure names the step, a
+    block or compound, and a state."""
     bad = check_certificates(certs, c)
     if bad:
         raise CliFailure(VERIFY_ERROR, bad[0])
-    oracle = naive_bisimilarity(c)
-    if partition_key(result.blocks) != partition_key(oracle):
-        raise CliFailure(VERIFY_ERROR, "partition differs from the oracle: %s"
-                         % _disagreement(c, result.blocks, oracle))
-    try:
-        replayed = replay_trace(result.trace)
-    except RefineError as e:
-        i, bid, x, why = e.args
-        raise CliFailure(VERIFY_ERROR, "trace replay, split %d, block %d: %s "
-                         "%s" % (i, bid, c.states[x], why))
-    if replayed != result.block_of:
-        x = next(x for x in range(c.n) if replayed[x] != result.block_of[x])
-        raise CliFailure(VERIFY_ERROR, "trace replay puts %s in block %s, "
-                         "not %s" % (c.states[x], replayed[x],
-                                     result.block_of[x]))
-
-
-def _disagreement(c, p, q):
-    """Two states that one of the partitions p and q puts in one block and
-    the other apart."""
-    for one, other in ((p, q), (q, p)):
-        block_at = {x: i for i, states in enumerate(other) for x in states}
-        for states in one:
-            for y in states:
-                if block_at.get(y) != block_at.get(states[0]):
-                    return "%s and %s" % (c.states[states[0]], c.states[y])
-    return "the blocks cover different states"
 
 
 def _emit(text, out):
@@ -154,7 +133,7 @@ def cmd_certify(args):
     c, visible = _prepare(c0, args.mode)
     result, certs, rms, cms = _run(c, args.mode)
     if args.verify:
-        _verify(c, result, certs)
+        _verify(c, certs)
     ids = _visible_blocks(certs, visible)
     if args.json:
         nodes = reachable(certs.dag, [certs.delta[b] for b in ids])
@@ -309,8 +288,8 @@ def build_parser():
     sp = sub.add_parser("certify", help="partition + certificate dag")
     common(sp)
     sp.add_argument("--verify", action="store_true",
-                    help="check the certificates, the partition against "
-                         "the oracle, and the trace")
+                    help="prove each certificate by induction over the "
+                         "trace and the final partition stable")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_certify)

@@ -18,7 +18,7 @@ evaluator, not once per node; the masks come from the in-edges of the
 coalgebra's edge table (Coalgebra.predecessors).  check_extensions uses
 one evaluator for all its formulas.
 
-check_certificates, the first check of ``certify --verify``, instead
+check_certificates, the one check of ``certify --verify``, instead
 replays the trace and checks each split's keys, the dag's shape and the
 final partition's stability.  That proves each certificate by induction
 over the trace (see _Induction), with no formula evaluated over the whole

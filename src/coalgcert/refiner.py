@@ -413,7 +413,9 @@ def refine(c, mode="generic", audit=False):
 def replay_trace(trace):
     """Rebuild the final block assignment from the trace alone.  Each
     refinement of T must list distinct states of T, all of them unless a
-    default child keeps the rest, or RefineError(split, T, state, why)."""
+    default child keeps the rest, or RefineError(split, T, state, why).
+    certify --verify does not run it: logic.check_certificates makes the
+    same checks in its own replay."""
     block_of, listed_in, size = [None] * trace.n, [-1] * trace.n, {}
     for bid, _val, states in trace.init.blocks:
         size[bid] = len(states)
