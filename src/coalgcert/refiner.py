@@ -14,9 +14,10 @@ A split costs the edges into S, not the rows of their sources.  The
 in-edges of S, with their weights and collection leaves, come from the
 coalgebra's edge table (coalgebra.EdgeTable), whose vec weights are
 integers over a common denominator: bookkeeping adds and subtracts
-integers, and only keys build fractions.  A leaf's weight w(l, C) into a
-compound C lives in a cell shared by the leaves of its state: cell (x, C)
-holds the number of edges from x into C and, per leaf l of x, w(l, C).
+integers, and keys are integers too (see _vec_key).  A leaf's weight
+w(l, C) into a compound C lives in a cell shared by the leaves of its
+state: cell (x, C) holds the number of edges from x into C and, per leaf
+l of x, w(l, C).
 Initially each state has one cell, toward the root compound, holding its
 totals, and each in-edge points at its source's cell toward the compound
 of its target.  Splitting S off B:
@@ -27,8 +28,8 @@ of its target.  Splitting S off B:
   2. key each touched state by walking the skeleton of its term, never a
      collection's contents.  A set leaf yields the colours present among
      (total - w(l,B), w(l,B) - w_S, w_S), a vec leaf those three weights
-     (two-colour: total - w_S, w_S); identity and op positions read the
-     colour of their state;
+     (two-colour: total - w_S, w_S) as integers; identity and op
+     positions read the colour of their state;
   3. subtract the weights into S from cell (x, B); a cell no edge points
      to any more is recycled.
 
@@ -41,7 +42,11 @@ first touched state.  Keyed states whose key equals the default key
 (possible with cancelling weights) merge back into the default group.
 
 Every refinement step is recorded in a trace from which the certificate
-builder and the distinguishing-formula search replay the whole run.
+builder and the distinguishing-formula search replay the whole run.  It
+holds each block's key as the value fmap gives, with Fraction weights:
+only there, once per recorded block, are fractions built, and not at all
+without vec leaves, where a key is its value.  logic, oracle and quotient
+key with fmap on Fractions and share none of the refiner's arithmetic.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .functor import is_cancellative, is_zippable
 from .partition import RefinablePartition
-from .values import fmap
 
 MODES = ("generic", "cancellative")
 
@@ -106,14 +111,61 @@ class PartitionResult:
 
 
 def initial_partition(c):
-    """Group states by the output value F! . c (palette of size 1).
+    """Group states by the output value F! . c (palette of size 1), keyed
+    from the edge table's leaf totals.
 
     Returns (partition, [(block id, value)])."""
     part = RefinablePartition(c.n)
     if c.n == 0:
         return part, []
-    zero = [0] * c.n
-    return part, part.split_by_key(0, lambda s: fmap(c.structure[s], zero))
+    e = c.edges
+    leaf_start, total, scale = e.leaf_start, e.total, e.scale
+
+    def leaf(j):
+        d = scale[j]
+        return _vec_key((total[j],), d) if d else _SET_KEYS[total[j] > 0]
+
+    def key(x):
+        leaves = map(leaf, range(leaf_start[x], leaf_start[x + 1]))
+        return _skeleton(c.structure[x], leaves.__next__, _zero)
+
+    value = _rational if any(e.scale) else _same
+    return part, [(b, value(k)) for b, k in part.split_by_key(0, key)]
+
+
+def _vec_key(ints, d):
+    """Key of a vec leaf with weight ints[c] / d into colour c:
+    ("vec", ((c, ints[c] // g), ...), d // g) over the nonzero weights, with
+    g = gcd(d, *ints).  So d // g is the least common denominator of the
+    weights, and two leaves key alike exactly when their rational weights
+    are equal, whatever their scales d."""
+    g = gcd(d, *ints)
+    return ("vec", tuple([(c, a // g) for c, a in enumerate(ints) if a]),
+            d // g)
+
+
+def _zero(_y):
+    return 0
+
+
+def _same(key):
+    return key
+
+
+def _rational(key):
+    """The trace value of an integer split key: fmap's value, where each
+    vec leaf ("vec", ((c, a), ...), d) reads ("vec", ((c, a / d), ...))."""
+    if type(key) is int:
+        return key
+    tag = key[0]
+    if tag == "vec":
+        d = key[2]
+        return ("vec", tuple([(c, Fraction(a, d)) for c, a in key[1]]))
+    if tag == "in":
+        return ("in", key[1], _rational(key[2]))
+    if tag == "tuple" or tag == "fun":
+        return (tag, tuple([_rational(u) for u in key[1]]))
+    return key  # a colour set, an op or an atom
 
 
 def _skeleton(t, leaf, colour):
@@ -218,7 +270,8 @@ class _SplitWeights:
         ``three`` selects the generic three-colour palette over the
         two-colour one.  With ``merged`` the weights into S count as
         weights into B (generic) or into the outside (two-colour): that is
-        the block's default key."""
+        the block's default key.  Vec leaves key by _vec_key, so the key
+        is fmap's value only once _rational has converted it."""
         e = self.edges
         lo, hi = e.leaf_start[x], e.leaf_start[x + 1]
         if lo == hi:
@@ -234,9 +287,8 @@ class _SplitWeights:
                 values.append(_SET_KEYS[(t > wb) | (wb > ws) << 1
                                         | (ws > 0) << 2])
             else:  # a vec leaf; cancellative functors have no set leaves
-                ints = (t - wb, wb - ws, ws) if three else (t - ws, ws)
-                values.append(("vec", tuple([(c, Fraction(a, d))
-                                             for c, a in enumerate(ints) if a])))
+                values.append(_vec_key((t - wb, wb - ws, ws) if three
+                                       else (t - ws, ws), d))
         if hi - lo == 1 and term[0] in ("set", "vec"):
             return values[0]
         return _skeleton(term, iter(values).__next__, colour)
@@ -283,6 +335,7 @@ def refine(c, mode="generic", audit=False):
     block_of = part.block_of
     weights = _SplitWeights(c)
     positions = c.edges.positions
+    value = _rational if any(c.edges.scale) else _same
 
     qof = {}            # block id -> compound id
     members = {}        # compound id -> insertion-ordered dict of block ids
@@ -385,16 +438,16 @@ def refine(c, mode="generic", audit=False):
         for T, groups, default in plans:
             items = list(groups.items())
             if default is not None:
-                children = [(T, default, None)]
+                children = [(T, value(default), None)]
                 moved = items
             else:
-                children = [(T, items[0][0], tuple(items[0][1]))]
+                children = [(T, value(items[0][0]), tuple(items[0][1]))]
                 moved = items[1:]
             new_ids = part.extract_groups(T, [g for _, g in moved])
             stats["new_blocks"] += len(new_ids)
             stats["refined_parents"] += 1
-            children.extend(
-                (nb, key, tuple(g)) for nb, (key, g) in zip(new_ids, moved))
+            children.extend((nb, value(key), tuple(g))
+                            for nb, (key, g) in zip(new_ids, moved))
             cmpT = qof[T]
             for nb in new_ids:
                 members[cmpT][nb] = None

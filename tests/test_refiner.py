@@ -3,11 +3,13 @@
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from coalgcert.coalgebra import Coalgebra, parse_coalgebra
-from coalgcert.functor import parse_functor, pretty_functor
+from coalgcert import refiner
+from coalgcert.functor import is_cancellative, parse_functor, pretty_functor
 from coalgcert.oracle import (
     GeneratorSpec, generate, naive_bisimilarity, partition_key,
 )
@@ -240,6 +242,81 @@ def test_cancelling_weights_fall_back_to_default_key():
             [0, 1], [2, 3]]
         assert all(not ev.refinements for ev in res.trace.splits)
         assert canon(res.blocks) == canon([[0, 1], [2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("text", [
+    # x and y weigh 1/2 into b ~ c over leaf scales 4 and 2
+    "functor: D(X) + C{stop}\nstates: x, y, z, a, b, c\n"
+    "x -> in1({a: 1/2, b: 1/4, c: 1/4})\ny -> in1({a: 1/2, b: 1/2})\n"
+    "z -> in1({a: 1/4, b: 3/4})\na -> in2(stop)\nb -> in1({a: 1})\n"
+    "c -> in1({a: 1})\n",
+    # x's weights into {s1, s2} cancel to y's, the default key
+    "functor: Z^(X)\nstates: x, y, s1, s2, a, b\n"
+    "x -> {s1: 2, s2: -2, a: 1}\ny -> {a: 1}\ns1 -> {a: 3}\n"
+    "s2 -> {b: 3}\na -> {a: 2}\nb -> {a: 2}\n",
+    # the same over scales 6 and 3
+    "functor: R^(X)\nstates: x, y, s1, s2, a, b\n"
+    "x -> {s1: 1/2, s2: -1/2, a: 1/3}\ny -> {a: 1/3}\ns1 -> {a: 3}\n"
+    "s2 -> {b: 3}\na -> {a: 2}\nb -> {a: 2}\n",
+])
+def test_keys_canonical_over_leaf_scales(text):
+    """Rows with equal rational weights key alike, whatever their leaf
+    denominators: x and y end in one block."""
+    c = parse_coalgebra(text)
+    expected = canon(naive_bisimilarity(c))
+    for mode in ("generic", "cancellative"):
+        if mode == "cancellative" and not is_cancellative(c.functor):
+            continue
+        res = refine(c, mode=mode, audit=True)
+        assert res.trace == whole_row_trace(c, mode), mode
+        assert canon(res.blocks) == expected, mode
+        assert res.block_of[0] == res.block_of[1], mode
+        for _b, value, states in res.trace.init.blocks:
+            assert all(fmap(c.structure[x], [0] * c.n) == value
+                       for x in states)
+
+
+def _weight_entries(v):
+    """Number of weights in a recorded value."""
+    if type(v) is int:
+        return 0
+    if v[0] == "vec":
+        return len(v[1])
+    if v[0] == "in":
+        return _weight_entries(v[2])
+    if v[0] in ("tuple", "fun"):
+        return sum(map(_weight_entries, v[1]))
+    return 0
+
+
+def test_fractions_only_for_recorded_values(monkeypatch):
+    """refine builds a Fraction only for a weight of a recorded value: none
+    on unweighted functors, at most one per weight in the trace on the
+    others."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(refiner, "Fraction", counted)
+    built = {}
+    for label, c in random_instances(seeds=range(4), n=16):
+        fx = label.split(" seed=")[0]
+        for mode in ("generic", "cancellative"):
+            if mode == "cancellative" and not is_cancellative(c.functor):
+                continue
+            made.clear()
+            trace = refine(c, mode=mode).trace
+            values = [v for _b, v, _s in trace.init.blocks]
+            values += [v for ev in trace.splits for ref in ev.refinements
+                       for _b, v, _s in ref.children]
+            assert len(made) <= sum(map(_weight_entries, values)), (label,
+                                                                    mode)
+            built[fx] = built.get(fx, 0) + len(made)
+    for fx in ("P", "Sig(f/2, g/0, h/1)", "P^{a,b}"):
+        assert built[fx] == 0, fx
+    assert built["R^(X)"] and built["(D(X) + C{stop})^{a,b}"]
 
 
 def hub_family(n, hubs=3):
