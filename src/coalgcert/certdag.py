@@ -29,12 +29,21 @@ first call and kept in CertificateSet.versions: each initial block (under
 a virtual root) and each refinement child is a version, child of T's
 version before the split.  A query climbs to the LCA in O(log n) with
 Myers' skew-binary jump pointers.
+
+Rendering.  listing writes the nodes that a set of roots reaches in one
+linear pass, for serialize and certify --json.  Arena ids put children
+before parents, so one downward scan over a bytearray, from the largest
+root, marks the children of each marked node; the marked ids are then
+streamed in ascending order.  Each node is formatted directly by its tag.
+A label is rendered once per distinct node[:-1] (all of a node but its
+arguments, which is all a label renderer reads) and kept in a dict: a
+large dag has many modal nodes but few distinct labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 
 from .values import pretty_value
 
@@ -297,12 +306,6 @@ def _pieces(node, label):
     return pieces
 
 
-def render_node(dag, nid, label):
-    """One node's text, with its children as #id references."""
-    return "".join([p if type(p) is str else _ref_str(p)
-                    for p in _pieces(dag.nodes[nid], label)])
-
-
 def reachable(dag, refs, known=()):
     """Ids of the nodes reachable from refs without entering a node in
     ``known``, in ascending order: arena ids order children before parents."""
@@ -315,6 +318,41 @@ def reachable(dag, refs, known=()):
         seen.add(nid)
         stack.extend(cid for cid, _ in dag.children(nid))
     return sorted(seen)
+
+
+def listing(dag, refs, label):
+    """(id, text) of each node reachable from refs, in ascending id order,
+    the node's children written as #id references (see Rendering in the
+    module docstring)."""
+    nodes = dag.nodes
+    mark = bytearray(max((nid for nid, _ in refs), default=-1) + 1)
+    for nid, _ in refs:
+        mark[nid] = 1
+    for nid in compress(range(len(mark) - 1, -1, -1), reversed(mark)):
+        for cid, _ in dag.children(nid):
+            mark[cid] = 1
+    labels = {}
+    for nid in compress(range(len(mark)), mark):
+        node = nodes[nid]
+        tag = node[0]
+        if tag == "and" or tag == "or":
+            (lid, lneg), (rid, rneg) = node[1], node[2]
+            text = "(%s#%d %s %s#%d)" % ("~" if lneg else "", lid,
+                                         "&" if tag == "and" else "|",
+                                         "~" if rneg else "", rid)
+        elif tag == "top":
+            text = "true"
+        else:
+            head = node[:-1]
+            text = labels.get(head)
+            if text is None:
+                text = labels[head] = label(node)
+            args = node[-1]
+            if args:
+                texts = [_ref_str(a) for a in args]
+                text += ("".join(texts) if tag == "ds"
+                         else "(%s)" % ", ".join(texts))
+        yield nid, text
 
 
 def serialize(certs, restrict_blocks=None, label=None):
@@ -330,8 +368,9 @@ def serialize(certs, restrict_blocks=None, label=None):
         states = certs.blocks[bid]
         lines.append("  %d: %s" % (bid, " ".join(c.states[s] for s in states)))
     lines.append("dag:")
-    for nid in reachable(certs.dag, [certs.delta[bid] for bid in ids]):
-        lines.append("  #%d = %s" % (nid, render_node(certs.dag, nid, label)))
+    for nid, text in listing(certs.dag, [certs.delta[bid] for bid in ids],
+                             label):
+        lines.append("  #%d = %s" % (nid, text))
     lines.append("certificates:")
     for bid in ids:
         lines.append("  %d: %s" % (bid, _ref_str(certs.delta[bid])))

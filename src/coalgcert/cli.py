@@ -14,8 +14,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from .certdag import (
-    CertError, build_certificates, distinguish, expand, reachable,
-    render_node, serialize, value_label,
+    CertError, build_certificates, distinguish, expand, listing, serialize,
+    value_label,
 )
 from .coalgebra import ModelError, parse_coalgebra, pretty_model, quotient
 from .functor import (
@@ -136,17 +136,15 @@ def cmd_certify(args):
         _verify(c, certs)
     ids = _visible_blocks(certs, visible)
     if args.json:
-        nodes = reachable(certs.dag, [certs.delta[b] for b in ids])
-        label = value_label(c.functor)
+        nodes = listing(certs.dag, [certs.delta[b] for b in ids],
+                        value_label(c.functor))
         payload = {
             "functor": pretty_functor(c.functor),
             "mode": args.mode,
             "blocks": [{"id": b,
                         "states": [c.states[s] for s in certs.blocks[b]]}
                        for b in ids],
-            "dag": [{"id": nid,
-                     "node": render_node(certs.dag, nid, label)}
-                    for nid in nodes],
+            "dag": [{"id": nid, "node": text} for nid, text in nodes],
             "certificates": {str(b): "#%d" % certs.delta[b][0] for b in ids},
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

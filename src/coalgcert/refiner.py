@@ -33,13 +33,15 @@ of its target.  Splitting S off B:
   3. subtract the weights into S from cell (x, B); a cell no edge points
      to any more is recycled.
 
-States without an edge into S keep their block's shared default key.  P
-is stable for Q: the states of a block share the value of F(chi_C) for
-every compound C.  So the default key is the key any state of the block
-gets with S merged back into its surroundings (into B in generic mode,
-into the outside in cancellative mode); it is computed from the block's
-first touched state.  Keyed states whose key equals the default key
-(possible with cancelling weights) merge back into the default group.
+A block of one state can never split, so its touched state is not keyed;
+steps 1 and 3 still run for it, to keep its cells right.  States without
+an edge into S keep their block's shared default key.  P is stable for Q:
+the states of a block share the value of F(chi_C) for every compound C.
+So the default key is the key any state of the block gets with S merged
+back into its surroundings (into B in generic mode, into the outside in
+cancellative mode); it is computed from the block's first touched state.
+Keyed states whose key equals the default key (possible with cancelling
+weights) merge back into the default group.
 
 Every refinement step is recorded in a trace from which the certificate
 builder and the distinguishing-formula search replay the whole run.  It
@@ -402,6 +404,8 @@ def refine(c, mode="generic", audit=False):
         touched, read = weights.collect(S_states, block_of)
         stats["visited_edges"] += read
         for T, t_states in touched.items():
+            if part.size(T) == 1:
+                continue  # a one-state block cannot split
             for x in t_states:
                 part.mark(x)
             groups = {}

@@ -2,17 +2,20 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from coalgcert.certdag import (
-    CertError, FormulaDag, build_certificates, distinguish, expand, reachable,
-    serialize, value_label,
+    CertError, FormulaDag, _pieces, build_certificates, distinguish, expand,
+    listing, reachable, serialize, value_label,
 )
 from coalgcert.coalgebra import parse_coalgebra
+from coalgcert.functor import pretty_functor
 from coalgcert.logic import eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
 from coalgcert.refiner import refine
+from coalgcert.translate import default_logic, ds_label, translate
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
 from test_acceptance import composite_instance
 
@@ -180,6 +183,80 @@ def test_serialize_mentions_blocks(ts1):
     for name in ts1.states:
         assert name in listing
     assert "true" in listing or "<{}>" in listing
+
+
+def _ref_str(ref):
+    return ("~#%d" if ref[1] else "#%d") % ref[0]
+
+
+def reference_listing(dag, roots, label):
+    """(id, text) of the nodes roots reach, by reachable and expand's piece
+    renderer: the reference of the one-pass listing."""
+    return [(nid, "".join([p if type(p) is str else _ref_str(p)
+                           for p in _pieces(dag.nodes[nid], label)]))
+            for nid in reachable(dag, roots)]
+
+
+def reference_serialize(certs, ids, label):
+    c = certs.coalgebra
+    lines = ["functor: %s" % pretty_functor(c.functor), "blocks:"]
+    lines += ["  %d: %s" % (b, " ".join(c.states[s] for s in certs.blocks[b]))
+              for b in ids]
+    lines.append("dag:")
+    lines += ["  #%d = %s" % item for item in reference_listing(
+        certs.dag, [certs.delta[b] for b in ids], label)]
+    lines.append("certificates:")
+    lines += ["  %d: %s" % (b, _ref_str(certs.delta[b])) for b in ids]
+    return "\n".join(lines) + "\n"
+
+
+def listed_arenas(certs, mode):
+    """(certificate set, label) of the certificates and, where a logic fits
+    the functor, of their translation, as certify and translate print them."""
+    c = certs.coalgebra
+    yield certs, value_label(c.functor)
+    logic = default_logic(c.functor)
+    if logic is None or (logic == "prob" and mode == "cancellative"):
+        return
+    ids = range(len(certs.blocks))
+    dag, refs = translate(certs, logic, [certs.delta[b] for b in ids])
+    yield replace(certs, dag=dag, delta=dict(zip(ids, refs)), beta={}), \
+        ds_label
+
+
+def test_listing_matches_reference():
+    rng = random.Random(0)
+    labels = set()
+    for label, c, mode in reference_cases():
+        certs0 = build_certificates(c, refine(c, mode=mode))
+        nb = len(certs0.blocks)
+        subset = rng.sample(range(nb), nb // 2)  # strict, in any order
+        for certs, lab in listed_arenas(certs0, mode):
+            labels.add(lab)
+            for ids in (None, subset, []):
+                shown = range(nb) if ids is None else ids
+                assert serialize(certs, ids, lab) == reference_serialize(
+                    certs, shown, lab), (label, mode, ids)
+    assert ds_label in labels  # translated arenas were listed
+
+
+def test_listing_every_node_kind():
+    """Each tag, negated references, shared children, unlisted nodes."""
+    dag = FormulaDag()
+    atom = dag.add_ds(("atom", 0), ())
+    a = dag.add_ds(("dia",), [(atom[0], True)])
+    unused = dag.add_or(a, atom)
+    m0 = dag.add_modal(("set", (0,)), 0, ())
+    m1 = dag.add_modal(("set", (0, 1)), 1, [(m0[0], True)])
+    m2 = dag.add_modal(("set", (0, 1)), 2, [m1, (m0[0], True)])
+    o = dag.add_or((a[0], True), dag.add_and(m2, (0, True)))
+    label = lambda node: (ds_label(node) if node[0] == "ds"
+                          else "<%s/%d>" % (node[1], node[2]))
+    for roots in ([o], [m2, a, m2], [(o[0], True), m0], [(0, False)], []):
+        got = list(listing(dag, roots, label))
+        assert got == reference_listing(dag, roots, label), roots
+        assert [nid for nid, _ in got] == reachable(dag, roots), roots
+    assert unused[0] not in dict(listing(dag, [o], label))
 
 
 def test_size_and_height_bounds():

@@ -319,6 +319,28 @@ def test_fractions_only_for_recorded_values(monkeypatch):
     assert built["R^(X)"] and built["(D(X) + C{stop})^{a,b}"]
 
 
+def test_one_state_blocks_are_not_keyed(monkeypatch):
+    """refine marks, and then keys, only states of blocks with at least two
+    states; skipping the others leaves the whole-row reference's trace."""
+    mark = refiner.RefinablePartition.mark
+    marked = []
+
+    def checked(part, s):
+        assert part.size(part.block_of[s]) >= 2, s
+        marked.append(s)
+        mark(part, s)
+
+    for label, c in random_instances(seeds=range(4), n=16):
+        for mode in refiner.MODES:
+            if mode == "cancellative" and not is_cancellative(c.functor):
+                continue
+            want = whole_row_trace(c, mode)  # marks one-state blocks too
+            with monkeypatch.context() as m:
+                m.setattr(refiner.RefinablePartition, "mark", checked)
+                assert refine(c, mode=mode).trace == want, (label, mode)
+    assert marked
+
+
 def hub_family(n, hubs=3):
     """A chain 0 -> 1 -> ... -> n-1 whose first states instead point at a
     random half of all states."""
