@@ -6,7 +6,7 @@ from .functor import is_cancellative, is_zippable, parse_functor, pretty_functor
 from .logic import check_certificates, eval_ref, parse_formula
 from .oracle import GeneratorSpec, generate, layered_worstcase, naive_bisimilarity
 from .refiner import refine
-from .translate import translate, verify_dsi
+from .translate import translate
 
 __all__ = [
     "Coalgebra", "GeneratorSpec", "build_certificates", "check_certificates",
@@ -14,5 +14,4 @@ __all__ = [
     "is_zippable", "layered_worstcase", "naive_bisimilarity",
     "parse_coalgebra", "parse_formula", "parse_functor", "pretty_functor",
     "pretty_model", "quotient", "refine", "serialize", "translate",
-    "verify_dsi",
 ]

@@ -33,8 +33,9 @@ Myers' skew-binary jump pointers.
 Rendering.  listing writes the nodes that a set of roots reaches in one
 linear pass, for serialize and certify --json.  Arena ids put children
 before parents, so one downward scan over a bytearray, from the largest
-root, marks the children of each marked node; the marked ids are then
-streamed in ascending order.  Each node is formatted directly by its tag.
+root, marks the children of each marked node (reach, which translate
+walks too); the marked ids are then streamed in ascending order.  Each
+node is formatted directly by its tag.
 A label is rendered once per distinct node[:-1] (all of a node but its
 arguments, which is all a label renderer reads) and kept in a dict: a
 large dag has many modal nodes but few distinct labels.
@@ -42,6 +43,7 @@ large dag has many modal nodes but few distinct labels.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from itertools import chain, compress
 
@@ -320,19 +322,25 @@ def reachable(dag, refs, known=()):
     return sorted(seen)
 
 
-def listing(dag, refs, label):
-    """(id, text) of each node reachable from refs, in ascending id order,
-    the node's children written as #id references (see Rendering in the
-    module docstring)."""
-    nodes = dag.nodes
+def reach(dag, refs):
+    """An iterator over the ids of the nodes reachable from refs, ascending
+    (see Rendering in the module docstring)."""
     mark = bytearray(max((nid for nid, _ in refs), default=-1) + 1)
     for nid, _ in refs:
         mark[nid] = 1
     for nid in compress(range(len(mark) - 1, -1, -1), reversed(mark)):
         for cid, _ in dag.children(nid):
             mark[cid] = 1
+    return compress(range(len(mark)), mark)
+
+
+def listing(dag, refs, label):
+    """(id, text) of each node reachable from refs, in ascending id order,
+    the node's children written as #id references (see Rendering in the
+    module docstring)."""
+    nodes = dag.nodes
     labels = {}
-    for nid in compress(range(len(mark)), mark):
+    for nid in reach(dag, refs):
         node = nodes[nid]
         tag = node[0]
         if tag == "and" or tag == "or":
@@ -355,26 +363,31 @@ def listing(dag, refs, label):
         yield nid, text
 
 
-def serialize(certs, restrict_blocks=None, label=None):
-    """Shared-dag listing: header, block table, nodes, certificate roots.
+def serialize(certs, restrict_blocks=None, label=None, out=None):
+    """Shared-dag listing: header, block table, nodes, certificate roots,
+    written line by line to the text file out, or returned without out.
     label renders modal labels, by default as values of the functor."""
+    if out is None:
+        out = io.StringIO()
+        serialize(certs, restrict_blocks, label, out)
+        return out.getvalue()
     c = certs.coalgebra
     from .functor import pretty_functor
     label = label or value_label(c.functor)
     ids = (range(len(certs.blocks)) if restrict_blocks is None
            else restrict_blocks)
-    lines = ["functor: %s" % pretty_functor(c.functor), "blocks:"]
+    write = out.write
+    write("functor: %s\nblocks:\n" % pretty_functor(c.functor))
     for bid in ids:
         states = certs.blocks[bid]
-        lines.append("  %d: %s" % (bid, " ".join(c.states[s] for s in states)))
-    lines.append("dag:")
+        write("  %d: %s\n" % (bid, " ".join(c.states[s] for s in states)))
+    write("dag:\n")
     for nid, text in listing(certs.dag, [certs.delta[bid] for bid in ids],
                              label):
-        lines.append("  #%d = %s" % (nid, text))
-    lines.append("certificates:")
+        write("  #%d = %s\n" % (nid, text))
+    write("certificates:\n")
     for bid in ids:
-        lines.append("  %d: %s" % (bid, _ref_str(certs.delta[bid])))
-    return "\n".join(lines) + "\n"
+        write("  %d: %s\n" % (bid, _ref_str(certs.delta[bid])))
 
 
 def expand(dag, ref, label, limit=100000):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 malformed input, 3 internal verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -55,6 +56,7 @@ class RunReport:
     dag_edges: int
     dag_height: int
     dag_allocs: int
+    parse_ms: float
     refine_ms: float
     certify_ms: float
 
@@ -120,12 +122,9 @@ def _verify(c, certs):
         raise CliFailure(VERIFY_ERROR, bad[0])
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out):
+    """The file named out, opened for writing, or else stdout."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_certify(args):
@@ -147,9 +146,11 @@ def cmd_certify(args):
             "dag": [{"id": nid, "node": text} for nid, text in nodes],
             "certificates": {str(b): "#%d" % certs.delta[b][0] for b in ids},
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        with _output(args.out) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(serialize(certs, restrict_blocks=ids), args.out)
+        with _output(args.out) as fh:
+            serialize(certs, restrict_blocks=ids, out=fh)
     return OK
 
 
@@ -187,7 +188,8 @@ def cmd_minimize(args):
                          "minimize does not support composed functors")
     result = refine(c, mode=args.mode)
     q = quotient(c, result.blocks)
-    _emit(pretty_model(q), args.out)
+    with _output(args.out) as fh:
+        fh.write(pretty_model(q))
     return OK
 
 
@@ -227,13 +229,15 @@ def cmd_translate(args):
     ids = _visible_blocks(certs, visible)
     dag, refs = translate(certs, args.logic, [certs.delta[b] for b in ids])
     translated = replace(certs, dag=dag, delta=dict(zip(ids, refs)), beta={})
-    _emit(serialize(translated, restrict_blocks=ids, label=ds_label),
-          args.out)
+    with _output(args.out) as fh:
+        serialize(translated, restrict_blocks=ids, label=ds_label, out=fh)
     return OK
 
 
 def cmd_stats(args):
+    t0 = time.perf_counter()
     c0 = _load(args.model)
+    pms = (time.perf_counter() - t0) * 1000.0
     c, _visible = _prepare(c0, args.mode)
     result, certs, rms, cms = _run(c, args.mode)
     nodes, edges = certs.dag.size()
@@ -244,7 +248,8 @@ def cmd_stats(args):
         visited_edges=result.stats["visited_edges"],
         blocks=len(result.blocks), dag_nodes=nodes, dag_edges=edges,
         dag_height=certs.dag.height(), dag_allocs=len(certs.dag.nodes),
-        refine_ms=round(rms, 3), certify_ms=round(cms, 3))
+        parse_ms=round(pms, 3), refine_ms=round(rms, 3),
+        certify_ms=round(cms, 3))
     if args.json:
         print(json.dumps(asdict(report), sort_keys=True))
     else:
@@ -259,7 +264,8 @@ def cmd_gen(args):
         c = generate(spec)
     except (FunctorError, ValueError) as e:
         raise CliFailure(INPUT_ERROR, str(e))
-    _emit(pretty_model(c), args.out)
+    with _output(args.out) as fh:
+        fh.write(pretty_model(c))
     return OK
 
 

@@ -25,17 +25,18 @@ the declared states is unchanged; Coalgebra.declared records n.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 
 from .functor import (
-    INT, NAT, Coproduct, Distribution, FunctorError, composite_spine,
-    parse_functor, pretty_functor,
+    INT, NAT, Coproduct, Distribution, FunctorError, MonoidValued, Scanner,
+    composite_spine, parse_functor, pretty_functor,
 )
-from .values import ShapeReader, ShapeWriter, fmap
+from .values import ShapeWriter, fmap, read_ratio, shape_reader
 
 
 class ModelError(ValueError):
@@ -159,67 +160,96 @@ def _row_edges(t, base, tgt, slots, wts, total, scale):
 
 # ---------------------------------------------------------------- parsing
 
-class _TermReader(ShapeReader):
+# An innermost weight entry ``name: p/q`` and the ',' or '}' after it, so
+# the number is the whole token read_ratio would read; p/0 does not match.
+_ENTRY = re.compile(r"\s*(\w+)\s*:\s*(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
+                    r"\s*([,}])").match
+
+
+def _append(read, rows):
+    rows.append(read())
+    return len(rows) - 1
+
+
+class _TermReader(Scanner):
     """Structure terms, read into rows[d], the rows of layer d of the
-    functor: an identity position holds a state name at the innermost
-    layer, else a term of the next layer, whose index in that layer's rows
-    it holds.  Weights are sparse ``{s: w, ...}``."""
+    functor, by values.shape_reader's reader per layer: an identity
+    position holds a state name at the innermost layer, else a term of the
+    next layer, whose index in its rows it holds.  Weights are sparse."""
 
     error = ModelError
 
     def __init__(self, layers, state_ids):
         super().__init__("")
-        self.layers = layers  # outermost first
-        self.rows = [[] for _ in layers]
-        self.depth = 0
         self.state_ids = state_ids
+        self.rows = [[] for _ in layers]  # layers: outermost first
+        self.top = self.state  # the innermost slot; each layer wraps it
+        for d in range(len(layers) - 1, -1, -1):
+            read = shape_reader(layers[d], self, self.top,
+                                partial(self.weights, self.rows[d + 1:]))
+            self.top = partial(_append, read, self.rows[d])
 
     def term(self, text):
         self.text, self.i = text, 0
-        self.rows[0].append(self.done(self.read(self.layers[0])))
+        self.done(self.top())
 
-    def slot(self):
-        if self.depth + 1 < len(self.layers):
-            self.depth += 1
-            rows = self.rows[self.depth]
-            rows.append(self.read(self.layers[self.depth]))
-            self.depth -= 1
-            return len(rows) - 1
+    def state(self):
         name = self.token()
         sid = self.state_ids.get(name)
         if sid is None:
             raise ModelError("unknown state %r" % name)
         return sid
 
-    def entry(self):
-        mark = [len(rows) for rows in self.rows]
-        s = self.slot()
-        self.eat(":")
-        w = self.rational()
-        if not w:  # a dropped entry keeps no inner rows
-            for rows, k in zip(self.rows, mark):
-                del rows[k:]
-        return s, w
+    def weights(self, inner, f, slot):
+        """The reader of a weight layer of f, whose keys slot() reads.  A
+        zero weight's entry keeps none of the rows it read into inner, the
+        lower layers' rows.  _ENTRY reads innermost entries; the token path
+        reads the rest and words every error."""
+        dist, nat, ints = [f == g for g in (Distribution(), MonoidValued(NAT),
+                                            MonoidValued(INT))]
+        fast, ids = None if inner else _ENTRY, self.state_ids
 
-    def weights(self, f):
-        self.eat("{")
-        entries = self.items("}", self.entry)
-        ws = [w for _, w in entries]
-        if isinstance(f, Distribution):
-            if sum(ws, Fraction(0)) != 1:
-                raise ModelError("distribution weights must sum to 1")
-            if any(w < 0 for w in ws):
+        def entry():
+            marks = [len(rows) for rows in inner]
+            s = slot()
+            self.eat(":")
+            p, q = read_ratio(self)
+            if not p:
+                for rows, k in zip(inner, marks):
+                    del rows[k:]
+            return s, p, q
+
+        def read():
+            self.eat("{")
+            entries = []
+            if not self.try_eat("}"):
+                while True:
+                    m = fast and fast(self.text, self.i)
+                    if m and m[1] in ids:
+                        entries.append((ids[m[1]], int(m[2]), int(m[3] or 1)))
+                        self.i = m.end()
+                        if m[4] == "}":
+                            break
+                        continue
+                    entries.append(entry())
+                    if self.try_eat("}"):
+                        break
+                    self.eat(",")
+            if dist:
+                d = lcm(*[q for _s, _p, q in entries])
+                if sum([p * (d // q) for _s, p, q in entries]) != d:
+                    raise ModelError("distribution weights must sum to 1")
+            if dist and any(p < 0 for _s, p, _q in entries):
                 raise ModelError("distribution weights must be nonnegative")
-        elif f.kind == NAT:
-            if any(w.denominator != 1 or w < 0 for w in ws):
+            elif nat and any(p % q or p < 0 for _s, p, q in entries):
                 raise ModelError("N-weights must be nonnegative integers")
-        elif f.kind == INT:
-            if any(w.denominator != 1 for w in ws):
+            elif ints and any(p % q for _s, p, q in entries):
                 raise ModelError("Z-weights must be integers")
-        entries = [(s, w) for s, w in entries if w != 0]
-        if len({s for s, _ in entries}) != len(entries):
-            raise ModelError("duplicate state in %r" % self.text)
-        return ("vec", tuple(sorted(entries)))
+            kept = [(s, Fraction(p, q)) for s, p, q in entries if p]
+            if len({s for s, _ in kept}) != len(kept):
+                raise ModelError("duplicate state in %r" % self.text)
+            return ("vec", tuple(sorted(kept)))
+        return read
 
 
 def parse_coalgebra(text):

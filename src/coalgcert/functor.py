@@ -8,7 +8,7 @@ product, coproduct, exponent and composition combine sub-expressions.
 This module is the bottom of the package's import graph, so it also holds
 Scanner, the position in a text that every parser of the package reads
 through: the functor grammar here, and the readers of model rows, value
-literals and formulas, which import it.
+literals and formulas, which import it (the formula readers with unnest).
 """
 
 from __future__ import annotations
@@ -53,12 +53,6 @@ class Distribution:
 @dataclass(frozen=True)
 class Signature:
     ops: tuple[tuple[str, int], ...]  # (name, arity)
-
-    def arity(self, name):
-        for op, ar in self.ops:
-            if op == name:
-                return ar
-        raise FunctorError("unknown operation %r" % name)
 
 
 @dataclass(frozen=True)
@@ -155,6 +149,22 @@ class Scanner:
                     return out
                 self.eat(",")
         return out
+
+
+def unnest(parse):
+    """parse() run on an explicit stack: parse is a generator function in
+    which ``(yield)`` stands for a nested call of parse() and evaluates to
+    its result, so nesting depth is not bounded by Python's recursion."""
+    stack, value = [parse()], None
+    while stack:
+        try:
+            stack[-1].send(value)
+            stack.append(parse())  # it asked for a nested formula
+            value = None
+        except StopIteration as stop:  # it returned one
+            stack.pop()
+            value = stop.value
+    return value
 
 
 # ------------------------------------------------------- functor grammar

@@ -15,14 +15,14 @@ successors coloured L, so its key is F(const_L)(row), which depends on
 the node only through L.  One table per L maps these keys to bitsets of
 states.  The tables and the predecessor masks are built once per
 evaluator, not once per node; the masks come from the in-edges of the
-coalgebra's edge table (Coalgebra.predecessors).  check_extensions uses
-one evaluator for all its formulas.
+coalgebra's edge table (Coalgebra.predecessors).
 
 check_certificates, the one check of ``certify --verify``, instead
 replays the trace and checks each split's keys, the dag's shape and the
 final partition's stability.  That proves each certificate by induction
 over the trace (see _Induction), with no formula evaluated over the whole
-state set.  check_extensions is its semantic reference.
+state set.  The tests' check_extensions, which evaluates every
+certificate over the whole state set, is its semantic reference.
 
 The domain-specific formulas of translate.py live in the same kind of
 arena and go through the same pass: ``or`` is ``|``, and a node
@@ -33,6 +33,7 @@ and once per keyed state."""
 from __future__ import annotations
 
 from .certdag import FormulaDag, reachable
+from .functor import unnest
 from .values import (
     Scanner, ValueError_, fmap, parse_value, validate_value,
 )
@@ -207,46 +208,6 @@ def eval_ref(dag, ref, c, memo=None):
     lacks are evaluated and added."""
     memo = {} if memo is None else memo
     return frozenset(_members(_Extensions(c).ext(dag, ref, memo)))
-
-
-def check_extensions(certs, c=None):
-    """Verify that every block certificate evaluates exactly to its block,
-    and every compound formula to the union of its compound's blocks.
-
-    The semantic reference of check_certificates: it evaluates every node
-    over the whole state set, so it also reads arenas that no trace built,
-    such as translated listings.  Returns a list of mismatches (block id
-    or 'betaC', expected, got); empty means the certificate set is sound
-    and complete for the final partition."""
-    if c is None:
-        c = certs.coalgebra
-    ev = _Extensions(c)
-    memo = {}
-    bad = []
-    masks = [_mask(states) for states in certs.blocks]
-    for bid, (states, want) in enumerate(zip(certs.blocks, masks)):
-        got = ev.ext(certs.dag, certs.delta[bid], memo)
-        if got != want:
-            bad.append((bid, frozenset(states), frozenset(_members(got))))
-    # each final block's compound, replayed from the trace: the initial
-    # blocks start in compound 0, a split moves S into its new compound,
-    # and a refinement's children join their parent's compound
-    compound_of = {bid: 0 for bid, _val, _states in certs.trace.init.blocks}
-    for split in certs.trace.splits:
-        compound_of[split.splitter] = split.new_compound
-        for ref_ in split.refinements:
-            for cid, _val, _states in ref_.children:
-                compound_of[cid] = compound_of[ref_.parent]
-    union = {}
-    for bid, mask in enumerate(masks):
-        union[compound_of[bid]] = union.get(compound_of[bid], 0) | mask
-    for cmp_id, ref in certs.beta.items():
-        got = ev.ext(certs.dag, ref, memo)
-        want = union.get(cmp_id, 0)
-        if got != want:
-            bad.append(("beta%d" % cmp_id, frozenset(_members(want)),
-                        frozenset(_members(got))))
-    return bad
 
 
 # why a state and a formula disagree, by whether the state satisfies it
@@ -570,15 +531,16 @@ class _FormulaParser(Scanner):
         self.dag = FormulaDag()
 
     def formula(self):
+        """A generator for unnest: each (yield) reads a nested formula."""
         if self.try_eat("true"):
             return (0, False)
         if self.try_eat("~"):
-            nid, neg = self.formula()
+            nid, neg = yield
             return (nid, not neg)
         if self.try_eat("("):
-            left = self.formula()
+            left = yield
             self.eat("&")
-            right = self.formula()
+            right = yield
             self.eat(")")
             return self.dag.add_and(left, right)
         if self.try_eat("<"):
@@ -587,9 +549,9 @@ class _FormulaParser(Scanner):
             self.i = j + 1
             args = []
             if self.try_eat("("):
-                args.append(self.formula())
+                args.append((yield))
                 while self.try_eat(","):
-                    args.append(self.formula())
+                    args.append((yield))
                 self.eat(")")
             arity = len(args)
             if arity > 2:
@@ -603,8 +565,6 @@ def parse_formula(text, functor):
     """Parse the generic formula syntax; returns (dag, reference)."""
     try:
         p = _FormulaParser(text, functor)
-        return p.dag, p.done(p.formula())
+        return p.dag, p.done(unnest(p.formula))
     except (ValueError_, ValueError, IndexError) as e:
         raise EvalError("bad formula %r: %s" % (text, e)) from None
-    except RecursionError:  # the parser recurses once per nesting level
-        raise EvalError("formula nested too deeply") from None

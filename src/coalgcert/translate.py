@@ -32,14 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certdag import TOP, FormulaDag, reachable
+from .certdag import TOP, FormulaDag, reach
 from .functor import (
     Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
-    Signature, pretty_functor,
+    Signature, pretty_functor, unnest,
 )
-from .coalgebra import Coalgebra
-from .logic import _Extensions, _members
-from .values import Scanner, fmap, parse_rational
+from .values import Scanner, parse_rational
 
 LOGICS = ("hm", "weighted", "signature", "prob")
 
@@ -183,7 +181,7 @@ def translate(certs, logic, refs):
         nid, neg = out[ref[0]]
         return (nid, neg != ref[1])
 
-    for nid in reachable(certs.dag, refs):
+    for nid in reach(certs.dag, refs):
         node = certs.dag.nodes[nid]
         if node[0] == "top":
             out[nid] = TOP
@@ -200,66 +198,6 @@ def translate(certs, logic, refs):
             else:
                 out[nid] = kappa(dag, logic, f, val, tr(args[0]))
     return dag, [tr(r) for r in refs]
-
-
-# ------------------------------------------------------- lifting checks
-
-def _one_step(f, k, values, dag, atoms):
-    """Satisfaction of one-layer formulas by candidate values.
-
-    The one-step coalgebra has the k colours of a palette as its states
-    0..k-1, and state k+i with the i-th value as its row; the colours'
-    rows repeat the first value and are never read.  atoms maps the
-    arena's atom nodes to their colours.  Returns sat(phi), the set of
-    values at which the formula phi holds."""
-    values = list(values)
-    rows = values[:1] * k + values
-    ev = _Extensions(Coalgebra(f, tuple(range(len(rows))), tuple(rows)))
-    memo = {nid: 1 << colour for nid, colour in atoms.items()}
-
-    def sat(phi):
-        return {values[i] for i in _members(ev.ext(dag, phi, memo) >> k)}
-    return sat
-
-
-def verify_dsi(logic, c, values1, values2, values3):
-    """Brute-force check of the interpretation axioms on realizable values.
-
-    values1/2/3 are the realizable one-, two- and three-colour values of
-    the coalgebra.  For every o the closed formula tau(o) must single out o
-    among the one-colour values; for every t the open formula lam(t) must
-    single out t among the three-colour values that agree with t once the
-    two inner colours are merged; analogously for kappa where defined.
-    The formulas are evaluated by logic's bitset pass on the one-step
-    coalgebra of each palette (see _one_step), where the atoms delta and
-    rho hold at colours 2 and 1, and delta at colour 1 for kappa.
-    Returns a list of violations (empty = all axioms hold)."""
-    f = c.functor
-    check_compatible(logic, f)
-    dag = FormulaDag()
-    delta, rho = dag.add_ds(("atom", 0), ()), dag.add_ds(("atom", 1), ())
-    bad = []
-    sat = _one_step(f, 1, values1, dag, {})
-    for o in values1:
-        hits = sat(tau(dag, logic, f, o))
-        if hits != {o}:
-            bad.append(("tau", o, hits))
-    sat = _one_step(f, 3, values3, dag, {delta[0]: 2, rho[0]: 1})
-    for t in values3:
-        cls = fmap(t, [0, 1, 1])
-        hits = {t2 for t2 in sat(lam(dag, logic, f, t, delta, rho))
-                if fmap(t2, [0, 1, 1]) == cls}
-        if hits != {t}:
-            bad.append(("lambda", t, hits))
-    if logic in ("weighted", "signature"):
-        sat = _one_step(f, 2, values2, dag, {delta[0]: 1})
-        for s in values2:
-            out = fmap(s, [0, 0])
-            hits = {s2 for s2 in sat(kappa(dag, logic, f, s, delta))
-                    if fmap(s2, [0, 0]) == out}
-            if hits != {s}:
-                bad.append(("kappa", s, hits))
-    return bad
 
 
 # ------------------------------------------------------------- printing
@@ -281,7 +219,7 @@ def ds_label(node):
         return "<{%s}>" % ",".join(str(i) for i in sorted(label[1]))
     if tag == "prob":
         return "<%s>_{%s}" % label[1:]
-    return "_%d" % label[1]  # an atom of verify_dsi
+    return "_%d" % label[1]  # an atom, which the tests' arenas hold
 
 
 # ------------------------------------------------------------- parsing
@@ -308,25 +246,26 @@ class _DSParser(Scanner):
         return self.dag.add_ds(label, args)
 
     def formula(self):
+        """A generator for unnest: each (yield) reads a nested formula."""
         if self.try_eat("true"):
             return TOP
         if self.try_eat("~"):
-            nid, neg = self.formula()
+            nid, neg = yield
             return (nid, not neg)
         if self.try_eat("("):
-            left = self.formula()
+            left = yield
             if self.try_eat("&"):
                 add = self.dag.add_and
             else:
                 self.eat("|")
                 add = self.dag.add_or
-            right = self.formula()
+            right = yield
             self.eat(")")
             return add(left, right)
         if self.try_eat("<>"):
-            return self.modal(("dia",), self.formula())
+            return self.modal(("dia",), (yield))
         if self.try_eat("[]"):
-            return self.modal(("box",), self.formula())
+            return self.modal(("box",), (yield))
         if self.try_eat("<"):
             j = self.text.index(">", self.i)
             content = self.text[self.i:j].strip()
@@ -334,13 +273,13 @@ class _DSParser(Scanner):
             if content.startswith("{"):
                 inner = content.strip("{}").strip()
                 idxs = frozenset(int(t) for t in inner.split(",") if t.strip())
-                return self.modal(("args", idxs), self.formula())
+                return self.modal(("args", idxs), (yield))
             if self.try_eat("_{"):
                 jj = self.text.index("}", self.i)
                 p = parse_rational(self.text[self.i:jj])
                 self.i = jj + 1
-                return self.modal(("prob", content, p), self.formula())
-            return self.modal(("w", parse_rational(content)), self.formula())
+                return self.modal(("prob", content, p), (yield))
+            return self.modal(("w", parse_rational(content)), (yield))
         return self.modal(("sig", self.token()))  # a nullary operation
 
 
@@ -350,8 +289,6 @@ def parse_ds(text, logic):
     TranslateError."""
     try:
         p = _DSParser(text, logic)
-        return p.dag, p.done(p.formula())
+        return p.dag, p.done(unnest(p.formula))
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None
-    except RecursionError:  # the parser recurses once per nesting level
-        raise TranslateError("formula nested too deeply") from None

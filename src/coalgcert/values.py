@@ -19,12 +19,13 @@ every identity position:
     ('atom', name)                   constant
 
 Value literals use the syntax of model rows, with colours at identity
-positions and dense weights ``(w0, w1, ...)``, which is also how
-pretty_value prints them.  ShapeReader reads both, and its mirror
-ShapeWriter writes both, for pretty_value and coalgebra.pretty_model.
-ShapeReader is a Scanner, the scanner of every parser in the package;
-Scanner lives in functor.py, whose grammar is its first user, and is
-imported here for the other parsers.
+positions and dense weights ``(w0, w1, ...)``, as pretty_value prints
+them.  shape_reader compiles a functor once, through one entry per
+constructor in _SHAPES, into closures that read its terms: for
+parse_value, validate_value and the model reader (coalgebra.py), which
+read weights as ints (p, q) and build a Fraction only for a kept weight.
+ShapeWriter writes the syntax back.  Scanner lives in functor.py, whose
+grammar is its first user, and is imported here for the other parsers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import re
 from fractions import Fraction
 
 from .functor import (
-    Constant, Coproduct, Distribution, Exponent, FunctorError,
+    Composite, Constant, Coproduct, Distribution, Exponent, FunctorError,
     Identity, MonoidValued, Powerset, Product, Scanner, Signature,
     pretty_functor,
 )
@@ -67,92 +68,153 @@ def fmap(t, g):
     return t  # ('atom', name)
 
 
-def parse_rational(text, error=ValueError_):
+# ------------------------------------------------------------- rationals
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+_NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25
+
+
+def ratio(text, error=ValueError_):
+    """The rational text spells, as ints (p, q) with q > 0, not always in
+    lowest terms: int reads integers and integer fractions, Fraction any
+    other text.  Every 'bad rational' error comes from here."""
+    m = _RATIO(text)
+    if m is not None and int(m[2] or 1):
+        return int(m[1]), int(m[2] or 1)
     try:
-        return Fraction(text)
+        r = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise error("bad rational %r: %s" % (text, e)) from None
+    return r.numerator, r.denominator
+
+
+def parse_rational(text, error=ValueError_):
+    return Fraction(*ratio(text, error))
+
+
+def read_ratio(sc):
+    """The rational token at the Scanner sc's position, as ratio reads it."""
+    return ratio(sc.token(_NUMBER), sc.error)
 
 
 # ------------------------------------------------------ concrete syntax
 
-_NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25
+def shape_reader(f, sc, slot, weights):
+    """Compile the functor f into a function that reads one term of f at
+    the Scanner sc's position, in the syntax of terms and value literals:
+    products ``(t, u)``, injections ``in1(t)``, exponents ``[a: t, b: u]``,
+    constants, signature terms ``f(x, y)`` and sets ``{x, y}``.  slot()
+    reads an identity position, weights(g, slot) compiles weight layer g."""
+    return _SHAPES[type(f)](f, sc, slot, weights)
 
 
-class ShapeReader(Scanner):
-    """Functor-directed reader of the syntax that structure terms and value
-    literals share: products ``(t, u)``, injections ``in1(t)``, exponents
-    ``[a: t, b: u]``, constants, signature terms ``f(x, y)`` and sets
-    ``{x, y}``.  A subclass supplies ``slot()``, which reads an identity
-    position (a state or a colour), and ``weights(f)``, a weight layer."""
+def _read_set(f, sc, slot, weights):
+    def read():
+        sc.eat("{")
+        xs = sc.items("}", slot)
+        if len(set(xs)) != len(xs):
+            raise sc.error("duplicate element in set %r" % sc.text)
+        return ("set", tuple(sorted(xs)))
+    return read
 
-    def rational(self):
-        return parse_rational(self.token(_NUMBER), self.error)
 
-    def labelled(self, f):
-        lab = self.token()
-        self.eat(":")
-        return lab, self.read(f)
+def _read_op(f, sc, slot, weights):
+    def read():
+        name = sc.token()
+        ar = dict(f.ops).get(name)
+        if ar is None:
+            raise sc.error("unknown operation %r" % name)
+        args = sc.items(")", slot) if sc.try_eat("(") else []
+        if len(args) != ar:
+            raise sc.error("operation %s expects %d arguments" % (name, ar))
+        return ("op", name, tuple(args))
+    return read
 
-    def read(self, f):
-        if isinstance(f, Identity):
-            return self.slot()
-        if isinstance(f, Powerset):
-            self.eat("{")
-            xs = self.items("}", self.slot)
-            if len(set(xs)) != len(xs):
-                raise self.error("duplicate element in set %r" % self.text)
-            return ("set", tuple(sorted(xs)))
-        if isinstance(f, (MonoidValued, Distribution)):
-            return self.weights(f)
-        if isinstance(f, Signature):
-            name = self.token()
-            ar = dict(f.ops).get(name)
-            if ar is None:
-                raise self.error("unknown operation %r" % name)
-            args = self.items(")", self.slot) if self.try_eat("(") else []
-            if len(args) != ar:
-                raise self.error("operation %s expects %d arguments" % (name, ar))
-            return ("op", name, tuple(args))
-        if isinstance(f, Product):
-            self.eat("(")
-            parts = []
-            for j, p in enumerate(f.parts):
-                if j:
-                    self.eat(",")
-                parts.append(self.read(p))
-            self.eat(")")
-            return ("tuple", tuple(parts))
-        if isinstance(f, Coproduct):
-            self.eat("in")
-            idx = self.index("an injection number") - 1
-            if not 0 <= idx < len(f.parts):
-                raise self.error("injection in%d out of range" % (idx + 1))
-            self.eat("(")
-            v = self.read(f.parts[idx])
-            self.eat(")")
-            return ("in", idx, v)
-        if isinstance(f, Exponent):
-            self.eat("[")
-            by_label = {}
-            for lab, v in self.items("]", lambda: self.labelled(f.base)):
-                if lab not in f.labels or lab in by_label:
-                    raise self.error("unknown or repeated label %r" % lab)
-                by_label[lab] = v
-            if len(by_label) != len(f.labels):
-                raise self.error("exponent must give every label of %s"
-                                 % (f.labels,))
-            return ("fun", tuple(by_label[lab] for lab in f.labels))
-        if isinstance(f, Constant):
-            name = self.token()
-            if name not in f.atoms:
-                raise self.error("unknown atom %r" % name)
-            return ("atom", name)
-        raise self.error("cannot read functor %s" % pretty_functor(f))
+
+def _read_tuple(f, sc, slot, weights):
+    parts = [shape_reader(p, sc, slot, weights) for p in f.parts]
+
+    def read():
+        sc.eat("(")
+        out = []
+        for j, part in enumerate(parts):
+            if j:
+                sc.eat(",")
+            out.append(part())
+        sc.eat(")")
+        return ("tuple", tuple(out))
+    return read
+
+
+def _read_in(f, sc, slot, weights):
+    parts = [shape_reader(p, sc, slot, weights) for p in f.parts]
+
+    def read():
+        sc.eat("in")
+        idx = sc.index("an injection number") - 1
+        if not 0 <= idx < len(parts):
+            raise sc.error("injection in%d out of range" % (idx + 1))
+        sc.eat("(")
+        v = parts[idx]()
+        sc.eat(")")
+        return ("in", idx, v)
+    return read
+
+
+def _read_fun(f, sc, slot, weights):
+    base = shape_reader(f.base, sc, slot, weights)
+
+    def labelled():
+        lab = sc.token()
+        sc.eat(":")
+        return lab, base()
+
+    def read():
+        sc.eat("[")
+        by_label = {}
+        for lab, v in sc.items("]", labelled):
+            if lab not in f.labels or lab in by_label:
+                raise sc.error("unknown or repeated label %r" % lab)
+            by_label[lab] = v
+        if len(by_label) != len(f.labels):
+            raise sc.error("exponent must give every label of %s"
+                           % (f.labels,))
+        return ("fun", tuple([by_label[lab] for lab in f.labels]))
+    return read
+
+
+def _read_atom(f, sc, slot, weights):
+    def read():
+        name = sc.token()
+        if name not in f.atoms:
+            raise sc.error("unknown atom %r" % name)
+        return ("atom", name)
+    return read
+
+
+def _read_composite(f, sc, slot, weights):
+    def read():  # only the model reader unfolds composition, layer by layer
+        raise sc.error("cannot read functor %s" % pretty_functor(f))
+    return read
+
+
+# functor constructor -> the compiler of its reader, see shape_reader
+_SHAPES = {
+    Identity: lambda f, sc, slot, weights: slot,
+    Powerset: _read_set,
+    MonoidValued: lambda f, sc, slot, weights: weights(f, slot),
+    Distribution: lambda f, sc, slot, weights: weights(f, slot),
+    Signature: _read_op,
+    Product: _read_tuple,
+    Coproduct: _read_in,
+    Exponent: _read_fun,
+    Constant: _read_atom,
+    Composite: _read_composite,
+}
 
 
 class ShapeWriter:
-    """Writer of the syntax ShapeReader reads, its mirror.  slot(x) is the
+    """Writer of the syntax shape_reader reads, its mirror.  slot(x) is the
     text of an identity position, weights(entries) that of a weight layer's
     ((x, w), ...) entries, and sep separates the items of products, sets
     and operation arguments; exponents always separate with ", "."""
@@ -192,7 +254,7 @@ def pretty_value(f, v, k):
     return ShapeWriter(str, dense, ",").write(f, v)
 
 
-class _ValueReader(ShapeReader):
+class _ValueReader(Scanner):
     """Value literals over a palette of k colours; weights are dense, and
     read into sparse ('vec', ((c, w), ...)) layers."""
 
@@ -202,51 +264,34 @@ class _ValueReader(ShapeReader):
         super().__init__(text)
         self.k = k
 
-    def slot(self):
+    def colour(self):
         c = self.index("a colour")
         if not 0 <= c < self.k:
             raise ValueError_("colour %d out of palette %d" % (c, self.k))
         return c
 
-    def weights(self, f):
-        self.eat("(")
-        ws = self.items(")", self.rational)
-        if len(ws) != self.k:
-            raise ValueError_(
-                "weight vector has %d entries, palette is %d" % (len(ws), self.k))
-        return ("vec", tuple((c, w) for c, w in enumerate(ws) if w))
+    def weights(self, f, slot):
+        def read():
+            self.eat("(")
+            ws = self.items(")", lambda: read_ratio(self))
+            if len(ws) != self.k:
+                raise ValueError_("weight vector has %d entries, palette is %d"
+                                  % (len(ws), self.k))
+            return ("vec", tuple([(c, Fraction(p, q))
+                                  for c, (p, q) in enumerate(ws) if p]))
+        return read
 
 
 def parse_value(text, f, k):
     """Parse a value literal for functor f over palette k."""
     r = _ValueReader(text, k)
-    return r.done(r.read(f))
+    return r.done(shape_reader(f, r, r.colour, r.weights)())
 
 
 def validate_value(f, v, k):
-    """Check that v is a well-formed canonical value of F(k)."""
-    if isinstance(f, Identity):
-        return isinstance(v, int) and 0 <= v < k
-    if not isinstance(v, tuple):
+    """Whether v is a well-formed canonical value of F(k): whether it
+    prints as a literal that parse_value reads back as v."""
+    try:
+        return parse_value(pretty_value(f, v, k), f, k) == v
+    except (ValueError, LookupError, TypeError, AttributeError):
         return False
-    if isinstance(f, Powerset):
-        return (v[0] == "set" and list(v[1]) == sorted(set(v[1]))
-                and all(0 <= c < k for c in v[1]))
-    if isinstance(f, (MonoidValued, Distribution)):
-        return (v[0] == "vec" and all(0 <= c < k and w for c, w in v[1])
-                and list(v[1]) == sorted(dict(v[1]).items()))
-    if isinstance(f, Signature):
-        return (v[0] == "op" and f.arity(v[1]) == len(v[2])
-                and all(0 <= c < k for c in v[2]))
-    if isinstance(f, Product):
-        return (v[0] == "tuple" and len(v[1]) == len(f.parts)
-                and all(validate_value(p, x, k) for p, x in zip(f.parts, v[1])))
-    if isinstance(f, Coproduct):
-        return (v[0] == "in" and 0 <= v[1] < len(f.parts)
-                and validate_value(f.parts[v[1]], v[2], k))
-    if isinstance(f, Exponent):
-        return (v[0] == "fun" and len(v[1]) == len(f.labels)
-                and all(validate_value(f.base, x, k) for x in v[1]))
-    if isinstance(f, Constant):
-        return v[0] == "atom" and v[1] in f.atoms
-    return False

@@ -15,16 +15,17 @@ from coalgcert.certdag import (
     build_certificates, distinguish, expand, reachable,
 )
 from coalgcert.coalgebra import parse_coalgebra
-from coalgcert.logic import check_extensions, eval_ref, parse_formula
+from coalgcert.logic import eval_ref, parse_formula
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
     partition_key,
 )
 from coalgcert.refiner import refine
-from coalgcert.translate import ds_label, parse_ds, translate, verify_dsi
+from coalgcert.translate import ds_label, parse_ds, translate
 from conftest import (
     CANCELLATIVE_FUNCTORS, FUNCTORS, load_model, realizable_values,
 )
+from reference import check_extensions, verify_dsi
 
 
 def report(num, desc, ok, detail=""):

@@ -9,7 +9,7 @@ from coalgcert import logic
 from coalgcert.certdag import FormulaDag, build_certificates, reachable
 from coalgcert.functor import is_cancellative
 from coalgcert.logic import (
-    EvalError, check_certificates, check_extensions, eval_ref, parse_formula,
+    EvalError, check_certificates, eval_ref, parse_formula,
 )
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
@@ -17,6 +17,7 @@ from coalgcert.oracle import (
 from coalgcert.refiner import PartitionResult, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
+from reference import check_extensions
 from test_acceptance import composite_instance
 
 

@@ -1,12 +1,16 @@
 """Every parser raises only its own error class, whatever the text."""
 
 import re
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from coalgcert import coalgebra, values
 from coalgcert.certdag import expand
-from coalgcert.coalgebra import ModelError, parse_coalgebra
+from coalgcert.coalgebra import ModelError, parse_coalgebra, pretty_model
 from coalgcert.functor import (
     INT, NAT, REAL, Composite, Constant, Coproduct, Distribution, Exponent,
     FunctorError, Identity, MonoidValued, Powerset, Product, Signature,
@@ -14,8 +18,11 @@ from coalgcert.functor import (
 )
 from coalgcert.logic import EvalError, parse_formula
 from coalgcert.translate import LOGICS, TranslateError, ds_label, parse_ds
-from coalgcert.values import ValueError_, parse_value
-from conftest import COMPOSITE_FUNCTOR, FUNCTORS
+from coalgcert.oracle import GeneratorSpec, generate
+from coalgcert.values import (
+    ShapeWriter, ValueError_, fmap, parse_rational, parse_value, pretty_value,
+)
+from conftest import COMPOSITE_FUNCTOR, FUNCTORS, random_instances
 
 # pieces of the concrete syntax, so that random texts get past the first
 # token often enough to reach every branch of the readers
@@ -329,3 +336,172 @@ functor_asts = st.recursive(leaf_functors, lambda sub: st.one_of(
 @given(f=functor_asts)
 def test_functor_print_parse_round_trip(f):
     assert parse_functor(pretty_functor(f)) == f
+
+
+# ------------------------------------------ compiled readers vs reference
+
+ROW_PIECES = PIECES + ["1/0", "1_0", "٣", "-0", "/", ".", "e3", "2/4"]
+ROW_FUNCTORS = FUNCTORS + [COMPOSITE_FUNCTOR, "R^(X) . P", "D(X) . X x P",
+                           "(N^(X) + C{stop}) . Z^(X)"]
+
+
+def _reference_parse(text):
+    with mock.patch.object(coalgebra, "_TermReader", reference.TermReader):
+        return parse_coalgebra(text)
+
+
+def _outcome(parse, text, error=ModelError):
+    """repr of what parse(text) returns, which shows the weights' types,
+    or the message of the error it raises."""
+    try:
+        return repr(parse(text))
+    except error as e:
+        return "error: %s" % e
+
+
+def _writer(slot):
+    def sparse(entries):
+        return "{%s}" % ", ".join("%s: %s" % (slot(x), w) for x, w in entries)
+    return ShapeWriter(slot, sparse, ", ").write
+
+
+def _nested_model(outer, inner, seed):
+    """A model of outer . inner: the row of x is outer's random row of x,
+    with inner's random row of y written at each identity position y."""
+    co, ci = [generate(GeneratorSpec(functor=fx, n=4, seed=seed + i,
+                                     density=0.5))
+              for i, fx in enumerate((outer, inner))]
+    inner_row = lambda y: _writer(co.states.__getitem__)(ci.functor,
+                                                           ci.structure[y])
+    rows = ["%s -> %s" % (x, _writer(inner_row)(co.functor, t))
+            for x, t in zip(co.states, co.structure)]
+    return "functor: (%s) . (%s)\nstates: %s\n%s\n" % (
+        outer, inner, ", ".join(co.states), "\n".join(rows))
+
+
+_NESTED = [_nested_model(o, i, s) for s, (o, i) in enumerate([
+    ("P", "C{a,b} x X"), ("R^(X)", "P"), ("D(X) + C{done}", "P x R^(X)"),
+    ("X x C{u,v}", "(D(X) + C{stop})^{a,b}"), ("Z^(X)", "Sig(f/2, g/0, h/1)"),
+    ("N^(X)", "D(X) + C{done}")])]
+VALID_MODELS = ([pretty_model(c) for _label, c in random_instances(
+    seeds=range(2), n=4, density=0.5)] + _NESTED
+    + [pretty_model(parse_coalgebra(text)) for text in _NESTED])
+
+
+def _insert(text, at, piece, start=0):
+    """text with piece inserted at a position from start on."""
+    at = start + at % (len(text) - start + 1)
+    return text[:at] + piece + text[at:]
+
+
+def _mutated(args):
+    """A valid model with one piece inserted into its rows."""
+    text, at, piece = args
+    return _insert(text, at, piece, text.index("\n", text.index("states:")))
+
+
+model_texts = st.one_of(
+    st.tuples(st.sampled_from(ROW_FUNCTORS), texts, texts).map(
+        lambda t: "functor: %s\nstates: a, b\na -> %s\nb -> %s\n" % t),
+    st.sampled_from(VALID_MODELS),
+    st.tuples(st.sampled_from(VALID_MODELS), st.integers(0, 10**4),
+              st.sampled_from(ROW_PIECES)).map(_mutated))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=model_texts)
+def test_compiled_row_reader_matches_reference(text):
+    # equal terms, weights of equal types, or equal messages and lines
+    assert (_outcome(parse_coalgebra, text)
+            == _outcome(_reference_parse, text)), text
+
+
+@pytest.mark.parametrize("text", [
+    "functor: R^(X) . P\nstates: a, b\na -> {{a}: 0, {b}: 1/2}\nb -> {}\n",
+    "functor: R^(X) . P\nstates: a\na -> {{a}: 0, {a, a}: 1}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 0, a: 1}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 1, a: -0}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 1, a: 2}\n",
+    "functor: D(X)\nstates: a, b\na -> {a: 2/4, b: 1/2}\nb -> {a:1}\n",
+    "functor: D(X)\nstates: a, b\na -> {a: 3/2, b: -1/2}\nb -> {a: 1}\n",
+    "functor: D(X)\nstates: a\na -> {}\n",
+    "functor: N^(X)\nstates: a\na -> {a: 4/2}\n",
+    "functor: N^(X)\nstates: a\na -> {a: 3/2}\n",
+    "functor: N^(X)\nstates: a\na -> {a: -2}\n",
+    "functor: Z^(X)\nstates: a\na -> {a: -6/3}\n",
+    "functor: Z^(X)\nstates: a\na -> {a: 1/3}\n",
+    "functor: R^(X)\nstates: a, b\na -> { a :1/2 ,b: 1 }\nb -> {b:1,}\n",
+    "functor: R^(X)\nstates: a, b\na -> {a: 1/2 b: 1}\nb -> {}\n",
+    "functor: R^(X)\nstates: a\na -> {c: 1/2}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 1/2/3}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 1/2x}\n",
+    "functor: R^(X)\nstates: a\na -> {a: 1/02}\n",
+    "functor: C{a,b} + P\nstates: a\na -> in0(a)\n",
+    "functor: C{a,b} + P\nstates: a\na -> in3({})\n",
+    "functor: P^{a,b}\nstates: s\ns -> [a: {}]\n",
+    "functor: P^{a,b}\nstates: s\ns -> [a: {}, b: {s}, a: {}]\n",
+    "functor: P^{a,b}\nstates: s\ns -> [a: {}, c: {s}]\n",
+    "functor: Sig(f/2, g/0)\nstates: s\ns -> f(s)\n",
+    "functor: Sig(f/2, g/0)\nstates: s\ns -> g()\n",
+    "functor: X x C{u}\nstates: s\ns -> (s, u, s)\n",
+])
+def test_rows_match_reference(text):
+    assert (_outcome(parse_coalgebra, text)
+            == _outcome(_reference_parse, text))
+
+
+@pytest.mark.parametrize("functor", ["R^(X)", "N^(X)", "Z^(X)", "D(X)"])
+@pytest.mark.parametrize("text", [
+    "1_000", "1e3", "-0", "٣", ".5", "5.", "1/0", "1/-2", "1_0/3",
+    "007", "-2/4", "0/5", "1/00", "+3"])
+def test_rational_edge_cases(functor, text):
+    # int() and Fraction() both take underscores and other scripts'
+    # digits; ratio reads only ASCII integers itself and leaves every
+    # other text to Fraction, which accepts and words errors as before
+    try:
+        want = repr(Fraction(text))
+    except (ValueError, ZeroDivisionError) as e:
+        want = "error: bad rational %r: %s" % (text, e)
+    assert _outcome(parse_rational, text, ValueError_) == want
+    model = "functor: %s\nstates: a\na -> {a: %s}\n" % (functor, text)
+    assert (_outcome(parse_coalgebra, model)
+            == _outcome(_reference_parse, model))
+
+
+def test_integer_weights_build_no_fraction_from_text(monkeypatch):
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(values, "Fraction", spy)
+    monkeypatch.setattr(coalgebra, "Fraction", spy)
+    text = ("functor: (D(X) + C{stop})^{a,b}\nstates: s, t\n"
+            "s -> [a: in1({s: 1/3, t: 4/6}), b: in2(stop)]\n"
+            "t -> [a: in1({t: 1}), b: in1({s: 0, t: 1})]\n")
+    parse_coalgebra(text)
+    parse_coalgebra("functor: Z^(X) . R^(X)\nstates: s\n"
+                    "s -> {{s: -3}: 2, {s: 1/2}: 0}\n")
+    parse_value("in1((1/2,0,1/2))", parse_functor("D(X) + C{stop}"), 3)
+    assert made and not [a for args in made for a in args if type(a) is str]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fx=functors, k=st.integers(1, 3), data=st.data())
+def test_compiled_value_reader_matches_reference(fx, k, data):
+    f = parse_functor(fx)
+    if fx == COMPOSITE_FUNCTOR:
+        text = data.draw(texts)
+    else:
+        c = generate(GeneratorSpec(functor=fx, n=3, seed=data.draw(
+            st.integers(0, 50)), density=0.6))
+        col = [data.draw(st.integers(0, k - 1)) for _ in range(c.n)]
+        text = _insert(pretty_value(f, fmap(c.structure[0], col), k),
+                       data.draw(st.integers(0, 99)),
+                       data.draw(st.sampled_from(ROW_PIECES + [""])))
+
+    def ref(text):
+        r = reference.ValueReader(text, k)
+        return r.done(r.read(f))
+    assert (_outcome(lambda t: parse_value(t, f, k), text, ValueError_)
+            == _outcome(ref, text, ValueError_)), text

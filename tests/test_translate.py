@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from coalgcert.certdag import TOP, FormulaDag, build_certificates, expand
 from coalgcert.functor import parse_functor
-from coalgcert.logic import check_extensions, eval_ref
+from coalgcert.logic import eval_ref
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.refiner import refine
 from coalgcert.translate import (
     LOGICS, TranslateError, check_compatible, default_logic, ds_label, kappa,
-    lam, parse_ds, tau, translate, verify_dsi,
+    lam, parse_ds, tau, translate,
 )
 from conftest import load_model, random_instances, realizable_values
+from reference import check_extensions, verify_dsi
 from test_parsers import ds_texts, texts
 
 F = Fraction
