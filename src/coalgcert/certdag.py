@@ -9,20 +9,23 @@ block appends one conjunct per child:
 
 where S is the splitter and B its surrounding compound.  The compound
 formulas evolve as beta({S}) = delta(S) and beta(B\\S) = beta(B) /\ ~d',
-where d' keeps only the conjuncts of delta(S) that are not conjuncts of
-beta(B).  Per node we store which compound's beta formula inherited it (the
-conjuncts of delta(S) become conjuncts of beta of the fresh compound {S});
-the collection walk from the root of delta(S) stops at the first node owned
-by the surrounding compound B itself.  A plain boolean "in some beta" flag
-would be unsound here: a conjunct inherited by a *different* compound's
-beta may separate blocks that are still together inside B, so it must stay
-in the negation target.  Nodes owned by foreign compounds are therefore
-re-collected, trading the strict once-per-node amortisation for
-correctness; allocation counts stay within the budget checked by the test
-suite.
+where d' drops conjuncts of delta(S) that are conjuncts of beta(B).  Per
+node we store which compound's beta formula inherited it (the conjuncts
+of delta(S) become conjuncts of beta of the fresh compound {S}).  The walk
+down delta(S)'s chain stops at the first owned node: if B owns it, d' is a
+fresh conjunction of the modal conjuncts above it; if another compound
+does, or at the chain base, d' is delta(S) itself and no node is made.
+A plain boolean "in some beta" flag would be unsound here: a conjunct
+inherited by a *different* compound's beta may separate blocks that are
+still together inside B, so it must stay in the negation target.  Each
+node is tagged at most once, so the walks of a run are linear in the
+arena size.
 
-Each conjunct node belongs to exactly one delta chain — sibling children
-never share modal nodes — which is what keeps the flag discipline sound.
+Sharing.  At one split delta(S) and beta(B) are fixed, so all children
+with key t, under any parent, share one modal node <t>(delta(S), beta(B)):
+it holds at exactly the states with key t.  Owner tags sit only on `and`
+nodes, one fresh per child, and on chain bases, never on a split's modal
+nodes, so each tagged node still lies on one delta chain.
 
 distinguish answers from a block-version tree, built in O(n + trace) on its
 first call and kept in CertificateSet.versions: each initial block (under
@@ -78,9 +81,8 @@ class FormulaDag:
         return self._add(("or", left, right))
 
     def add_modal(self, value, arity, args):
-        if len(args) != (0 if arity == 0 else (1 if arity == 1 else 2)):
-            raise CertError("modal arity %d expects %d arguments"
-                            % (arity, arity))
+        if len(args) != arity:
+            raise CertError("modal arity %d, %d arguments" % (arity, len(args)))
         return self._add(("modal", value, arity, args))
 
     def add_ds(self, label, args):
@@ -107,19 +109,12 @@ class FormulaDag:
         conjunction and the modality it appends, so a conjunction whose
         right operand is a modality counts as a single level together with
         that modality.  All other edges contribute one level each."""
-        h = [0] * len(self.nodes)
-        for i in range(len(self.nodes)):  # children always precede parents
-            node = self.nodes[i]
-            if node[0] == "top":
-                h[i] = 1
-            elif node[0] == "and":
-                lid, rid = node[1][0], node[2][0]
-                if self.nodes[rid][0] == "modal":
-                    h[i] = max(1 + h[lid], h[rid])
-                else:
-                    h[i] = 1 + max(h[lid], h[rid])
+        nodes, h = self.nodes, [0] * len(self.nodes)
+        for i, node in enumerate(nodes):  # children always precede parents
+            if node[0] == "and" and nodes[node[2][0]][0] == "modal":
+                h[i] = max(1 + h[node[1][0]], h[node[2][0]])
             else:
-                h[i] = 1 + max((h[a] for a, _ in node[3]), default=0)
+                h[i] = 1 + max((h[c] for c, _ in self.children(i)), default=0)
         return max(h, default=0)
 
     def tree_size(self, ref, _memo=None):
@@ -150,44 +145,34 @@ def _negation_target(dag, owner, delta_ref, reduced, compound, new_compound):
     until it reaches an owned node.  An owner tag on a chain node records
     which compound's beta formula implies it, so a node owned by the
     surrounding compound B -- and everything below it -- already
-    constrains every member of B and is dropped.  A node owned by a
-    foreign compound says nothing about B; the remaining chain is kept
-    wholesale as a single conjunct (extra conjuncts implied by beta(B)
-    are harmless inside the negation).  Each node is tagged at most once,
-    with the fresh compound {S} whose beta inherits the walked chain, so
-    the total walk work over a run stays linear in the arena size.
+    constrains every member of B and is dropped; the collected conjuncts
+    form a fresh conjunction.  At a node of a foreign compound, which says
+    nothing about B, or at the chain base, the target is delta_ref itself
+    (conjuncts implied by beta(B) are harmless inside the negation).  Each
+    walked node is tagged once, with the fresh compound {S} whose beta
+    inherits the chain, so the walks of a run are linear in the arena size.
 
     owner[i] is the id of the compound whose beta formula inherited node i
     as a conjunct, or None while it only appears in delta chains; nodes
     past the list's end are unowned.  build_certificates keeps the list."""
-    nid, neg = delta_ref
-    if neg:
-        raise CertError("delta reference must be positive")
     if not reduced:
         return delta_ref
     owner.extend([None] * (len(dag.nodes) - len(owner)))
-    refs = []
-    cur = nid
-    while True:
-        if owner[cur] is not None:
-            if owner[cur] != compound:
-                refs.append((cur, False))  # foreign chain kept wholesale
-            break
+    refs, cur = [], delta_ref[0]  # delta chains hold positive references
+    while owner[cur] is None:
         owner[cur] = new_compound
         node = dag.nodes[cur]
         if node[0] != "and":
-            refs.append((cur, False))  # chain base (initial modality)
-            break
-        _, (lid, lneg), (rid, rneg) = node
-        if lneg or rneg:
-            raise CertError("malformed conjunct chain")
-        refs.append((rid, False))
-        cur = lid
+            return delta_ref  # chain base reached: delta(S) kept whole
+        refs.append(node[2])
+        cur = node[1][0]
+    if owner[cur] != compound:
+        return delta_ref  # foreign chain: delta(S) kept whole
     if not refs:  # delta(S) = beta(B) would force S = B; cannot happen
         raise CertError("splitter certificate has no unshared conjunct")
-    ref = refs[-1]
-    for other in reversed(refs[:-1]):
-        ref = dag.add_and(ref, other)
+    ref = refs.pop()
+    while refs:
+        ref = dag.add_and(ref, refs.pop())
     return ref
 
 
@@ -203,9 +188,7 @@ def build_certificates(c, result, reduced_negation=True):
     owner = []  # see _negation_target
     delta, beta, modal_of = {}, {}, {}
     for bid, val, _states in trace.init.blocks:
-        ref = dag.add_modal(val, 0, ())
-        delta[bid] = ref
-        modal_of[(-1, bid)] = ref
+        delta[bid] = modal_of[(-1, bid)] = dag.add_modal(val, 0, ())
     for i, ev in enumerate(trace.splits):
         dS = delta[ev.splitter]
         bB = beta.get(ev.compound, TOP)
@@ -214,11 +197,14 @@ def build_certificates(c, result, reduced_negation=True):
             neg = _negation_target(dag, owner, dS, reduced_negation,
                                    ev.compound, ev.new_compound)
             beta[ev.compound] = dag.add_and(bB, (neg[0], True))
+        args = (dS, bB) if binary else (dS,)
+        mods = {}  # key -> its modal node at this split
         for ref_ in ev.refinements:
             old = delta[ref_.parent]
             for cid, val, _states in ref_.children:
-                mod = (dag.add_modal(val, 2, (dS, bB)) if binary
-                       else dag.add_modal(val, 1, (dS,)))
+                mod = mods.get(val)
+                if mod is None:
+                    mod = mods[val] = dag.add_modal(val, len(args), args)
                 delta[cid] = dag.add_and(old, mod)
                 modal_of[(i, cid)] = mod
     # blocks are never removed, so every block id in delta is final

@@ -177,8 +177,12 @@ _LEAVES = {"R^(X)": MonoidValued(REAL), "Z^(X)": MonoidValued(INT),
            "D(X)": Distribution()}
 
 
+MAX_DEPTH = 100  # levels of parentheses, x, +, ^{...} and '.' in a functor
+
+
 class _Parser(Scanner):
     error = FunctorError
+    depth = 0  # open parentheses
 
     def expr(self):
         # '.' (composition) binds loosest
@@ -220,8 +224,12 @@ class _Parser(Scanner):
 
     def atom(self):
         if self.try_eat("("):
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise FunctorError("functor nested too deeply")
             f = self.expr()
             self.eat(")")
+            self.depth -= 1
             return f
         for text, leaf in _LEAVES.items():
             if self.try_eat(text):
@@ -245,12 +253,13 @@ class _Parser(Scanner):
 
 
 def parse_functor(text):
-    """Parse a functor expression from its concrete syntax."""
+    """Parse a functor expression from its concrete syntax; it may nest
+    MAX_DEPTH levels deep."""
     p = _Parser(text)
-    try:
-        return p.done(p.expr())
-    except RecursionError:  # the parser recurses once per nesting level
-        raise FunctorError("functor nested too deeply") from None
+    f = p.done(p.expr())
+    if max(depth for _g, depth in _levels(f)) > MAX_DEPTH:
+        raise FunctorError("functor nested too deeply")
+    return f
 
 
 def pretty_functor(f, _prec=0):
@@ -269,8 +278,7 @@ def pretty_functor(f, _prec=0):
     if isinstance(f, Signature):
         return "Sig(%s)" % ", ".join("%s/%d" % op for op in f.ops)
     if isinstance(f, Exponent):
-        s = "%s^{%s}" % (pretty_functor(f.base, 3), ",".join(f.labels))
-        return s
+        return "%s^{%s}" % (pretty_functor(f.base, 3), ",".join(f.labels))
     if isinstance(f, Product):
         s = " x ".join(pretty_functor(p, 3) for p in f.parts)
         return "(%s)" % s if _prec >= 3 else s
@@ -283,16 +291,21 @@ def pretty_functor(f, _prec=0):
     raise FunctorError("unknown functor node %r" % (f,))
 
 
+def _levels(f):
+    """(g, depth) for f, at depth 1, and each subexpression g, in preorder,
+    walked on an explicit stack."""
+    stack = [(f, 1)]
+    while stack:
+        g, depth = stack.pop()
+        yield g, depth
+        parts = (g.parts if isinstance(g, (Product, Coproduct))
+                 else (g.base,) if isinstance(g, Exponent)
+                 else (g.outer, g.inner) if isinstance(g, Composite) else ())
+        stack += [(h, depth + 1) for h in reversed(parts)]
+
+
 def subfunctors(f):
-    yield f
-    if isinstance(f, (Product, Coproduct)):
-        for p in f.parts:
-            yield from subfunctors(p)
-    elif isinstance(f, Exponent):
-        yield from subfunctors(f.base)
-    elif isinstance(f, Composite):
-        yield from subfunctors(f.outer)
-        yield from subfunctors(f.inner)
+    return (g for g, _depth in _levels(f))
 
 
 def is_zippable(f):

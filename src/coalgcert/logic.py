@@ -249,16 +249,17 @@ class _Induction:
        child.
     2. The replayed partition is certs.blocks, and it is stable.
     3. Walked down from certs.delta, a version's node is `and`(its parent
-       version's node, a modal node), an initial version's <key>.  Nodes
-       are compared by id, since the arena is not hash-consed.
+       version's node, a modal node), an initial version's <key>.  Chain
+       nodes are compared by id; one modal node may serve many versions.
     4. Walked down from certs.beta, compound 0 starts at true and compound
        C > 0 at delta(S) of split C - 1.  Split i updates beta(B) to
-       beta(B) /\\ ~neg, where neg is a top segment of delta(S)'s conjunct
-       chain.  The rest it drops, below version v, holds on all of B when
-       v is no deeper than the version that started B, since B's blocks
-       all descend from that one; compound 0 drops nothing.
-    5. Each modal node has its version's key, and as arguments delta(S)
-       and beta(B) as they were at its split."""
+       beta(B) /\\ ~neg, where neg is delta(S) or a conjunction of a top
+       segment of delta(S)'s conjunct chain.  The rest it drops, below
+       version v, holds on all of B when v is no deeper than the version
+       that started B, since B's blocks all descend from that one;
+       compound 0 drops nothing.
+    5. Each version's modal node equals <key>(delta(S), beta(B)), with its
+       version's key and the formulas as they were at its split."""
 
     def __init__(self, certs, c):
         self.certs, self.c, self.nodes = certs, c, certs.dag.nodes

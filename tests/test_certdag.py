@@ -2,21 +2,24 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from coalgcert import certdag
 from coalgcert.certdag import (
     CertError, FormulaDag, _pieces, build_certificates, distinguish, expand,
     listing, reachable, serialize, value_label,
 )
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import pretty_functor
-from coalgcert.logic import eval_ref
+from coalgcert.logic import check_certificates, eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
 from coalgcert.refiner import refine
 from coalgcert.translate import default_logic, ds_label, translate
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
+from reference import check_extensions
 from test_acceptance import composite_instance
 
 
@@ -139,6 +142,42 @@ def reference_cases():
         yield "composite seed=%d" % seed, composite_instance(seed), "generic"
     for k in range(3, 7):
         yield "layered k=%d" % k, layered_worstcase(k), "generic"
+
+
+def test_shared_nodes(monkeypatch):
+    # one modal node per key per split, and delta(S) negated itself when
+    # the beta update's walk ends at the chain base or at a node of a
+    # foreign compound; the certificates keep their extensions
+    real, stops = certdag._negation_target, Counter()
+
+    def watched(dag, owner, delta_ref, reduced, compound, new_compound):
+        size = len(dag.nodes)
+        before = owner + [None] * (size - len(owner))
+        ref = real(dag, owner, delta_ref, reduced, compound, new_compound)
+        walked = [i for i, o in enumerate(before)
+                  if o is None and owner[i] == new_compound]
+        if walked and dag.nodes[walked[0]][0] != "and":
+            stop = "base"
+        else:  # the first node of the chain below the walked ones
+            below = dag.nodes[walked[0]][1][0] if walked else delta_ref[0]
+            stop = "own" if before[below] == compound else "foreign"
+        stops[stop] += 1
+        if stop == "own":  # a fresh chain of the walked modal conjuncts
+            assert len(dag.nodes) == size + len(walked) - 1
+        else:
+            assert ref == delta_ref and len(dag.nodes) == size
+        return ref
+
+    monkeypatch.setattr(certdag, "_negation_target", watched)
+    for label, c, mode in reference_cases():
+        certs = build_certificates(c, refine(c, mode=mode))
+        modal = [node for node in certs.dag.nodes if node[0] == "modal"]
+        assert len(set(modal)) == len(modal), (label, mode)
+        for bid, states in enumerate(certs.blocks):
+            assert eval_ref(certs.dag, certs.delta[bid], c) == set(states)
+        assert check_extensions(certs) == [], (label, mode)
+        assert check_certificates(certs) == [], (label, mode)
+    assert min(stops[k] for k in ("base", "foreign", "own")) > 0, stops
 
 
 def test_distinguish_matches_scan():

@@ -13,7 +13,7 @@ from coalgcert import certdag, cli
 from coalgcert.certdag import TOP, build_certificates, reachable
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
-from coalgcert.functor import is_cancellative, pretty_functor
+from coalgcert.functor import MAX_DEPTH, is_cancellative, pretty_functor
 from coalgcert.refiner import refine
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
 from reference import check_extensions
@@ -419,6 +419,35 @@ def test_check_deeply_nested_formula(capsys, formula, states):
     assert (code, out, err) == (0, states + "\n", "")
 
 
+def _deep_functor_model(kind, depth):
+    """A one-state model whose functor nests `depth` levels deep: through
+    exponents, compositions or parentheses."""
+    n = depth - 1
+    functor, row = {
+        "exponents": ("C{u}" + "^{a}" * n, "[a: " * n + "u" + "]" * n),
+        "compositions": (" . ".join(["P"] * depth), "{}"),
+        "parentheses": ("(" * depth + "P" + ")" * depth, "{}"),
+    }[kind]
+    return "functor: %s\nstates: s\ns -> %s\n" % (functor, row)
+
+
+@pytest.mark.parametrize("kind", ["exponents", "compositions",
+                                  "parentheses"])
+@pytest.mark.parametrize("command", [["certify", "--verify"], ["stats"]])
+def test_deeply_nested_functor(capsys, tmp_path, kind, command):
+    # one nesting limit for every way to nest a functor: at the limit the
+    # model is read, past it (even far past) it exits 2, never 1
+    path = tmp_path / "deep.model"
+    for depth in (MAX_DEPTH, MAX_DEPTH + 1, 1000):
+        path.write_text(_deep_functor_model(kind, depth))
+        code, _out, err = run(capsys, command[0], str(path), *command[1:])
+        if depth == MAX_DEPTH:
+            assert (code, err) == (0, ""), (kind, depth)
+        else:
+            assert (code, err) == (2, "error: cannot parse %s: line 1: "
+                                   "functor nested too deeply\n" % path)
+
+
 def test_verify_names_block_and_state(capsys, monkeypatch):
     victims = []
 
@@ -592,10 +621,18 @@ def _neg_cut(result, certs, parent, cut):
         nodes[parent] = ("and", nodes[parent][1], (kept[0], True))
 
 
+def _neg_delta_cut(result, certs, update, cut):
+    """The beta update #update negates the left operand of node #cut,
+    delta(S) itself, in place of delta(S): its top conjunct is dropped."""
+    nodes = certs.dag.nodes
+    nodes[update] = ("and", nodes[update][1], (nodes[cut][1][0], True))
+
+
 def _neg_cuts(certs):
-    """(parent, cut) for _neg_cut, for each beta update that negates a
-    conjunction of two or more conjuncts.  The conjunctions are told from
-    the delta chains' own `and` nodes by id."""
+    """(corrupt, args) for each beta update that negates a conjunction of
+    two or more conjuncts: _neg_cut for a fresh conjunction, _neg_delta_cut
+    for delta(S) itself.  The conjunctions are told from the delta chains'
+    own `and` nodes by id."""
     nodes = certs.dag.nodes
     chain = set()
     for nid, _neg in certs.delta.values():
@@ -613,7 +650,9 @@ def _neg_cuts(certs):
             if fresh(cut):
                 while fresh(nodes[cut][1][0]):
                     parent, cut = cut, nodes[cut][1][0]
-                yield parent, cut
+                yield _neg_cut, (parent, cut)
+            elif cut in chain:
+                yield _neg_delta_cut, (update, cut)
             update = nodes[update][1][0]
 
 
@@ -639,13 +678,16 @@ def corruptions(result, certs):
         for ref in ev.refinements:
             mods = [certs.modal_of[(i, cid)][0] for cid, _v, _s in ref.children]
             for earlier, mod in zip(mods, mods[1:]):
-                # the delta node made right after its modal node
+                # the delta node made right after its modal node; a modal
+                # node shared with an earlier parent's child may precede it,
+                # and an argument must precede its node
                 sibling = next(nid for nid in range(earlier, len(nodes))
                                if nodes[nid][0] == "and"
                                and nodes[nid][2] == (earlier, False))
-                yield "sibling arg", _sibling_arg, (mod, sibling)
-    for parent, cut in _neg_cuts(certs):
-        yield "neg cut", _neg_cut, (parent, cut)
+                if sibling < mod:
+                    yield "sibling arg", _sibling_arg, (mod, sibling)
+    for corrupt, args in _neg_cuts(certs):
+        yield "neg cut", corrupt, args
     # a moved child loses a state that no later split moves, which then
     # replays into the wrong block, or each state that a later split moves
     # again, which replays into the right one

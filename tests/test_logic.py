@@ -412,8 +412,9 @@ def _malform(certs, draw):
     elif kind == 5 and certs.delta:
         certs.delta[draw(st.sampled_from(sorted(certs.delta)))] = (weird, False)
     elif kind == 6:
-        certs.beta[draw(st.sampled_from(sorted(certs.beta) + [weird]))] = (
-            draw(st.integers(0, len(nodes) - 1)), draw(st.booleans()))
+        ref = (draw(st.integers(0, len(nodes) - 1)), draw(st.booleans()))
+        keys = sorted(certs.beta, key=repr)  # earlier defects mix key types
+        certs.beta[draw(st.sampled_from(keys + [weird]))] = ref
     elif kind == 7 and certs.blocks:
         k = draw(st.integers(0, len(certs.blocks) - 1))
         certs.blocks[k] = draw(st.sampled_from([[], [weird], [0]]))
@@ -440,14 +441,25 @@ def test_check_certificates_on_malformed_input(data):
     assert bad or not wrong, wrong
 
 
+def test_malform_twice_on_beta(ts1):
+    # a compound formula under a weird key, then another beta defect: the
+    # helper sorts keys of mixed types
+    certs = build_certificates(ts1, refine(ts1))
+    draws = iter([None, 6, 3, False, None, 1, 6, 3, True, 1])
+    _malform(certs, lambda strategy: next(draws))
+    _malform(certs, lambda strategy: next(draws))
+    assert set(certs.beta) == {0, 1, 2, None}
+    assert check_certificates(certs) != []
+
+
 def test_check_certificates_by_node_id(ts1):
-    # ts1's second beta update negates a fresh `and` node with the same
-    # operands as a delta node: the check must tell them apart by id
+    # ts1's second beta update negates delta(S) itself, node 5; a copy of
+    # that node, equal to it but a fresh id, is negated instead: the check
+    # tells the two apart by id and still accepts the copied chain
     certs = build_certificates(ts1, refine(ts1))
     nodes = certs.dag.nodes
-    chain = {ref[0] for ref in certs.delta.values()}
-    negated = [node[2][0] for node in nodes
-               if node[0] == "and" and node[2][1]]
-    assert any(nodes[nid] == nodes[d] and nid != d
-               for nid in negated for d in chain)
+    assert nodes[certs.beta[0][0]] == ("and", (3, False), (5, True))
+    copy = certs.dag.add_and(*nodes[5][1:])
+    certs.beta[0] = certs.dag.add_and((3, False), (copy[0], True))
     assert check_certificates(certs) == []
+    assert check_extensions(certs) == []
