@@ -50,6 +50,7 @@ import io
 from dataclasses import dataclass, field
 from itertools import chain, compress
 
+from .functor import pretty_functor
 from .values import pretty_value
 
 TOP = (0, False)  # edge reference: (node id, negated)
@@ -358,7 +359,6 @@ def serialize(certs, restrict_blocks=None, label=None, out=None):
         serialize(certs, restrict_blocks, label, out)
         return out.getvalue()
     c = certs.coalgebra
-    from .functor import pretty_functor
     label = label or value_label(c.functor)
     ids = (range(len(certs.blocks)) if restrict_blocks is None
            else restrict_blocks)

@@ -36,7 +36,7 @@ from .functor import (
     INT, NAT, Coproduct, Distribution, FunctorError, MonoidValued, Scanner,
     composite_spine, parse_functor, pretty_functor,
 )
-from .values import ShapeWriter, fmap, read_ratio, shape_reader
+from .values import ShapeWriter, fmap, read_ratio
 
 
 class ModelError(ValueError):
@@ -173,9 +173,9 @@ def _append(read, rows):
 
 class _TermReader(Scanner):
     """Structure terms, read into rows[d], the rows of layer d of the
-    functor, by values.shape_reader's reader per layer: an identity
-    position holds a state name at the innermost layer, else a term of the
-    next layer, whose index in its rows it holds.  Weights are sparse."""
+    functor, by each layer's reader: an identity position holds a state
+    name at the innermost layer, else a term of the next layer, whose
+    index in its rows it holds.  Weights are sparse."""
 
     error = ModelError
 
@@ -185,8 +185,8 @@ class _TermReader(Scanner):
         self.rows = [[] for _ in layers]  # layers: outermost first
         self.top = self.state  # the innermost slot; each layer wraps it
         for d in range(len(layers) - 1, -1, -1):
-            read = shape_reader(layers[d], self, self.top,
-                                partial(self.weights, self.rows[d + 1:]))
+            read = layers[d].reader(self, self.top,
+                                    partial(self.weights, self.rows[d + 1:]))
             self.top = partial(_append, read, self.rows[d])
 
     def term(self, text):

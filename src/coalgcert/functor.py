@@ -4,6 +4,8 @@ A functor expression fixes the branching type of a coalgebra.  The unary
 collection functors (powerset, monoid-valued, distribution) always apply to
 the state set implicitly, so they appear as leaves of the expression; only
 product, coproduct, exponent and composition combine sub-expressions.
+Each constructor is a frozen dataclass that holds all its behaviour (see
+FunctorExpr), so the functions at the end of the module test no class.
 
 This module is the bottom of the package's import graph, so it also holds
 Scanner, the position in a text that every parser of the package reads
@@ -15,25 +17,74 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class FunctorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class FunctorExpr:
+    """A functor constructor: parts are its sub-expressions, text(prec) its
+    syntax at precedence prec (0 '.', 1 '+', 2 'x', 3 '^{}' and atoms),
+    random(draw) a term for oracle.generate, and reader(sc, slot, weights)
+    a function reading a term at the Scanner sc's position: slot() reads an
+    identity position, weights(g, slot) compiles weight layer g.  Only
+    composition is not zippable or drawn, only powerset not cancellative."""
+
+    parts = ()  # leaves
+    zippable = cancellative = True
 
 
 @dataclass(frozen=True)
-class Constant:
+class Identity(FunctorExpr):
+    def text(self, prec):
+        return "X"
+
+    def reader(self, sc, slot, weights):
+        return slot
+
+    def random(self, draw):
+        return draw.state()
+
+
+@dataclass(frozen=True)
+class Constant(FunctorExpr):
     atoms: tuple[str, ...]
 
+    def text(self, prec):
+        return "C{%s}" % ",".join(self.atoms)
+
+    def reader(self, sc, slot, weights):
+        def read():
+            name = sc.token()
+            if name not in self.atoms:
+                raise sc.error("unknown atom %r" % name)
+            return ("atom", name)
+        return read
+
+    def random(self, draw):
+        return ("atom", self.atoms[draw.rng.randrange(len(self.atoms))])
+
 
 @dataclass(frozen=True)
-class Powerset:
-    pass
+class Powerset(FunctorExpr):
+    cancellative = False
+
+    def text(self, prec):
+        return "P"
+
+    def reader(self, sc, slot, weights):
+        def read():
+            sc.eat("{")
+            xs = sc.items("}", slot)
+            if len(set(xs)) != len(xs):
+                raise sc.error("duplicate element in set %r" % sc.text)
+            return ("set", tuple(sorted(xs)))
+        return read
+
+    def random(self, draw):
+        return ("set", tuple(draw.targets()))
 
 
 # monoid kinds; B^(X), the boolean monoid, is read as P
@@ -41,48 +92,163 @@ REAL, INT, NAT = "real", "int", "nat"
 
 
 @dataclass(frozen=True)
-class MonoidValued:
+class MonoidValued(FunctorExpr):
     kind: str  # real | int | nat
 
+    def text(self, prec):
+        return {REAL: "R^(X)", INT: "Z^(X)", NAT: "N^(X)"}[self.kind]
+
+    def reader(self, sc, slot, weights):
+        return weights(self, slot)
+
+    def random(self, draw):
+        return ("vec", tuple((y, draw.weight(self.kind))
+                             for y in draw.targets()))
+
 
 @dataclass(frozen=True)
-class Distribution:
-    pass
+class Distribution(FunctorExpr):
+    def text(self, prec):
+        return "D(X)"
+
+    def reader(self, sc, slot, weights):
+        return weights(self, slot)
+
+    def random(self, draw):
+        ys = draw.targets() or [draw.state()]
+        raw = [draw.rng.randint(1, 6) for _ in ys]
+        total = sum(raw)
+        return ("vec", tuple((y, Fraction(r, total))
+                             for y, r in zip(ys, raw)))
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(FunctorExpr):
     ops: tuple[tuple[str, int], ...]  # (name, arity)
 
+    def text(self, prec):
+        return "Sig(%s)" % ", ".join("%s/%d" % op for op in self.ops)
+
+    def reader(self, sc, slot, weights):
+        def read():
+            name = sc.token()
+            ar = dict(self.ops).get(name)
+            if ar is None:
+                raise sc.error("unknown operation %r" % name)
+            args = sc.items(")", slot) if sc.try_eat("(") else []
+            if len(args) != ar:
+                raise sc.error("operation %s expects %d arguments"
+                               % (name, ar))
+            return ("op", name, tuple(args))
+        return read
+
+    def random(self, draw):
+        name, ar = self.ops[draw.rng.randrange(len(self.ops))]
+        return ("op", name, tuple(draw.state() for _ in range(ar)))
+
 
 @dataclass(frozen=True)
-class Product:
+class Product(FunctorExpr):
     parts: tuple
 
+    def text(self, prec):
+        s = " x ".join(p.text(3) for p in self.parts)
+        return "(%s)" % s if prec >= 3 else s
+
+    def reader(self, sc, slot, weights):
+        parts = [p.reader(sc, slot, weights) for p in self.parts]
+
+        def read():
+            sc.eat("(")
+            out = []
+            for j, part in enumerate(parts):
+                if j:
+                    sc.eat(",")
+                out.append(part())
+            sc.eat(")")
+            return ("tuple", tuple(out))
+        return read
+
+    def random(self, draw):
+        return ("tuple", tuple(p.random(draw) for p in self.parts))
+
 
 @dataclass(frozen=True)
-class Coproduct:
+class Coproduct(FunctorExpr):
     parts: tuple
 
+    def text(self, prec):
+        s = " + ".join(p.text(2) for p in self.parts)
+        return "(%s)" % s if prec >= 2 else s
+
+    def reader(self, sc, slot, weights):
+        parts = [p.reader(sc, slot, weights) for p in self.parts]
+
+        def read():
+            sc.eat("in")
+            idx = sc.index("an injection number") - 1
+            if not 0 <= idx < len(parts):
+                raise sc.error("injection in%d out of range" % (idx + 1))
+            sc.eat("(")
+            v = parts[idx]()
+            sc.eat(")")
+            return ("in", idx, v)
+        return read
+
+    def random(self, draw):
+        i = draw.rng.randrange(len(self.parts))
+        return ("in", i, self.parts[i].random(draw))
+
 
 @dataclass(frozen=True)
-class Exponent:
-    base: "FunctorExpr"
+class Exponent(FunctorExpr):
+    base: FunctorExpr
     labels: tuple[str, ...]
+    parts = property(lambda self: (self.base,))
+
+    def text(self, prec):
+        return "%s^{%s}" % (self.base.text(3), ",".join(self.labels))
+
+    def reader(self, sc, slot, weights):
+        base = self.base.reader(sc, slot, weights)
+
+        def labelled():
+            lab = sc.token()
+            sc.eat(":")
+            return lab, base()
+
+        def read():
+            sc.eat("[")
+            by_label = {}
+            for lab, v in sc.items("]", labelled):
+                if lab not in self.labels or lab in by_label:
+                    raise sc.error("unknown or repeated label %r" % lab)
+                by_label[lab] = v
+            if len(by_label) != len(self.labels):
+                raise sc.error("exponent must give every label of %s"
+                               % (self.labels,))
+            return ("fun", tuple([by_label[lab] for lab in self.labels]))
+        return read
+
+    def random(self, draw):
+        return ("fun", tuple(self.base.random(draw) for _ in self.labels))
 
 
 @dataclass(frozen=True)
-class Composite:
-    outer: "FunctorExpr"
-    inner: "FunctorExpr"
+class Composite(FunctorExpr):
+    outer: FunctorExpr
+    inner: FunctorExpr
+    parts = property(lambda self: (self.outer, self.inner))
+    zippable = False
 
+    def text(self, prec):
+        s = "%s . %s" % (self.outer.text(1), self.inner.text(1))
+        return "(%s)" % s if prec >= 1 else s
 
-FunctorExpr = (
-    Identity | Constant | Powerset | MonoidValued | Distribution
-    | Signature | Product | Coproduct | Exponent | Composite
-)
-
-_MONOID_NAMES = {REAL: "R^(X)", INT: "Z^(X)", NAT: "N^(X)"}
+    def reader(self, sc, slot, weights):
+        def read():  # only the model reader unfolds composition
+            raise sc.error("cannot read functor %s" % self.text(0))
+        return read
 
 
 # ------------------------------------------------------------- scanning
@@ -262,33 +428,9 @@ def parse_functor(text):
     return f
 
 
-def pretty_functor(f, _prec=0):
+def pretty_functor(f):
     """Render a functor expression; parse_functor round-trips the result."""
-    # precedence levels: 0 composition, 1 coproduct, 2 product, 3 postfix/atom
-    if isinstance(f, Identity):
-        return "X"
-    if isinstance(f, Powerset):
-        return "P"
-    if isinstance(f, Distribution):
-        return "D(X)"
-    if isinstance(f, MonoidValued):
-        return _MONOID_NAMES[f.kind]
-    if isinstance(f, Constant):
-        return "C{%s}" % ",".join(f.atoms)
-    if isinstance(f, Signature):
-        return "Sig(%s)" % ", ".join("%s/%d" % op for op in f.ops)
-    if isinstance(f, Exponent):
-        return "%s^{%s}" % (pretty_functor(f.base, 3), ",".join(f.labels))
-    if isinstance(f, Product):
-        s = " x ".join(pretty_functor(p, 3) for p in f.parts)
-        return "(%s)" % s if _prec >= 3 else s
-    if isinstance(f, Coproduct):
-        s = " + ".join(pretty_functor(p, 2) for p in f.parts)
-        return "(%s)" % s if _prec >= 2 else s
-    if isinstance(f, Composite):
-        s = "%s . %s" % (pretty_functor(f.outer, 1), pretty_functor(f.inner, 1))
-        return "(%s)" % s if _prec >= 1 else s
-    raise FunctorError("unknown functor node %r" % (f,))
+    return f.text(0)
 
 
 def _levels(f):
@@ -298,10 +440,7 @@ def _levels(f):
     while stack:
         g, depth = stack.pop()
         yield g, depth
-        parts = (g.parts if isinstance(g, (Product, Coproduct))
-                 else (g.base,) if isinstance(g, Exponent)
-                 else (g.outer, g.inner) if isinstance(g, Composite) else ())
-        stack += [(h, depth + 1) for h in reversed(parts)]
+        stack += [(h, depth + 1) for h in reversed(g.parts)]
 
 
 def subfunctors(f):
@@ -315,7 +454,7 @@ def is_zippable(f):
     breaks the property; it must be unfolded into a many-sorted coalgebra
     first, as coalgebra.parse_coalgebra does."""
     for g in subfunctors(f):
-        if isinstance(g, Composite):
+        if not g.zippable:
             return False, "composition is not zippable; unfold it first"
     return True, "built from zippable constructors (polynomial, powerset, " \
                  "monoid-valued, distribution) closed under x, +, exponents"
@@ -328,15 +467,16 @@ def is_cancellative(f):
     monoids (weights over R, Z, N, and probabilities); false as soon as a
     powerset layer occurs anywhere."""
     for g in subfunctors(f):
-        if isinstance(g, Composite):
+        if not g.zippable:
             raise FunctorError("unfold composition before querying cancellativity")
-        if isinstance(g, Powerset):
+        if not g.cancellative:
             return False
     return True
 
 
 def composite_spine(f):
-    """Flatten nested composition into an outermost-first layer list."""
-    if isinstance(f, Composite):
-        return composite_spine(f.outer) + composite_spine(f.inner)
-    return [f]
+    """Flatten nested composition into an outermost-first layer list: the
+    parts of a composition, the one constructor not zippable, are layers."""
+    if f.zippable:
+        return [f]
+    return [g for h in f.parts for g in composite_spine(h)]

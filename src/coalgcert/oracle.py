@@ -2,11 +2,11 @@
 
 naive_bisimilarity computes behavioural equivalence as a plain fixed point
 (repeatedly rekey every state against the current partition), sharing only
-the functorial action values.fmap with the fast engine.  generate produces
-seeded random coalgebras for any composition-free functor, and
-layered_worstcase builds the weighted system whose minimal negation-free
-certificates grow exponentially with the layer index while the shared dag
-stays linear.
+the functorial action values.fmap with the fast engine.  generate draws
+seeded random coalgebras for any composition-free functor, each row by the
+functor's random method, and layered_worstcase builds the weighted system
+whose minimal negation-free certificates grow exponentially with the layer
+index while the shared dag stays linear.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .coalgebra import Coalgebra
 from .functor import (
-    INT, NAT, REAL, Constant, Coproduct, Distribution, Exponent,
-    FunctorError, Identity, MonoidValued, Powerset, Product, Signature,
-    is_zippable, parse_functor,
+    INT, NAT, REAL, FunctorError, MonoidValued, is_zippable, parse_functor,
 )
 from .values import fmap
 
@@ -80,6 +79,13 @@ class GeneratorSpec:
         if not (math.isfinite(self.density) and self.density >= 0):
             raise ValueError("density must be a nonnegative finite number, "
                              "got %r" % self.density)
+        lo, hi = self.weight_range
+        if not (type(lo) is type(hi) is int and lo <= hi and hi >= 1):
+            raise ValueError("weight_range must be integers lo <= hi with "
+                             "hi >= 1, got %r" % (self.weight_range,))
+        if not (type(self.max_branch) is int and self.max_branch >= 0):
+            raise ValueError("max_branch must be a nonnegative integer, "
+                             "got %r" % self.max_branch)
 
     def resolved_functor(self):
         f = self.functor
@@ -115,36 +121,10 @@ def generate(spec):
         den = rng.randint(1, 4)
         return Fraction(num, den)
 
-    def term(g):
-        if isinstance(g, Identity):
-            return rng.randrange(n)
-        if isinstance(g, Powerset):
-            return ("set", tuple(targets()))
-        if isinstance(g, MonoidValued):
-            return ("vec", tuple((y, weight(g.kind)) for y in targets()))
-        if isinstance(g, Distribution):
-            ys = targets() or [rng.randrange(n)]
-            raw = [rng.randint(1, 6) for _ in ys]
-            total = sum(raw)
-            return ("vec", tuple((y, Fraction(r, total))
-                                 for y, r in zip(ys, raw)))
-        if isinstance(g, Signature):
-            name, ar = g.ops[rng.randrange(len(g.ops))]
-            return ("op", name, tuple(rng.randrange(n) for _ in range(ar)))
-        if isinstance(g, Product):
-            return ("tuple", tuple(term(p) for p in g.parts))
-        if isinstance(g, Coproduct):
-            i = rng.randrange(len(g.parts))
-            return ("in", i, term(g.parts[i]))
-        if isinstance(g, Exponent):
-            return ("fun", tuple(term(g.base) for _ in g.labels))
-        if isinstance(g, Constant):
-            return ("atom", g.atoms[rng.randrange(len(g.atoms))])
-        raise FunctorError("cannot generate for %r" % (g,))
-
-    if n == 0:
-        return Coalgebra(f, (), ())
-    return Coalgebra(f, names, tuple(term(f) for _ in range(n)))
+    # the choices FunctorExpr.random draws a term from
+    draw = SimpleNamespace(rng=rng, state=lambda: rng.randrange(n),
+                           targets=targets, weight=weight)
+    return Coalgebra(f, names, tuple(f.random(draw) for _ in names))
 
 
 # -------------------------------------------------------- layered system

@@ -20,12 +20,10 @@ every identity position:
 
 Value literals use the syntax of model rows, with colours at identity
 positions and dense weights ``(w0, w1, ...)``, as pretty_value prints
-them.  shape_reader compiles a functor once, through one entry per
-constructor in _SHAPES, into closures that read its terms: for
-parse_value, validate_value and the model reader (coalgebra.py), which
-read weights as ints (p, q) and build a Fraction only for a kept weight.
-ShapeWriter writes the syntax back.  Scanner lives in functor.py, whose
-grammar is its first user, and is imported here for the other parsers.
+them.  parse_value, validate_value and the model reader (coalgebra.py) read
+terms through FunctorExpr.reader in functor.py, with weights read as ints
+(p, q) and a Fraction built only for a kept weight; ShapeWriter writes the
+syntax back.  Scanner is imported here from functor.py for the other parsers.
 """
 
 from __future__ import annotations
@@ -33,11 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .functor import (
-    Composite, Constant, Coproduct, Distribution, Exponent, FunctorError,
-    Identity, MonoidValued, Powerset, Product, Scanner, Signature,
-    pretty_functor,
-)
+from .functor import FunctorError, Scanner
 
 
 class ValueError_(FunctorError):
@@ -99,125 +93,11 @@ def read_ratio(sc):
 
 # ------------------------------------------------------ concrete syntax
 
-def shape_reader(f, sc, slot, weights):
-    """Compile the functor f into a function that reads one term of f at
-    the Scanner sc's position, in the syntax of terms and value literals:
-    products ``(t, u)``, injections ``in1(t)``, exponents ``[a: t, b: u]``,
-    constants, signature terms ``f(x, y)`` and sets ``{x, y}``.  slot()
-    reads an identity position, weights(g, slot) compiles weight layer g."""
-    return _SHAPES[type(f)](f, sc, slot, weights)
-
-
-def _read_set(f, sc, slot, weights):
-    def read():
-        sc.eat("{")
-        xs = sc.items("}", slot)
-        if len(set(xs)) != len(xs):
-            raise sc.error("duplicate element in set %r" % sc.text)
-        return ("set", tuple(sorted(xs)))
-    return read
-
-
-def _read_op(f, sc, slot, weights):
-    def read():
-        name = sc.token()
-        ar = dict(f.ops).get(name)
-        if ar is None:
-            raise sc.error("unknown operation %r" % name)
-        args = sc.items(")", slot) if sc.try_eat("(") else []
-        if len(args) != ar:
-            raise sc.error("operation %s expects %d arguments" % (name, ar))
-        return ("op", name, tuple(args))
-    return read
-
-
-def _read_tuple(f, sc, slot, weights):
-    parts = [shape_reader(p, sc, slot, weights) for p in f.parts]
-
-    def read():
-        sc.eat("(")
-        out = []
-        for j, part in enumerate(parts):
-            if j:
-                sc.eat(",")
-            out.append(part())
-        sc.eat(")")
-        return ("tuple", tuple(out))
-    return read
-
-
-def _read_in(f, sc, slot, weights):
-    parts = [shape_reader(p, sc, slot, weights) for p in f.parts]
-
-    def read():
-        sc.eat("in")
-        idx = sc.index("an injection number") - 1
-        if not 0 <= idx < len(parts):
-            raise sc.error("injection in%d out of range" % (idx + 1))
-        sc.eat("(")
-        v = parts[idx]()
-        sc.eat(")")
-        return ("in", idx, v)
-    return read
-
-
-def _read_fun(f, sc, slot, weights):
-    base = shape_reader(f.base, sc, slot, weights)
-
-    def labelled():
-        lab = sc.token()
-        sc.eat(":")
-        return lab, base()
-
-    def read():
-        sc.eat("[")
-        by_label = {}
-        for lab, v in sc.items("]", labelled):
-            if lab not in f.labels or lab in by_label:
-                raise sc.error("unknown or repeated label %r" % lab)
-            by_label[lab] = v
-        if len(by_label) != len(f.labels):
-            raise sc.error("exponent must give every label of %s"
-                           % (f.labels,))
-        return ("fun", tuple([by_label[lab] for lab in f.labels]))
-    return read
-
-
-def _read_atom(f, sc, slot, weights):
-    def read():
-        name = sc.token()
-        if name not in f.atoms:
-            raise sc.error("unknown atom %r" % name)
-        return ("atom", name)
-    return read
-
-
-def _read_composite(f, sc, slot, weights):
-    def read():  # only the model reader unfolds composition, layer by layer
-        raise sc.error("cannot read functor %s" % pretty_functor(f))
-    return read
-
-
-# functor constructor -> the compiler of its reader, see shape_reader
-_SHAPES = {
-    Identity: lambda f, sc, slot, weights: slot,
-    Powerset: _read_set,
-    MonoidValued: lambda f, sc, slot, weights: weights(f, slot),
-    Distribution: lambda f, sc, slot, weights: weights(f, slot),
-    Signature: _read_op,
-    Product: _read_tuple,
-    Coproduct: _read_in,
-    Exponent: _read_fun,
-    Constant: _read_atom,
-    Composite: _read_composite,
-}
-
-
 class ShapeWriter:
-    """Writer of the syntax shape_reader reads, its mirror.  slot(x) is the
-    text of an identity position, weights(entries) that of a weight layer's
-    ((x, w), ...) entries, and sep separates the items of products, sets
-    and operation arguments; exponents always separate with ", "."""
+    """Writer of the syntax FunctorExpr.reader reads, its mirror.  slot(x)
+    is the text of an identity position, weights(entries) that of a weight
+    layer's ((x, w), ...) entries, and sep separates the items of products,
+    sets and operation arguments; exponents always separate with ", "."""
 
     def __init__(self, slot, weights, sep):
         self.slot, self.weights, self.sep = slot, weights, sep
@@ -285,7 +165,7 @@ class _ValueReader(Scanner):
 def parse_value(text, f, k):
     """Parse a value literal for functor f over palette k."""
     r = _ValueReader(text, k)
-    return r.done(shape_reader(f, r, r.colour, r.weights)())
+    return r.done(f.reader(r, r.colour, r.weights)())
 
 
 def validate_value(f, v, k):

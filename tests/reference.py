@@ -5,11 +5,12 @@ check_extensions evaluates certificates over the whole state set, the
 semantic reference of logic.check_certificates.  verify_dsi checks the
 interpretation axioms of the domain-specific logics of translate.py.
 ShapeReader is the functor-directed row and value reader as it was before
-values.shape_reader compiled each functor into closures: it dispatches on
-the functor at every node of every term, and reads every weight with
-Fraction(text).  TermReader and ValueReader are its two readers, of model
-rows and of value literals; tests/test_parsers.py reads the same texts
-through both and through the compiled readers.
+each functor constructor compiled its own reader into closures
+(FunctorExpr.reader in functor.py): it dispatches on the functor at every
+node of every term, and reads every weight with Fraction(text).
+TermReader and ValueReader are its two readers, of model rows and of value
+literals; tests/test_parsers.py reads the same texts through both and
+through the compiled readers.
 """
 
 from __future__ import annotations

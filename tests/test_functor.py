@@ -87,13 +87,29 @@ def test_cancellative(text, expected):
     assert is_cancellative(parse_functor(text)) == expected
 
 
+def test_cancellative_needs_unfolding():
+    with pytest.raises(FunctorError):
+        is_cancellative(parse_functor("P . X"))
+
+
 def test_composite_spine():
     f = parse_functor("P . R^(X) . X")
     assert composite_spine(f) == [Powerset(), MonoidValued(REAL), Identity()]
     assert composite_spine(Powerset()) == [Powerset()]
+    # left-nested composition flattens the same way
+    g = parse_functor("(P . X) . R^(X)")
+    assert composite_spine(g) == [Powerset(), Identity(), MonoidValued(REAL)]
 
 
 def test_subfunctors():
     f = parse_functor("P x C{a}")
     subs = list(subfunctors(f))
     assert Powerset() in subs and Constant(("a",)) in subs and f in subs
+    # preorder over x, +, ^{} and .
+    g = parse_functor("(P x C{a} + X)^{u} . D(X)")
+    prod = Product((Powerset(), Constant(("a",))))
+    coprod = Coproduct((prod, Identity()))
+    exp = Exponent(coprod, ("u",))
+    assert list(subfunctors(g)) == [
+        g, exp, coprod, prod, Powerset(), Constant(("a",)), Identity(),
+        Distribution()]

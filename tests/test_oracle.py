@@ -1,6 +1,9 @@
 """Brute-force oracle, random instance generator, worst-case family."""
 
+import hashlib
 from fractions import Fraction
+
+import pytest
 
 from coalgcert.coalgebra import parse_coalgebra, pretty_model
 from coalgcert.oracle import (
@@ -48,12 +51,45 @@ def test_generate_deterministic():
     assert other.structure != a.structure
 
 
+# sha1 of pretty_model(generate(...)), one composition-free functor per
+# constructor: the generated models that the reference cases and the
+# counted tests are built from must not change by a single draw
+GENERATED = {
+    "X": "ab213e90e38d56c2a6281c25890af4661ab499bd",
+    "P": "ffa40dff7938f4e62df4d3d9e94d04d17f4853e2",
+    "R^(X)": "3b340e16148f40090f3ffed930553f47a98fb555",
+    "Z^(X)": "2ff577f00b1bcf21bbd584c926b97e823987c7f2",
+    "N^(X)": "84cec357609babf1f79c7945210ea6c9f3f97e0d",
+    "D(X) + C{done}": "1e9b4c0e29bc48f0112e0336268a23355f2c5a2c",
+    "Sig(f/2, g/0)": "68b66da884c83340150c7887b1f0cf37bf205dc4",
+    "P x R^(X)": "61f770db15689a46f891461758e7ec1479e89e28",
+    "(D(X) + C{stop})^{a,b}": "82d981d51b54cf109584537e16fd0465641a6946",
+}
+
+
 def test_generate_valid_models():
-    for fx in ("P", "D(X) + C{done}", "(D(X) + C{stop})^{a,b}"):
+    for fx, sha1 in GENERATED.items():
         c = generate(GeneratorSpec(functor=fx, n=10, seed=7, density=0.3))
         assert c.n == 10
         # round-trips through the printer/parser
-        assert parse_coalgebra(pretty_model(c)).structure == c.structure
+        text = pretty_model(c)
+        assert parse_coalgebra(text).structure == c.structure
+        assert hashlib.sha1(text.encode()).hexdigest() == sha1, fx
+
+
+@pytest.mark.parametrize("settings", [
+    dict(weight_range=(0, 0)),
+    dict(weight_range=(1, 0)),
+    dict(weight_range=(-2, -1)),
+    dict(weight_range=(1, 2.5)),
+    dict(max_branch=-1),
+    dict(max_branch=1.5),
+], ids=repr)
+def test_generator_spec_rejects_undrawable_settings(settings):
+    # (0, 0) has no nonzero Z-weight: generate would redraw one forever
+    for fx in ("Z^(X)", "N^(X)", "R^(X)"):
+        with pytest.raises(ValueError):
+            GeneratorSpec(fx, 6, seed=1, density=0.5, **settings)
 
 
 def test_layered_worstcase_shape():
