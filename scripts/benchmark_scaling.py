@@ -2,12 +2,15 @@
 """Scaling benchmark for the generic refiner.
 
 Generates random coalgebras of doubling size for one functor (--functor,
-powerset by default), runs partition refinement, certificate construction
-and the certificate listing (serialize), and reports the refinement cost
-per (n + m) * log2(n) unit, where m counts the edges.  A quasilinear
-implementation keeps that unit flat as n grows.  The nodes column counts
-the dag nodes that serialize lists for all blocks, and nodes_per_u divides
-it by the same unit: the paper bounds the dag size by O((m + n) log n).
+powerset by default), runs partition refinement, certificate construction,
+the certificate listing (serialize) and the proof of certify --verify
+(check_certificates), and reports the refinement cost per
+(n + m) * log2(n) unit, where m counts the edges.  A quasilinear
+implementation keeps that unit flat as n grows.  check_unit_ns is the
+proof's cost per the same unit, to read next to refine's.  The nodes
+column counts the dag nodes that serialize lists for all blocks, and
+nodes_per_u divides it by the same unit: the paper bounds the dag size by
+O((m + n) log n).
 
 The cyclic garbage collector is disabled during timing: allocation-
 triggered full GC passes scan the whole live heap and otherwise dominate
@@ -19,14 +22,16 @@ import math
 import time
 
 from coalgcert.certdag import build_certificates, reach, serialize
+from coalgcert.logic import check_certificates
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.refiner import refine
 
 
 def run(args):
-    print("%8s %9s %8s %10s %12s %10s %12s %9s %11s" %
+    print("%8s %9s %8s %10s %12s %10s %12s %9s %11s %9s %13s" %
           ("n", "m", "blocks", "refine_s", "unit_ns", "certs_s",
-           "serialize_s", "nodes", "nodes_per_u"))
+           "serialize_s", "nodes", "nodes_per_u", "check_s",
+           "check_unit_ns"))
     base_unit = None
     for exp in range(args.min_exp, args.max_exp + 1):
         n = 2 ** exp
@@ -34,7 +39,7 @@ def run(args):
                                    density=args.avg_degree / n,
                                    max_branch=args.max_branch))
         m = c.m
-        best_refine = best_certs = best_serialize = float("inf")
+        best_refine = best_certs = best_serialize = best_check = float("inf")
         blocks = None
         for _ in range(args.repeat):
             gc.collect()
@@ -47,20 +52,26 @@ def run(args):
                 t2 = time.process_time()
                 serialize(certs)
                 t3 = time.process_time()
+                if check_certificates(certs):
+                    raise SystemExit("check_certificates failed at n=%d" % n)
+                t4 = time.process_time()
             finally:
                 gc.enable()
             best_refine = min(best_refine, t1 - t0)
             best_certs = min(best_certs, t2 - t1)
             best_serialize = min(best_serialize, t3 - t2)
+            best_check = min(best_check, t4 - t3)
             blocks = len(res.blocks)
         u = (n + m) * math.log2(n)
         unit = best_refine / u
         if base_unit is None:
             base_unit = unit
         nodes = sum(1 for _ in reach(certs.dag, list(certs.delta.values())))
-        print("%8d %9d %8d %10.3f %12.2f %10.3f %12.3f %9d %11.4f   (x%.2f)"
+        print("%8d %9d %8d %10.3f %12.2f %10.3f %12.3f %9d %11.4f %9.3f "
+              "%13.2f   (x%.2f)"
               % (n, m, blocks, best_refine, unit * 1e9, best_certs,
-                 best_serialize, nodes, nodes / u, unit / base_unit))
+                 best_serialize, nodes, nodes / u, best_check,
+                 best_check / u * 1e9, unit / base_unit))
 
 
 def main():

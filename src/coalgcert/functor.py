@@ -130,9 +130,11 @@ class Signature(FunctorExpr):
         return "Sig(%s)" % ", ".join("%s/%d" % op for op in self.ops)
 
     def reader(self, sc, slot, weights):
+        arity = dict(self.ops)
+
         def read():
             name = sc.token()
-            ar = dict(self.ops).get(name)
+            ar = arity.get(name)
             if ar is None:
                 raise sc.error("unknown operation %r" % name)
             args = sc.items(")", slot) if sc.try_eat("(") else []

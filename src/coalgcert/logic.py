@@ -19,10 +19,13 @@ coalgebra's edge table (Coalgebra.predecessors).
 
 check_certificates, the one check of ``certify --verify``, instead
 replays the trace and checks each split's keys, the dag's shape and the
-final partition's stability.  That proves each certificate by induction
-over the trace (see _Induction), with no formula evaluated over the whole
-state set.  The tests' check_extensions, which evaluates every
-certificate over the whole state set, is its semantic reference.
+final partition's stability: an induction over the trace (see
+_Induction), with no formula evaluated over the whole state set.  Like
+the refiner, a split keys only the sources of the edges into its
+splitter and the states a refinement lists.  The other states keep
+their block's key, since each block gives all its states one value of
+F(chi_C)(row) for every compound C.  The tests' check_extensions, which
+evaluates every certificate, is its semantic reference.
 
 The domain-specific formulas of translate.py live in the same kind of
 arena and go through the same pass: ``or`` is ``|``, and a node
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from .certdag import FormulaDag, reachable
 from .functor import unnest
+from .partition import RefinablePartition
 from .values import (
     Scanner, ValueError_, fmap, parse_value, validate_value,
 )
@@ -239,14 +243,24 @@ class _Induction:
     child is a version, with its block, parent version (-1 for an initial
     block), depth, key and split (-1 for an initial block).
 
-    1. Keys.  The replay keeps each block's version, states and compound.
-       At each split, every state of every refined parent T is keyed once
-       with fmap(row, self), the colouring of __getitem__, before any
-       state moves; the initial blocks are keyed with F!.  A listed state
-       has its child's key, any other state the default child's, and the
-       children's keys differ.  So if delta(S) and beta(B) hold at exactly
-       S and B, delta(T) /\\ <key>(delta(S), beta(B)) holds at exactly the
-       child.
+    1. Keys.  The replay keeps the blocks on a RefinablePartition.  Every
+       state is keyed with F!.  At a split, before any state moves, each
+       refined parent T keys its touched states (with an edge into S) and
+       its listed ones with fmap(row, self), the colouring of __getitem__:
+       each must have its child's key, an unlisted one the default
+       child's, and the children's keys differ.  The other states of T
+       are not keyed.  Such an x has no successor in S, so its key is
+       F(chi_B)(row x), F! in cancellative mode.  Invariant: each block
+       gives all its states one value of F(chi_C)(row), for every
+       compound C.  The F! keying makes it true, and functoriality keeps
+       it, as chi_S and chi_{B - S} are images of the checked key.  So the
+       default child's key must be fmap(k, merge) for the key k of any
+       keyed state of T.  To keep the invariant, a block of two or more
+       states that the split touches but does not refine, and a later
+       split refines, must give its touched states one key, the merged
+       one if it has others (generic mode).  So if delta(S) and beta(B)
+       hold at exactly S and B, delta(T) /\\ <key>(delta(S), beta(B))
+       holds at exactly the child.
     2. The replayed partition is certs.blocks, and it is stable.
     3. Walked down from certs.delta, a version's node is `and`(its parent
        version's node, a modal node), an initial version's <key>.  Chain
@@ -265,11 +279,19 @@ class _Induction:
         self.certs, self.c, self.nodes = certs, c, certs.dag.nodes
         self.binary = certs.trace.mode != "cancellative"
         self.top = 2 if self.binary else 1  # the colour of S
+        self.merge = [0, 1, 1] if self.binary else [0, 0]  # S into the rest
         self.vblock, self.vpar, self.vdepth, self.vval, self.vsplit = (
             [], [], [], [], [])
-        self.version, self.states, self.compound = [], [], []
-        self.block_of = [None] * c.n
+        self.version, self.compound = [], []
         self.split_S = []  # per split: the version of its splitter
+        self.part = RefinablePartition(c.n)
+        self.block_of = self.part.block_of
+        # per state: the split + 1 (0: the initial partition) that last
+        # listed it, and the child it listed it in
+        self.listed, self.child, self.now = [-1] * c.n, [0] * c.n, 0
+        self.last = {r.parent: i for i, ev in enumerate(certs.trace.splits)
+                     for r in ev.refinements  # the last split refining it
+                     if type(r.parent) is int}
 
     def __getitem__(self, y):
         """The colour of state y at the current split: 2 on S, 1 on the
@@ -281,12 +303,7 @@ class _Induction:
         return 1 if self.compound[b] == self.B else 0
 
     def run(self):
-        trace, n = self.certs.trace, self.c.n
-        self.apply(-1, None, trace.init.blocks, self.group(
-            "initial partition", None, range(n), trace.init.blocks, [0] * n,
-            0))
-        for i, ev in enumerate(trace.splits):
-            self.split(i, ev)
+        self.replay()
         self.final_partition()
         node_of, mod_of = self.delta_chains()
         before = self.beta_chains(node_of, mod_of)
@@ -318,8 +335,19 @@ class _Induction:
         return None
 
     # ------------------------------------------------------ 1. keys
+    def replay(self):
+        blocks, part = self.certs.trace.init.blocks, self.part
+        self.group("initial partition", None, blocks, [0] * self.c.n, 0)
+        self.apply(-1, None, blocks)
+        for i, ev in enumerate(self.certs.trace.splits):
+            self.split(i, ev)
+        self.states = [part.block_states(b) for b in range(part.num_blocks())]
+        # steps 2 to 5 read only states and block_of
+        del self.part, self.listed, self.child, self.last
+
     def split(self, i, ev):
-        where, S, blocks = "split %d" % i, ev.splitter, len(self.states)
+        where, S, part = "split %d" % i, ev.splitter, self.part
+        blocks, block_of, marked = part.num_blocks(), self.block_of, part.marked
         if not (type(S) is int and 0 <= S < blocks
                 and self.compound[S] == ev.compound
                 and ev.new_compound == i + 1):
@@ -328,29 +356,41 @@ class _Induction:
                             % (where, S, ev.compound, ev.new_compound))
         self.S, self.B = S, ev.compound if self.binary else None
         self.split_S.append(self.version[S])
-        plans, fresh = {}, blocks
+        e, sources, touched, self.now = self.c.edges, set(), [], i + 1
+        for y in part.block_states(S):  # the sources of the edges into S
+            sources.update(e.src[e.start[y]:e.start[y + 1]])
+        for x in sources:
+            if not marked[block_of[x]]:
+                touched.append(block_of[x])
+            part.mark(x)
+        refined, fresh = set(), blocks
         for ref_ in ev.refinements:
             T = ref_.parent
-            if not (type(T) is int and 0 <= T < blocks) or T in plans:
+            if not (type(T) is int and 0 <= T < blocks) or T in refined:
                 raise _Mismatch("%s: %r is not a block, or refined twice"
                                 % (where, T))
-            plans[T] = self.group(where, T, self.states[T], ref_.children,
-                                  self, fresh)
+            refined.add(T)
+            self.group(where, T, ref_.children, self, fresh)
             fresh += len(ref_.children) - 1
+        for b in touched:  # kept whole, but refined later: one key
+            if b not in refined and self.binary and part.size(b) > 1 \
+                    and self.last.get(b, -1) > i:
+                self.keys(where, b, b, None, b, self)
+            marked[b] = 0
         self.compound[S] = i + 1
         for ref_ in ev.refinements:
-            self.apply(i, ref_.parent, ref_.children, plans[ref_.parent])
+            self.apply(i, ref_.parent, ref_.children)
 
-    def group(self, where, T, members, children, g, fresh):
-        """Check the children of block T (None: the initial partition)
-        against the keys fmap(row, g) of its members; returns each child's
-        states.  The first child keeps id T, the others take fresh ids."""
+    def group(self, where, T, children, g, fresh):
+        """Check the children of block T (None: the initial partition, in
+        block 0).  The first child keeps id T, the others take fresh ids."""
         ids = [cid for cid, _val, _states in children]
         keep = [] if T is None else [T]
         if ids != keep + list(range(fresh, fresh + len(ids) - len(keep))):
             raise _Mismatch("%s, block %r: children %r are not the block and "
                             "fresh ones" % (where, T, ids))
-        by_key, own, default, groups = {}, {}, None, []
+        part, b, n = self.part, 0 if T is None else T, self.c.n
+        by_key, default, moved = {}, None, 0
         for k, (cid, val, states) in enumerate(children):
             by_key.setdefault(val, cid)
             if states is None:  # a default child keeps the rest
@@ -359,53 +399,73 @@ class _Induction:
                                     "child may keep the rest" % (where, cid))
                 default, states = cid, ()
             for x in states:
-                if not (type(x) is int and 0 <= x < self.c.n) or x in own \
-                        or self.block_of[x] != T:
+                if not (type(x) is int and 0 <= x < n) \
+                        or self.listed[x] == self.now \
+                        or self.block_of[x] != b:
                     raise _Mismatch("%s, block %d: %s is not in the parent, "
                                     "or listed twice"
                                     % (where, cid, self.name(x)))
-                own[x] = cid
-            groups.append(list(states))
-        structure = self.c.structure
-        for x in members:
-            mine = own.get(x, default)
-            hit = by_key.get(fmap(structure[x], g))
-            if hit is None or hit != mine:
-                b, why = ((hit, _WHY[1] % "block") if hit is not None else
-                          (mine, _WHY[0] % "block") if mine is not None else
-                          (T, "is in no child"))
-                raise _Mismatch("%s, block %s: %s %s"
-                                % (where, b, self.name(x), why))
-            if x not in own:
-                groups[0].append(x)
-        for cid, states in zip(ids, groups):
-            if not states:
+                self.listed[x], self.child[x] = self.now, cid
+                part.mark(x)
+            moved += len(states)
+        if part.n:  # else the initial partition has no block 0
+            self.keys(where, T, b, by_key, default, g)
+        for cid, _val, states in children:
+            if not (states or states is None and moved < part.size(b)):
                 raise _Mismatch("%s, block %d: the block is empty"
                                 % (where, cid))
-        return groups
 
-    def apply(self, i, T, children, groups):
+    def keys(self, where, T, b, by_key, default, g):
+        """Check that block b's marked states, and one other by the merged
+        key of the first, have their children's keys; clear the marks.
+        by_key None: b is not refined, and its key is the first one's."""
+        part, structure, first = self.part, self.c.structure, None
+        lo = part.first[b]
+        hi, part.marked[b] = lo + part.marked[b], 0
+        for x in part.elems[lo:hi]:
+            key = fmap(structure[x], g)
+            if first is None:
+                first = key
+                by_key = {key: default} if by_key is None else by_key
+            self.hit(where, T, x, by_key.get(key), self.child[x]
+                     if self.listed[x] == self.now else default)
+        if hi < part.end[b]:  # neither touched nor listed
+            x = part.elems[hi]
+            self.hit(where, T, x, by_key.get(
+                fmap(structure[x], g) if first is None or default is None
+                else fmap(first, self.merge)), default)
+
+    def hit(self, where, T, x, hit, mine):
+        """Raise unless state x of block T, whose key is child hit's, is
+        in child mine."""
+        if hit is None or hit != mine:
+            b, why = ((hit, _WHY[1] % "block") if hit is not None else
+                      (mine, _WHY[0] % "block") if mine is not None else
+                      (T, "is in no child"))
+            raise _Mismatch("%s, block %s: %s %s"
+                            % (where, b, self.name(x), why))
+
+    def apply(self, i, T, children):
         """Record the children of T at split i (-1 and None: the initial
-        blocks) as versions, and move their states."""
+        blocks) as versions, and move the states of all but the first."""
         parent = -1 if T is None else self.version[T]
         depth = 0 if T is None else self.vdepth[parent] + 1
         compound = 0 if T is None else self.compound[T]
-        for (cid, val, _states), states in zip(children, groups):
+        if len(children) > 1:
+            self.part.extract_groups(0 if T is None else T, [
+                states for _cid, _val, states in children[1:]])
+        for cid, val, _states in children:
             v = len(self.vpar)
             self.vblock.append(cid)
             self.vpar.append(parent)
             self.vdepth.append(depth)
             self.vval.append(val)
             self.vsplit.append(i)
-            if cid == len(self.states):
+            if cid == len(self.version):
                 self.version.append(v)
-                self.states.append(states)
                 self.compound.append(compound)
             else:
                 self.version[cid] = v
-                self.states[cid] = states
-            for x in states:
-                self.block_of[x] = cid
 
     # ------------------------------------------- 2. the final partition
     def final_partition(self):

@@ -74,8 +74,9 @@ class GeneratorSpec:
     weight_range: tuple = (1, 4)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative, got %d" % self.n)
+        if not (type(self.n) is int and self.n >= 0):
+            raise ValueError("n must be a nonnegative integer, got %r"
+                             % (self.n,))
         if not (math.isfinite(self.density) and self.density >= 0):
             raise ValueError("density must be a nonnegative finite number, "
                              "got %r" % self.density)

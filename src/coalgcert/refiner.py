@@ -49,6 +49,8 @@ holds each block's key as the value fmap gives, with Fraction weights:
 only there, once per recorded block, are fractions built, and not at all
 without vec leaves, where a key is its value.  logic, oracle and quotient
 key with fmap on Fractions and share none of the refiner's arithmetic.
+logic's proof reads the edge table's in-edges, to find the states that a
+split touches, but not its weights.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 only the tests run.
 
 check_extensions evaluates certificates over the whole state set, the
-semantic reference of logic.check_certificates.  verify_dsi checks the
+semantic reference of logic.check_certificates.  check_certificates_full
+is that proof with its first step as it was before the proof keyed only
+the splitter's predecessors: it keys every state of every refined parent
+at every split, so it needs no invariant.  verify_dsi checks the
 interpretation axioms of the domain-specific logics of translate.py.
 ShapeReader is the functor-directed row and value reader as it was before
 each functor constructor compiled its own reader into closures
@@ -25,7 +28,9 @@ from coalgcert.functor import (
     INT, NAT, Constant, Coproduct, Distribution, Exponent, Identity,
     MonoidValued, Powerset, Product, Signature, pretty_functor,
 )
-from coalgcert.logic import _Extensions, _mask, _members
+from coalgcert.logic import (
+    _WHY, _Extensions, _Induction, _mask, _members, _Mismatch,
+)
 from coalgcert.values import Scanner, ValueError_, fmap
 
 # the module, which the package's translate function hides
@@ -241,6 +246,125 @@ def check_extensions(certs, c=None):
             bad.append(("beta%d" % cmp_id, frozenset(_members(want)),
                         frozenset(_members(got))))
     return bad
+
+
+def check_certificates_full(certs, c=None):
+    """logic.check_certificates with FullInduction's replay."""
+    try:
+        FullInduction(certs, certs.coalgebra if c is None else c).run()
+    except _Mismatch as e:
+        return [str(e)]
+    return []
+
+
+class FullInduction(_Induction):
+    """logic._Induction with step 1 keying every state of every refined
+    parent T once per split, with fmap(row, self), before any state moves;
+    the initial blocks are keyed with F!.  A listed state has its child's
+    key, any other state the default child's, and the children's keys
+    differ.  It keeps each block's states in a list, and rebuilds the
+    default child's by scanning T."""
+
+    def __init__(self, certs, c):
+        super().__init__(certs, c)
+        self.states, self.block_of = [], [None] * c.n
+
+    def replay(self):
+        trace, n = self.certs.trace, self.c.n
+        self.apply(-1, None, trace.init.blocks, self.group(
+            "initial partition", None, range(n), trace.init.blocks, [0] * n,
+            0))
+        for i, ev in enumerate(trace.splits):
+            self.split(i, ev)
+
+    def split(self, i, ev):
+        where, S, blocks = "split %d" % i, ev.splitter, len(self.states)
+        if not (type(S) is int and 0 <= S < blocks
+                and self.compound[S] == ev.compound
+                and ev.new_compound == i + 1):
+            raise _Mismatch("%s: block %r is not in compound %r, or compound "
+                            "%r is not fresh"
+                            % (where, S, ev.compound, ev.new_compound))
+        self.S, self.B = S, ev.compound if self.binary else None
+        self.split_S.append(self.version[S])
+        plans, fresh = {}, blocks
+        for ref_ in ev.refinements:
+            T = ref_.parent
+            if not (type(T) is int and 0 <= T < blocks) or T in plans:
+                raise _Mismatch("%s: %r is not a block, or refined twice"
+                                % (where, T))
+            plans[T] = self.group(where, T, self.states[T], ref_.children,
+                                  self, fresh)
+            fresh += len(ref_.children) - 1
+        self.compound[S] = i + 1
+        for ref_ in ev.refinements:
+            self.apply(i, ref_.parent, ref_.children, plans[ref_.parent])
+
+    def group(self, where, T, members, children, g, fresh):
+        """Check the children of block T (None: the initial partition)
+        against the keys fmap(row, g) of its members; returns each child's
+        states.  The first child keeps id T, the others take fresh ids."""
+        ids = [cid for cid, _val, _states in children]
+        keep = [] if T is None else [T]
+        if ids != keep + list(range(fresh, fresh + len(ids) - len(keep))):
+            raise _Mismatch("%s, block %r: children %r are not the block and "
+                            "fresh ones" % (where, T, ids))
+        by_key, own, default, groups = {}, {}, None, []
+        for k, (cid, val, states) in enumerate(children):
+            by_key.setdefault(val, cid)
+            if states is None:  # a default child keeps the rest
+                if k or T is None:
+                    raise _Mismatch("%s, block %d: only a refinement's first "
+                                    "child may keep the rest" % (where, cid))
+                default, states = cid, ()
+            for x in states:
+                if not (type(x) is int and 0 <= x < self.c.n) or x in own \
+                        or self.block_of[x] != T:
+                    raise _Mismatch("%s, block %d: %s is not in the parent, "
+                                    "or listed twice"
+                                    % (where, cid, self.name(x)))
+                own[x] = cid
+            groups.append(list(states))
+        structure = self.c.structure
+        for x in members:
+            mine = own.get(x, default)
+            hit = by_key.get(fmap(structure[x], g))
+            if hit is None or hit != mine:
+                b, why = ((hit, _WHY[1] % "block") if hit is not None else
+                          (mine, _WHY[0] % "block") if mine is not None else
+                          (T, "is in no child"))
+                raise _Mismatch("%s, block %s: %s %s"
+                                % (where, b, self.name(x), why))
+            if x not in own:
+                groups[0].append(x)
+        for cid, states in zip(ids, groups):
+            if not states:
+                raise _Mismatch("%s, block %d: the block is empty"
+                                % (where, cid))
+        return groups
+
+    def apply(self, i, T, children, groups):
+        """Record the children of T at split i (-1 and None: the initial
+        blocks) as versions, and move their states."""
+        parent = -1 if T is None else self.version[T]
+        depth = 0 if T is None else self.vdepth[parent] + 1
+        compound = 0 if T is None else self.compound[T]
+        for (cid, val, _states), states in zip(children, groups):
+            v = len(self.vpar)
+            self.vblock.append(cid)
+            self.vpar.append(parent)
+            self.vdepth.append(depth)
+            self.vval.append(val)
+            self.vsplit.append(i)
+            if cid == len(self.version):
+                self.version.append(v)
+                self.states.append(states)
+                self.compound.append(compound)
+            else:
+                self.version[cid] = v
+                self.states[cid] = states
+            for x in states:
+                self.block_of[x] = cid
 
 
 def _one_step(f, k, values, dag, atoms):

@@ -14,9 +14,10 @@ from coalgcert.certdag import TOP, build_certificates, reachable
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import MAX_DEPTH, is_cancellative, pretty_functor
+from coalgcert.logic import check_certificates
 from coalgcert.refiner import refine
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
-from reference import check_extensions
+from reference import check_certificates_full, check_extensions
 
 MODELS = Path(__file__).parent / "models"
 TS1 = str(MODELS / "ts1.model")
@@ -596,6 +597,32 @@ def _drop_state(result, certs, i, r, k, x):
     ref.children[k] = (cid, val, tuple(s for s in states if s != x))
 
 
+def _list_untouched(result, certs, i, r, x):
+    """Child 1 of refinement r of split i also lists state x."""
+    children = result.trace.splits[i].refinements[r].children
+    cid, val, states = children[1]
+    children[1] = (cid, val, states + (x,))
+
+
+def _drop_refinement(result, certs, i, r):
+    """Split i loses its refinement r."""
+    del result.trace.splits[i].refinements[r]
+
+
+def _replayed(trace, n):
+    """(i, split i, each state's block before split i's refinements)."""
+    block_of = [None] * n
+    for bid, _val, states in trace.init.blocks:
+        for x in states:
+            block_of[x] = bid
+    for i, ev in enumerate(trace.splits):
+        yield i, ev, list(block_of)
+        for ref in ev.refinements:
+            for cid, _val, states in ref.children:
+                for x in states or ():
+                    block_of[x] = cid
+
+
 def _beta_true(result, certs, cmp_id):
     """Compound formula beta(C) becomes true."""
     certs.beta[cmp_id] = TOP
@@ -700,6 +727,23 @@ def corruptions(result, certs):
                          None)
                 if x is not None:
                     yield "trace", _drop_state, (i, r, k, x)
+    # a refinement of T, which holds predecessors of S, lists a state of T
+    # that has no edge into S in a child that is not the default one, or
+    # is dropped
+    c = certs.coalgebra
+    for i, ev, block_of in _replayed(trace, c.n):
+        touched = {x for y in range(c.n) if block_of[y] == ev.splitter
+                   for x in c.predecessors(y)}
+        for r, ref in enumerate(ev.refinements):
+            T = [x for x in range(c.n) if block_of[x] == ref.parent]
+            listed = {x for _cid, _val, states in ref.children
+                      for x in states or ()}
+            x = next((x for x in T if x not in touched and x not in listed),
+                     None)
+            if ref.children[0][2] is None and x is not None:
+                yield "untouched listed", _list_untouched, (i, r, x)
+            if touched.intersection(T):
+                yield "dropped refinement", _drop_refinement, (i, r)
     moved_later = set()  # states that a split after the current one moves
     for i in reversed(range(len(trace.splits))):
         for r, ref in enumerate(trace.splits[i].refinements):
@@ -712,33 +756,64 @@ def corruptions(result, certs):
                            if cid != ref.parent for x in states)
 
 
-def test_verify_catches_corrupted_output():
-    # a modal label, a block assignment, a compound formula, a trace child,
-    # a modal node's argument and a negated conjunction, each corrupted on
-    # its own in a fresh run.  A cut negation can be harmless: _verify must
-    # then fail whenever the semantic check finds a wrong extension
-    caught = dict.fromkeys(["label", "block", "beta", "trace", "moved again",
-                            "sibling arg", "neg cut"], 0)
+def _runs():
+    """(label, coalgebra, mode) of the runs that corruptions() corrupts."""
     runs = [(label, c, "generic") for label, c in random_instances()]
-    runs += [(label, c, "cancellative")
-             for label, c in random_instances(CANCELLATIVE_FUNCTORS)]
-    for label, c, mode in runs:
+    return runs + [(label, c, "cancellative")
+                   for label, c in random_instances(CANCELLATIVE_FUNCTORS)]
+
+
+def _corrupted_runs():
+    """(label, mode, kind, args, c, certs, wrong) for each corruption of a
+    fresh run, wrong telling whether check_extensions rejects it."""
+    for label, c, mode in _runs():
         result = refine(c, mode=mode)
         for kind, corrupt, args in corruptions(result,
                                                build_certificates(c, result)):
             run_ = refine(c, mode=mode)
             certs = build_certificates(c, run_)
             corrupt(run_, certs, *args)
-            wrong = check_extensions(certs, c) != []
             try:
-                cli._verify(c, certs)
-            except cli.CliFailure as failure:
-                assert failure.code == cli.VERIFY_ERROR, (label, kind, args)
-                caught[kind] += 1
-            else:
-                assert kind == "neg cut" and not wrong, (label, mode, kind,
-                                                         args)
+                wrong = check_extensions(certs, c) != []
+            except LookupError:  # a dropped refinement's children
+                wrong = True     # have no compound
+            yield label, mode, kind, args, c, certs, wrong
+
+
+def test_verify_catches_corrupted_output():
+    # a modal label, a block assignment, a compound formula, a trace child,
+    # a modal node's argument, a negated conjunction and a refinement, each
+    # corrupted on its own in a fresh run.  A cut negation can be harmless:
+    # _verify must then fail whenever the semantic check finds a wrong
+    # extension
+    caught = dict.fromkeys(["label", "block", "beta", "trace", "moved again",
+                            "sibling arg", "neg cut", "untouched listed",
+                            "dropped refinement"], 0)
+    for label, mode, kind, args, c, certs, wrong in _corrupted_runs():
+        try:
+            cli._verify(c, certs)
+        except cli.CliFailure as failure:
+            assert failure.code == cli.VERIFY_ERROR, (label, kind, args)
+            caught[kind] += 1
+        else:
+            assert kind == "neg cut" and not wrong, (label, mode, kind, args)
     assert min(caught.values()) >= 50, caught
+
+
+def test_proof_rejects_what_the_references_reject():
+    # the proof accepts every clean run, and rejects every corrupted one
+    # that check_extensions or the full keying of tests/reference.py
+    # rejects
+    for label, c, mode in _runs():
+        certs = build_certificates(c, refine(c, mode=mode))
+        assert check_certificates(certs) == [] == check_certificates_full(
+            certs), (label, mode)
+    rejected = 0
+    for label, mode, kind, args, c, certs, wrong in _corrupted_runs():
+        if wrong or check_certificates_full(certs, c):
+            assert check_certificates(certs, c), (label, mode, kind, args)
+            rejected += 1
+    assert rejected >= 1000, rejected
 
 
 def test_benchmark_names_exist():

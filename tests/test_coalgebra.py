@@ -4,17 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coalgcert.coalgebra import (
     ModelError, parse_coalgebra, pretty_model, quotient,
 )
 from coalgcert.functor import parse_functor
 from coalgcert.oracle import (
-    layered_worstcase, naive_bisimilarity, partition_key,
+    GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
+    partition_key,
 )
 from coalgcert.refiner import refine
 from coalgcert.values import fmap
-from conftest import CANCELLATIVE_FUNCTORS, random_instances
+from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 from test_acceptance import composite_instance
 
 F = Fraction
@@ -69,6 +71,33 @@ def test_degrees_predecessors(ts1):
         for t in c.structure:
             fmap(t, lookups)
         assert c.m == lookups.count, label
+
+
+class _Occurrences(list):
+    """A colouring of every state with 0 that records the states it is
+    looked up at: fmap looks up each identity position and each entry of
+    a collection once, so a row's lookups are its state occurrences."""
+
+    def __getitem__(self, y):
+        self.append(y)
+        return 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(fx=st.sampled_from(FUNCTORS), n=st.integers(0, 24),
+       seed=st.integers(0, 10_000), density=st.sampled_from([0.1, 0.3, 0.8]))
+def test_predecessors_are_the_occurrences(fx, n, seed, density):
+    # the in-edges into y, which check_certificates reads to find the
+    # states a split touches, are the occurrences of y in the rows, with
+    # multiplicity, their sources ascending
+    c = generate(GeneratorSpec(fx, n, seed=seed, density=density))
+    want = [[] for _ in range(c.n)]
+    for x, t in enumerate(c.structure):
+        seen = _Occurrences()
+        fmap(t, seen)
+        for y in seen:
+            want[y].append(x)
+    assert [list(c.predecessors(y)) for y in range(c.n)] == want
 
 
 @pytest.mark.parametrize("text", [

@@ -1,12 +1,14 @@
 """Generic modal-logic semantics: evaluation, parsing, soundness checks."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert import logic
 from coalgcert.certdag import FormulaDag, build_certificates, reachable
+from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import is_cancellative
 from coalgcert.logic import (
     EvalError, check_certificates, eval_ref, parse_formula,
@@ -14,10 +16,10 @@ from coalgcert.logic import (
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
 )
-from coalgcert.refiner import PartitionResult, refine
+from coalgcert.refiner import PartitionResult, Refinement, SplitEvent, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
-from reference import check_extensions
+from reference import check_certificates_full, check_extensions
 from test_acceptance import composite_instance
 
 
@@ -282,21 +284,51 @@ def test_check_extensions_keys_only_rows_crossing_classes(monkeypatch):
     assert len(calls) < modal * c.n / 2
 
 
-def test_check_certificates_work_bound(monkeypatch):
-    # one key per state of each refined parent T, plus the initial keys
-    # and the stability pass: far below one key per modal node and state
-    c = generate(GeneratorSpec(functor="P", n=400, seed=0, density=0.005))
-    certs = build_certificates(c, refine(c))
-    size = {bid: len(states) for bid, _v, states in certs.trace.init.blocks}
-    parents = 0  # the sum of |T| over the trace's refinements
-    for ev in certs.trace.splits:
+def _proof_work(c, trace):
+    """(fmap calls the proof may make, sum of |T| over the refinements)
+    for a trace: the in-edges of each splitter S, the listed states, one
+    merged key per refined or checked block, the initial keys and the
+    stability pass.  A block is checked when a split touches it but does
+    not refine it, it has two or more states, a later split refines it,
+    and the mode is generic."""
+    block_of = [None] * c.n
+    for bid, _v, states in trace.init.blocks:
+        for x in states:
+            block_of[x] = bid
+    last = {ref.parent: i for i, ev in enumerate(trace.splits)
+            for ref in ev.refinements}
+    bound, parents = 2 * c.n, 0
+    for i, ev in enumerate(trace.splits):
+        size = Counter(block_of)
+        touched = set()
+        for y in range(c.n):
+            if block_of[y] == ev.splitter:
+                preds = c.predecessors(y)
+                bound += len(preds)
+                touched.update(block_of[x] for x in preds)
+        refined = {ref.parent for ref in ev.refinements}
+        bound += len(refined) + sum(
+            1 for b in touched - refined if trace.mode == "generic"
+            and size[b] > 1 and last.get(b, -1) > i)
         for ref in ev.refinements:
             parents += size[ref.parent]
             for cid, _v, states in ref.children:
-                if states is not None:
-                    size[cid] = len(states)
-                    if ref.children[0][2] is None:
-                        size[ref.parent] -= len(states)
+                for x in states or ():
+                    block_of[x] = cid
+                bound += len(states or ())
+    return bound, parents
+
+
+@pytest.mark.parametrize("fx, mode", [("P", "generic"),
+                                      ("R^(X)", "cancellative"),
+                                      ("(D(X) + C{stop})^{a,b}", "generic")])
+def test_check_certificates_work_bound(monkeypatch, fx, mode):
+    # the proof keys the splitter's predecessors and the listed states,
+    # and no other state: fewer keys than one per state of each refined
+    # parent T, the keying of tests/reference.py
+    c = generate(GeneratorSpec(functor=fx, n=400, seed=0, density=0.005))
+    certs = build_certificates(c, refine(c, mode=mode))
+    bound, parents = _proof_work(c, certs.trace)
     calls = []
 
     def counted_fmap(t, g):
@@ -305,9 +337,50 @@ def test_check_certificates_work_bound(monkeypatch):
 
     monkeypatch.setattr(logic, "fmap", counted_fmap)
     assert check_certificates(certs) == []
-    assert len(calls) <= parents + 2 * c.n
+    assert len(calls) <= bound, (len(calls), bound)
+    assert len(calls) < parents + 2 * c.n, (len(calls), parents)
     modal = sum(1 for node in certs.dag.nodes if node[0] == "modal")
     assert len(calls) < modal * c.n / 20, (len(calls), modal)
+
+
+def test_check_certificates_checks_the_default_key(ts1):
+    # split 0's default child claims key {0, 1}, and its certificate is
+    # built with it, but its one state x, which has no edge into S = {z},
+    # has key {1}.  x is not keyed: the merged key {1} of the touched x1
+    # and y tells
+    res = refine(ts1)
+    res.trace.splits[0].refinements[0].children[0] = (0, ("set", (0, 1)),
+                                                      None)
+    certs = build_certificates(ts1, res)
+    assert check_extensions(certs) != []
+    assert check_certificates(certs) == check_certificates_full(certs) == [
+        "split 0, block 0: x is in the block but does not satisfy it"]
+
+
+def test_check_certificates_needs_the_invariant():
+    # the refiner's trace, except that split 1 keeps block 1 = {x2, x4}
+    # whole although x2 reaches S = {x1} and x4 does not; x2 moves at
+    # split 2 instead, the next one.  There the touched x2 has key {0, 2},
+    # and the default child claims its merged key {0, 1}, but the
+    # untouched x4 has key {1}, since x2 is still in compound 0.  Only the
+    # check of the unrefined block at split 1 sees that the invariant
+    # broke there.  The final partition is the refiner's
+    c = parse_coalgebra("functor: P\nstates: x0, x1, x2, x3, x4\n"
+                        "x0 -> {}\nx1 -> {x0, x4}\nx2 -> {x1, x3}\n"
+                        "x3 -> {x0}\nx4 -> {x2}\n")
+    res = refine(c)
+    splits = res.trace.splits
+    assert [(ev.splitter, len(ev.refinements)) for ev in splits] == [
+        (0, 1), (2, 1), (1, 0), (3, 0)]
+    splits[1:] = [SplitEvent(2, 0, 2, []), SplitEvent(3, 0, 3, [Refinement(
+        1, [(1, ("set", (0, 1)), None), (4, ("set", (0, 2)), (2,))])]),
+                  SplitEvent(1, 0, 4, [])]
+    certs = build_certificates(c, res)
+    assert check_extensions(certs)[0] == (1, frozenset({4}), frozenset())
+    assert check_certificates_full(certs) == [
+        "split 2, block 1: x4 is in the block but does not satisfy it"]
+    assert check_certificates(certs) == [
+        "split 1, block 1: x4 is in the block but does not satisfy it"]
 
 
 def _clean_instances(draw):
@@ -424,7 +497,8 @@ def _malform(certs, draw):
 @given(data=st.data())
 def test_check_certificates_on_malformed_input(data):
     # malformed traces and dags give a mismatch, never an exception, and
-    # every wrong extension is among the mismatches
+    # every wrong extension, and every defect the full keying of
+    # tests/reference.py finds, is among the mismatches
     fx = data.draw(st.sampled_from(FUNCTORS))
     c = generate(GeneratorSpec(functor=fx, n=10, seed=data.draw(
         st.integers(0, 100)), density=0.25))
@@ -434,6 +508,7 @@ def test_check_certificates_on_malformed_input(data):
         _malform(certs, data.draw)
     bad = check_certificates(certs)
     assert type(bad) is list and all(type(m) is str for m in bad)
+    assert bad or not check_certificates_full(certs)
     try:
         wrong = check_extensions(certs)
     except (EvalError, LookupError, TypeError, ValueError):

@@ -92,6 +92,13 @@ def test_generator_spec_rejects_undrawable_settings(settings):
             GeneratorSpec(fx, 6, seed=1, density=0.5, **settings)
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, "4", None, True, -1], ids=repr)
+def test_generator_spec_requires_an_integer_n(n):
+    # a float n reached range() in generate as a bare TypeError
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        GeneratorSpec("P", n)
+
+
 def test_layered_worstcase_shape():
     k = 4
     c = layered_worstcase(k)
