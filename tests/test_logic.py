@@ -319,13 +319,10 @@ def _proof_work(c, trace):
     return bound, parents
 
 
-@pytest.mark.parametrize("fx, mode", [("P", "generic"),
-                                      ("R^(X)", "cancellative"),
-                                      ("(D(X) + C{stop})^{a,b}", "generic")])
-def test_check_certificates_work_bound(monkeypatch, fx, mode):
-    # the proof keys the splitter's predecessors and the listed states,
-    # and no other state: fewer keys than one per state of each refined
-    # parent T, the keying of tests/reference.py
+def _assert_work_bound(monkeypatch, fx, mode):
+    """The proof keys the splitter's predecessors and the listed states,
+    and no other state: fewer keys than one per state of each refined
+    parent T, the keying of tests/reference.py."""
     c = generate(GeneratorSpec(functor=fx, n=400, seed=0, density=0.005))
     certs = build_certificates(c, refine(c, mode=mode))
     bound, parents = _proof_work(c, certs.trace)
@@ -341,6 +338,16 @@ def test_check_certificates_work_bound(monkeypatch, fx, mode):
     assert len(calls) < parents + 2 * c.n, (len(calls), parents)
     modal = sum(1 for node in certs.dag.nodes if node[0] == "modal")
     assert len(calls) < modal * c.n / 20, (len(calls), modal)
+
+
+def test_check_certificates_work_bound(monkeypatch):
+    _assert_work_bound(monkeypatch, "P", "generic")
+
+
+@pytest.mark.parametrize("fx, mode", [("R^(X)", "cancellative"),
+                                      ("(D(X) + C{stop})^{a,b}", "generic")])
+def test_check_certificates_work_bound_other_functors(monkeypatch, fx, mode):
+    _assert_work_bound(monkeypatch, fx, mode)
 
 
 def test_check_certificates_checks_the_default_key(ts1):
