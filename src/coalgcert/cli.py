@@ -161,6 +161,8 @@ def cmd_distinguish(args):
     for name in (args.x, args.y):
         if name not in idx:
             raise CliFailure(INPUT_ERROR, "unknown state %r" % name)
+    if args.logic:
+        _require_logic(c, args.logic, args.mode)
     result, certs, _, _ = _run(c, args.mode)
     ref = distinguish(certs, idx[args.x], idx[args.y])
     if ref is None:
@@ -170,7 +172,6 @@ def cmd_distinguish(args):
     if idx[args.x] not in ext or idx[args.y] in ext:
         raise CliFailure(VERIFY_ERROR, "distinguishing formula check failed")
     if args.logic:
-        _require_logic(c, args.logic)
         dag, (phi,) = translate(certs, args.logic, [ref])
         ds_ext = eval_ref(dag, phi, c)
         if idx[args.x] not in ds_ext or idx[args.y] in ds_ext:
@@ -197,7 +198,7 @@ def cmd_check(args):
     c0 = _load(args.model)
     c, visible = _prepare(c0, "generic")
     if args.logic:
-        _require_logic(c, args.logic)
+        _require_logic(c, args.logic, "generic")
     try:
         dag, ref = parse_formula(args.formula, c.functor)
         ext = eval_ref(dag, ref, c)
@@ -219,12 +220,7 @@ def cmd_check(args):
 def cmd_translate(args):
     c0 = _load(args.model)
     c, visible = _prepare(c0, args.mode)
-    _require_logic(c, args.logic)
-    # hm fits only P, which _prepare has already refused in cancellative mode
-    if args.mode == "cancellative" and args.logic == "prob":
-        raise CliFailure(INCOMPATIBLE,
-                         "logic %r needs certificates from generic mode"
-                         % args.logic)
+    _require_logic(c, args.logic, args.mode)
     result, certs, _, _ = _run(c, args.mode)
     ids = _visible_blocks(certs, visible)
     dag, refs = translate(certs, args.logic, [certs.delta[b] for b in ids])
@@ -269,11 +265,19 @@ def cmd_gen(args):
     return OK
 
 
-def _require_logic(c, logic):
+def _require_logic(c, logic, mode):
+    """Refuse, with exit 4, a logic that does not fit the functor, or the
+    prob logic on certificates of a cancellative-mode run, which has no
+    decoding of their one-argument modalities."""
     try:
         check_compatible(logic, c.functor)
     except TranslateError as e:
         raise CliFailure(INCOMPATIBLE, str(e))
+    # hm fits only P, which _prepare has already refused in cancellative mode
+    if mode == "cancellative" and logic == "prob":
+        raise CliFailure(INCOMPATIBLE,
+                         "logic %r needs certificates from generic mode"
+                         % logic)
 
 
 def build_parser():

@@ -2,10 +2,11 @@
 
 A structure term is an element of F(states) in the encoding of values.py:
 it mirrors the functor shape and holds a bare state id at every identity
-position; a weight layer is ('vec', ((sid, w), ...)).  Collection layers
-are canonicalised at parse time (sets sorted and duplicate-free, weight
-maps sorted with zero weights dropped), so terms are hashable and
-comparable, and values.fmap relabels them.
+position; a weight layer is ('vec', ((sid, a), ...), d), integer weights
+a over the layer's least common denominator d (functor.vec).  Collection
+layers are canonicalised at parse time (sets sorted and duplicate-free,
+weight layers by functor.vec), so terms are hashable and comparable, and
+values.fmap relabels them.
 
 Every state occurrence in a row is an edge, so a row f(x, x) has two
 edges to x.  Coalgebra.m counts them: the m of the O((m + n) log n) bound
@@ -28,13 +29,11 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
 
 from .functor import (
     INT, NAT, Coproduct, Distribution, FunctorError, MonoidValued, Scanner,
-    composite_spine, parse_functor, pretty_functor,
+    composite_spine, parse_functor, pretty_functor, rational_vec,
 )
 from .values import ShapeWriter, fmap, read_ratio
 
@@ -52,8 +51,8 @@ class EdgeTable:
     position, else 1 + the index of the edge's collection leaf among its
     source's leaves.  Every set or vec node of a row is a collection leaf;
     the leaves of x are numbered leaf_start[x] onwards.  A vec leaf's
-    weights and its total are integer multiples of 1 / scale, the common
-    denominator of its entries; a set leaf has weight 1 per entry, its
+    weights and its total are integer multiples of 1 / scale, its
+    denominator d; a set leaf has weight 1 per entry, its
     size as total and scale 0.  degree[x] counts the edges out of x, and
     positions[x] the leaves, identity and op positions of its row."""
 
@@ -140,13 +139,11 @@ def _row_edges(t, base, tgt, slots, wts, total, scale):
         slots.extend([len(total) - base] * k)
         wts.extend([1] * k)
     elif tag == "vec":
-        d = lcm(*(w.denominator for _y, w in t[1]))
-        ints = [w.numerator * (d // w.denominator) for _y, w in t[1]]
-        total.append(sum(ints))
-        scale.append(d)
-        tgt.extend(y for y, _w in t[1])
-        slots.extend([len(total) - base] * len(ints))
-        wts.extend(ints)
+        total.append(sum([a for _y, a in t[1]]))
+        scale.append(t[2])
+        tgt.extend([y for y, _a in t[1]])
+        slots.extend([len(total) - base] * len(t[1]))
+        wts.extend([a for _y, a in t[1]])
     elif tag == "op":
         tgt.extend(t[2])
         slots.extend([0] * len(t[2]))
@@ -204,7 +201,8 @@ class _TermReader(Scanner):
         """The reader of a weight layer of f, whose keys slot() reads.  A
         zero weight's entry keeps none of the rows it read into inner, the
         lower layers' rows.  _ENTRY reads innermost entries; the token path
-        reads the rest and words every error."""
+        reads the rest and words every error.  A distribution's weights sum
+        to 1 when the layer's numerators sum to its denominator."""
         dist, nat, ints = [f == g for g in (Distribution(), MonoidValued(NAT),
                                             MonoidValued(INT))]
         fast, ids = None if inner else _ENTRY, self.state_ids
@@ -235,20 +233,18 @@ class _TermReader(Scanner):
                     if self.try_eat("}"):
                         break
                     self.eat(",")
-            if dist:
-                d = lcm(*[q for _s, _p, q in entries])
-                if sum([p * (d // q) for _s, p, q in entries]) != d:
-                    raise ModelError("distribution weights must sum to 1")
+            layer = rational_vec(entries)
+            if dist and sum([a for _s, a in layer[1]]) != layer[2]:
+                raise ModelError("distribution weights must sum to 1")
             if dist and any(p < 0 for _s, p, _q in entries):
                 raise ModelError("distribution weights must be nonnegative")
             elif nat and any(p % q or p < 0 for _s, p, q in entries):
                 raise ModelError("N-weights must be nonnegative integers")
             elif ints and any(p % q for _s, p, q in entries):
                 raise ModelError("Z-weights must be integers")
-            kept = [(s, Fraction(p, q)) for s, p, q in entries if p]
-            if len({s for s, _ in kept}) != len(kept):
+            if len({s for s, _a in layer[1]}) != len(layer[1]):
                 raise ModelError("duplicate state in %r" % self.text)
-            return ("vec", tuple(sorted(kept)))
+            return layer
         return read
 
 

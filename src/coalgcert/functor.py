@@ -11,13 +11,16 @@ This module is the bottom of the package's import graph, so it also holds
 Scanner, the position in a text that every parser of the package reads
 through: the functor grammar here, and the readers of model rows, value
 literals and formulas, which import it (the formula readers with unnest).
+It holds vec, the one constructor of a weight layer, for the same reason:
+the random terms here, the readers, fmap and the refiner's keys build
+their weight layers through it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 
 class FunctorError(ValueError):
@@ -87,6 +90,26 @@ class Powerset(FunctorExpr):
         return ("set", tuple(draw.targets()))
 
 
+def vec(pairs, d=1):
+    """The weight layer ('vec', ((key, a), ...), d) whose pairs (key, a),
+    with distinct keys, weigh a/d for ints a and d > 0.  It is the one
+    form of a weight layer in terms, values and split keys: zero weights
+    are dropped, the pairs sorted by key, and every a and d divided by
+    gcd(d, *a), so d is the least common denominator of the weights and
+    layers with equal rational weights are equal tuples."""
+    kept = sorted([p for p in pairs if p[1]])
+    g = gcd(d, *[a for _k, a in kept])
+    if g > 1:
+        kept = [(k, a // g) for k, a in kept]
+    return ("vec", tuple(kept), d // g)
+
+
+def rational_vec(entries):
+    """vec of the (key, p, q) entries, each weighing p/q with q > 0."""
+    d = lcm(*[q for _k, _p, q in entries])
+    return vec([(k, p * (d // q)) for k, p, q in entries], d)
+
+
 # monoid kinds; B^(X), the boolean monoid, is read as P
 REAL, INT, NAT = "real", "int", "nat"
 
@@ -102,8 +125,8 @@ class MonoidValued(FunctorExpr):
         return weights(self, slot)
 
     def random(self, draw):
-        return ("vec", tuple((y, draw.weight(self.kind))
-                             for y in draw.targets()))
+        return rational_vec([(y, *draw.weight(self.kind))
+                             for y in draw.targets()])
 
 
 @dataclass(frozen=True)
@@ -117,9 +140,7 @@ class Distribution(FunctorExpr):
     def random(self, draw):
         ys = draw.targets() or [draw.state()]
         raw = [draw.rng.randint(1, 6) for _ in ys]
-        total = sum(raw)
-        return ("vec", tuple((y, Fraction(r, total))
-                             for y, r in zip(ys, raw)))
+        return vec(zip(ys, raw), sum(raw))
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def ds_holds(label, value, f):
         return 1 in value[1]
     if tag == "box":
         return value[1] == (1,)  # a sorted set without duplicates
-    if tag == "w":
-        return dict(value[1]).get(1, 0) == label[1]
+    if tag == "w":  # weights a/d, with d > 0
+        return dict(value[1]).get(1, 0) == label[1] * value[2]
     if tag == "sig":
         return value[1] == label[1]
     if tag == "args":
@@ -201,7 +201,8 @@ def ds_holds(label, value, f):
         if a not in f.labels:
             raise EvalError("unknown label %r" % a)
         branch = value[1][f.labels.index(a)]
-        return branch[1] == 0 and dict(branch[2][1]).get(1, 0) >= p
+        return branch[1] == 0 and (dict(branch[2][1]).get(1, 0)
+                                   >= p * branch[2][2])
     raise EvalError("unsubstituted placeholder in formula")
 
 

@@ -1,12 +1,13 @@
 """Reference implementations used to cross-check the refinement engine.
 
 naive_bisimilarity computes behavioural equivalence as a plain fixed point
-(repeatedly rekey every state against the current partition), sharing only
-the functorial action values.fmap with the fast engine.  generate draws
-seeded random coalgebras for any composition-free functor, each row by the
-functor's random method, and layered_worstcase builds the weighted system
-whose minimal negation-free certificates grow exponentially with the layer
-index while the shared dag stays linear.
+(repeatedly rekey every state against the current partition) with
+values.fmap, sharing with the fast engine only functor.vec, the canonical
+form of a weight layer.  generate draws seeded random coalgebras for any
+composition-free functor, each row by the functor's random method, and
+layered_worstcase builds the weighted system whose minimal negation-free
+certificates grow exponentially with the layer index while the shared dag
+stays linear.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .coalgebra import Coalgebra
 from .functor import (
     INT, NAT, REAL, FunctorError, MonoidValued, is_zippable, parse_functor,
+    vec,
 )
 from .values import fmap
 
@@ -110,17 +111,17 @@ def generate(spec):
                    spec.max_branch)
         return sorted(rng.sample(range(n), want))
 
-    def weight(kind):
+    def weight(kind):  # a weight p/q, as (p, q)
         if kind == NAT:
-            return Fraction(rng.randint(max(1, lo), hi))
+            return rng.randint(max(1, lo), hi), 1
         if kind == INT:
             w = 0
             while w == 0:
                 w = rng.randint(-hi, hi)
-            return Fraction(w)
+            return w, 1
         num = rng.randint(max(1, lo), hi)
         den = rng.randint(1, 4)
-        return Fraction(num, den)
+        return num, den
 
     # the choices FunctorExpr.random draws a term from
     draw = SimpleNamespace(rng=rng, state=lambda: rng.randrange(n),
@@ -145,8 +146,7 @@ def layered_worstcase(k):
     idx = {name: i for i, name in enumerate(names)}
 
     def row(entries):
-        return ("vec", tuple(sorted(
-            (idx[s], Fraction(w)) for s, w in entries.items())))
+        return vec([(idx[s], w) for s, w in entries.items()])
 
     structure.append(row({"w0": 1}))
     structure.append(row({"x0": 2}))

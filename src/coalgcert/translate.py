@@ -47,8 +47,8 @@ class TranslateError(ValueError):
 
 
 def _weight(v, c):
-    """Weight of colour c in a ('vec', ((c, w), ...)) value."""
-    return dict(v[1]).get(c, Fraction(0))
+    """Weight of colour c in a ('vec', ((c, a), ...), d) value."""
+    return Fraction(dict(v[1]).get(c, 0), v[2])
 
 
 class _SharedDag(FormulaDag):

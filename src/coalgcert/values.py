@@ -10,8 +10,9 @@ every identity position:
 
     int                              identity position
     ('set', (c1, c2, ...))           powerset layer, sorted, no dups
-    ('vec', ((c, w), ...))           monoid or distribution weights, sorted
-                                     by colour, zero weights dropped
+    ('vec', ((c, a), ...), d)        monoid or distribution weights a/d:
+                                     ints a != 0 sorted by colour, d > 0
+                                     and gcd(d, *a) == 1 (functor.vec)
     ('op', name, (c1, ..., cn))      signature operation
     ('tuple', (v1, ..., vn))         product
     ('in', i, v)                     coproduct injection, 0-based internally
@@ -22,16 +23,18 @@ Value literals use the syntax of model rows, with colours at identity
 positions and dense weights ``(w0, w1, ...)``, as pretty_value prints
 them.  parse_value, validate_value and the model reader (coalgebra.py) read
 terms through FunctorExpr.reader in functor.py, with weights read as ints
-(p, q) and a Fraction built only for a kept weight; ShapeWriter writes the
-syntax back.  Scanner is imported here from functor.py for the other parsers.
+(p, q) and built into a layer by functor.rational_vec; ShapeWriter writes
+the syntax back, each weight a/d in lowest terms.  Scanner is imported
+here from functor.py for the other parsers.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .functor import FunctorError, Scanner
+from .functor import FunctorError, Scanner, rational_vec, vec
 
 
 class ValueError_(FunctorError):
@@ -41,7 +44,8 @@ class ValueError_(FunctorError):
 def fmap(t, g):
     """F(g)(t) for the map g (anything indexable: a list, a dict) from the
     states or colours at t's identity positions to colours.  Sets are re-sorted without
-    duplicates; weights that land on one colour are summed, zeros dropped."""
+    duplicates; weights that land on one colour are summed over the
+    layer's denominator, and functor.vec puts the sums in canonical form."""
     if type(t) is int:
         return g[t]
     tag = t[0]
@@ -49,10 +53,10 @@ def fmap(t, g):
         return ("set", tuple(sorted({g[x] for x in t[1]})))
     if tag == "vec":
         acc = {}
-        for x, w in t[1]:
+        for x, a in t[1]:
             c = g[x]
-            acc[c] = acc[c] + w if c in acc else w
-        return ("vec", tuple(sorted((c, w) for c, w in acc.items() if w)))
+            acc[c] = acc[c] + a if c in acc else a
+        return vec(acc.items(), t[2])
     if tag == "op":
         return ("op", t[1], tuple([g[x] for x in t[2]]))
     if tag == "tuple" or tag == "fun":
@@ -93,11 +97,18 @@ def read_ratio(sc):
 
 # ------------------------------------------------------ concrete syntax
 
+def _ratio_text(a, d):
+    """a/d in lowest terms, as str(Fraction(a, d)) writes it."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else "%d/%d" % (a // g, d // g)
+
+
 class ShapeWriter:
     """Writer of the syntax FunctorExpr.reader reads, its mirror.  slot(x)
     is the text of an identity position, weights(entries) that of a weight
-    layer's ((x, w), ...) entries, and sep separates the items of products,
-    sets and operation arguments; exponents always separate with ", "."""
+    layer's entries as ((x, text of the weight), ...), and sep separates
+    the items of products, sets and operation arguments; exponents always
+    separate with ", "."""
 
     def __init__(self, slot, weights, sep):
         self.slot, self.weights, self.sep = slot, weights, sep
@@ -109,7 +120,8 @@ class ShapeWriter:
         if tag == "set":
             return "{%s}" % self.sep.join(map(self.slot, t[1]))
         if tag == "vec":
-            return self.weights(t[1])
+            d = t[2]
+            return self.weights([(x, _ratio_text(a, d)) for x, a in t[1]])
         if tag == "op":
             if not t[2]:
                 return t[1]
@@ -136,7 +148,7 @@ def pretty_value(f, v, k):
 
 class _ValueReader(Scanner):
     """Value literals over a palette of k colours; weights are dense, and
-    read into sparse ('vec', ((c, w), ...)) layers."""
+    read into sparse ('vec', ((c, a), ...), d) layers."""
 
     error = ValueError_
 
@@ -157,8 +169,7 @@ class _ValueReader(Scanner):
             if len(ws) != self.k:
                 raise ValueError_("weight vector has %d entries, palette is %d"
                                   % (len(ws), self.k))
-            return ("vec", tuple([(c, Fraction(p, q))
-                                  for c, (p, q) in enumerate(ws) if p]))
+            return rational_vec([(c, p, q) for c, (p, q) in enumerate(ws)])
         return read
 
 

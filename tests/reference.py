@@ -13,7 +13,8 @@ each functor constructor compiled its own reader into closures
 node of every term, and reads every weight with Fraction(text).
 TermReader and ValueReader are its two readers, of model rows and of value
 literals; tests/test_parsers.py reads the same texts through both and
-through the compiled readers.
+through the compiled readers.  Their Fraction weight layers are put in the
+package's form ('vec', ((key, a), ...), d) by one adapter, canonical_vec.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import importlib
 import re
 from fractions import Fraction
+from math import lcm
 
 from coalgcert.certdag import FormulaDag
 from coalgcert.coalgebra import Coalgebra, ModelError
@@ -48,6 +50,14 @@ def parse_rational(text, error=ValueError_):
 _NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25
 
 
+def canonical_vec(layer):
+    """A ('vec', ((key, w), ...)) layer of nonzero Fractions w, sorted by
+    key, as ('vec', ((key, w * d), ...), d) over the least common
+    denominator d of the (lowest-terms) weights."""
+    d = lcm(*[w.denominator for _k, w in layer[1]])
+    return ("vec", tuple([(k, int(w * d)) for k, w in layer[1]]), d)
+
+
 class ShapeReader(Scanner):
     """Functor-directed reader of the syntax that structure terms and value
     literals share: products ``(t, u)``, injections ``in1(t)``, exponents
@@ -73,7 +83,7 @@ class ShapeReader(Scanner):
                 raise self.error("duplicate element in set %r" % self.text)
             return ("set", tuple(sorted(xs)))
         if isinstance(f, (MonoidValued, Distribution)):
-            return self.weights(f)
+            return canonical_vec(self.weights(f))
         if isinstance(f, Signature):
             name = self.token()
             ar = dict(f.ops).get(name)
@@ -215,8 +225,9 @@ def check_extensions(certs, c=None):
     The semantic reference of check_certificates: it evaluates every node
     over the whole state set, so it also reads arenas that no trace built,
     such as translated listings.  Returns a list of mismatches (block id
-    or 'betaC', expected, got); empty means the certificate set is sound
-    and complete for the final partition."""
+    or 'betaC', expected, got), with got None for a block that the trace
+    does not make; empty means the certificate set is sound and complete
+    for the final partition."""
     if c is None:
         c = certs.coalgebra
     ev = _Extensions(c)
@@ -229,15 +240,21 @@ def check_extensions(certs, c=None):
             bad.append((bid, frozenset(states), frozenset(_members(got))))
     # each final block's compound, replayed from the trace: the initial
     # blocks start in compound 0, a split moves S into its new compound,
-    # and a refinement's children join their parent's compound
+    # and a refinement's children join their parent's compound.  A block
+    # made by no event, such as a child of a dropped refinement, has none
     compound_of = {bid: 0 for bid, _val, _states in certs.trace.init.blocks}
     for split in certs.trace.splits:
-        compound_of[split.splitter] = split.new_compound
+        if split.splitter in compound_of:
+            compound_of[split.splitter] = split.new_compound
         for ref_ in split.refinements:
-            for cid, _val, _states in ref_.children:
-                compound_of[cid] = compound_of[ref_.parent]
+            if ref_.parent in compound_of:
+                for cid, _val, _states in ref_.children:
+                    compound_of[cid] = compound_of[ref_.parent]
     union = {}
     for bid, mask in enumerate(masks):
+        if bid not in compound_of:
+            bad.append((bid, frozenset(certs.blocks[bid]), None))
+            continue
         union[compound_of[bid]] = union.get(compound_of[bid], 0) | mask
     for cmp_id, ref in certs.beta.items():
         got = ev.ext(certs.dag, ref, memo)

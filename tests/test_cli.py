@@ -70,6 +70,20 @@ def test_distinguish_logic(capsys):
     assert "<>" in out
 
 
+@pytest.mark.parametrize("model, x, y, flags", [
+    (MC1, "z2", "y", ["--logic", "hm"]),  # equivalent states
+    (MC1, "x", "z1", ["--logic", "hm"]),  # inequivalent states
+    (PR1, "s", "t", ["--mode", "cancellative", "--logic", "prob"]),
+])
+def test_distinguish_refuses_a_logic_that_does_not_fit(capsys, model, x, y,
+                                                       flags):
+    # refused before refinement, whatever the states' classes, as translate
+    # refuses it
+    code, out, err = run(capsys, "distinguish", model, x, y, *flags)
+    assert code == 4 and not out and err.startswith("error:")
+    assert run(capsys, "translate", model, *flags)[0] == 4
+
+
 def test_distinguish_unknown_state(capsys):
     code, _, err = run(capsys, "distinguish", TS1, "nope", "y")
     assert code == 2 and "nope" in err
@@ -773,10 +787,7 @@ def _corrupted_runs():
             run_ = refine(c, mode=mode)
             certs = build_certificates(c, run_)
             corrupt(run_, certs, *args)
-            try:
-                wrong = check_extensions(certs, c) != []
-            except LookupError:  # a dropped refinement's children
-                wrong = True     # have no compound
+            wrong = check_extensions(certs, c) != []
             yield label, mode, kind, args, c, certs, wrong
 
 
@@ -798,6 +809,25 @@ def test_verify_catches_corrupted_output():
         else:
             assert kind == "neg cut" and not wrong, (label, mode, kind, args)
     assert min(caught.values()) >= 50, caught
+
+
+def test_check_extensions_reports_a_dropped_refinement():
+    # the children of a dropped refinement have no compound: a mismatch
+    # naming the block, not a LookupError
+    dropped = 0
+    for label, c, mode in _runs():
+        result = refine(c, mode=mode)
+        for kind, corrupt, args in corruptions(result,
+                                               build_certificates(c, result)):
+            if kind != "dropped refinement":
+                continue
+            run_ = refine(c, mode=mode)
+            certs = build_certificates(c, run_)
+            corrupt(run_, certs, *args)
+            bad = check_extensions(certs, c)
+            assert any(got is None for _b, _want, got in bad), (label, args)
+            dropped += 1
+    assert dropped >= 50, dropped
 
 
 def test_proof_rejects_what_the_references_reject():

@@ -3,7 +3,6 @@
 import math
 import random
 from collections import deque
-from fractions import Fraction
 
 import pytest
 
@@ -274,49 +273,6 @@ def test_keys_canonical_over_leaf_scales(text):
         for _b, value, states in res.trace.init.blocks:
             assert all(fmap(c.structure[x], [0] * c.n) == value
                        for x in states)
-
-
-def _weight_entries(v):
-    """Number of weights in a recorded value."""
-    if type(v) is int:
-        return 0
-    if v[0] == "vec":
-        return len(v[1])
-    if v[0] == "in":
-        return _weight_entries(v[2])
-    if v[0] in ("tuple", "fun"):
-        return sum(map(_weight_entries, v[1]))
-    return 0
-
-
-def test_fractions_only_for_recorded_values(monkeypatch):
-    """refine builds a Fraction only for a weight of a recorded value: none
-    on unweighted functors, at most one per weight in the trace on the
-    others."""
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(refiner, "Fraction", counted)
-    built = {}
-    for label, c in random_instances(seeds=range(4), n=16):
-        fx = label.split(" seed=")[0]
-        for mode in ("generic", "cancellative"):
-            if mode == "cancellative" and not is_cancellative(c.functor):
-                continue
-            made.clear()
-            trace = refine(c, mode=mode).trace
-            values = [v for _b, v, _s in trace.init.blocks]
-            values += [v for ev in trace.splits for ref in ev.refinements
-                       for _b, v, _s in ref.children]
-            assert len(made) <= sum(map(_weight_entries, values)), (label,
-                                                                    mode)
-            built[fx] = built.get(fx, 0) + len(made)
-    for fx in ("P", "Sig(f/2, g/0, h/1)", "P^{a,b}"):
-        assert built[fx] == 0, fx
-    assert built["R^(X)"] and built["(D(X) + C{stop})^{a,b}"]
 
 
 def test_one_state_blocks_are_not_keyed(monkeypatch):

@@ -20,7 +20,6 @@ from conftest import load_model, random_instances, realizable_values
 from reference import check_extensions, verify_dsi
 from test_parsers import ds_texts, texts
 
-F = Fraction
 # the module; the package's name `translate` is the function
 translate_mod = importlib.import_module("coalgcert.translate")
 
@@ -124,8 +123,8 @@ def tuple_ext(phi, c):
             ext = memo[id(psi[2])]
             return frozenset(
                 x for x in range(c.n)
-                if sum((w for y, w in c.structure[x][1] if y in ext),
-                       Fraction(0)) == psi[1])
+                if Fraction(sum(a for y, a in c.structure[x][1] if y in ext),
+                            c.structure[x][2]) == psi[1])
         if tag == "sig":
             return frozenset(x for x in range(c.n)
                              if c.structure[x][1] == psi[1])
@@ -146,8 +145,8 @@ def tuple_ext(phi, c):
                 branch = c.structure[x][1][idx]
                 if branch[1] != 0:
                     return False
-                return sum((w for y, w in branch[2][1] if y in ext),
-                           Fraction(0)) >= p
+                return Fraction(sum(a for y, a in branch[2][1] if y in ext),
+                                branch[2][2]) >= p
             return frozenset(x for x in range(c.n) if holds(x))
         raise TranslateError("unsubstituted placeholder in formula")
 
@@ -176,7 +175,7 @@ def test_tau_goldens():
     assert pretty(dag, tau(dag, "hm", p, ("set", (0,)))) == "<>true"
     assert pretty(dag, tau(dag, "hm", p, ("set", ()))) == "~<>true"
     r = parse_functor("R^(X)")
-    phi = tau(dag, "weighted", r, ("vec", ((0, F(3, 2)),)))
+    phi = tau(dag, "weighted", r, ("vec", ((0, 3),), 2))
     assert pretty(dag, phi) == "<3/2>true"
     sig = parse_functor("Sig(f/2, g/0)")
     assert pretty(dag, tau(dag, "signature", sig, ("op", "g", ()))) == "g"
@@ -189,7 +188,7 @@ def test_lam_goldens():
                     ((1,), "~<>_0"), ((), "true")]:
         assert pretty(dag, lam(dag, "hm", p, ("set", t), d, r)) == text
     w = parse_functor("R^(X)")
-    phi = lam(dag, "weighted", w, ("vec", ((1, F(1)), (2, F(2)))), d, r)
+    phi = lam(dag, "weighted", w, ("vec", ((1, 1), (2, 2)), 1), d, r)
     assert pretty(dag, phi) == "<2>_0"
     sig = parse_functor("Sig(f/2, g/0)")
     phi = lam(dag, "signature", sig, ("op", "f", (2, 1)), d, r)
@@ -199,7 +198,7 @@ def test_lam_goldens():
 def test_kappa_goldens():
     dag, d, _ = with_atoms()
     w = parse_functor("R^(X)")
-    phi = kappa(dag, "weighted", w, ("vec", ((0, F(1)), (1, F(4)))), d)
+    phi = kappa(dag, "weighted", w, ("vec", ((0, 1), (1, 4)), 1), d)
     assert pretty(dag, phi) == "<4>_0"
     for logic in ("hm", "prob"):
         with pytest.raises(TranslateError):
