@@ -18,7 +18,9 @@ benchmark/models.model_text):
     certify --mode cancellative, minimize (to --out), translate --logic L
     (to --out) for each logic, distinguish x y in each mode, without a
     logic and with each logic, for three pairs of states, check M true,
-    and stats --json without its *_ms fields;
+    check M FORMULA for one domain-specific formula of each logic, with
+    --logic naming that logic and without --logic, and stats --json
+    without its *_ms fields;
 
 and ``gen`` (to --out) for a functor of each constructor.  A run that
 takes longer than --timeout seconds is recorded as a timeout.
@@ -42,6 +44,9 @@ import models  # noqa: E402  (benchmark/models.py)
 import run as bench  # noqa: E402  (benchmark/run.py: the workloads' models)
 
 LOGICS = ("hm", "weighted", "signature", "prob")
+# one domain-specific formula per logic, for check
+DS_FORMULAS = {"hm": "[](<>true | ~true)", "weighted": "<1/2>true",
+               "signature": "<{1}>g", "prob": "<a>_{1/2}~<b>_{1}true"}
 GEN_FUNCTORS = ("X", "C{a,b}", "P", "R^(X)", "Z^(X)", "N^(X)", "D(X)",
                 "Sig(f/2, g/0, h/1)", "P x R^(X)", "D(X) + C{stop}",
                 "P^{a,b}", "(D(X) + C{stop})^{a,b}", "P . P")
@@ -95,6 +100,12 @@ def matrix(model_files):
         runs += [("translate %s %s" % (logic, name),
                   ["translate", m, "--logic", logic], True)
                  for logic in LOGICS]
+        for logic in LOGICS:
+            formula = DS_FORMULAS[logic]
+            runs += [("check %s %s" % (formula, name),
+                      ["check", m, formula], False),
+                     ("check %s --logic %s %s" % (formula, logic, name),
+                      ["check", m, formula, "--logic", logic], False)]
         states = state_names(path)
         pairs = {(states[i], states[j]) for i, j in ((0, -1), (0, 1), (1, 2))
                  if len(states) > 2}

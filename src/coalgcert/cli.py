@@ -124,7 +124,10 @@ def _verify(c, certs):
 
 def _output(out):
     """The file named out, opened for writing, or else stdout."""
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise CliFailure(INPUT_ERROR, str(e))
 
 
 def cmd_certify(args):
@@ -266,18 +269,11 @@ def cmd_gen(args):
 
 
 def _require_logic(c, logic, mode):
-    """Refuse, with exit 4, a logic that does not fit the functor, or the
-    prob logic on certificates of a cancellative-mode run, which has no
-    decoding of their one-argument modalities."""
+    """Refuse, with exit 4, a logic that check_compatible refuses."""
     try:
-        check_compatible(logic, c.functor)
+        check_compatible(logic, c.functor, mode)
     except TranslateError as e:
         raise CliFailure(INCOMPATIBLE, str(e))
-    # hm fits only P, which _prepare has already refused in cancellative mode
-    if mode == "cancellative" and logic == "prob":
-        raise CliFailure(INCOMPATIBLE,
-                         "logic %r needs certificates from generic mode"
-                         % logic)
 
 
 def build_parser():

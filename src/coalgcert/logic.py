@@ -29,15 +29,16 @@ evaluates every certificate, is its semantic reference.
 
 The domain-specific formulas of translate.py live in the same kind of
 arena and go through the same pass: ``or`` is ``|``, and a node
-('ds', label, args) holds where ds_holds accepts the row coloured 1 on
-its argument and 0 elsewhere, decided once per key of the table for L
-and once per keyed state."""
+('ds', label, args) holds where the holds of label[0] in
+translate.MODALITY accepts the row coloured 1 on its argument and 0
+elsewhere, decided once per key of the table for L and per keyed state."""
 
 from __future__ import annotations
 
 from .certdag import FormulaDag, reachable
 from .functor import unnest
 from .partition import RefinablePartition
+from .translate import MODALITY
 from .values import (
     Scanner, ValueError_, fmap, parse_value, validate_value,
 )
@@ -155,55 +156,24 @@ class _Extensions:
         return out & ~keyed | hits
 
     def ds(self, node, memo):
-        """A domain-specific modality holds at x when x's row, coloured 1
-        on its argument's extension and 0 elsewhere, satisfies it."""
+        """A domain-specific modality holds at x when its holds accepts x's
+        row, coloured 1 on its argument's extension and 0 elsewhere."""
         _, label, args = node
+        if label[0] not in MODALITY:
+            raise EvalError("unsubstituted placeholder in formula")
+        holds, f = MODALITY[label[0]][1], self.c.functor
         phi = self.at(args[0], memo) if args else self.full
         L, col, keyed = self.recolour([self.full ^ phi, phi])
-        f = self.c.functor
         out = 0
         for key, states in self.const(L).items():
-            if ds_holds(label, key, f):
+            if holds(label, key, f):
                 out |= states
         structure = self.c.structure
         hits = 0
         for x in _members(keyed):
-            if ds_holds(label, fmap(structure[x], col), f):
+            if holds(label, fmap(structure[x], col), f):
                 hits |= 1 << x
         return out & ~keyed | hits
-
-
-def ds_holds(label, value, f):
-    """Whether a value of F(2) satisfies the domain-specific modality
-    `label` of functor f, whose argument holds at colour 1.
-
-        ('dia',)        some successor satisfies the argument
-        ('box',)        there is a successor, and all satisfy it
-        ('w', m)        the weight into the argument is exactly m
-        ('sig', g)      the operation is g
-        ('args', I)     the argument positions satisfying it are I
-        ('prob', a, p)  on input a, the argument holds with
-                        probability at least p"""
-    tag = label[0]
-    if tag == "dia":
-        return 1 in value[1]
-    if tag == "box":
-        return value[1] == (1,)  # a sorted set without duplicates
-    if tag == "w":  # weights a/d, with d > 0
-        return dict(value[1]).get(1, 0) == label[1] * value[2]
-    if tag == "sig":
-        return value[1] == label[1]
-    if tag == "args":
-        return frozenset(i + 1 for i, j in enumerate(value[2])
-                         if j == 1) == label[1]
-    if tag == "prob":
-        _, a, p = label
-        if a not in f.labels:
-            raise EvalError("unknown label %r" % a)
-        branch = value[1][f.labels.index(a)]
-        return branch[1] == 0 and (dict(branch[2][1]).get(1, 0)
-                                   >= p * branch[2][2])
-    raise EvalError("unsubstituted placeholder in formula")
 
 
 def eval_ref(dag, ref, c, memo=None):

@@ -1,31 +1,26 @@
 """Translation of dag certificates into domain-specific logics.
 
-Four target logics are supported, each tied to a functor shape:
-
-    hm         powerset: diamond modality
-    weighted   monoid-valued over R, Z, N: <m> "weight into the argument
-               set is exactly m"
-    signature  polynomial functors: nullary operation tests and <I> "the
-               set of argument positions satisfying the argument is I"
-    prob       labelled Markov chains (D(X)+1)^A: <a>_p "on input a the
-               next state satisfies the argument with probability >= p"
+A domain-specific logic is a set of modalities with decodings of functor
+values into formulas over them.  Each of the four is one Logic object in
+LOGICS, under its name, which default_logic, check_compatible, ds_label,
+parse_ds, the evaluator logic._Extensions.ds and the command line's
+--logic checks read.
 
 Domain-specific formulas are nodes of a FormulaDag arena, like the
-certificates they translate: ('ds', label, args) carries one of the
-modalities above (logic.ds_holds gives their meaning), ('or', l, r) comes
-only from parsed text, and negation is the bit of an edge reference.  So
-logic.eval_ref evaluates them, FormulaDag.tree_size sizes them, and
-certdag.serialize and certdag.expand print them, with ds_label rendering
-their labels.
+certificates they translate: ('ds', label, args) carries the modality of
+tag label[0], ('or', l, r) comes only from parsed text, and negation is
+the bit of an edge reference.  So logic.eval_ref evaluates them,
+FormulaDag.tree_size sizes them, and certdag.serialize and certdag.expand
+print them, with ds_label rendering their labels.
 
 translate maps the certificate dag node by node, in one forward pass over
-the nodes below the requested references: nullary labels map to an
-output-value test, and a binary label <t>(delta, beta) maps to the
-logic's decoding of t applied to (translated delta, translated beta minus
-delta).  Unary labels from negation-free runs use the one-argument
-decoding (weighted and signature logics).  The translated arena is
-therefore linear in the certificate dag.  It is hash-consed, unlike the
-certificate arena, whose nodes logic._Induction tells apart by id.
+the nodes below the requested references: nullary labels map to the
+logic's decoding tau, a binary label <t>(delta, beta) to its decoding
+lam of t applied to (translated delta, translated beta minus delta), and
+a unary label of a negation-free run to its decoding kappa.  The
+translated arena is therefore linear in the certificate dag.  It is
+hash-consed, unlike the certificate arena, whose nodes logic._Induction
+tells apart by id.
 """
 
 from __future__ import annotations
@@ -38,8 +33,6 @@ from .functor import (
     Signature, pretty_functor, unnest,
 )
 from .values import Scanner, parse_rational
-
-LOGICS = ("hm", "weighted", "signature", "prob")
 
 
 class TranslateError(ValueError):
@@ -72,77 +65,120 @@ def _and(dag, a, b):
     return dag.add_and(a, b)
 
 
-def default_logic(f):
-    if isinstance(f, Powerset):
-        return "hm"
-    if isinstance(f, MonoidValued):
-        return "weighted"
-    if isinstance(f, Signature):
-        return "signature"
-    if _prob_shape(f):
-        return "prob"
-    return None
+# ------------------------------------------------------------- the logics
+
+class Logic:
+    """A domain-specific logic.  fits(f) tests the functor f.  The
+    decodings pin a value among those of its class: tau(dag, f, o) is a
+    closed formula whose one-colour extension is exactly o; lam(dag, f, t,
+    delta, rho) a formula in delta (colour 2) and rho (colour 1) for a
+    three-colour t, within the values agreeing with t outside the split;
+    kappa(dag, f, s, delta), None where the logic has none, one in delta
+    (colour 1) for a two-colour s of a negation-free run.  modalities maps
+    each label tag to (text, holds): text(label) prints the label before
+    its argument, holds(label, value, f) tells whether a value of F(2),
+    the argument holding at colour 1, satisfies the modality."""
+
+    kappa = None
 
 
-def _prob_shape(f):
-    return (isinstance(f, Exponent)
-            and isinstance(f.base, Coproduct) and len(f.base.parts) == 2
-            and isinstance(f.base.parts[0], Distribution)
-            and isinstance(f.base.parts[1], Constant)
-            and len(f.base.parts[1].atoms) == 1)
+class _HM(Logic):
+    """Hennessy-Milner logic over P: <> holds where some successor
+    satisfies the argument, the total [] where there is a successor and
+    all satisfy it (v[1] is a sorted set)."""
+    modalities = {
+        "dia": (lambda label: "<>", lambda label, v, f: 1 in v[1]),
+        "box": (lambda label: "[]", lambda label, v, f: v[1] == (1,))}
+
+    def fits(self, f):
+        return isinstance(f, Powerset)
+
+    def tau(self, dag, f, o):
+        return (dag.add_ds(("dia",), (TOP,))[0], not o[1])
+
+    def lam(self, dag, f, t, delta, rho):
+        s, rest = 2 in t[1], 1 in t[1]
+        dia = lambda arg: dag.add_ds(("dia",), (arg,))
+        if s and rest:
+            return _and(dag, dia(delta), dia(rho))
+        # into S only: ~<>rho (none in B - S); into B - S only: ~<>delta
+        return (dia(rho if s else delta)[0], True) if s or rest else TOP
 
 
-def check_compatible(logic, f):
-    if logic not in LOGICS:
-        raise TranslateError("unknown logic %r" % logic)
-    want = default_logic(f)
-    if want != logic:
-        raise TranslateError(
-            "logic %r does not fit functor %s (expected %s)"
-            % (logic, pretty_functor(f), want or "no supported logic"))
+class _Weighted(Logic):
+    """Monoid-valued functors over R, Z and N: <m> holds where the weight
+    into the argument is exactly m (v weighs a/d, d > 0)."""
+    modalities = {"w": (lambda label: "<%s>" % label[1], lambda label, v, f:
+                        dict(v[1]).get(1, 0) == label[1] * v[2])}
 
+    def fits(self, f):
+        return isinstance(f, MonoidValued)
 
-# ------------------------------------- modality decodings per logic
-
-def tau(dag, logic, f, o):
-    """Closed formula whose one-colour extension is exactly the value o."""
-    if logic == "hm":
-        nid, _ = dag.add_ds(("dia",), (TOP,))
-        return (nid, not o[1])
-    if logic == "weighted":
+    def tau(self, dag, f, o):
         return dag.add_ds(("w", _weight(o, 0)), (TOP,))
-    if logic == "signature":
+
+    def lam(self, dag, f, t, delta, rho):
+        # cancellative monoids: the weight into B\S follows by subtraction
+        return dag.add_ds(("w", _weight(t, 2)), (delta,))
+
+    def kappa(self, dag, f, s, delta):
+        return dag.add_ds(("w", _weight(s, 1)), (delta,))
+
+
+def _positions(v, colour):
+    """The argument positions, from 1, that the operation v colours so."""
+    return frozenset(i + 1 for i, cc in enumerate(v[2]) if cc == colour)
+
+
+class _Signature(Logic):
+    """Polynomial functors Sig(...): g holds where the operation is g,
+    <{i, ...}> where the argument holds at exactly positions i, ..."""
+    modalities = {
+        "sig": (lambda label: label[1], lambda label, v, f: v[1] == label[1]),
+        "args": (lambda label: "<{%s}>" % ",".join(map(str, sorted(label[1]))),
+                 lambda label, v, f: _positions(v, 1) == label[1])}
+
+    def fits(self, f):
+        return isinstance(f, Signature)
+
+    def tau(self, dag, f, o):
         return dag.add_ds(("sig", o[1]), ())
-    if logic == "prob":
+
+    def lam(self, dag, f, t, delta, rho):
+        return dag.add_ds(("args", _positions(t, 2)), (delta,))
+
+    def kappa(self, dag, f, s, delta):
+        return dag.add_ds(("args", _positions(s, 1)), (delta,))
+
+
+def _at_least(label, v, f):
+    """The holds of <a>_{p}, for _Prob."""
+    _, a, p = label
+    if a not in f.labels:
+        raise TranslateError("unknown label %r" % a)
+    branch = v[1][f.labels.index(a)]
+    return branch[1] == 0 and (dict(branch[2][1]).get(1, 0)
+                               >= p * branch[2][2])
+
+
+class _Prob(Logic):
+    """Labelled Markov chains (D(X) + 1)^A: <a>_{p} holds where, on input
+    a, the next state satisfies the argument with probability >= p."""
+    modalities = {"prob": (lambda label: "<%s>_{%s}" % label[1:], _at_least)}
+
+    def fits(self, f):
+        base = f.base if isinstance(f, Exponent) else None
+        return (isinstance(base, Coproduct) and list(map(type, base.parts))
+                == [Distribution, Constant] and len(base.parts[1].atoms) == 1)
+
+    def tau(self, dag, f, o):
         out = TOP
         for a, v in zip(f.labels, o[1]):
             nid, _ = dag.add_ds(("prob", a, Fraction(1)), (TOP,))
             out = _and(dag, out, (nid, v[1] != 0))
         return out
-    raise TranslateError("unknown logic %r" % logic)
 
-
-def lam(dag, logic, f, t, delta, rho):
-    """Decoding of a three-colour value: a formula in (delta, rho) whose
-    extension, within the class of values agreeing outside the split, pins
-    the value t (2-coloured part satisfies delta, 1-coloured part rho)."""
-    if logic == "hm":
-        has_s, has_rest = 2 in t[1], 1 in t[1]
-        if has_s and not has_rest:
-            return (dag.add_ds(("dia",), (rho,))[0], True)
-        if has_s and has_rest:
-            return _and(dag, dag.add_ds(("dia",), (delta,)),
-                        dag.add_ds(("dia",), (rho,)))
-        if has_rest:
-            return (dag.add_ds(("dia",), (delta,))[0], True)
-        return TOP
-    if logic == "weighted":
-        # cancellative monoids: the weight into B\S follows by subtraction
-        return dag.add_ds(("w", _weight(t, 2)), (delta,))
-    if logic == "signature":
-        into = frozenset(i + 1 for i, cc in enumerate(t[2]) if cc == 2)
-        return dag.add_ds(("args", into), (delta,))
-    if logic == "prob":
+    def lam(self, dag, f, t, delta, rho):
         out = TOP
         for a, v in zip(f.labels, t[1]):
             if v[1] == 0:  # distribution branch
@@ -150,19 +186,39 @@ def lam(dag, logic, f, t, delta, rho):
                     out = _and(dag, out, dag.add_ds(
                         ("prob", a, _weight(v[2], colour)), (arg,)))
         return out
-    raise TranslateError("unknown logic %r" % logic)
 
 
-def kappa(dag, logic, f, s, delta):
-    """Decoding of a two-colour value (negation-free runs)."""
-    if logic == "weighted":
-        return dag.add_ds(("w", _weight(s, 1)), (delta,))
-    if logic == "signature":
-        into = frozenset(i + 1 for i, cc in enumerate(s[2]) if cc == 1)
-        return dag.add_ds(("args", into), (delta,))
-    raise TranslateError(
-        "logic %r has no one-argument decoding; translate a certificate "
-        "set built in generic mode" % logic)
+LOGICS = {"hm": _HM(), "weighted": _Weighted(), "signature": _Signature(),
+          "prob": _Prob()}
+# (text, holds) of every label tag; no two logics share a tag
+MODALITY = {tag: m for lg in LOGICS.values()
+            for tag, m in lg.modalities.items()}
+
+
+def _named(logic):
+    if logic not in LOGICS:
+        raise TranslateError("unknown logic %r" % logic)
+    return LOGICS[logic]
+
+
+def default_logic(f):
+    """The name of the logic that fits functor f, or None."""
+    return next((name for name, lg in LOGICS.items() if lg.fits(f)), None)
+
+
+def check_compatible(logic, f, mode="generic"):
+    """The Logic named logic.  TranslateError unless it fits functor f and,
+    for the certificates of a cancellative-mode run, has a kappa."""
+    lg = _named(logic)
+    if not lg.fits(f):
+        raise TranslateError(
+            "logic %r does not fit functor %s (expected %s)"
+            % (logic, pretty_functor(f),
+               default_logic(f) or "no supported logic"))
+    if mode == "cancellative" and lg.kappa is None:
+        raise TranslateError("logic %r needs certificates from generic mode"
+                             % logic)
+    return lg
 
 
 # ------------------------------------------------------------ translation
@@ -174,7 +230,7 @@ def translate(certs, logic, refs):
     each node to a reference into a fresh arena.  Returns the arena and
     the translated references, in the order of refs."""
     f = certs.coalgebra.functor
-    check_compatible(logic, f)
+    lg = check_compatible(logic, f, certs.trace.mode)
     dag, out = _SharedDag(), {}
 
     def tr(ref):
@@ -190,57 +246,38 @@ def translate(certs, logic, refs):
         else:
             _, val, arity, args = node
             if arity == 0:
-                out[nid] = tau(dag, logic, f, val)
+                out[nid] = lg.tau(dag, f, val)
             elif arity == 2:
                 d, b = tr(args[0]), tr(args[1])
-                out[nid] = lam(dag, logic, f, val, d,
-                               _and(dag, b, (d[0], not d[1])))
+                out[nid] = lg.lam(dag, f, val, d,
+                                  _and(dag, b, (d[0], not d[1])))
             else:
-                out[nid] = kappa(dag, logic, f, val, tr(args[0]))
+                out[nid] = lg.kappa(dag, f, val, tr(args[0]))
     return dag, [tr(r) for r in refs]
 
-
-# ------------------------------------------------------------- printing
 
 def ds_label(node):
     """Label renderer of a domain-specific arena, for certdag.expand and
     certdag.serialize: the text of a node's label, before its argument."""
-    label = node[1]
-    tag = label[0]
-    if tag == "dia":
-        return "<>"
-    if tag == "box":
-        return "[]"
-    if tag == "w":
-        return "<%s>" % label[1]
-    if tag == "sig":
-        return label[1]
-    if tag == "args":
-        return "<{%s}>" % ",".join(str(i) for i in sorted(label[1]))
-    if tag == "prob":
-        return "<%s>_{%s}" % label[1:]
-    return "_%d" % label[1]  # an atom, which the tests' arenas hold
+    label = node[1]  # an atom, which the tests' arenas hold, prints as _i
+    return (MODALITY[label[0]][0](label) if label[0] in MODALITY
+            else "_%d" % label[1])
 
 
 # ------------------------------------------------------------- parsing
 
-# the modal node kinds of each logic; every logic has top, ~, & and |
-_MODALITIES = {"hm": ("dia", "box"), "weighted": ("w",),
-               "signature": ("sig", "args"), "prob": ("prob",)}
-
-
 class _DSParser(Scanner):
+    """The connectives of every logic and the shapes of their modalities;
+    a modality that the logic does not own is refused."""
     error = TranslateError
 
     def __init__(self, text, logic):
         super().__init__(text)
-        if logic not in _MODALITIES:
-            raise TranslateError("unknown logic %r" % logic)
-        self.logic = logic
+        self.logic, self.owned = logic, _named(logic).modalities
         self.dag = FormulaDag()
 
     def modal(self, label, *args):
-        if label[0] not in _MODALITIES[self.logic]:
+        if label[0] not in self.owned:
             raise TranslateError("logic %r has no %r modality"
                                  % (self.logic, label[0]))
         return self.dag.add_ds(label, args)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import runpy
 import time
 from pathlib import Path
@@ -302,6 +303,52 @@ def test_translate_cancellative_needs_two_sided(capsys):
     assert code == 0
     code, _, err = run(capsys, "certify", TS1, "--mode", "cancellative")
     assert code == 4 and err
+
+
+def _listed_certificates(listing):
+    """{block's states: its certificate as one formula text} of a listing,
+    each node reference replaced by the text of its node."""
+    head, _, certs = listing.partition("certificates:\n")
+    blocks = dict(re.findall(r"^  (\d+): (.*)$", head.split("dag:\n")[0],
+                             re.M))
+    nodes = dict(re.findall(r"^  #(\d+) = (.*)$", head, re.M))
+
+    def text(ref):
+        return re.sub(r"#(\d+)", lambda m: text(m.group(1)), nodes[ref])
+    return {tuple(sorted(blocks[b].split())): text(ref)
+            for b, ref in re.findall(r"^  (\d+): #(\d+)$", certs, re.M)}
+
+
+def test_translate_signature_cancellative(capsys, tmp_path):
+    # negation-free certificates of a cancellative run, through kappa
+    model = str(tmp_path / "sig.model")
+    assert run(capsys, "gen", "--functor", "Sig(f/2, g/0, h/1)", "--n", "12",
+               "--seed", "3", "--out", model)[0] == 0
+    code, out, err = run(capsys, "translate", model, "--logic", "signature",
+                         "--mode", "cancellative")
+    assert code == 0 and not err and "~" not in out
+    certs = _listed_certificates(out)
+    assert len(certs) > 3 and any("<{" in phi for phi in certs.values())
+    for states, phi in certs.items():
+        code, held, _ = run(capsys, "check", model, phi, "--logic",
+                            "signature")
+        assert code == 0 and tuple(held.split()) == states, phi
+    code, out, err = run(capsys, "translate", PR1, "--logic", "prob",
+                         "--mode", "cancellative")
+    assert code == 4 and not out
+    assert err == "error: logic 'prob' needs certificates from generic mode\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", TS1], ["translate", TS1, "--logic", "hm"], ["minimize", TS1],
+    ["gen", "--functor", "P", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_out_into_a_missing_directory(capsys, tmp_path, argv):
+    dest = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert code == 2 and not out and "Traceback" not in err
+    assert err.startswith("error:") and str(dest) in err
+    assert not dest.parent.exists()
 
 
 def test_minimize_cancellative_needs_cancellative_functor(capsys):

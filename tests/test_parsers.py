@@ -109,7 +109,7 @@ def test_formulas_raise_eval_error(fx, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(logic=st.sampled_from(LOGICS), text=texts)
+@given(logic=st.sampled_from(tuple(LOGICS)), text=texts)
 def test_ds_formulas_raise_translate_error(logic, text):
     try:
         parse_ds(text, logic)
@@ -118,7 +118,7 @@ def test_ds_formulas_raise_translate_error(logic, text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(logic=st.sampled_from(LOGICS), data=st.data())
+@given(logic=st.sampled_from(tuple(LOGICS)), data=st.data())
 def test_ds_formulas_print_as_parsed(logic, data):
     # printing drops only double negations, so it is a fixed point of
     # parsing then printing

@@ -1,6 +1,5 @@
 """Translation of certificates into the four domain-specific logics."""
 
-import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,15 +12,15 @@ from coalgcert.logic import eval_ref
 from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.refiner import refine
 from coalgcert.translate import (
-    LOGICS, TranslateError, check_compatible, default_logic, ds_label, kappa,
-    lam, parse_ds, tau, translate,
+    LOGICS, TranslateError, check_compatible, default_logic, ds_label,
+    parse_ds, translate,
 )
 from conftest import load_model, random_instances, realizable_values
-from reference import check_extensions, verify_dsi
+from reference import KAPPA_LOGICS, check_extensions, verify_dsi
 from test_parsers import ds_texts, texts
 
-# the module; the package's name `translate` is the function
-translate_mod = importlib.import_module("coalgcert.translate")
+HM, WEIGHTED, SIGNATURE, PROB = (LOGICS[name] for name in (
+    "hm", "weighted", "signature", "prob"))
 
 DEFAULT_LOGIC_FUNCTORS = {
     "hm": ["P", "B^(X)"],
@@ -172,13 +171,13 @@ def test_check_compatible_rejects_mismatch():
 def test_tau_goldens():
     dag = FormulaDag()
     p = parse_functor("P")
-    assert pretty(dag, tau(dag, "hm", p, ("set", (0,)))) == "<>true"
-    assert pretty(dag, tau(dag, "hm", p, ("set", ()))) == "~<>true"
+    assert pretty(dag, HM.tau(dag, p, ("set", (0,)))) == "<>true"
+    assert pretty(dag, HM.tau(dag, p, ("set", ()))) == "~<>true"
     r = parse_functor("R^(X)")
-    phi = tau(dag, "weighted", r, ("vec", ((0, 3),), 2))
+    phi = WEIGHTED.tau(dag, r, ("vec", ((0, 3),), 2))
     assert pretty(dag, phi) == "<3/2>true"
     sig = parse_functor("Sig(f/2, g/0)")
-    assert pretty(dag, tau(dag, "signature", sig, ("op", "g", ()))) == "g"
+    assert pretty(dag, SIGNATURE.tau(dag, sig, ("op", "g", ()))) == "g"
 
 
 def test_lam_goldens():
@@ -186,23 +185,30 @@ def test_lam_goldens():
     p = parse_functor("P")
     for t, text in [((2,), "~<>_1"), ((1, 2), "(<>_0 & <>_1)"),
                     ((1,), "~<>_0"), ((), "true")]:
-        assert pretty(dag, lam(dag, "hm", p, ("set", t), d, r)) == text
+        assert pretty(dag, HM.lam(dag, p, ("set", t), d, r)) == text
     w = parse_functor("R^(X)")
-    phi = lam(dag, "weighted", w, ("vec", ((1, 1), (2, 2)), 1), d, r)
+    phi = WEIGHTED.lam(dag, w, ("vec", ((1, 1), (2, 2)), 1), d, r)
     assert pretty(dag, phi) == "<2>_0"
     sig = parse_functor("Sig(f/2, g/0)")
-    phi = lam(dag, "signature", sig, ("op", "f", (2, 1)), d, r)
+    phi = SIGNATURE.lam(dag, sig, ("op", "f", (2, 1)), d, r)
     assert pretty(dag, phi) == "<{1}>_0"
 
 
 def test_kappa_goldens():
     dag, d, _ = with_atoms()
     w = parse_functor("R^(X)")
-    phi = kappa(dag, "weighted", w, ("vec", ((0, 1), (1, 4)), 1), d)
+    phi = WEIGHTED.kappa(dag, w, ("vec", ((0, 1), (1, 4)), 1), d)
     assert pretty(dag, phi) == "<4>_0"
-    for logic in ("hm", "prob"):
-        with pytest.raises(TranslateError):
-            kappa(dag, logic, parse_functor("P"), ("set", (0,)), d)
+    sig = parse_functor("Sig(f/2, g/0)")
+    phi = SIGNATURE.kappa(dag, sig, ("op", "f", (1, 0)), d)
+    assert pretty(dag, phi) == "<{1}>_0"
+    # hm and prob have no one-argument decoding, so a cancellative run's
+    # certificates do not translate into prob (P has no such run)
+    assert HM.kappa is None and PROB.kappa is None
+    pr1 = load_model("pr1.model")
+    certs = build_certificates(pr1, refine(pr1, mode="cancellative"))
+    with pytest.raises(TranslateError, match="from generic mode"):
+        translate(certs, "prob", list(certs.delta.values()))
 
 
 def test_ts1_hm_translation_golden(ts1):
@@ -274,7 +280,7 @@ def assert_matches_reference(text, logic):
 
 
 @settings(max_examples=200, deadline=None)
-@given(logic=st.sampled_from(LOGICS), data=st.data())
+@given(logic=st.sampled_from(tuple(LOGICS)), data=st.data())
 def test_parsed_formulas_match_tuple_reference(logic, data):
     assert_matches_reference(data.draw(ds_texts(logic)), logic)
     assert_matches_reference(data.draw(texts), logic)
@@ -301,17 +307,17 @@ def dsi_cases():
     }
 
 
-def test_verify_dsi_all_logics(ts1, mc1):
-    cases = {
-        "hm": ts1,
-        "weighted": mc1,
-        "prob": load_model("pr1.model"),
-    }
-    cases["signature"] = generate(GeneratorSpec(
-        functor="Sig(f/2, g/0, h/1)", n=8, seed=3, density=0.5))
-    for logic, c in cases.items():
+def test_verify_dsi_all_logics():
+    for logic, c in dsi_cases().items():
         v1, v2, v3 = realizable_values(c)
         assert verify_dsi(logic, c, v1, v2, v3) == [], logic
+
+
+def test_verify_dsi_checks_every_kappa():
+    # verify_dsi keeps its own list of the logics with a kappa to check; a
+    # kappa dropped from or added to an object must not skip its axioms
+    assert set(KAPPA_LOGICS) == {name for name, lg in LOGICS.items()
+                                 if lg.kappa is not None}
 
 
 class _HeavierWeights:
@@ -329,10 +335,11 @@ class _HeavierWeights:
         return getattr(self.dag, name)
 
 
+# each corruption maps a logic's decoding to its corrupted version
 CORRUPTIONS = {
-    "lambda": lambda dag, logic, f, t, d, r: lam(dag, logic, f, t, r, d),
-    "tau": lambda dag, logic, f, o: tau(_HeavierWeights(dag), logic, f, o),
-    "kappa": lambda dag, logic, f, s, d: TOP,
+    "lambda": lambda lam: lambda dag, f, t, d, r: lam(dag, f, t, r, d),
+    "tau": lambda tau: lambda dag, f, o: tau(_HeavierWeights(dag), f, o),
+    "kappa": lambda kappa: lambda dag, f, s, d: TOP,
 }
 # violations verify_dsi reports on dsi_cases() for each corrupted
 # decoding: delta and rho swapped in lam, tau's weight off by one, and
@@ -347,7 +354,9 @@ CORRUPTED_VIOLATIONS = {
 @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
 def test_verify_dsi_catches_corrupted_decodings(kind, monkeypatch):
     name = "lam" if kind == "lambda" else kind
-    monkeypatch.setattr(translate_mod, name, CORRUPTIONS[kind])
+    for lg in LOGICS.values():
+        if getattr(lg, name) is not None:  # kappa is None in hm and prob
+            monkeypatch.setattr(lg, name, CORRUPTIONS[kind](getattr(lg, name)))
     for logic, c in dsi_cases().items():
         bad = verify_dsi(logic, c, *realizable_values(c))
         assert len(bad) == CORRUPTED_VIOLATIONS[kind][logic], (kind, logic)
@@ -377,4 +386,4 @@ def test_ds_size_counts_tree():
     # negation is the bit of an edge, not a node of the tree
     dag, ref = parse_ds("(<>true & ~<>~<>true)", "hm")
     assert dag.tree_size(ref) == 6
-    assert LOGICS == ("hm", "weighted", "signature", "prob")
+    assert tuple(LOGICS) == ("hm", "weighted", "signature", "prob")
