@@ -15,9 +15,10 @@ and minimize models of the benchmark's four workloads (written with
 benchmark/models.model_text):
 
     certify (to --out), certify --json, certify --verify (to --out),
-    certify --mode cancellative, minimize (to --out), translate --logic L
-    (to --out) for each logic, distinguish x y in each mode, without a
-    logic and with each logic, for three pairs of states, check M true,
+    certify --mode cancellative, with and without --verify, minimize (to
+    --out), translate --logic L (to --out) for each logic, distinguish x y
+    in each mode, without a logic and with each logic, for three pairs of
+    states, check M true,
     check M FORMULA for one domain-specific formula of each logic, with
     --logic naming that logic and without --logic, and stats --json
     without its *_ms fields;
@@ -94,6 +95,9 @@ def matrix(model_files):
                   True),
                  ("certify cancellative %s" % name,
                   ["certify", m, "--mode", "cancellative"], False),
+                 ("certify cancellative --verify %s" % name,
+                  ["certify", m, "--mode", "cancellative", "--verify"],
+                  False),
                  ("minimize %s" % name, ["minimize", m], True),
                  ("check true %s" % name, ["check", m, "true"], False),
                  ("stats --json %s" % name, ["stats", m, "--json"], False)]

@@ -130,7 +130,6 @@ class FormulaDag:
 class CertificateSet:
     coalgebra: object
     dag: FormulaDag
-    mode: str
     delta: dict      # block id -> edge reference
     beta: dict       # compound id -> edge reference
     modal_of: dict   # (event index, block id) -> the conjunct's modal ref
@@ -209,8 +208,7 @@ def build_certificates(c, result, reduced_negation=True):
                 delta[cid] = dag.add_and(old, mod)
                 modal_of[(i, cid)] = mod
     # blocks are never removed, so every block id in delta is final
-    return CertificateSet(c, dag, trace.mode, delta, beta, modal_of, trace,
-                          result.blocks)
+    return CertificateSet(c, dag, delta, beta, modal_of, trace, result.blocks)
 
 
 def _version_tree(certs):
@@ -379,8 +377,9 @@ def serialize(certs, restrict_blocks=None, label=None, out=None):
 def expand(dag, ref, label, limit=100000):
     """Fully expanded formula text; refuses beyond `limit` tree nodes."""
     if dag.tree_size(ref) > limit:
-        raise CertError("expansion exceeds %d nodes; print the shared dag "
-                        "instead" % limit)
+        raise CertError("expansion exceeds %d nodes; certify (or translate "
+                        "for --logic) lists every certificate as a shared "
+                        "dag" % limit)
     out, todo = [], [ref]  # todo: references and text, the next one last
     while todo:
         item = todo.pop()

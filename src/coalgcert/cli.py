@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -120,6 +121,15 @@ def _verify(c, certs):
     bad = check_certificates(certs, c)
     if bad:
         raise CliFailure(VERIFY_ERROR, bad[0])
+
+
+def _check_out(out):
+    """Refuse, before any work, an --out that cannot be written.  _output
+    opens it only after the run, so a failed run leaves it as it was."""
+    folder = os.path.dirname(out or "") or "."
+    if out and (os.path.isdir(out) or not os.access(
+            out if os.path.isfile(out) else folder, os.W_OK)):
+        raise CliFailure(INPUT_ERROR, "cannot write --out %s" % out)
 
 
 def _output(out):
@@ -342,6 +352,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))  # the commands with --out
         return args.func(args)
     except CliFailure as e:
         print("error: %s" % e, file=sys.stderr)

@@ -11,7 +11,10 @@ values.fmap relabels them.
 Every state occurrence in a row is an edge, so a row f(x, x) has two
 edges to x.  Coalgebra.m counts them: the m of the O((m + n) log n) bound
 (Wissmann et al., LMCS 2020).  Coalgebra.edges lists them once, in an
-EdgeTable that the refiner and Coalgebra.predecessors read.
+EdgeTable that the refiner and Coalgebra.predecessors read: a row's
+skeleton, collection leaves and labelled edges (Deifel et al., FM 2019).
+walk_row is the one walk of that shape, so the table's leaf numbers and
+the refiner's keys follow one order by construction.
 
 A composed functor F1 . F2 . ... . Fk is unfolded while the model is read,
 into a coalgebra for the coproduct F1 + F2 + ... + Fk (the many-sorted
@@ -50,11 +53,12 @@ class EdgeTable:
     which counts in slot slot[p] of the source: 0 at an identity or op
     position, else 1 + the index of the edge's collection leaf among its
     source's leaves.  Every set or vec node of a row is a collection leaf;
-    the leaves of x are numbered leaf_start[x] onwards.  A vec leaf's
-    weights and its total are integer multiples of 1 / scale, its
-    denominator d; a set leaf has weight 1 per entry, its
-    size as total and scale 0.  degree[x] counts the edges out of x, and
-    positions[x] the leaves, identity and op positions of its row."""
+    the leaves of x are numbered leaf_start[x] onwards, in the order
+    walk_row calls them back.  A vec leaf's weights and its total are
+    integer multiples of 1 / scale, its denominator d; a set leaf has
+    weight 1 per entry, its size as total and scale 0.  degree[x] counts
+    the edges out of x, and positions[x] the leaves, identity and op
+    positions of its row."""
 
     def __init__(self, structure):
         n = len(structure)
@@ -62,9 +66,29 @@ class EdgeTable:
         self.total, self.scale = total, scale = [], []
         self.leaf_start = leaf_start = [0] * (n + 1)
         self.degree, self.positions = degree, positions = [0] * n, [0] * n
+
+        def leaf(node):
+            entries = node[1]
+            if node[0] == "set":
+                total.append(len(entries))
+                scale.append(0)
+                tgt.extend(entries)
+                wts.extend([1] * len(entries))
+            else:
+                total.append(sum([a for _y, a in entries]))
+                scale.append(node[2])
+                tgt.extend([y for y, _a in entries])
+                wts.extend([a for _y, a in entries])
+            slots.extend([len(total) - base] * len(entries))
+
+        def colour(y):
+            tgt.append(y)
+            slots.append(0)
+            wts.append(0)
+
         for x, t in enumerate(structure):
             base, lo = len(total), len(tgt)
-            _row_edges(t, base, tgt, slots, wts, total, scale)
+            walk_row(t, leaf, colour)
             leaf_start[x + 1] = len(total)
             degree[x] = len(tgt) - lo
             positions[x] = len(total) - base + slots[lo:].count(0)
@@ -120,39 +144,23 @@ class Coalgebra:
         return {name: i for i, name in enumerate(self.states)}
 
 
-def _row_edges(t, base, tgt, slots, wts, total, scale):
-    """Append the edges and collection leaves of row t, in walk order:
-    edge i goes to tgt[i] with weight wts[i] in slot slots[i], and its
-    leaves' totals and scales go to total and scale, where the row's first
-    leaf has index ``base`` (see EdgeTable)."""
+def walk_row(t, leaf, colour):
+    """The value of F(k) that row t's shape gives with leaf(node) at its
+    set and vec nodes and colour(y) at its identity and op positions,
+    called in one order: the order of the nodes in t.  The contents of a
+    collection are read only by leaf."""
     if type(t) is int:
-        tgt.append(t)
-        slots.append(0)
-        wts.append(0)
-        return
+        return colour(t)
     tag = t[0]
-    if tag == "set":
-        k = len(t[1])
-        total.append(k)
-        scale.append(0)
-        tgt.extend(t[1])
-        slots.extend([len(total) - base] * k)
-        wts.extend([1] * k)
-    elif tag == "vec":
-        total.append(sum([a for _y, a in t[1]]))
-        scale.append(t[2])
-        tgt.extend([y for y, _a in t[1]])
-        slots.extend([len(total) - base] * len(t[1]))
-        wts.extend([a for _y, a in t[1]])
-    elif tag == "op":
-        tgt.extend(t[2])
-        slots.extend([0] * len(t[2]))
-        wts.extend([0] * len(t[2]))
-    elif tag == "in":
-        _row_edges(t[2], base, tgt, slots, wts, total, scale)
-    elif tag == "tuple" or tag == "fun":
-        for u in t[1]:
-            _row_edges(u, base, tgt, slots, wts, total, scale)
+    if tag == "set" or tag == "vec":
+        return leaf(t)
+    if tag == "in":
+        return ("in", t[1], walk_row(t[2], leaf, colour))
+    if tag == "op":
+        return ("op", t[1], tuple([colour(y) for y in t[2]]))
+    if tag == "tuple" or tag == "fun":
+        return (tag, tuple([walk_row(u, leaf, colour) for u in t[1]]))
+    return t  # ('atom', name)
 
 
 # ---------------------------------------------------------------- parsing

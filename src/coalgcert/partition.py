@@ -35,10 +35,6 @@ class RefinablePartition:
     def block_states(self, b):
         return self.elems[self.first[b]:self.end[b]]
 
-    def blocks(self):
-        """Current partition as a list of sorted state lists."""
-        return [sorted(self.block_states(b)) for b in range(self.num_blocks())]
-
     def _swap(self, i, j):
         ei, ej = self.elems[i], self.elems[j]
         self.elems[i], self.elems[j] = ej, ei

@@ -24,8 +24,10 @@ of its target.  Splitting S off B:
 
   1. walk the in-edges of S; for each source x (a touched state) remember
      its cell (x, B) from the edge, accumulate its weights into S in a
-     fresh cell (x, S), and point the edge at that cell;
-  2. key each touched state by walking the skeleton of its term, never a
+     fresh cell (x, S), each in its leaf's slot, and point the edge at
+     that cell;
+  2. key each touched state by coalgebra.walk_row, the walk that numbered
+     its leaves, reading each leaf's weights from the cells, never a
      collection's contents.  A set leaf yields the colours present among
      (total - w(l,B), w(l,B) - w_S, w_S), a vec leaf those three weights
      (two-colour: total - w_S, w_S) as integers; identity and op
@@ -58,6 +60,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
+from .coalgebra import walk_row
 from .functor import is_cancellative, is_zippable, vec
 from .partition import RefinablePartition
 
@@ -128,33 +131,13 @@ def initial_partition(c):
 
     def key(x):
         leaves = map(leaf, range(leaf_start[x], leaf_start[x + 1]))
-        return _skeleton(c.structure[x], leaves.__next__, _zero)
+        return walk_row(c.structure[x], lambda _node: next(leaves), _zero)
 
     return part, part.split_by_key(0, key)
 
 
 def _zero(_y):
     return 0
-
-
-def _skeleton(t, leaf, colour):
-    """Functor value of term t from leaf() at its collection leaves, called
-    in walk order, and colour(state) at its identity and op positions.
-
-    The value has the shape fmap gives; the contents of the collections are
-    never read."""
-    if type(t) is int:
-        return colour(t)
-    tag = t[0]
-    if tag == "set" or tag == "vec":
-        return leaf()
-    if tag == "in":
-        return ("in", t[1], _skeleton(t[2], leaf, colour))
-    if tag == "op":
-        return ("op", t[1], tuple([colour(y) for y in t[2]]))
-    if tag == "tuple" or tag == "fun":
-        return (tag, tuple([_skeleton(u, leaf, colour) for u in t[1]]))
-    return t  # ('atom', name)
 
 
 class _SplitWeights:
@@ -240,26 +223,23 @@ class _SplitWeights:
         two-colour one.  With ``merged`` the weights into S count as
         weights into B (generic) or into the outside (two-colour): that is
         the block's default key.  The key is fmap's value."""
-        e = self.edges
-        lo, hi = e.leaf_start[x], e.leaf_start[x + 1]
-        if lo == hi:
-            return _skeleton(term, None, colour)
-        total, scale, cw = e.total, e.scale, self.cw
-        b = self.toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
-        s = self.toward_S[x] + 1 - lo
-        values = []
-        for j in range(lo, hi):
+        e, cw = self.edges, self.cw
+        total, scale = e.total, e.scale
+        j = e.leaf_start[x]  # the next leaf walk_row calls back
+        b = self.toward_B[x] + 1 - j   # cw[b + j] is leaf j's weight into B
+        s = self.toward_S[x] + 1 - j
+
+        def leaf(_node):
+            nonlocal j
             t, d, wb = total[j], scale[j], cw[b + j]
             ws = 0 if merged else cw[s + j]
+            j += 1
             if not d:
-                values.append(_SET_KEYS[(t > wb) | (wb > ws) << 1
-                                        | (ws > 0) << 2])
-            else:  # a vec leaf; cancellative functors have no set leaves
-                values.append(vec(enumerate((t - wb, wb - ws, ws) if three
-                                            else (t - ws, ws)), d))
-        if hi - lo == 1 and term[0] in ("set", "vec"):
-            return values[0]
-        return _skeleton(term, iter(values).__next__, colour)
+                return _SET_KEYS[(t > wb) | (wb > ws) << 1 | (ws > 0) << 2]
+            # a vec leaf; cancellative functors have no set leaves
+            return vec(enumerate((t - wb, wb - ws, ws) if three
+                                 else (t - ws, ws)), d)
+        return walk_row(term, leaf, colour)
 
     def commit(self, touched):
         """Move the weights into S out of the touched states' cells toward B."""

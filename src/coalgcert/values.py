@@ -5,8 +5,11 @@ functor to a colouring of the states gives an element of F(k) for a
 palette size k.  Both are written in one encoding, so F(g) is a single
 function, fmap, for every map g.  F(k) values are the split keys of the
 refiner and the labels of modal operators; they are hashable, canonical
-and printable.  Encoding (tagged tuples), with a state or a colour at
-every identity position:
+and printable.  fmap does not share the refiner's walk
+(coalgebra.walk_row) on purpose: the --verify proof keys with fmap, and
+one walk would let one bug fool the refiner and its checker together
+(McConnell et al., "Certifying algorithms", 2011).  Encoding (tagged
+tuples), with a state or a colour at every identity position:
 
     int                              identity position
     ('set', (c1, c2, ...))           powerset layer, sorted, no dups

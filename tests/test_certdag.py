@@ -331,7 +331,7 @@ def test_cancellative_certificates_random():
                                      seeds=range(3), n=10):
         res = refine(c, mode="cancellative")
         certs = build_certificates(c, res)
-        assert certs.mode == "cancellative"
+        assert certs.trace.mode == "cancellative"
         for bid, states in enumerate(res.blocks):
             assert eval_ref(certs.dag, certs.delta[bid], c) == set(states), \
                 label

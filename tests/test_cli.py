@@ -5,6 +5,7 @@ import random
 import re
 import runpy
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -343,12 +344,26 @@ def test_translate_signature_cancellative(capsys, tmp_path):
     ["certify", TS1], ["translate", TS1, "--logic", "hm"], ["minimize", TS1],
     ["gen", "--functor", "P", "--n", "3"],
 ], ids=lambda argv: argv[0])
-def test_out_into_a_missing_directory(capsys, tmp_path, argv):
-    dest = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, *argv, "--out", str(dest))
-    assert code == 2 and not out and "Traceback" not in err
-    assert err.startswith("error:") and str(dest) in err
-    assert not dest.parent.exists()
+def test_out_into_a_missing_directory(capsys, monkeypatch, tmp_path, argv):
+    # refused before any work: the model is not even read
+    def no_work(*args, **kw):
+        pytest.fail("ran before refusing --out")
+    for name in ("parse_coalgebra", "refine", "generate"):
+        monkeypatch.setattr(cli, name, no_work)
+    for dest in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run(capsys, *argv, "--out", str(dest))
+        assert code == 2 and not out and "Traceback" not in err
+        assert err.startswith("error:") and str(dest) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_distinguish_refuses_a_long_expansion(capsys, monkeypatch):
+    # a formula over the limit exits 2, and the message names a command
+    # that prints the shared dag
+    monkeypatch.setattr(cli, "expand", partial(certdag.expand, limit=2))
+    code, out, err = run(capsys, "distinguish", TS1, "x", "y")
+    assert code == 2 and not out
+    assert "exceeds 2 nodes" in err and "certify" in err
 
 
 def test_minimize_cancellative_needs_cancellative_functor(capsys):

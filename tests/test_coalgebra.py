@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert.coalgebra import (
-    ModelError, parse_coalgebra, pretty_model, quotient,
+    ModelError, parse_coalgebra, pretty_model, quotient, walk_row,
 )
 from coalgcert.functor import parse_functor
 from coalgcert.oracle import (
@@ -95,6 +95,41 @@ def test_predecessors_are_the_occurrences(fx, n, seed, density):
         for y in seen:
             want[y].append(x)
     assert [list(c.predecessors(y)) for y in range(c.n)] == want
+
+
+def _walk_instance(which, n, seed, density):
+    if which == "composite":
+        return composite_instance(seed, n)
+    if which == "layered":
+        return layered_worstcase(seed % 4)
+    return generate(GeneratorSpec(which, n, seed=seed, density=density))
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.sampled_from(FUNCTORS + ["composite", "layered"]),
+       n=st.integers(1, 16), seed=st.integers(0, 10_000),
+       density=st.sampled_from([0.1, 0.3, 0.8]), data=st.data())
+def test_walk_row_is_the_edge_tables_walk(which, n, seed, density, data):
+    # walk_row with fmap at the leaves is fmap, and per row it calls leaf
+    # once per edge-table leaf and leaf or colour once per position
+    c = _walk_instance(which, n, seed, density)
+    k = data.draw(st.integers(1, 3))
+    g = data.draw(st.lists(st.integers(0, k - 1), min_size=c.n,
+                           max_size=c.n))
+    e = c.edges
+    for x, t in enumerate(c.structure):
+        calls = {"leaf": 0, "colour": 0}
+
+        def leaf(node):
+            calls["leaf"] += 1
+            return fmap(node, g)
+
+        def colour(y):
+            calls["colour"] += 1
+            return g[y]
+        assert walk_row(t, leaf, colour) == fmap(t, g), (which, x)
+        assert calls["leaf"] == e.leaf_start[x + 1] - e.leaf_start[x]
+        assert calls["leaf"] + calls["colour"] == e.positions[x]
 
 
 @pytest.mark.parametrize("text", [

@@ -8,7 +8,7 @@ from coalgcert.partition import PartitionError, RefinablePartition
 
 def test_initial():
     p = RefinablePartition(4)
-    assert p.num_blocks() == 1 and p.blocks() == [[0, 1, 2, 3]]
+    assert p.num_blocks() == 1 and p.block_states(0) == [0, 1, 2, 3]
     assert RefinablePartition(0).num_blocks() == 0
 
 
