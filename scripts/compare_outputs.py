@@ -17,14 +17,18 @@ benchmark/models.model_text):
     certify (to --out), certify --json, certify --verify (to --out),
     certify --mode cancellative, with and without --verify, minimize (to
     --out), translate --logic L (to --out) for each logic, distinguish x y
-    in each mode, without a logic and with each logic, for three pairs of
-    states, check M true,
+    in each mode, without a logic and with each logic, check M true,
     check M FORMULA for one domain-specific formula of each logic, with
     --logic naming that logic and without --logic, and stats --json
     without its *_ms fields;
 
-and ``gen`` (to --out) for a functor of each constructor.  A run that
-takes longer than --timeout seconds is recorded as a timeout.
+and ``gen`` (to --out) for a functor of each constructor.  distinguish
+runs on three pairs of declared states (the first with the last, the
+first with the second, the second with the third), on two more pairs
+drawn by a generator seeded with the model's name, and on the composite
+lts-labelled models also on two pairs that name an auxiliary state: the
+first declared state with aux0, and aux0 with the last auxiliary state.
+A run that takes longer than --timeout seconds is recorded as a timeout.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -53,27 +58,35 @@ GEN_FUNCTORS = ("X", "C{a,b}", "P", "R^(X)", "Z^(X)", "N^(X)", "D(X)",
                 "P^{a,b}", "(D(X) + C{stop})^{a,b}", "P . P")
 
 
+def aux_states(model, encoding=None):
+    """How many auxiliary states reading model_text(model, encoding) makes:
+    one per edge in the composite encoding of a labelled system,
+    P . (C{a,b,c} x X), and none in the others."""
+    return sum(map(len, model.rows)) if (encoding or model.kind) == "llts" \
+        else 0
+
+
 def write_models(work):
-    """The model files of the matrix, written into work: [(name, path)].
-    A workload's model whose text an earlier one has (the minimize model
-    but on lts-labelled, the verify model of verify-lts) is left out."""
-    out = [(p.name, p) for p in sorted((ROOT / "tests" / "models").glob(
+    """The model files of the matrix, written into work: [(name, path,
+    number of auxiliary states)].  A workload's model whose text an
+    earlier one has (the minimize model but on lts-labelled, the verify
+    model of verify-lts) is left out."""
+    out = [(p.name, p, 0) for p in sorted((ROOT / "tests" / "models").glob(
         "*.model"))]
     for workload in sorted(bench.WORKLOADS):
         main, vers, _bases = bench.make_models(workload, 1)
-        texts = [("main", models.model_text(main)),
-                 ("minimize", models.model_text(
-                     main, bench.minimize_encoding(main)))]
-        texts += [("verify-%d" % k, models.model_text(v))
-                  for k, v in enumerate(vers)]
+        enc = bench.minimize_encoding(main)
+        texts = [("main", main, None), ("minimize", main, enc)]
+        texts += [("verify-%d" % k, v, None) for k, v in enumerate(vers)]
         seen = set()
-        for part, text in texts:
+        for part, model, encoding in texts:
+            text = models.model_text(model, encoding)
             if text in seen:
                 continue
             seen.add(text)
             path = Path(work) / ("%s-%s.model" % (workload, part))
             path.write_text(text)
-            out.append((path.name, path))
+            out.append((path.name, path, aux_states(model, encoding)))
     return out
 
 
@@ -87,7 +100,7 @@ def state_names(path):
 def matrix(model_files):
     """[(label, argv, writes --out)] of every run."""
     runs = []
-    for name, path in model_files:
+    for name, path, aux in model_files:
         m = str(path)
         runs += [("certify %s" % name, ["certify", m], True),
                  ("certify --json %s" % name, ["certify", m, "--json"], False),
@@ -113,6 +126,11 @@ def matrix(model_files):
         states = state_names(path)
         pairs = {(states[i], states[j]) for i, j in ((0, -1), (0, 1), (1, 2))
                  if len(states) > 2}
+        rng = random.Random(name)
+        pairs.update(tuple(rng.sample(states, 2)) for _ in range(2)
+                     if len(states) >= 2)
+        if aux:
+            pairs.update([(states[0], "aux0"), ("aux0", "aux%d" % (aux - 1))])
         for (x, y), mode, logic in itertools.product(
                 sorted(pairs), ("generic", "cancellative"), (None,) + LOGICS):
             flags = ["--mode", mode] + (["--logic", logic] if logic else [])

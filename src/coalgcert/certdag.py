@@ -27,11 +27,12 @@ it holds at exactly the states with key t.  Owner tags sit only on `and`
 nodes, one fresh per child, and on chain bases, never on a split's modal
 nodes, so each tagged node still lies on one delta chain.
 
-distinguish answers from a block-version tree, built in O(n + trace) on its
-first call and kept in CertificateSet.versions: each initial block (under
-a virtual root) and each refinement child is a version, child of T's
-version before the split.  A query climbs to the LCA in O(log n) with
-Myers' skew-binary jump pointers.
+distinguish answers from a block-version tree that build_certificates
+grows with the conjuncts (CertificateSet.versions): each initial block
+(under a virtual root) and each refinement child is a version, child of
+T's version before the split, with its conjunct's modal ref; a state's
+leaf is its block's last version.  A query climbs from two leaves to their
+LCA in O(log n) with Myers' skew-binary jump pointers.
 
 Rendering.  listing writes the nodes that a set of roots reaches in one
 linear pass, for serialize and certify --json.  Arena ids put children
@@ -47,8 +48,8 @@ large dag has many modal nodes but few distinct labels.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from dataclasses import dataclass
+from itertools import compress
 
 from .functor import pretty_functor
 from .values import pretty_value
@@ -132,13 +133,14 @@ class CertificateSet:
     dag: FormulaDag
     delta: dict      # block id -> edge reference
     beta: dict       # compound id -> edge reference
-    modal_of: dict   # (event index, block id) -> the conjunct's modal ref
     trace: object
     blocks: list     # final partition, sorted state lists, by block id
-    versions: tuple = field(default=None, init=False, repr=False)
+    # block-version tree (module docstring): (leaf version by state, then
+    # parent, jump pointer, depth and modal ref by version; 0 the root)
+    versions: tuple
 
 
-def _negation_target(dag, owner, delta_ref, reduced, compound, new_compound):
+def _negation_target(dag, owner, delta_ref, compound, new_compound):
     """The formula negated in a beta update: delta(S) minus beta(B)'s part.
 
     Walks delta(S)'s conjunct chain from the root, collecting conjuncts
@@ -155,8 +157,6 @@ def _negation_target(dag, owner, delta_ref, reduced, compound, new_compound):
     owner[i] is the id of the compound whose beta formula inherited node i
     as a conjunct, or None while it only appears in delta chains; nodes
     past the list's end are unowned.  build_certificates keeps the list."""
-    if not reduced:
-        return delta_ref
     owner.extend([None] * (len(dag.nodes) - len(owner)))
     refs, cur = [], delta_ref[0]  # delta chains hold positive references
     while owner[cur] is None:
@@ -176,7 +176,18 @@ def _negation_target(dag, owner, delta_ref, reduced, compound, new_compound):
     return ref
 
 
-def build_certificates(c, result, reduced_negation=True):
+def _add_version(par, jump, depth, mod, p, ref):
+    """Append a version under version p, with modal ref ref; its index."""
+    j = jump[p]
+    skew = depth[p] - depth[j] == depth[j] - depth[jump[j]]
+    jump.append(jump[j] if skew else p)
+    par.append(p)
+    depth.append(depth[p] + 1)
+    mod.append(ref)
+    return len(par) - 1
+
+
+def build_certificates(c, result):
     """Replay a refinement trace into a certificate set.
 
     Generic traces carry three-colour keys and produce binary
@@ -186,53 +197,38 @@ def build_certificates(c, result, reduced_negation=True):
     binary = trace.mode != "cancellative"
     dag = FormulaDag()
     owner = []  # see _negation_target
-    delta, beta, modal_of = {}, {}, {}
+    delta, beta = {}, {}
+    tree = par, jump, depth, modal = [0], [0], [0], [None]
+    version = [0] * len(result.blocks)  # block id -> its current version
     for bid, val, _states in trace.init.blocks:
-        delta[bid] = modal_of[(-1, bid)] = dag.add_modal(val, 0, ())
-    for i, ev in enumerate(trace.splits):
+        delta[bid] = dag.add_modal(val, 0, ())
+        version[bid] = _add_version(*tree, 0, delta[bid])
+    for ev in trace.splits:
         dS = delta[ev.splitter]
         bB = beta.get(ev.compound, TOP)
         if binary:
             beta[ev.new_compound] = dS
-            neg = _negation_target(dag, owner, dS, reduced_negation,
-                                   ev.compound, ev.new_compound)
+            neg = _negation_target(dag, owner, dS, ev.compound,
+                                   ev.new_compound)
             beta[ev.compound] = dag.add_and(bB, (neg[0], True))
         args = (dS, bB) if binary else (dS,)
         mods = {}  # key -> its modal node at this split
         for ref_ in ev.refinements:
-            old = delta[ref_.parent]
+            old, p = delta[ref_.parent], version[ref_.parent]
             for cid, val, _states in ref_.children:
                 mod = mods.get(val)
                 if mod is None:
                     mod = mods[val] = dag.add_modal(val, len(args), args)
                 delta[cid] = dag.add_and(old, mod)
-                modal_of[(i, cid)] = mod
+                version[cid] = _add_version(*tree, p, mod)
+    # the loop made the version ids among the dag's ints; a query, often on
+    # a cold cache, reads fewer lines when they are one run of int objects
+    ids = list(range(len(par)))
+    leaf = [ids[version[b]] for b in result.block_of]
+    par, jump = [ids[v] for v in par], [ids[v] for v in jump]
     # blocks are never removed, so every block id in delta is final
-    return CertificateSet(c, dag, delta, beta, modal_of, trace, result.blocks)
-
-
-def _version_tree(certs):
-    """(leaf version by state, then parent, jump, depth and modal ref by
-    version) of the block-version tree (see the module docstring)."""
-    par, jump, depth, mod = [0], [0], [0], [None]
-    cur = {None: 0}  # block id -> its current version; None: the root
-    trace = certs.trace
-    for i, T, children in chain(
-            [(-1, None, trace.init.blocks)],
-            ((i, ref_.parent, ref_.children)
-             for i, ev in enumerate(trace.splits) for ref_ in ev.refinements)):
-        p = cur[T]
-        for cid, _val, _states in children:
-            j = jump[p]
-            skew = depth[p] - depth[j] == depth[j] - depth[jump[j]]
-            jump.append(jump[j] if skew else p)
-            par.append(p)
-            depth.append(depth[p] + 1)
-            mod.append(certs.modal_of[(i, cid)])
-            cur[cid] = len(par) - 1
-    leaf = {s: cur[bid] for bid, states in enumerate(certs.blocks)
-            for s in states}
-    return leaf, par, jump, depth, mod
+    return CertificateSet(c, dag, delta, beta, trace, result.blocks,
+                          (leaf, par, jump, depth, modal))
 
 
 def distinguish(certs, x, y):
@@ -241,12 +237,13 @@ def distinguish(certs, x, y):
     Returns an edge reference satisfied by x but not by y, or None when the
     two states are behaviourally equivalent.  The formula is the modal ref
     of the version on x's side just below the LCA of their leaf versions."""
-    if certs.versions is None:
-        certs.versions = _version_tree(certs)
     leaf, par, jump, depth, mod = certs.versions
-    if x not in leaf or y not in leaf:
-        raise CertError("state out of range")
-    a, b = leaf[x], leaf[y]
+    try:
+        if x < 0 or y < 0:
+            raise IndexError
+        a, b = leaf[x], leaf[y]
+    except (IndexError, TypeError):  # not a state id
+        raise CertError("state out of range") from None
     if a == b:
         return None
     while depth[a] > depth[b]:  # lift the deeper version

@@ -215,15 +215,15 @@ def cmd_check(args):
     try:
         dag, ref = parse_formula(args.formula, c.functor)
         ext = eval_ref(dag, ref, c)
-    except EvalError:
+    except EvalError as e:
+        why = "%s (generic syntax); " % e
         logic = args.logic or default_logic(c.functor)
         if logic is None:
-            raise CliFailure(INPUT_ERROR,
-                             "cannot parse formula %r" % args.formula)
+            raise CliFailure(INPUT_ERROR, why + "no logic fits the functor")
         try:
             dag, ref = parse_ds(args.formula, logic)
         except TranslateError as e:
-            raise CliFailure(INPUT_ERROR, str(e))
+            raise CliFailure(INPUT_ERROR, why + "%s (logic %s)" % (e, logic))
         ext = eval_ref(dag, ref, c)
     names = sorted(c.states[s] for s in ext if s in visible)
     print(" ".join(names))

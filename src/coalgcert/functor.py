@@ -283,8 +283,8 @@ _NAME = re.compile(r"\s*(\w+)").match  # letters, digits and _
 class Scanner:
     """Position in a text, shared by the package's parsers.
 
-    Each method skips whitespace first.  Errors raise the subclass's
-    ``error`` class, so every parser raises only its own error."""
+    Each method but upto skips whitespace first.  Errors raise the
+    subclass's ``error`` class, so every parser raises only its own error."""
 
     def __init__(self, text):
         self.text = text
@@ -321,6 +321,14 @@ class Scanner:
             raise self.error("expected a name at %r" % self.text[self.i:])
         self.i = m.end()
         return m.group(1)
+
+    def upto(self, close):
+        """The text up to the next ``close``, verbatim; consumes both."""
+        j = self.text.find(close, self.i)
+        if j < 0:
+            raise self.error("expected %r at %r" % (close, self.text[self.i:]))
+        text, self.i = self.text[self.i:j], j + len(close)
+        return text
 
     def index(self, what):
         tok = self.token()

@@ -576,9 +576,7 @@ class _FormulaParser(Scanner):
             self.eat(")")
             return self.dag.add_and(left, right)
         if self.try_eat("<"):
-            j = self.text.index(">", self.i)
-            literal = self.text[self.i:j]
-            self.i = j + 1
+            literal = self.upto(">")
             args = []
             if self.try_eat("("):
                 args.append((yield))

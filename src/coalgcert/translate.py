@@ -304,17 +304,13 @@ class _DSParser(Scanner):
         if self.try_eat("[]"):
             return self.modal(("box",), (yield))
         if self.try_eat("<"):
-            j = self.text.index(">", self.i)
-            content = self.text[self.i:j].strip()
-            self.i = j + 1
+            content = self.upto(">").strip()
             if content.startswith("{"):
                 inner = content.strip("{}").strip()
                 idxs = frozenset(int(t) for t in inner.split(",") if t.strip())
                 return self.modal(("args", idxs), (yield))
             if self.try_eat("_{"):
-                jj = self.text.index("}", self.i)
-                p = parse_rational(self.text[self.i:jj])
-                self.i = jj + 1
+                p = parse_rational(self.upto("}"))
                 return self.modal(("prob", content, p), (yield))
             return self.modal(("w", parse_rational(content)), (yield))
         return self.modal(("sig", self.token()))  # a nullary operation

@@ -71,11 +71,14 @@ def test_extensions_match_blocks_everywhere():
             assert ext == set(states), label
 
 
-def test_reduced_and_unreduced_negation_agree():
+def test_reduced_and_unreduced_negation_agree(monkeypatch):
     for label, c in random_instances(seeds=range(3), n=10):
         res = refine(c)
-        full = build_certificates(c, res, reduced_negation=False)
-        red = build_certificates(c, res, reduced_negation=True)
+        red = build_certificates(c, res)
+        with monkeypatch.context() as m:  # negate delta(S) whole
+            m.setattr(certdag, "_negation_target",
+                      lambda dag, owner, delta_ref, *compounds: delta_ref)
+            full = build_certificates(c, res)
         for bid in range(len(res.blocks)):
             a = eval_ref(full.dag, full.delta[bid], c)
             b = eval_ref(red.dag, red.delta[bid], c)
@@ -97,39 +100,24 @@ def test_distinguish_symmetric_soundness():
 
 
 def scan_distinguish(certs, x, y):
-    """Reference distinguish: follow x and y through the whole trace until
-    a refinement puts them in different blocks."""
-    trace = certs.trace
-    bx = by = None
-    for bid, _val, states in trace.init.blocks:
-        if x in states:
-            bx = bid
-        if y in states:
-            by = bid
-    if bx is None or by is None:
+    """Reference distinguish: read the delta chains of x's and y's blocks
+    base first, and return x's first conjunct that y's chain lacks."""
+    block_of = {s: bid for bid, states in enumerate(certs.blocks)
+                for s in states}
+    if x not in block_of or y not in block_of:
         raise CertError("state out of range")
-    if bx != by:
-        return certs.modal_of[(-1, bx)]
-    for i, ev in enumerate(trace.splits):
-        for ref_ in ev.refinements:
-            if ref_.parent != bx:
-                continue
-            bx = _child_of(ref_, x, bx)
-            by = _child_of(ref_, y, by)
-            if bx != by:
-                return certs.modal_of[(i, bx)]
-            break
-    return None
+    cx, cy = (_conjuncts(certs, block_of[s]) for s in (x, y))
+    return next((a for a, b in zip(cx, cy) if a != b), None)
 
 
-def _child_of(ref_, s, parent):
-    default = parent
-    for cid, _val, states in ref_.children:
-        if states is None:
-            default = cid
-        elif s in states:
-            return cid
-    return default
+def _conjuncts(certs, bid):
+    """The modal refs of the delta chain of block bid, base first."""
+    nodes, ref, out = certs.dag.nodes, certs.delta[bid], []
+    while nodes[ref[0]][0] == "and":
+        out.append(nodes[ref[0]][2])
+        ref = nodes[ref[0]][1]
+    out.append(ref)
+    return out[::-1]
 
 
 def reference_cases():
@@ -150,10 +138,10 @@ def test_shared_nodes(monkeypatch):
     # foreign compound; the certificates keep their extensions
     real, stops = certdag._negation_target, Counter()
 
-    def watched(dag, owner, delta_ref, reduced, compound, new_compound):
+    def watched(dag, owner, delta_ref, compound, new_compound):
         size = len(dag.nodes)
         before = owner + [None] * (size - len(owner))
-        ref = real(dag, owner, delta_ref, reduced, compound, new_compound)
+        ref = real(dag, owner, delta_ref, compound, new_compound)
         walked = [i for i, o in enumerate(before)
                   if o is None and owner[i] == new_compound]
         if walked and dag.nodes[walked[0]][0] != "and":
@@ -210,7 +198,7 @@ def test_distinguish_deep_chain_matches_scan():
 def test_distinguish_out_of_range(ts1):
     certs = build_certificates(ts1, refine(ts1))
     n = ts1.n
-    for x, y in ((-1, 0), (n, 0), (0, -1), (0, n)):
+    for x, y in ((-1, 0), (n, 0), (0, -1), (0, n), (None, 0), (0, "x")):
         with pytest.raises(CertError):
             distinguish(certs, x, y)
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import itertools
 import json
 import random
 import re
@@ -235,6 +236,29 @@ def test_check_costs_about_one_parse(capsys, tmp_path):
 def test_check_bad_formula(capsys):
     code, _, err = run(capsys, "check", TS1, "<oops")
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("model, formula, reasons", [
+    ("ts1", "<{3}>", ["colour 3 out of palette 1 (generic syntax)",
+                      "expected a name at '' (logic hm)"]),
+    ("mc1", "<(1,2)>", ["weight vector has 2 entries, palette is 1 "
+                        "(generic syntax)", "(logic weighted)"]),
+    ("atoms", "<v>", ["unknown atom 'v' (generic syntax)",
+                      "no logic fits the functor"]),
+    ("ts1", "<{0}", ["expected '>' at '{0}' (generic syntax)",
+                     "expected '>' at '{0}' (logic hm)"]),
+    ("pr1", "<a>_{1/2", ["(generic syntax)",
+                         "expected '}' at '1/2' (logic prob)"]),
+])
+def test_check_bad_formula_names_each_parsers_reason(capsys, tmp_path, model,
+                                                     formula, reasons):
+    path = tmp_path / "atoms.model"
+    path.write_text("functor: C{u,w}\nstates: a, b\na -> u\nb -> w\n")
+    model = str(path) if model == "atoms" else str(MODELS / (model + ".model"))
+    code, out, err = run(capsys, "check", model, formula)
+    assert code == 2 and not out
+    for reason in reasons:
+        assert reason in err, (reason, err)
 
 
 def test_translate_weighted(capsys):
@@ -763,10 +787,12 @@ def corruptions(result, certs):
     """(kind, corrupt, args): each corrupt(result, certs, *args) changes
     one run's output in place."""
     trace = result.trace
-    siblings = [[certs.modal_of[(-1, b)] for b, _v, _s in trace.init.blocks]]
-    siblings += [[certs.modal_of[(i, cid)] for cid, _v, _s in ref.children]
-                 for i, ev in enumerate(trace.splits)
-                 for ref in ev.refinements]
+    # the modal refs of the versions, in version order: the initial blocks,
+    # then each refinement's children (version 0 is the root)
+    mods = iter(certs.versions[-1][1:])
+    siblings = [[next(mods) for _ in children] for children in itertools.chain(
+        [trace.init.blocks],
+        (ref.children for ev in trace.splits for ref in ev.refinements))]
     for refs in siblings:
         if len(refs) >= 2:
             yield "label", _relabel, (refs[0][0], refs[1][0])
@@ -777,18 +803,17 @@ def corruptions(result, certs):
     for cmp_id in certs.beta:
         yield "beta", _beta_true, (cmp_id,)
     nodes = certs.dag.nodes
-    for i, ev in enumerate(trace.splits):
-        for ref in ev.refinements:
-            mods = [certs.modal_of[(i, cid)][0] for cid, _v, _s in ref.children]
-            for earlier, mod in zip(mods, mods[1:]):
-                # the delta node made right after its modal node; a modal
-                # node shared with an earlier parent's child may precede it,
-                # and an argument must precede its node
-                sibling = next(nid for nid in range(earlier, len(nodes))
-                               if nodes[nid][0] == "and"
-                               and nodes[nid][2] == (earlier, False))
-                if sibling < mod:
-                    yield "sibling arg", _sibling_arg, (mod, sibling)
+    for refs in siblings[1:]:  # the children of one refinement each
+        mods = [nid for nid, _neg in refs]
+        for earlier, mod in zip(mods, mods[1:]):
+            # the delta node made right after its modal node; a modal
+            # node shared with an earlier parent's child may precede it,
+            # and an argument must precede its node
+            sibling = next(nid for nid in range(earlier, len(nodes))
+                           if nodes[nid][0] == "and"
+                           and nodes[nid][2] == (earlier, False))
+            if sibling < mod:
+                yield "sibling arg", _sibling_arg, (mod, sibling)
     for corrupt, args in _neg_cuts(certs):
         yield "neg cut", corrupt, args
     # a moved child loses a state that no later split moves, which then

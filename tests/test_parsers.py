@@ -117,6 +117,23 @@ def test_ds_formulas_raise_translate_error(logic, text):
         pass
 
 
+@pytest.mark.parametrize("logic, text, message", [
+    (None, "<{0}", "expected '>' at '{0}'"),  # the generic syntax over P
+    ("hm", "<{0}", "expected '>' at '{0}'"),
+    ("prob", "<a>_{1/2", "expected '}' at '1/2'"),
+    ("weighted", " < 1/2", "expected '>' at ' 1/2'"),
+])
+def test_unclosed_labels_name_their_bracket(logic, text, message):
+    # a label runs up to its closing bracket; a missing one is the
+    # parser's own error, not str.index's "substring not found"
+    with pytest.raises((EvalError, TranslateError)) as info:
+        if logic is None:
+            parse_formula(text, parse_functor("P"))
+        else:
+            parse_ds(text, logic)
+    assert str(info.value) == "bad formula %r: %s" % (text, message)
+
+
 @settings(max_examples=200, deadline=None)
 @given(logic=st.sampled_from(tuple(LOGICS)), data=st.data())
 def test_ds_formulas_print_as_parsed(logic, data):
