@@ -19,7 +19,9 @@ benchmark/models.model_text):
     --out), translate --logic L (to --out) for each logic, distinguish x y
     in each mode, without a logic and with each logic, check M true,
     check M FORMULA for one domain-specific formula of each logic, with
-    --logic naming that logic and without --logic, and stats --json
+    --logic naming that logic and without --logic, check M PHI for the
+    formula PHI that the old side's distinguish prints for the model's
+    first inequivalent pair (generic mode, no logic), and stats --json
     without its *_ms fields;
 
 and ``gen`` (to --out) for a functor of each constructor.  distinguish
@@ -97,6 +99,40 @@ def state_names(path):
     return []
 
 
+def state_pairs(name, path, aux):
+    """The pairs of states that distinguish runs on, sorted."""
+    states = state_names(path)
+    pairs = {(states[i], states[j]) for i, j in ((0, -1), (0, 1), (1, 2))
+             if len(states) > 2}
+    rng = random.Random(name)
+    pairs.update(tuple(rng.sample(states, 2)) for _ in range(2)
+                 if len(states) >= 2)
+    if aux:
+        pairs.update([(states[0], "aux0"), ("aux0", "aux%d" % (aux - 1))])
+    return sorted(pairs)
+
+
+def distinguish_label(x, y, flags, name):
+    return "distinguish %s %s %s %s" % (x, y, " ".join(flags), name)
+
+
+def formula_checks(model_files, old_outcomes):
+    """[(label, argv, writes --out)] of one run of check M PHI per model, PHI
+    the formula that the old side's distinguish printed, in generic mode and
+    without a logic, for the model's first pair of inequivalent states."""
+    runs = []
+    for name, path, aux in model_files:
+        for x, y in state_pairs(name, path, aux):
+            code, out = old_outcomes[distinguish_label(
+                x, y, ["--mode", "generic"], name)][:2]
+            if code == 0 and out != b"equivalent\n":
+                runs.append(("check distinguish(%s, %s) %s" % (x, y, name),
+                             ["check", str(path), out.decode().strip()],
+                             False))
+                break
+    return runs
+
+
 def matrix(model_files):
     """[(label, argv, writes --out)] of every run."""
     runs = []
@@ -123,19 +159,11 @@ def matrix(model_files):
                       ["check", m, formula], False),
                      ("check %s --logic %s %s" % (formula, logic, name),
                       ["check", m, formula, "--logic", logic], False)]
-        states = state_names(path)
-        pairs = {(states[i], states[j]) for i, j in ((0, -1), (0, 1), (1, 2))
-                 if len(states) > 2}
-        rng = random.Random(name)
-        pairs.update(tuple(rng.sample(states, 2)) for _ in range(2)
-                     if len(states) >= 2)
-        if aux:
-            pairs.update([(states[0], "aux0"), ("aux0", "aux%d" % (aux - 1))])
         for (x, y), mode, logic in itertools.product(
-                sorted(pairs), ("generic", "cancellative"), (None,) + LOGICS):
+                state_pairs(name, path, aux), ("generic", "cancellative"),
+                (None,) + LOGICS):
             flags = ["--mode", mode] + (["--logic", logic] if logic else [])
-            runs.append(("distinguish %s %s %s %s" % (x, y, " ".join(flags),
-                                                     name),
+            runs.append((distinguish_label(x, y, flags, name),
                          ["distinguish", m, x, y] + flags, False))
     for fx in GEN_FUNCTORS:
         for n, seed in ((30, 1), (200, 3)):
@@ -167,6 +195,31 @@ def outcome(src, argv, writes, cwd, timeout):
             out.read_bytes() if out.exists() else None)
 
 
+def compare(runs, sides, cwds, timeout, old_outcomes):
+    """Run each run on both sides, print the ones that differ or time out,
+    and record the old side's outcome by label; the number that differ."""
+    differ = 0
+    for label, run_argv, writes in runs:
+        old, new = [outcome(src, run_argv, writes, cwd, timeout)
+                    for src, cwd in zip(sides, cwds)]
+        old_outcomes[label] = old
+        parts = [what for what, a, b in zip(
+            ("exit code", "stdout", "stderr", "--out file"), old, new)
+            if a != b]
+        if parts:
+            differ += 1
+            print("DIFFERS  %s: %s (exit %s -> %s)"
+                  % (label, ", ".join(parts), old[0], new[0]))
+            for stream, a, b in (("stdout", old[1], new[1]),
+                                 ("stderr", old[2], new[2])):
+                if a != b:
+                    print("    %s old: %r" % (stream, a[:200]))
+                    print("    %s new: %r" % (stream, b[:200]))
+        elif "timeout" in (old[0], new[0]):
+            print("TIMEOUT  %s" % label)
+    return differ
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src")
@@ -181,25 +234,12 @@ def main(argv=None):
         cwds = [Path(work) / side for side in ("old", "new")]
         for cwd in cwds:
             cwd.mkdir()
-        runs = matrix(write_models(work))
-        differ = 0
-        for label, run_argv, writes in runs:
-            old, new = [outcome(src, run_argv, writes, cwd, args.timeout)
-                        for src, cwd in zip(sides, cwds)]
-            parts = [what for what, a, b in zip(
-                ("exit code", "stdout", "stderr", "--out file"), old, new)
-                if a != b]
-            if parts:
-                differ += 1
-                print("DIFFERS  %s: %s (exit %s -> %s)"
-                      % (label, ", ".join(parts), old[0], new[0]))
-                for stream, a, b in (("stdout", old[1], new[1]),
-                                     ("stderr", old[2], new[2])):
-                    if a != b:
-                        print("    %s old: %r" % (stream, a[:200]))
-                        print("    %s new: %r" % (stream, b[:200]))
-            elif "timeout" in (old[0], new[0]):
-                print("TIMEOUT  %s" % label)
+        model_files = write_models(work)
+        runs, old_outcomes = matrix(model_files), {}
+        differ = compare(runs, sides, cwds, args.timeout, old_outcomes)
+        checks = formula_checks(model_files, old_outcomes)
+        differ += compare(checks, sides, cwds, args.timeout, old_outcomes)
+        runs += checks
         print("%d runs, %d differ" % (len(runs), differ))
     return 1 if differ else 0
 

@@ -8,7 +8,7 @@ per k, together with the dag height (bounded by n + 1).
 """
 import argparse
 
-from coalgcert.certdag import build_certificates, reachable
+from coalgcert.certdag import build_certificates, reach
 from coalgcert.oracle import layered_worstcase
 from coalgcert.refiner import refine
 
@@ -22,9 +22,8 @@ def run(args):
         m = sum(len(t[1]) for t in c.structure)
         res = refine(c)
         certs = build_certificates(c, res)
-        memo = {}
-        tree = max(certs.dag.tree_size(r, memo) for r in certs.delta.values())
-        live = len(reachable(certs.dag, list(certs.delta.values())))
+        tree = max(certs.dag.tree_size(r) for r in certs.delta.values())
+        live = sum(1 for _ in reach(certs.dag, list(certs.delta.values())))
         print("%4d %5d %6d %14d %9d %7d" %
               (k, n, m, tree, live, certs.dag.height()))
 

@@ -37,9 +37,12 @@ LCA in O(log n) with Myers' skew-binary jump pointers.
 Rendering.  listing writes the nodes that a set of roots reaches in one
 linear pass, for serialize and certify --json.  Arena ids put children
 before parents, so one downward scan over a bytearray, from the largest
-root, marks the children of each marked node (reach, which translate
-walks too); the marked ids are then streamed in ascending order.  Each
-node is formatted directly by its tag.
+root, marks the children of each marked node; the marked ids are then
+streamed in ascending order.  That walk, reach, is the package's one
+reachability walk: translate, FormulaDag.tree_size and logic's evaluator
+walk it too, the evaluator with its memo as ``known``: a marked node in
+known is unmarked and not entered.  Each node is formatted directly by its
+tag.
 A label is rendered once per distinct node[:-1] (all of a node but its
 arguments, which is all a label renderer reads) and kept in a dict: a
 large dag has many modal nodes but few distinct labels.
@@ -119,12 +122,12 @@ class FormulaDag:
                 h[i] = 1 + max((h[c] for c, _ in self.children(i)), default=0)
         return max(h, default=0)
 
-    def tree_size(self, ref, _memo=None):
+    def tree_size(self, ref):
         """Number of nodes of the formula read as a tree (full unfolding)."""
-        memo = _memo if _memo is not None else {}
-        for nid in reachable(self, [ref], memo):  # children before parents
-            memo[nid] = 1 + sum(memo[cid] for cid, _ in self.children(nid))
-        return memo[ref[0]]
+        size = {}
+        for nid in reach(self, [ref]):  # children before parents
+            size[nid] = 1 + sum(size[cid] for cid, _ in self.children(nid))
+        return size[ref[0]]
 
 
 @dataclass
@@ -290,28 +293,22 @@ def _pieces(node, label):
     return pieces
 
 
-def reachable(dag, refs, known=()):
-    """Ids of the nodes reachable from refs without entering a node in
-    ``known``, in ascending order: arena ids order children before parents."""
-    seen = set()
-    stack = [nid for nid, _ in refs]
-    while stack:
-        nid = stack.pop()
-        if nid in seen or nid in known:
-            continue
-        seen.add(nid)
-        stack.extend(cid for cid, _ in dag.children(nid))
-    return sorted(seen)
-
-
-def reach(dag, refs):
+def reach(dag, refs, known=()):
     """An iterator over the ids of the nodes reachable from refs, ascending
-    (see Rendering in the module docstring)."""
+    (see Rendering in the module docstring).  A node in ``known`` is not
+    entered: neither it nor the nodes reachable only through it are listed."""
     mark = bytearray(max((nid for nid, _ in refs), default=-1) + 1)
     for nid, _ in refs:
         mark[nid] = 1
+    children = dag.children
+    if known:
+        def children(nid):
+            if nid in known:
+                mark[nid] = 0
+                return ()
+            return dag.children(nid)
     for nid in compress(range(len(mark) - 1, -1, -1), reversed(mark)):
-        for cid, _ in dag.children(nid):
+        for cid, _ in children(nid):
             mark[cid] = 1
     return compress(range(len(mark)), mark)
 

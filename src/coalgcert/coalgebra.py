@@ -11,8 +11,9 @@ values.fmap relabels them.
 Every state occurrence in a row is an edge, so a row f(x, x) has two
 edges to x.  Coalgebra.m counts them: the m of the O((m + n) log n) bound
 (Wissmann et al., LMCS 2020).  Coalgebra.edges lists them once, in an
-EdgeTable that the refiner and Coalgebra.predecessors read: a row's
-skeleton, collection leaves and labelled edges (Deifel et al., FM 2019).
+EdgeTable: a row's skeleton, collection leaves and labelled edges
+(Deifel et al., FM 2019).  Its in-edges are the one list of predecessors
+that the refiner, the proof and the evaluator read.
 walk_row is the one walk of that shape, so the table's leaf numbers and
 the refiner's keys follow one order by construction.
 
@@ -134,11 +135,6 @@ class Coalgebra:
     def edges(self):
         """The EdgeTable, built on first use."""
         return EdgeTable(self.structure)
-
-    def predecessors(self, y):
-        """The sources of the edges into y, ascending, with multiplicity."""
-        e = self.edges
-        return e.src[e.start[y]:e.start[y + 1]]
 
     def state_index(self):
         return {name: i for i, name in enumerate(self.states)}

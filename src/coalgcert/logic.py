@@ -7,15 +7,17 @@ value t; unary and nullary modalities use two- and one-colour maps.
 
 An extension is an int bitset, bit x for state x.  The nodes below a
 reference are evaluated in one forward pass in ascending id order, in
-which children come before parents: ``top`` is the full mask, a
-conjunction is ``&`` and a negated reference ``full ^ ext``.  A modal
-node applies F to the colouring only at the predecessors of the states
-outside its largest colour class L.  Every other state has all its
-successors coloured L, so its key is F(const_L)(row), which depends on
-the node only through L.  One table per L maps these keys to bitsets of
-states.  The tables and the predecessor masks are built once per
-evaluator, not once per node; the masks come from the in-edges of the
-coalgebra's edge table (Coalgebra.predecessors).
+which children come before parents (certdag.reach, with the memo's nodes
+known): ``top`` is the full mask, a conjunction is ``&`` and a negated
+reference ``full ^ ext``.  A modal node and a domain-specific node take
+one step: colour the states by the classes of their arguments'
+extensions, key the rows that need it, and keep the keys that pass the
+node's test.  Only the sources of the edges into the states outside the
+largest colour class L are keyed, read off the in-edges of the
+coalgebra's edge table.  Every other state has all its successors
+coloured L, so its key is F(const_L)(row), which depends on the node only
+through L.  One table per L, built once per evaluator, maps these keys to
+bitsets of states.  No per-state set of predecessors is kept.
 
 check_certificates, the one check of ``certify --verify``, instead
 replays the trace and checks each split's keys, the dag's shape and the
@@ -35,7 +37,10 @@ elsewhere, decided once per key of the table for L and per keyed state."""
 
 from __future__ import annotations
 
-from .certdag import FormulaDag, reachable
+from functools import partial
+from operator import eq
+
+from .certdag import FormulaDag, reach
 from .functor import unnest
 from .partition import RefinablePartition
 from .translate import MODALITY
@@ -72,14 +77,7 @@ class _Extensions:
     def __init__(self, c):
         self.c = c
         self.full = (1 << c.n) - 1
-        self._preds = None  # preds[y]: the states with an edge to y
         self._const = {}    # L -> {F(const_L)(row): states with that key}
-
-    def preds(self):
-        if self._preds is None:
-            c = self.c
-            self._preds = [_mask(c.predecessors(y)) for y in range(c.n)]
-        return self._preds
 
     def const(self, L):
         table = self._const.get(L)
@@ -94,16 +92,14 @@ class _Extensions:
     def ext(self, dag, ref, memo):
         """Bitset extension of ref; memo maps node ids to bitsets, and
         gains every node below ref that it lacked."""
-        for nid in reachable(dag, [ref], memo):
+        for nid in reach(dag, [ref], memo):
             node = dag.nodes[nid]
             if node[0] == "top":
                 memo[nid] = self.full
             elif node[0] == "and":
                 memo[nid] = self.at(node[1], memo) & self.at(node[2], memo)
-            elif node[0] == "modal":
-                memo[nid] = self.modal(node, memo)
-            elif node[0] == "ds":
-                memo[nid] = self.ds(node, memo)
+            elif node[0] == "modal" or node[0] == "ds":
+                memo[nid] = self.modality(node, memo)
             elif node[0] == "or":
                 memo[nid] = self.at(node[1], memo) | self.at(node[2], memo)
             else:
@@ -114,66 +110,54 @@ class _Extensions:
         """Bitset extension of ref, whose node memo holds."""
         return self.full ^ memo[ref[0]] if ref[1] else memo[ref[0]]
 
-    def recolour(self, classes):
-        """(L, col, keyed) for the colour classes of a modal node: the
-        largest class L, the colouring of the states by class, and the
-        predecessors of the states outside L, the only states whose key
-        is not F(const_L)(row).  col is None when L holds every state."""
+    def modality(self, node, memo):
+        """Extension of a modal or domain-specific node: the states whose
+        key, their row coloured by the classes of the arguments'
+        extensions, passes the node's test.  A modal node's test is
+        equality with its value; a domain-specific node's is the holds of
+        its label, on the row coloured 1 on its argument (true if none)."""
+        c, full = self.c, self.full
+        tag, label, args = node[0], node[1], node[-1]
+        if tag == "modal":
+            k = (1, 2, 3)[len(args)]
+            if not validate_value(c.functor, label, k):
+                raise EvalError("modal label %r does not fit palette %d"
+                                % (label, k))
+            test = partial(eq, label)
+        elif label[0] in MODALITY:
+            holds, f = MODALITY[label[0]][1], c.functor
+            test = partial(holds, label, f=f)
+            args = args[:1]
+        else:
+            raise EvalError("unsubstituted placeholder in formula")
+        if len(args) == 2:
+            phi, psi = self.at(args[0], memo), self.at(args[1], memo)
+            classes = [full ^ psi, psi & ~phi, phi & psi]
+        elif args or tag == "ds":
+            phi = self.at(args[0], memo) if args else full
+            classes = [full ^ phi, phi]
+        else:
+            classes = [full]
         sizes = [m.bit_count() for m in classes]
         L = sizes.index(max(sizes))
-        if sizes[L] == self.c.n:
-            return L, None, 0
-        col = [L] * self.c.n
-        preds = self.preds()
-        keyed = 0
+        table = self.const(L)  # its bitsets are disjoint, so sum is |
+        out = (table.get(label, 0) if tag == "modal" else
+               sum(states for key, states in table.items() if test(key)))
+        if sizes[L] == c.n:
+            return out
+        col, keyed = [L] * c.n, set()
+        src, start = c.edges.src, c.edges.start
         for colour, m in enumerate(classes):
             if colour != L:
                 for y in _members(m):
                     col[y] = colour
-                    keyed |= preds[y]
-        return L, col, keyed
-
-    def modal(self, node, memo):
-        _, val, arity, args = node
-        k = (1, 2, 3)[arity]
-        if not validate_value(self.c.functor, val, k):
-            raise EvalError("modal label %r does not fit palette %d" % (val, k))
-        if arity == 0:
-            classes = [self.full]
-        elif arity == 1:
-            phi = self.at(args[0], memo)
-            classes = [self.full ^ phi, phi]
-        else:
-            phi, psi = self.at(args[0], memo), self.at(args[1], memo)
-            classes = [self.full ^ psi, psi & ~phi, phi & psi]
-        L, col, keyed = self.recolour(classes)
-        out = self.const(L).get(val, 0)
-        structure = self.c.structure
-        hits = 0
-        for x in _members(keyed):
-            if fmap(structure[x], col) == val:
-                hits |= 1 << x
-        return out & ~keyed | hits
-
-    def ds(self, node, memo):
-        """A domain-specific modality holds at x when its holds accepts x's
-        row, coloured 1 on its argument's extension and 0 elsewhere."""
-        _, label, args = node
-        if label[0] not in MODALITY:
-            raise EvalError("unsubstituted placeholder in formula")
-        holds, f = MODALITY[label[0]][1], self.c.functor
-        phi = self.at(args[0], memo) if args else self.full
-        L, col, keyed = self.recolour([self.full ^ phi, phi])
-        out = 0
-        for key, states in self.const(L).items():
-            if holds(label, key, f):
-                out |= states
-        structure = self.c.structure
-        hits = 0
-        for x in _members(keyed):
-            if holds(label, fmap(structure[x], col), f):
-                hits |= 1 << x
-        return out & ~keyed | hits
+                    keyed.update(src[start[y]:start[y + 1]])
+        structure = c.structure
+        # out as the digits "0" and "1", bits[x] for state x, bit 0 first
+        bits = bytearray(bin(out)[:1:-1].ljust(c.n, "0"), "ascii")
+        for x in keyed:
+            bits[x] = 49 if test(fmap(structure[x], col)) else 48
+        return int(bits[::-1], 2)
 
 
 def eval_ref(dag, ref, c, memo=None):

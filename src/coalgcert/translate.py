@@ -3,7 +3,7 @@
 A domain-specific logic is a set of modalities with decodings of functor
 values into formulas over them.  Each of the four is one Logic object in
 LOGICS, under its name, which default_logic, check_compatible, ds_label,
-parse_ds, the evaluator logic._Extensions.ds and the command line's
+parse_ds, the evaluator logic._Extensions.modality and the command line's
 --logic checks read.
 
 Domain-specific formulas are nodes of a FormulaDag arena, like the
@@ -282,6 +282,17 @@ class _DSParser(Scanner):
                                  % (self.logic, label[0]))
         return self.dag.add_ds(label, args)
 
+    def positions(self):
+        """The argument positions of a label <{i, ...}>, read from its '{'
+        to its '>': each counts from 1 and appears once."""
+        self.eat("{")
+        out = self.items("}", lambda: self.index("a position"))
+        self.eat(">")
+        if 0 in out or len(set(out)) < len(out):
+            raise TranslateError("positions count from 1 and appear once, "
+                                 "not %r" % out)
+        return frozenset(out)
+
     def formula(self):
         """A generator for unnest: each (yield) reads a nested formula."""
         if self.try_eat("true"):
@@ -304,11 +315,11 @@ class _DSParser(Scanner):
         if self.try_eat("[]"):
             return self.modal(("box",), (yield))
         if self.try_eat("<"):
-            content = self.upto(">").strip()
+            start = self.i
+            content = self.upto(">").strip()  # an unclosed label fails here
             if content.startswith("{"):
-                inner = content.strip("{}").strip()
-                idxs = frozenset(int(t) for t in inner.split(",") if t.strip())
-                return self.modal(("args", idxs), (yield))
+                self.i = start
+                return self.modal(("args", self.positions()), (yield))
             if self.try_eat("_{"):
                 p = parse_rational(self.upto("}"))
                 return self.modal(("prob", content, p), (yield))

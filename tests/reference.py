@@ -15,6 +15,8 @@ TermReader and ValueReader are its two readers, of model rows and of value
 literals; tests/test_parsers.py reads the same texts through both and
 through the compiled readers.  Their Fraction weight layers are put in the
 package's form ('vec', ((key, a), ...), d) by one adapter, canonical_vec.
+reachable is the set-based walk that certdag.reach's listings are compared
+against, and predecessors(c, y) reads the in-edges of c's edge table.
 """
 
 from __future__ import annotations
@@ -45,6 +47,26 @@ def parse_rational(text, error=ValueError_):
     except (ValueError, ZeroDivisionError) as e:
         raise error("bad rational %r: %s" % (text, e)) from None
 
+
+
+def reachable(dag, refs, known=()):
+    """Ids of the nodes reachable from refs without entering a node in
+    ``known``, in ascending order: arena ids order children before parents."""
+    seen = set()
+    stack = [nid for nid, _ in refs]
+    while stack:
+        nid = stack.pop()
+        if nid in seen or nid in known:
+            continue
+        seen.add(nid)
+        stack.extend(cid for cid, _ in dag.children(nid))
+    return sorted(seen)
+
+
+def predecessors(c, y):
+    """The sources of the edges into state y, ascending, with multiplicity."""
+    e = c.edges
+    return e.src[e.start[y]:e.start[y + 1]]
 
 
 _NUMBER = re.compile(r"\s*([\w/.-]+)").match  # a rational: 3, -1/2, 0.25

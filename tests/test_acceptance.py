@@ -11,9 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from coalgcert.certdag import (
-    build_certificates, distinguish, expand, reachable,
-)
+from coalgcert.certdag import build_certificates, distinguish, expand
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.logic import eval_ref, parse_formula
 from coalgcert.oracle import (
@@ -25,7 +23,7 @@ from coalgcert.translate import ds_label, parse_ds, translate
 from conftest import (
     CANCELLATIVE_FUNCTORS, FUNCTORS, load_model, realizable_values,
 )
-from reference import check_extensions, verify_dsi
+from reference import check_extensions, reachable, verify_dsi
 
 
 def report(num, desc, ok, detail=""):

@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert import certdag, cli
-from coalgcert.certdag import TOP, build_certificates, reachable
+from coalgcert.certdag import TOP, build_certificates
 from coalgcert.cli import main
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import MAX_DEPTH, is_cancellative, pretty_functor
 from coalgcert.logic import check_certificates
 from coalgcert.refiner import refine
+from coalgcert.translate import default_logic
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
-from reference import check_certificates_full, check_extensions
+from reference import (
+    check_certificates_full, check_extensions, predecessors, reachable,
+)
 
 MODELS = Path(__file__).parent / "models"
 TS1 = str(MODELS / "ts1.model")
@@ -85,6 +88,36 @@ def test_distinguish_refuses_a_logic_that_does_not_fit(capsys, model, x, y,
     code, out, err = run(capsys, "distinguish", model, x, y, *flags)
     assert code == 4 and not out and err.startswith("error:")
     assert run(capsys, "translate", model, *flags)[0] == 4
+
+
+@pytest.mark.parametrize("source", ["ts1", "mc1", "pr1", "P", "R^(X)"])
+def test_check_reads_what_distinguish_prints(capsys, tmp_path, source):
+    # for every ordered pair of inequivalent states, the printed formula,
+    # fed back to check, lists x and not y: in the generic syntax, and in
+    # the logic that fits the functor where there is one
+    model = str(MODELS / (source + ".model"))
+    if source in ("P", "R^(X)"):
+        model = str(tmp_path / "gen.model")
+        assert run(capsys, "gen", "--functor", source, "--n", "12", "--seed",
+                   "1", "--out", model)[0] == 0
+    c = parse_coalgebra(Path(model).read_text())
+    block_of, logic = refine(c).block_of, default_logic(c.functor)
+    checked = 0
+    for (x, y), flags in itertools.product(
+            itertools.permutations(range(c.n), 2),
+            [[]] + ([["--logic", logic]] if logic else [])):
+        code, out, err = run(capsys, "distinguish", model, c.states[x],
+                             c.states[y], *flags)
+        assert code == 0, err
+        if block_of[x] == block_of[y]:
+            assert out == "equivalent\n"
+            continue
+        code, listed, err = run(capsys, "check", model, out.strip(), *flags)
+        assert code == 0, (out, err)
+        listed = listed.split()
+        assert c.states[x] in listed and c.states[y] not in listed, out
+        checked += 1
+    assert checked
 
 
 def test_distinguish_unknown_state(capsys):
@@ -834,7 +867,7 @@ def corruptions(result, certs):
     c = certs.coalgebra
     for i, ev, block_of in _replayed(trace, c.n):
         touched = {x for y in range(c.n) if block_of[y] == ev.splitter
-                   for x in c.predecessors(y)}
+                   for x in predecessors(c, y)}
         for r, ref in enumerate(ev.refinements):
             T = [x for x in range(c.n) if block_of[x] == ref.parent]
             listed = {x for _cid, _val, states in ref.children

@@ -1,13 +1,14 @@
 """Generic modal-logic semantics: evaluation, parsing, soundness checks."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coalgcert import logic
-from coalgcert.certdag import FormulaDag, build_certificates, reachable
+from coalgcert.certdag import FormulaDag, build_certificates, distinguish
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import is_cancellative
 from coalgcert.logic import (
@@ -19,7 +20,9 @@ from coalgcert.oracle import (
 from coalgcert.refiner import PartitionResult, Refinement, SplitEvent, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
-from reference import check_certificates_full, check_extensions
+from reference import (
+    check_certificates_full, check_extensions, predecessors, reachable,
+)
 from test_acceptance import composite_instance
 
 
@@ -303,7 +306,7 @@ def _proof_work(c, trace):
         touched = set()
         for y in range(c.n):
             if block_of[y] == ev.splitter:
-                preds = c.predecessors(y)
+                preds = predecessors(c, y)
                 bound += len(preds)
                 touched.update(block_of[x] for x in preds)
         refined = {ref.parent for ref in ev.refinements}
@@ -545,3 +548,23 @@ def test_check_certificates_by_node_id(ts1):
     certs.beta[0] = certs.dag.add_and((3, False), (copy[0], True))
     assert check_certificates(certs) == []
     assert check_extensions(certs) == []
+
+
+def test_distinguishing_formulas_evaluate_in_little_memory():
+    # the evaluator keys the sources of in-edges read off the edge table;
+    # one n-bit set of predecessors per state took 6.9 MB here
+    n = 2 ** 13
+    c = generate(GeneratorSpec("P", n, seed=1, density=4 / n))
+    certs = build_certificates(c, refine(c))
+    pairs = [(0, 1), (5, n - 1), (100, n // 2)]
+    refs = [distinguish(certs, x, y) for x, y in pairs]
+    assert None not in refs
+    tracemalloc.start()
+    try:
+        for (x, y), ref in zip(pairs, refs):
+            ext = eval_ref(certs.dag, ref, c)
+            assert x in ext and y not in ext
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak

@@ -134,6 +134,33 @@ def test_unclosed_labels_name_their_bracket(logic, text, message):
     assert str(info.value) == "bad formula %r: %s" % (text, message)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("<{1>g", "expected ',' at '>g'"),
+    ("<{1}}>g", "expected '>' at '}>g'"),
+    ("<{{1}>g", "expected a name at '{1}>g'"),
+    ("<{1,,2}>g", "expected a name at ',2}>g'"),
+    ("<{1 2}>g", "expected ',' at '2}>g'"),
+    ("<{-1}>g", "expected a name at '-1}>g'"),
+    ("<{0}>g", "positions count from 1 and appear once, not [0]"),
+    ("<{1, 1}>g", "positions count from 1 and appear once, not [1, 1]"),
+])
+def test_signature_position_sets_are_read_item_by_item(text, message):
+    # a position set is a bracketed list of positive indices, each once;
+    # stray brackets, empty items and repeats are the parser's own error
+    with pytest.raises(TranslateError) as info:
+        parse_ds(text, "signature")
+    assert str(info.value) == "bad formula %r: %s" % (text, message)
+
+
+@pytest.mark.parametrize("text, positions", [
+    ("<{}>g", ()), ("<{1,2}>g", (1, 2)), ("< { 2 , 1 } >g", (1, 2))])
+def test_signature_position_sets_read_back(text, positions):
+    dag, (nid, _) = parse_ds(text, "signature")
+    node = dag.nodes[nid]
+    assert node[1] == ("args", frozenset(positions))
+    assert ds_label(node) == "<{%s}>" % ",".join(map(str, positions))
+
+
 @settings(max_examples=200, deadline=None)
 @given(logic=st.sampled_from(tuple(LOGICS)), data=st.data())
 def test_ds_formulas_print_as_parsed(logic, data):

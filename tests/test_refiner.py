@@ -18,6 +18,7 @@ from coalgcert.refiner import (
 )
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
+from reference import predecessors
 
 
 def canon(blocks):
@@ -172,7 +173,7 @@ def whole_row_trace(c, mode):
             k = 3
         touched = {}
         for y in S_states:
-            for x in c.predecessors(y):
+            for x in predecessors(c, y):
                 states = touched.setdefault(part.block_of[x], [])
                 if x not in states:
                     states.append(x)
