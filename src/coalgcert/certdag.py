@@ -40,9 +40,7 @@ before parents, so one downward scan over a bytearray, from the largest
 root, marks the children of each marked node; the marked ids are then
 streamed in ascending order.  That walk, reach, is the package's one
 reachability walk: translate, FormulaDag.tree_size and logic's evaluator
-walk it too, the evaluator with its memo as ``known``: a marked node in
-known is unmarked and not entered.  Each node is formatted directly by its
-tag.
+walk it too.  Each node is formatted directly by its tag.
 A label is rendered once per distinct node[:-1] (all of a node but its
 arguments, which is all a label renderer reads) and kept in a dict: a
 large dag has many modal nodes but few distinct labels.
@@ -293,22 +291,14 @@ def _pieces(node, label):
     return pieces
 
 
-def reach(dag, refs, known=()):
+def reach(dag, refs):
     """An iterator over the ids of the nodes reachable from refs, ascending
-    (see Rendering in the module docstring).  A node in ``known`` is not
-    entered: neither it nor the nodes reachable only through it are listed."""
+    (see Rendering in the module docstring)."""
     mark = bytearray(max((nid for nid, _ in refs), default=-1) + 1)
     for nid, _ in refs:
         mark[nid] = 1
-    children = dag.children
-    if known:
-        def children(nid):
-            if nid in known:
-                mark[nid] = 0
-                return ()
-            return dag.children(nid)
     for nid in compress(range(len(mark) - 1, -1, -1), reversed(mark)):
-        for cid, _ in children(nid):
+        for cid, _ in dag.children(nid):
             mark[cid] = 1
     return compress(range(len(mark)), mark)
 

@@ -7,10 +7,10 @@ value t; unary and nullary modalities use two- and one-colour maps.
 
 An extension is an int bitset, bit x for state x.  The nodes below a
 reference are evaluated in one forward pass in ascending id order, in
-which children come before parents (certdag.reach, with the memo's nodes
-known): ``top`` is the full mask, a conjunction is ``&`` and a negated
-reference ``full ^ ext``.  A modal node and a domain-specific node take
-one step: colour the states by the classes of their arguments'
+which children come before parents (certdag.reach; a node the memo
+holds is skipped): ``top`` is the full mask, a conjunction is ``&`` and
+a negated reference ``full ^ ext``.  A modal node and a domain-specific
+node take one step: colour the states by the classes of their arguments'
 extensions, key the rows that need it, and keep the keys that pass the
 node's test.  Only the sources of the edges into the states outside the
 largest colour class L are keyed, read off the in-edges of the
@@ -92,14 +92,18 @@ class _Extensions:
     def ext(self, dag, ref, memo):
         """Bitset extension of ref; memo maps node ids to bitsets, and
         gains every node below ref that it lacked."""
-        for nid in reach(dag, [ref], memo):
+        for nid in reach(dag, [ref]):
+            if nid in memo:  # and so is every node below it
+                continue
             node = dag.nodes[nid]
             if node[0] == "top":
                 memo[nid] = self.full
             elif node[0] == "and":
                 memo[nid] = self.at(node[1], memo) & self.at(node[2], memo)
-            elif node[0] == "modal" or node[0] == "ds":
-                memo[nid] = self.modality(node, memo)
+            elif node[0] == "modal":
+                memo[nid] = self.modal(node, memo)
+            elif node[0] == "ds":
+                memo[nid] = self.ds(node, memo)
             elif node[0] == "or":
                 memo[nid] = self.at(node[1], memo) | self.at(node[2], memo)
             else:
@@ -110,39 +114,43 @@ class _Extensions:
         """Bitset extension of ref, whose node memo holds."""
         return self.full ^ memo[ref[0]] if ref[1] else memo[ref[0]]
 
-    def modality(self, node, memo):
-        """Extension of a modal or domain-specific node: the states whose
-        key, their row coloured by the classes of the arguments'
-        extensions, passes the node's test.  A modal node's test is
-        equality with its value; a domain-specific node's is the holds of
-        its label, on the row coloured 1 on its argument (true if none)."""
-        c, full = self.c, self.full
-        tag, label, args = node[0], node[1], node[-1]
-        if tag == "modal":
-            k = (1, 2, 3)[len(args)]
-            if not validate_value(c.functor, label, k):
-                raise EvalError("modal label %r does not fit palette %d"
-                                % (label, k))
-            test = partial(eq, label)
-        elif label[0] in MODALITY:
-            holds, f = MODALITY[label[0]][1], c.functor
-            test = partial(holds, label, f=f)
-            args = args[:1]
-        else:
-            raise EvalError("unsubstituted placeholder in formula")
-        if len(args) == 2:
-            phi, psi = self.at(args[0], memo), self.at(args[1], memo)
-            classes = [full ^ psi, psi & ~phi, phi & psi]
-        elif args or tag == "ds":
-            phi = self.at(args[0], memo) if args else full
+    def modal(self, node, memo):
+        _, val, arity, args = node
+        k = (1, 2, 3)[arity]
+        if not validate_value(self.c.functor, val, k):
+            raise EvalError("modal label %r does not fit palette %d" % (val, k))
+        full = self.full
+        if arity == 0:
+            classes = [full]
+        elif arity == 1:
+            phi = self.at(args[0], memo)
             classes = [full ^ phi, phi]
         else:
-            classes = [full]
+            phi, psi = self.at(args[0], memo), self.at(args[1], memo)
+            classes = [full ^ psi, psi & ~phi, phi & psi]
+        return self.step(classes, partial(eq, val),
+                         lambda table: table.get(val, 0))
+
+    def ds(self, node, memo):
+        """A domain-specific modality holds at x when its holds accepts x's
+        row, coloured 1 on its argument's extension and 0 elsewhere."""
+        _, label, args = node
+        if label[0] not in MODALITY:
+            raise EvalError("unsubstituted placeholder in formula")
+        test = partial(MODALITY[label[0]][1], label, f=self.c.functor)
+        phi = self.at(args[0], memo) if args else self.full
+        return self.step([self.full ^ phi, phi], test, lambda table: sum(
+            states for key, states in table.items() if test(key)))
+
+    def step(self, classes, test, seed):
+        """The states whose key, their row coloured by classes, passes test.
+        seed(table) gives those states from the table of the largest class
+        L (its bitsets are disjoint, so a sum is their union).  Only the
+        sources of the edges into the states outside L are keyed."""
+        c = self.c
         sizes = [m.bit_count() for m in classes]
         L = sizes.index(max(sizes))
-        table = self.const(L)  # its bitsets are disjoint, so sum is |
-        out = (table.get(label, 0) if tag == "modal" else
-               sum(states for key, states in table.items() if test(key)))
+        out = seed(self.const(L))
         if sizes[L] == c.n:
             return out
         col, keyed = [L] * c.n, set()

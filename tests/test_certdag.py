@@ -10,7 +10,7 @@ import pytest
 from coalgcert import certdag
 from coalgcert.certdag import (
     CertError, FormulaDag, _pieces, build_certificates, distinguish, expand,
-    listing, reach, serialize, value_label,
+    listing, serialize, value_label,
 )
 from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import pretty_functor
@@ -283,10 +283,6 @@ def test_listing_every_node_kind():
         got = list(listing(dag, roots, label))
         assert got == reference_listing(dag, roots, label), roots
         assert [nid for nid, _ in got] == reachable(dag, roots), roots
-        for known in ({m1[0]}, {m2[0], a[0]}, {o[0]}, {0: 1}):
-            # a known node is not entered, as logic's evaluator needs
-            assert list(reach(dag, roots, known)) == reachable(
-                dag, roots, known), (roots, known)
     assert unused[0] not in dict(listing(dag, [o], label))
 
 
