@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 from .certdag import (
     CertError, build_certificates, distinguish, expand, listing, serialize,
@@ -52,6 +53,7 @@ class RunReport:
     iterations: int
     new_blocks: int
     visited_edges: int
+    key_walks: int
     blocks: int
     dag_nodes: int
     dag_edges: int
@@ -221,7 +223,7 @@ def cmd_check(args):
         if logic is None:
             raise CliFailure(INPUT_ERROR, why + "no logic fits the functor")
         try:
-            dag, ref = parse_ds(args.formula, logic)
+            dag, ref = parse_ds(args.formula, logic, c.functor)
         except TranslateError as e:
             raise CliFailure(INPUT_ERROR, why + "%s (logic %s)" % (e, logic))
         ext = eval_ref(dag, ref, c)
@@ -252,9 +254,8 @@ def cmd_stats(args):
     nodes, edges = certs.dag.size()
     report = RunReport(
         functor=pretty_functor(c.functor), n=c.n, m=c.m, mode=args.mode,
-        iterations=result.stats["iterations"],
-        new_blocks=result.stats["new_blocks"],
-        visited_edges=result.stats["visited_edges"],
+        **{k: result.stats[k] for k in ("iterations", "new_blocks",
+                                        "visited_edges", "key_walks")},
         blocks=len(result.blocks), dag_nodes=nodes, dag_edges=edges,
         dag_height=certs.dag.height(), dag_allocs=len(certs.dag.nodes),
         parse_ms=round(pms, 3), refine_ms=round(rms, 3),
@@ -286,6 +287,7 @@ def _require_logic(c, logic, mode):
         raise CliFailure(INCOMPATIBLE, str(e))
 
 
+@cache  # one parser per process: main may run many commands
 def build_parser():
     p = argparse.ArgumentParser(
         prog="coalgcert",

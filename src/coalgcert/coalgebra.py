@@ -59,7 +59,8 @@ class EdgeTable:
     integer multiples of 1 / scale, its denominator d; a set leaf has
     weight 1 per entry, its size as total and scale 0.  degree[x] counts
     the edges out of x, and positions[x] the leaves, identity and op
-    positions of its row."""
+    positions of its row; ident[ident_start[x]:ident_start[x + 1]] are
+    the targets of the identity and op positions, in row order."""
 
     def __init__(self, structure):
         n = len(structure)
@@ -67,6 +68,7 @@ class EdgeTable:
         self.total, self.scale = total, scale = [], []
         self.leaf_start = leaf_start = [0] * (n + 1)
         self.degree, self.positions = degree, positions = [0] * n, [0] * n
+        self.ident, self.ident_start = ident, ident_start = [], [0] * (n + 1)
 
         def leaf(node):
             entries = node[1]
@@ -83,6 +85,7 @@ class EdgeTable:
             slots.extend([len(total) - base] * len(entries))
 
         def colour(y):
+            ident.append(y)
             tgt.append(y)
             slots.append(0)
             wts.append(0)
@@ -90,7 +93,7 @@ class EdgeTable:
         for x, t in enumerate(structure):
             base, lo = len(total), len(tgt)
             walk_row(t, leaf, colour)
-            leaf_start[x + 1] = len(total)
+            leaf_start[x + 1], ident_start[x + 1] = len(total), len(ident)
             degree[x] = len(tgt) - lo
             positions[x] = len(total) - base + slots[lo:].count(0)
         # group the edges by target, keeping the source order

@@ -26,12 +26,12 @@ of its target.  Splitting S off B:
      its cell (x, B) from the edge, accumulate its weights into S in a
      fresh cell (x, S), each in its leaf's slot, and point the edge at
      that cell;
-  2. key each touched state by coalgebra.walk_row, the walk that numbered
-     its leaves, reading each leaf's weights from the cells, never a
-     collection's contents.  A set leaf yields the colours present among
-     (total - w(l,B), w(l,B) - w_S, w_S), a vec leaf those three weights
-     (two-colour: total - w_S, w_S) as integers; identity and op
-     positions read the colour of their state;
+  2. group the touched states by a flat signature, read from the cells,
+     never a collection's contents: per leaf, in leaf order, a set leaf's
+     mask of the colours present among (total - w(l,B), w(l,B) - w_S,
+     w_S), a vec leaf's three weights (two-colour: total - w_S, w_S) and
+     its denominator, divided by their gcd; then the colours of its
+     identity and op positions (EdgeTable.ident), in row order;
   3. subtract the weights into S from cell (x, B); a cell no edge points
      to any more is recycled.
 
@@ -45,13 +45,19 @@ cancellative mode); it is computed from the block's first touched state.
 Keyed states whose key equals the default key (possible with cancelling
 weights) merge back into the default group.
 
+A group's key is fmap's value, kept in one table per run by (initial
+block, signature); a miss builds it from the signature by walk_row, the
+walk that numbered the leaves.  F! . c records every tag, atom, operation,
+arity, set emptiness and vec total, so an initial block's rows share their
+shape; both codes are injective, so there equal signatures are equal keys.
+As F! of a key is its initial block's value, equal keys are one object.
+
 Every refinement step is recorded in a trace from which the certificate
 builder and the distinguishing-formula search replay the whole run.  It
-holds each block's key, which is the value fmap gives.  logic, oracle and
-quotient key with fmap; they share functor.vec, the canonical form of a
-weight layer, with the refiner, but not its cells.  logic's proof reads
-the edge table's in-edges, to find the states that a split touches, but
-not its weights.
+holds each block's key.  logic, oracle and quotient key with fmap; they
+share functor.vec, the canonical form of a weight layer, with the
+refiner, but not its cells.  logic's proof reads the edge table's
+in-edges, to find the states that a split touches, but not its weights.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .coalgebra import walk_row
 from .functor import is_cancellative, is_zippable, vec
@@ -131,13 +138,10 @@ def initial_partition(c):
 
     def key(x):
         leaves = map(leaf, range(leaf_start[x], leaf_start[x + 1]))
-        return walk_row(c.structure[x], lambda _node: next(leaves), _zero)
+        return walk_row(c.structure[x], lambda _node: next(leaves),
+                        lambda _y: 0)
 
     return part, part.split_by_key(0, key)
-
-
-def _zero(_y):
-    return 0
 
 
 class _SplitWeights:
@@ -216,30 +220,29 @@ class _SplitWeights:
                     cw[cs + s] += wt[p]
         return touched, read
 
-    def key(self, x, term, colour, three, merged=False):
-        """Split key of a touched state from its cells.
-
-        ``three`` selects the generic three-colour palette over the
-        two-colour one.  With ``merged`` the weights into S count as
-        weights into B (generic) or into the outside (two-colour): that is
-        the block's default key.  The key is fmap's value."""
+    def sig(self, x, colour, three, merged=False):
+        """The signature of touched state x (module docstring, step 2).
+        With ``merged`` S counts as part of B (generic) or of the outside
+        (two-colour): that is the block's default key."""
         e, cw = self.edges, self.cw
-        total, scale = e.total, e.scale
-        j = e.leaf_start[x]  # the next leaf walk_row calls back
-        b = self.toward_B[x] + 1 - j   # cw[b + j] is leaf j's weight into B
-        s = self.toward_S[x] + 1 - j
-
-        def leaf(_node):
-            nonlocal j
+        total, scale, ident_start = e.total, e.scale, e.ident_start
+        lo, hi = e.leaf_start[x], e.leaf_start[x + 1]
+        b = self.toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
+        s = self.toward_S[x] + 1 - lo
+        out = []
+        for j in range(lo, hi):
             t, d, wb = total[j], scale[j], cw[b + j]
             ws = 0 if merged else cw[s + j]
-            j += 1
             if not d:
-                return _SET_KEYS[(t > wb) | (wb > ws) << 1 | (ws > 0) << 2]
-            # a vec leaf; cancellative functors have no set leaves
-            return vec(enumerate((t - wb, wb - ws, ws) if three
-                                 else (t - ws, ws)), d)
-        return walk_row(term, leaf, colour)
+                out.append((t > wb) | (wb > ws) << 1 | (ws > 0) << 2)
+                continue  # a vec leaf; cancellative functors have no sets
+            w = (t - wb, wb - ws, ws, d) if three else (t - ws, ws, d)
+            g = gcd(*w)
+            out.append(tuple([a // g for a in w]) if g > 1 else w)
+        if ident_start[x + 1] > ident_start[x]:
+            cols = map(colour, e.ident[ident_start[x]:ident_start[x + 1]])
+            out += [1 if k and three else 0 for k in cols] if merged else cols
+        return tuple(out)
 
     def commit(self, touched):
         """Move the weights into S out of the touched states' cells toward B."""
@@ -277,12 +280,23 @@ def refine(c, mode="generic", audit=False):
     init = InitEvent([(b, v, tuple(sorted(part.block_states(b))))
                       for b, v in init_groups])
     trace = Trace(mode, n, init, [])
-    stats = {"iterations": 0, "new_blocks": 0, "refined_parents": 0,
-             "visited_edges": 0, "splitter_states": 0, "max_in_splitter": 0}
-    in_splitter = [0] * n  # how often each state sat inside S
+    visited, in_splitter = 0, [0] * n  # edges read; times each x was in S
     block_of = part.block_of
+    init_of = list(block_of)
     weights = _SplitWeights(c)
-    positions = c.edges.positions
+    positions, leaf_start = c.edges.positions, c.edges.leaf_start
+    keys = {}  # (initial block, signature) -> split key
+
+    def key_of(x, sig):
+        r = (init_of[x], sig)
+        if r not in keys:  # a miss: walk x's row, reading sig's codes
+            k = leaf_start[x + 1] - leaf_start[x]  # x's leaves' codes
+            leaves = iter([vec(enumerate(a[:-1]), a[-1]) if type(a) is tuple
+                           else _SET_KEYS[a] for a in sig[:k]])
+            colours = iter(sig[k:])
+            keys[r] = walk_row(structure[x], lambda _node: next(leaves),
+                               lambda _y: next(colours))
+        return keys[r]
 
     qof = {}            # block id -> compound id
     members = {}        # compound id -> insertion-ordered dict of block ids
@@ -312,15 +326,9 @@ def refine(c, mode="generic", audit=False):
         def colour(y):
             b = block_of[y]
             return 2 if b == S else (1 if qof[b] == cmpB else 0)
-
-        def merged_colour(y):
-            return 1 if qof[block_of[y]] == cmpB else 0
     else:
         def colour(y):
             return 1 if block_of[y] == S else 0
-
-        def merged_colour(y):
-            return 0
 
     if n:
         root = new_compound(list(range(part.num_blocks())), n)
@@ -337,38 +345,32 @@ def refine(c, mode="generic", audit=False):
         S = a if part.size(a) <= part.size(b2) else b2
         assert 2 * part.size(S) <= cmp_size[cmpB]
         S_states = tuple(part.block_states(S))
-        stats["iterations"] += 1
-        stats["splitter_states"] += len(S_states)
         for s in S_states:
             in_splitter[s] += 1
-            if in_splitter[s] > stats["max_in_splitter"]:
-                stats["max_in_splitter"] = in_splitter[s]
 
         # phase 1: key the affected states while S still counts as part of B
-        plans = []  # (parent, groups dict key->state list, default key or None)
+        plans = []  # (parent, signature -> states, default key or None)
         touched, read = weights.collect(S_states, block_of)
-        stats["visited_edges"] += read
+        visited += read
         for T, t_states in touched.items():
             if part.size(T) == 1:
                 continue  # a one-state block cannot split
             for x in t_states:
                 part.mark(x)
-            groups = {}
+            groups = {}  # signature -> states
             for x in t_states:
-                stats["visited_edges"] += positions[x]
-                groups.setdefault(
-                    weights.key(x, structure[x], colour, three),
-                    []).append(x)
+                visited += positions[x]
+                groups.setdefault(weights.sig(x, colour, three), []).append(x)
             default = None
             if part.marked[T] < part.size(T):
                 x = t_states[0]
-                stats["visited_edges"] += positions[x]
-                default = weights.key(x, structure[x], merged_colour,
-                                      three, merged=True)
+                visited += positions[x]
+                default = weights.sig(x, colour, three, merged=True)
                 groups.pop(default, None)  # cancelled back to the default
                 if not groups:
                     part.marked[T] = 0
                     continue
+                default = key_of(x, default)
             elif len(groups) == 1:
                 part.marked[T] = 0
                 continue
@@ -385,7 +387,7 @@ def refine(c, mode="generic", audit=False):
         # phase 3: refine P and record the event
         refinements = []
         for T, groups, default in plans:
-            items = list(groups.items())
+            items = [(key_of(g[0], sig), g) for sig, g in groups.items()]
             if default is not None:
                 children = [(T, default, None)]
                 moved = items
@@ -393,8 +395,6 @@ def refine(c, mode="generic", audit=False):
                 children = [(T, items[0][0], tuple(items[0][1]))]
                 moved = items[1:]
             new_ids = part.extract_groups(T, [g for _, g in moved])
-            stats["new_blocks"] += len(new_ids)
-            stats["refined_parents"] += 1
             children.extend((nb, key, tuple(g))
                             for nb, (key, g) in zip(new_ids, moved))
             cmpT = qof[T]
@@ -408,6 +408,11 @@ def refine(c, mode="generic", audit=False):
             part.audit()
             assert all(len(ms) >= 1 for ms in members.values())
 
+    stats = dict(  # the counters, read once the run is over
+        iterations=len(trace.splits), splitter_states=sum(in_splitter),
+        max_in_splitter=max(in_splitter, default=0), visited_edges=visited,
+        new_blocks=part.num_blocks() - len(init_groups), key_walks=len(keys),
+        refined_parents=sum([len(ev.refinements) for ev in trace.splits]))
     blocks = [sorted(part.block_states(b)) for b in range(part.num_blocks())]
     return PartitionResult(blocks, list(part.block_of), trace, stats)
 

@@ -271,9 +271,9 @@ class _DSParser(Scanner):
     a modality that the logic does not own is refused."""
     error = TranslateError
 
-    def __init__(self, text, logic):
+    def __init__(self, text, logic, f):
         super().__init__(text)
-        self.logic, self.owned = logic, _named(logic).modalities
+        self.logic, self.owned, self.f = logic, _named(logic).modalities, f
         self.dag = FormulaDag()
 
     def modal(self, label, *args):
@@ -284,13 +284,17 @@ class _DSParser(Scanner):
 
     def positions(self):
         """The argument positions of a label <{i, ...}>, read from its '{'
-        to its '>': each counts from 1 and appears once."""
+        to its '>': each counts from 1, appears once and fits f's arities."""
         self.eat("{")
         out = self.items("}", lambda: self.index("a position"))
         self.eat(">")
         if 0 in out or len(set(out)) < len(out):
             raise TranslateError("positions count from 1 and appear once, "
                                  "not %r" % out)
+        if isinstance(self.f, Signature) and max(out, default=0) > max(
+                a for _op, a in self.f.ops):
+            raise TranslateError("no operation of %s has position %d"
+                                 % (pretty_functor(self.f), max(out)))
         return frozenset(out)
 
     def formula(self):
@@ -327,12 +331,12 @@ class _DSParser(Scanner):
         return self.modal(("sig", self.token()))  # a nullary operation
 
 
-def parse_ds(text, logic):
-    """Parse a formula of the domain-specific logic ``logic`` into a fresh
-    arena; returns (dag, reference).  Modalities of the other logics raise
-    TranslateError."""
+def parse_ds(text, logic, f=None):
+    """Parse a formula of the domain-specific logic ``logic``, over functor
+    f if given, into a fresh arena; returns (dag, reference).  Modalities of
+    the other logics raise TranslateError."""
     try:
-        p = _DSParser(text, logic)
+        p = _DSParser(text, logic, f)
         return p.dag, p.done(unnest(p.formula))
     except (ValueError, IndexError) as e:
         raise TranslateError("bad formula %r: %s" % (text, e)) from None

@@ -1,5 +1,6 @@
 """Shared fixtures: golden models and a seeded random-instance helper."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,23 @@ def random_instances(functors=FUNCTORS, seeds=range(8), n=12, density=0.25):
         for seed in seeds:
             spec = GeneratorSpec(functor=fx, n=n, seed=seed, density=density)
             yield "%s seed=%d" % (fx, seed), generate(spec)
+
+
+def composite_instance(seed, n=10):
+    """Random labelled transition system over the composed functor
+    P . (C{a,b} x X)."""
+    rng = random.Random(10_000 + seed)
+    rows = []
+    for s in range(n):
+        deg = rng.randrange(0, 4)
+        pairs = sorted({(rng.choice("ab"), "s%d" % rng.randrange(n))
+                        for _ in range(deg)})
+        rows.append("s%d -> {%s}" % (
+            s, ", ".join("(%s, %s)" % p for p in pairs)))
+    text = ("functor: %s\nstates: %s\n%s\n"
+            % (COMPOSITE_FUNCTOR, ", ".join("s%d" % i for i in range(n)),
+               "\n".join(rows)))
+    return parse_coalgebra(text)
 
 
 def realizable_values(c, rng=None, extra_subsets=8):

@@ -6,7 +6,6 @@ the lines survive pytest's capture, then asserts.
 
 import gc
 import math
-import random
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +20,8 @@ from coalgcert.oracle import (
 from coalgcert.refiner import refine
 from coalgcert.translate import ds_label, parse_ds, translate
 from conftest import (
-    CANCELLATIVE_FUNCTORS, FUNCTORS, load_model, realizable_values,
+    CANCELLATIVE_FUNCTORS, FUNCTORS, composite_instance, load_model,
+    realizable_values,
 )
 from reference import check_extensions, reachable, verify_dsi
 
@@ -33,22 +33,6 @@ def report(num, desc, ok, detail=""):
     print(line, file=sys.__stdout__)
     sys.__stdout__.flush()
     assert ok, line
-
-
-def composite_instance(seed, n=10):
-    """Random labelled transition system over the composed functor
-    P . (C{a,b} x X)."""
-    rng = random.Random(10_000 + seed)
-    rows = []
-    for s in range(n):
-        deg = rng.randrange(0, 4)
-        pairs = sorted({(rng.choice("ab"), "s%d" % rng.randrange(n))
-                        for _ in range(deg)})
-        rows.append("s%d -> {%s}" % (
-            s, ", ".join("(%s, %s)" % p for p in pairs)))
-    text = ("functor: P . (C{a,b} x X)\nstates: %s\n%s\n"
-            % (", ".join("s%d" % i for i in range(n)), "\n".join(rows)))
-    return parse_coalgebra(text)
 
 
 def suite(seeds, sizes, composites=0):

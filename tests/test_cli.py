@@ -435,6 +435,29 @@ def test_stats_json(capsys):
     doc = json.loads(out)
     assert doc["n"] == 4 and doc["blocks"] == 3 and doc["iterations"] >= 1
     assert doc["parse_ms"] >= 0
+    assert 1 <= doc["key_walks"] <= doc["visited_edges"]
+    assert "key_walks: %d" % doc["key_walks"] in run(capsys, "stats", TS1)[1]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("formula, code, out", [
+    ("<{3}>g", 2, ""), ("<{1,2,3}>g", 2, ""), ("<{1}>g", 0, "a\n"),
+    ("<{2}>g", 0, "c\n"), ("<{}>g", 0, "b\n"),
+])
+def test_check_signature_positions_within_arity(capsys, tmp_path, formula,
+                                                code, out):
+    """A position above every operation's arity is refused, as the generic
+    syntax refuses a colour out of its palette."""
+    path = tmp_path / "sig.model"
+    path.write_text("functor: Sig(f/2, g/0)\nstates: a, b, c\n"
+                    "a -> f(b, c)\nb -> g\nc -> f(c, b)\n")
+    got = run(capsys, "check", str(path), formula)
+    assert got[:2] == (code, out), got
+    if code:
+        assert "no operation of Sig(f/2, g/0) has position 3" in got[2]
 
 
 def test_gen_deterministic(capsys, tmp_path):

@@ -17,7 +17,9 @@ from coalgcert.refiner import (
     refine, replay_trace,
 )
 from coalgcert.values import fmap
-from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
+from conftest import (
+    CANCELLATIVE_FUNCTORS, FUNCTORS, composite_instance, random_instances,
+)
 from reference import predecessors
 
 
@@ -218,14 +220,74 @@ def whole_row_trace(c, mode):
     return trace
 
 
+def keyed_cases(n, seeds=range(5)):
+    """(coalgebra, mode): every functor in generic mode, the composite
+    included, and the cancellative ones in cancellative mode."""
+    for _l, c in random_instances(seeds=seeds, n=n):
+        yield c, "generic"
+    for seed in seeds:
+        yield composite_instance(seed, n), "generic"
+    for _l, c in random_instances(CANCELLATIVE_FUNCTORS, seeds, n):
+        yield c, "cancellative"
+
+
 def test_split_keys_match_whole_row_reference():
-    """Keys read from stored weights give the whole-row trace exactly."""
-    cases = [(c, "generic") for _l, c in random_instances(seeds=range(5), n=16)]
-    cases += [(c, "cancellative") for _l, c in random_instances(
-        CANCELLATIVE_FUNCTORS, seeds=range(5), n=16)]
-    for c, mode in cases:
-        assert refine(c, mode=mode, audit=True).trace == whole_row_trace(
-            c, mode), (pretty_functor(c.functor), mode)
+    """Keys read from stored weights give the whole-row trace exactly.  At
+    n = 40 keys repeat across splits and initial blocks, so the key table
+    is hit."""
+    for n in (16, 40):
+        for c, mode in keyed_cases(n):
+            assert refine(c, mode=mode, audit=True).trace == whole_row_trace(
+                c, mode), (pretty_functor(c.functor), mode, n)
+
+
+def trace_keys(trace):
+    """(initial block, key) of every child of every refinement."""
+    root = {b: b for b, _v, _states in trace.init.blocks}
+    for ev in trace.splits:
+        for ref in ev.refinements:
+            for child, key, _states in ref.children:
+                root[child] = root[ref.parent]
+                yield root[child], key
+
+
+def test_equal_split_keys_are_one_object():
+    """The key table hands out one object per distinct split key."""
+    for c, mode in keyed_cases(40, seeds=range(3)):
+        seen = {}
+        for _r, key in trace_keys(refine(c, mode=mode).trace):
+            assert seen.setdefault(key, key) is key, pretty_functor(c.functor)
+
+
+def planted_copies(c, copies):
+    """copies disjoint copies of c: copy i of state x is i * n + x."""
+    n = c.n
+    rows = [fmap(t, range(i * n, (i + 1) * n)) for i in range(copies)
+            for t in c.structure]
+    names = tuple("%s_%d" % (s, i) for i in range(copies) for s in c.states)
+    return Coalgebra(c.functor, names, tuple(rows))
+
+
+def test_key_walks_count_distinct_keys(monkeypatch):
+    """One row walk per distinct (initial block, key) of the trace, far
+    fewer than the states keyed on planted copies."""
+    sig = refiner._SplitWeights.sig
+    calls = []
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return sig(self, *args, **kw)
+
+    base = generate(GeneratorSpec("(D(X) + C{stop})^{a,b}", 30, seed=1,
+                                  density=0.1))
+    c = planted_copies(base, 8)
+    monkeypatch.setattr(refiner._SplitWeights, "sig", counted)
+    for mode in refiner.MODES:
+        calls.clear()
+        res = refine(c, mode=mode)
+        walks = res.stats["key_walks"]
+        assert walks == len(set(trace_keys(res.trace))), mode
+        assert 0 < 4 * walks < len(calls), (mode, walks, len(calls))
 
 
 def test_cancelling_weights_fall_back_to_default_key():
