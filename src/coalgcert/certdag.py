@@ -201,22 +201,23 @@ def build_certificates(c, result):
     delta, beta = {}, {}
     tree = par, jump, depth, modal = [0], [0], [0], [None]
     version = [0] * len(result.blocks)  # block id -> its current version
-    for bid, val, _states in trace.init.blocks:
+    _S, _B, [(_T, init)] = trace.event(-1)
+    for bid, val, _states in init:
         delta[bid] = dag.add_modal(val, 0, ())
         version[bid] = _add_version(*tree, 0, delta[bid])
-    for ev in trace.splits:
-        dS = delta[ev.splitter]
-        bB = beta.get(ev.compound, TOP)
+    for i in range(len(trace)):
+        S, B, refinements = trace.event(i)
+        dS = delta[S]
+        bB = beta.get(B, TOP)
         if binary:
-            beta[ev.new_compound] = dS
-            neg = _negation_target(dag, owner, dS, ev.compound,
-                                   ev.new_compound)
-            beta[ev.compound] = dag.add_and(bB, (neg[0], True))
+            beta[i + 1] = dS  # split i's new compound {S}
+            neg = _negation_target(dag, owner, dS, B, i + 1)
+            beta[B] = dag.add_and(bB, (neg[0], True))
         args = (dS, bB) if binary else (dS,)
         mods = {}  # key -> its modal node at this split
-        for ref_ in ev.refinements:
-            old, p = delta[ref_.parent], version[ref_.parent]
-            for cid, val, _states in ref_.children:
+        for T, children in refinements:
+            old, p = delta[T], version[T]
+            for cid, val, _states in children:
                 mod = mods.get(val)
                 if mod is None:
                     mod = mods[val] = dag.add_modal(val, len(args), args)

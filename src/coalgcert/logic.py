@@ -246,15 +246,16 @@ class _Induction:
         self.vblock, self.vpar, self.vdepth, self.vval, self.vsplit = (
             [], [], [], [], [])
         self.version, self.compound = [], []
-        self.split_S = []  # per split: the version of its splitter
+        # per split: the version of its splitter, and its compound
+        self.split_S, self.split_B = [], []
         self.part = RefinablePartition(c.n)
         self.block_of = self.part.block_of
         # per state: the split + 1 (0: the initial partition) that last
         # listed it, and the child it listed it in
         self.listed, self.child, self.now = [-1] * c.n, [0] * c.n, 0
-        self.last = {r.parent: i for i, ev in enumerate(certs.trace.splits)
-                     for r in ev.refinements  # the last split refining it
-                     if type(r.parent) is int}
+        trace = certs.trace  # the last split refining each block
+        self.last = {T: i for i in range(len(trace))
+                     for T, _children in trace.event(i)[2]}
 
     def __getitem__(self, y):
         """The colour of state y at the current split: 2 on S, 1 on the
@@ -299,50 +300,46 @@ class _Induction:
 
     # ------------------------------------------------------ 1. keys
     def replay(self):
-        blocks, part = self.certs.trace.init.blocks, self.part
+        trace, part = self.certs.trace, self.part
+        _S, _B, [(_T, blocks)] = trace.event(-1)
         self.group("initial partition", None, blocks, [0] * self.c.n, 0)
         self.apply(-1, None, blocks)
-        for i, ev in enumerate(self.certs.trace.splits):
-            self.split(i, ev)
+        for i in range(len(trace)):
+            self.split(i, *trace.event(i))
         self.states = [part.block_states(b) for b in range(part.num_blocks())]
         # steps 2 to 5 read only states and block_of
         del self.part, self.listed, self.child, self.last
 
-    def split(self, i, ev):
-        where, S, part = "split %d" % i, ev.splitter, self.part
+    def split(self, i, S, B, refinements):
+        where, part = "split %d" % i, self.part
         blocks, block_of, marked = part.num_blocks(), self.block_of, part.marked
-        if not (type(S) is int and 0 <= S < blocks
-                and self.compound[S] == ev.compound
-                and ev.new_compound == i + 1):
-            raise _Mismatch("%s: block %r is not in compound %r, or compound "
-                            "%r is not fresh"
-                            % (where, S, ev.compound, ev.new_compound))
-        self.S, self.B = S, ev.compound if self.binary else None
+        if not (0 <= S < blocks and self.compound[S] == B):
+            raise _Mismatch("%s: block %d is not in compound %d"
+                            % (where, S, B))
+        self.S, self.B = S, B if self.binary else None
         self.split_S.append(self.version[S])
-        e, sources, touched, self.now = self.c.edges, set(), [], i + 1
+        self.split_B.append(B)
+        e, sources, self.now = self.c.edges, set(), i + 1
         for y in part.block_states(S):  # the sources of the edges into S
             sources.update(e.src[e.start[y]:e.start[y + 1]])
-        for x in sources:
-            if not marked[block_of[x]]:
-                touched.append(block_of[x])
-            part.mark(x)
+        touched = list(dict.fromkeys(map(block_of.__getitem__, sources)))
+        part.mark(*sources)
         refined, fresh = set(), blocks
-        for ref_ in ev.refinements:
-            T = ref_.parent
-            if not (type(T) is int and 0 <= T < blocks) or T in refined:
-                raise _Mismatch("%s: %r is not a block, or refined twice"
+        for T, children in refinements:
+            if not 0 <= T < blocks or T in refined:
+                raise _Mismatch("%s: %d is not a block, or refined twice"
                                 % (where, T))
             refined.add(T)
-            self.group(where, T, ref_.children, self, fresh)
-            fresh += len(ref_.children) - 1
+            self.group(where, T, children, self, fresh)
+            fresh += len(children) - 1
         for b in touched:  # kept whole, but refined later: one key
             if b not in refined and self.binary and part.size(b) > 1 \
                     and self.last.get(b, -1) > i:
                 self.keys(where, b, b, None, b, self)
             marked[b] = 0
         self.compound[S] = i + 1
-        for ref_ in ev.refinements:
-            self.apply(i, ref_.parent, ref_.children)
+        for T, children in refinements:
+            self.apply(i, T, children)
 
     def group(self, where, T, children, g, fresh):
         """Check the children of block T (None: the initial partition, in
@@ -362,14 +359,13 @@ class _Induction:
                                     "child may keep the rest" % (where, cid))
                 default, states = cid, ()
             for x in states:
-                if not (type(x) is int and 0 <= x < n) \
-                        or self.listed[x] == self.now \
+                if not 0 <= x < n or self.listed[x] == self.now \
                         or self.block_of[x] != b:
                     raise _Mismatch("%s, block %d: %s is not in the parent, "
                                     "or listed twice"
                                     % (where, cid, self.name(x)))
                 self.listed[x], self.child[x] = self.now, cid
-                part.mark(x)
+            part.mark(*states)
             moved += len(states)
         if part.n:  # else the initial partition has no block 0
             self.keys(where, T, b, by_key, default, g)
@@ -499,17 +495,17 @@ class _Induction:
     def beta_chains(self, node_of, mod_of):
         """before[i]: the reference of beta(B) at split i, before the
         update; None in cancellative mode, which has no compound formulas."""
-        beta, splits = self.certs.beta, self.certs.trace.splits
-        made = range(len(splits) + 1 if splits and self.binary else 0)
+        beta, trace = self.certs.beta, self.certs.trace
+        made = range(len(trace) + 1 if len(trace) and self.binary else 0)
         if set(beta) != set(made):
             raise _Mismatch("compound formulas %r, but the trace makes %r"
                             % (sorted(beta, key=repr), list(made)))
         if not self.binary:
             return None
         updates = [[] for _ in made]
-        for i, ev in enumerate(splits):
-            updates[ev.compound].append(i)
-        before = [None] * len(splits)
+        for i, B in enumerate(self.split_B):
+            updates[B].append(i)
+        before = [None] * len(trace)
         for C in made:
             ref = beta[C]
             for i in reversed(updates[C]):

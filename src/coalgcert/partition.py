@@ -35,20 +35,18 @@ class RefinablePartition:
     def block_states(self, b):
         return self.elems[self.first[b]:self.end[b]]
 
-    def _swap(self, i, j):
-        ei, ej = self.elems[i], self.elems[j]
-        self.elems[i], self.elems[j] = ej, ei
-        self.loc[ei], self.loc[ej] = j, i
-
-    def mark(self, s):
-        """Move s into the marked prefix of its block (idempotent)."""
-        b = self.block_of[s]
-        i = self.loc[s]
-        m = self.first[b] + self.marked[b]
-        if i < m:
-            return
-        self._swap(i, m)
-        self.marked[b] += 1
+    def mark(self, *states):
+        """Move each state into the marked prefix of its block
+        (idempotent), with no call per state."""
+        elems, loc, block_of, first, marked = (
+            self.elems, self.loc, self.block_of, self.first, self.marked)
+        for s in states:
+            b = block_of[s]
+            i, m = loc[s], first[b] + marked[b]
+            if i >= m:
+                e = elems[m]
+                elems[i], elems[m], loc[e], loc[s] = e, s, i, m
+                marked[b] += 1
 
     def extract_groups(self, b, groups):
         """Split off explicit state groups from block b.
@@ -57,30 +55,30 @@ class RefinablePartition:
         and jointly proper (their union must not equal b).  Each becomes a
         fresh block at the tail of b's slice; untouched states keep id b.
         Returns the new block ids in order."""
-        total = sum(len(g) for g in groups)
-        if total >= self.size(b):
+        elems, loc, block_of, first, end = (
+            self.elems, self.loc, self.block_of, self.first, self.end)
+        total = sum(map(len, groups))
+        if total >= end[b] - first[b]:
             raise PartitionError("extract_groups must leave a remainder")
-        tail = self.end[b]
-        new_ids = []
+        tail = end[b]
         for g in reversed(groups):
             for s in g:
-                if self.block_of[s] != b:
+                if block_of[s] != b:
                     raise PartitionError("state %d not in block %d" % (s, b))
                 tail -= 1
-                self._swap(self.loc[s], tail)
-        cut = self.end[b] - total
-        pos = cut
-        for g in groups:
-            new = len(self.first)
-            self.first.append(pos)
+                i, e = loc[s], elems[tail]
+                elems[i], elems[tail], loc[e], loc[s] = e, s, i, tail
+        pos = cut = end[b] - total
+        new_ids = list(range(len(first), len(first) + len(groups)))
+        for new, g in zip(new_ids, groups):
+            first.append(pos)
             pos += len(g)
-            self.end.append(pos)
+            end.append(pos)
             self.marked.append(0)
-            for i in range(self.first[new], self.end[new]):
-                self.block_of[self.elems[i]] = new
-            new_ids.append(new)
-        self.end[b] = cut
-        self.marked[b] = min(self.marked[b], self.size(b))
+            for s in g:
+                block_of[s] = new
+        end[b] = cut
+        self.marked[b] = min(self.marked[b], cut - first[b])
         return new_ids
 
     def split_by_key(self, b, key):

@@ -50,13 +50,40 @@ block, signature); a miss builds it from the signature by walk_row, the
 walk that numbered the leaves.  F! . c records every tag, atom, operation,
 arity, set emptiness and vec total, so an initial block's rows share their
 shape; both codes are injective, so there equal signatures are equal keys.
-As F! of a key is its initial block's value, equal keys are one object.
+As F! of a key is its initial block's value, equal split keys are one
+entry of the key table.
 
-Every refinement step is recorded in a trace from which the certificate
-builder and the distinguishing-formula search replay the whole run.  It
-holds each block's key.  logic, oracle and quotient key with fmap; they
-share functor.vec, the canonical form of a weight layer, with the
-refiner, but not its cells.  logic's proof reads the edge table's
+The compounds.  Q's blocks are compounds of P-blocks, numbered in order
+of creation: the root compound 0 holds the initial blocks, and split i
+makes compound i + 1 = {S}.  Each compound keeps its blocks on one doubly
+linked list, in insertion order, in flat lists indexed by block id (the
+compound, the next and the previous block) and by compound id (the
+list's ends, its numbers of blocks and of states, whether it is queued),
+as Valmari and Franceschinis keep blocks and cords ("Simple O(m log n)
+time Markov chain lumping", TACAS 2010).  S is the smaller of its
+compound's first two blocks, the first on a tie; it is unlinked, and a
+refined block's new children join the end of their parent's list.  A
+compound of two or more blocks waits in a FIFO queue.
+
+The trace.  Every refinement step is recorded in a Trace, from which the
+certificate builder, the proof and the distinguishing-formula search
+replay the whole run; it holds no object per split, only int arrays
+and the key table, written through its add_ methods and read through
+Trace.event:
+
+  per split i:       its splitter and its compound B (the new compound
+                     {S} is i + 1), and the offset of its refinements;
+  per refinement:    its parent, and the offset of its children;
+                     refinement 0 is the initial partition;
+  per child:         its block id, its key's index in the key table
+                     (~index for the default child, which keeps the
+                     states that no other child lists), and the end of
+                     its states in one shared states array.
+
+The key table lists each key value once per (initial block, signature),
+and each initial block's F! . c.  logic, oracle and quotient key with
+fmap; they share functor.vec, the canonical form of a weight layer, with
+the refiner, but not its cells.  logic's proof reads the edge table's
 in-edges, to find the states that a split touches, but not its weights.
 """
 
@@ -83,34 +110,75 @@ class RefineError(RuntimeError):
     pass
 
 
-@dataclass
-class InitEvent:
-    # (block id, value of F! . c on the block, states)
-    blocks: list
-
-
-@dataclass
-class Refinement:
-    parent: int
-    # (child block id, split key value, moved states or None for the
-    # untouched remainder that keeps the parent id)
-    children: list
-
-
-@dataclass
-class SplitEvent:
-    splitter: int          # P-block id of S at the time of the split
-    compound: int          # descriptor of B (keeps describing B minus S)
-    new_compound: int      # fresh descriptor for {S}
-    refinements: list
-
-
-@dataclass
 class Trace:
-    mode: str
-    n: int
-    init: InitEvent
-    splits: list
+    """The steps of one run in int arrays (module docstring, "The trace").
+    refine writes it through add_key, add_split, add_refinement and
+    add_child; readers read it through event(i).  len() counts the
+    splits."""
+
+    def __init__(self, mode, n):
+        self.mode, self.n = mode, n
+        self.keys = []  # the key table
+        self.split_S, self.split_B = array("i"), array("i")
+        # offsets: the refinements of split i are split_refs[i + 1] up to
+        # split_refs[i + 2]; refinement 0 is the initial partition
+        self.split_refs = array("i", [0, 1])
+        self.ref_parent = array("i", [-1])
+        self.ref_children = array("i", [0, 0])
+        self.child_block, self.child_key = array("i"), array("i")
+        self.child_states, self.states = array("i", [0]), array("i")
+
+    def __len__(self):
+        return len(self.split_S)
+
+    def add_key(self, value):
+        """Enter a key into the table; its index."""
+        self.keys.append(value)
+        return len(self.keys) - 1
+
+    def add_split(self, splitter, compound):
+        self.split_S.append(splitter)
+        self.split_B.append(compound)
+        self.split_refs.append(self.split_refs[-1])
+
+    def add_refinement(self, parent):
+        """Open a refinement of the last split."""
+        self.ref_parent.append(parent)
+        self.ref_children.append(self.ref_children[-1])
+        self.split_refs[-1] += 1
+
+    def add_child(self, block, key, states):
+        """Add a child to the last refinement, or to the initial partition
+        before the first split: its block id, its key's index in the
+        table, and its states, or None for the default child."""
+        self.child_block.append(block)
+        if states is None:
+            self.child_key.append(~key)
+        else:
+            self.child_key.append(key)
+            self.states.extend(states)
+        self.child_states.append(len(self.states))
+        self.ref_children[-1] += 1
+
+    def event(self, i):
+        """Split i as (splitter, compound, refinements), each refinement
+        a (parent, children) pair and each child a (block id, key, states)
+        triple, states None for the default child.  Split i's new
+        compound is i + 1.  Split -1 is the initial partition, as
+        (None, None, [(None, children)])."""
+        keys, at, states = self.keys, self.child_states, self.states
+        block, key, parent = self.child_block, self.child_key, self.ref_parent
+        refinements = []
+        for r in range(self.split_refs[i + 1], self.split_refs[i + 2]):
+            children = []
+            for k in range(self.ref_children[r], self.ref_children[r + 1]):
+                j = key[k]
+                children.append((block[k], keys[j], states[at[k]:at[k + 1]])
+                                if j >= 0 else (block[k], keys[~j], None))
+            refinements.append((parent[r] if i >= 0 else None, children))
+        if i < 0:
+            return None, None, refinements
+        return self.split_S[i], self.split_B[i], refinements
 
 
 @dataclass
@@ -220,29 +288,35 @@ class _SplitWeights:
                     cw[cs + s] += wt[p]
         return touched, read
 
-    def sig(self, x, colour, three, merged=False):
-        """The signature of touched state x (module docstring, step 2).
-        With ``merged`` S counts as part of B (generic) or of the outside
-        (two-colour): that is the block's default key."""
-        e, cw = self.edges, self.cw
-        total, scale, ident_start = e.total, e.scale, e.ident_start
-        lo, hi = e.leaf_start[x], e.leaf_start[x + 1]
-        b = self.toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
-        s = self.toward_S[x] + 1 - lo
+    def sigs(self, states, colour, three, merged=False):
+        """The signatures of touched states, in order (module docstring,
+        step 2).  With ``merged`` S counts as part of B (generic) or of the
+        outside (two-colour): that is the block's default key."""
+        e, cw, toward_B, toward_S = (
+            self.edges, self.cw, self.toward_B, self.toward_S)
+        total, scale, leaf_start, ident, ident_start = (
+            e.total, e.scale, e.leaf_start, e.ident, e.ident_start)
         out = []
-        for j in range(lo, hi):
-            t, d, wb = total[j], scale[j], cw[b + j]
-            ws = 0 if merged else cw[s + j]
-            if not d:
-                out.append((t > wb) | (wb > ws) << 1 | (ws > 0) << 2)
-                continue  # a vec leaf; cancellative functors have no sets
-            w = (t - wb, wb - ws, ws, d) if three else (t - ws, ws, d)
-            g = gcd(*w)
-            out.append(tuple([a // g for a in w]) if g > 1 else w)
-        if ident_start[x + 1] > ident_start[x]:
-            cols = map(colour, e.ident[ident_start[x]:ident_start[x + 1]])
-            out += [1 if k and three else 0 for k in cols] if merged else cols
-        return tuple(out)
+        for x in states:
+            lo, hi = leaf_start[x], leaf_start[x + 1]
+            b = toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
+            s = toward_S[x] + 1 - lo
+            sig = []
+            for j in range(lo, hi):
+                t, d, wb = total[j], scale[j], cw[b + j]
+                ws = 0 if merged else cw[s + j]
+                if not d:
+                    sig.append((t > wb) | (wb > ws) << 1 | (ws > 0) << 2)
+                    continue  # a vec leaf; cancellative functors have no sets
+                w = (t - wb, wb - ws, ws, d) if three else (t - ws, ws, d)
+                g = gcd(*w)
+                sig.append(tuple([a // g for a in w]) if g > 1 else w)
+            if ident_start[x + 1] > ident_start[x]:
+                cols = map(colour, ident[ident_start[x]:ident_start[x + 1]])
+                sig += ([1 if k and three else 0 for k in cols] if merged
+                        else cols)
+            out.append(tuple(sig))
+        return out
 
     def commit(self, touched):
         """Move the weights into S out of the touched states' cells toward B."""
@@ -277,15 +351,16 @@ def refine(c, mode="generic", audit=False):
     structure = c.structure
     n = c.n
     part, init_groups = initial_partition(c)
-    init = InitEvent([(b, v, tuple(sorted(part.block_states(b))))
-                      for b, v in init_groups])
-    trace = Trace(mode, n, init, [])
+    trace = Trace(mode, n)
+    for b, v in init_groups:
+        trace.add_child(b, trace.add_key(v), sorted(part.block_states(b)))
     visited, in_splitter = 0, [0] * n  # edges read; times each x was in S
-    block_of = part.block_of
+    block_of, first, end, marked = part.block_of, part.first, part.end, \
+        part.marked
     init_of = list(block_of)
     weights = _SplitWeights(c)
     positions, leaf_start = c.edges.positions, c.edges.leaf_start
-    keys = {}  # (initial block, signature) -> split key
+    keys = {}  # (initial block, signature) -> index in the key table
 
     def key_of(x, sig):
         r = (init_of[x], sig)
@@ -294,57 +369,62 @@ def refine(c, mode="generic", audit=False):
             leaves = iter([vec(enumerate(a[:-1]), a[-1]) if type(a) is tuple
                            else _SET_KEYS[a] for a in sig[:k]])
             colours = iter(sig[k:])
-            keys[r] = walk_row(structure[x], lambda _node: next(leaves),
-                               lambda _y: next(colours))
+            keys[r] = trace.add_key(walk_row(
+                structure[x], lambda _node: next(leaves),
+                lambda _y: next(colours)))
         return keys[r]
 
-    qof = {}            # block id -> compound id
-    members = {}        # compound id -> insertion-ordered dict of block ids
-    cmp_size = {}
+    # the compounds (module docstring, "The compounds"): per block its
+    # compound and its neighbours on the compound's list, -1 for none; per
+    # compound its list's ends, its numbers of blocks and of states, and
+    # whether it waits in the queue.  There are at most n of each
+    cmp_of, nxt, prv = [0] * n, [-1] * n, [-1] * n
+    head, tail, count = [-1] * n, [-1] * n, [0] * n
+    cmp_size, queued = [0] * n, [False] * n
     queue = deque()
-    queued = set()
-    next_cmp = 0
 
-    def new_compound(block_ids, size):
-        nonlocal next_cmp
-        cid = next_cmp
-        next_cmp += 1
-        members[cid] = dict.fromkeys(block_ids)
-        cmp_size[cid] = size
-        for b in block_ids:
-            qof[b] = cid
-        return cid
+    def link(b, cid):  # block b joins the end of compound cid's list
+        t = tail[cid]
+        if t < 0:
+            head[cid] = b
+        else:
+            nxt[t] = b
+        prv[b], nxt[b], cmp_of[b], tail[cid] = t, -1, cid, b
+        count[cid] += 1
 
-    def maybe_enqueue(cid):
-        if len(members[cid]) >= 2 and cid not in queued:
+    def enqueue(cid):
+        if count[cid] >= 2 and not queued[cid]:
             queue.append(cid)
-            queued.add(cid)
+            queued[cid] = True
 
     # colours of a state under the current split of S off B
     three = mode == "generic"
     if three:
         def colour(y):
             b = block_of[y]
-            return 2 if b == S else (1 if qof[b] == cmpB else 0)
+            return 2 if b == S else (1 if cmp_of[b] == cmpB else 0)
     else:
         def colour(y):
             return 1 if block_of[y] == S else 0
 
-    if n:
-        root = new_compound(list(range(part.num_blocks())), n)
-        maybe_enqueue(root)
+    if n:  # the root compound 0 lists the initial blocks
+        for b in range(part.num_blocks()):
+            link(b, 0)
+        cmp_size[0] = n
+        enqueue(0)
 
+    refined = 0
     while queue:
         cmpB = queue.popleft()
-        queued.discard(cmpB)
-        if len(members[cmpB]) < 2:
+        queued[cmpB] = False
+        if count[cmpB] < 2:
             continue  # became simple while waiting: stale entry
-        it = iter(members[cmpB])
-        a = next(it)
-        b2 = next(it)
-        S = a if part.size(a) <= part.size(b2) else b2
-        assert 2 * part.size(S) <= cmp_size[cmpB]
-        S_states = tuple(part.block_states(S))
+        a = head[cmpB]
+        b2 = nxt[a]
+        S = a if end[a] - first[a] <= end[b2] - first[b2] else b2
+        S_states = part.block_states(S)
+        size_S = len(S_states)
+        assert 2 * size_S <= cmp_size[cmpB]
         for s in S_states:
             in_splitter[s] += 1
 
@@ -353,68 +433,96 @@ def refine(c, mode="generic", audit=False):
         touched, read = weights.collect(S_states, block_of)
         visited += read
         for T, t_states in touched.items():
-            if part.size(T) == 1:
+            size = end[T] - first[T]
+            if size == 1:
                 continue  # a one-state block cannot split
-            for x in t_states:
-                part.mark(x)
+            part.mark(*t_states)  # to the front of T's slice, whose order
+            marked[T] = 0         # later splits read
             groups = {}  # signature -> states
-            for x in t_states:
+            for x, sig in zip(t_states, weights.sigs(t_states, colour, three)):
                 visited += positions[x]
-                groups.setdefault(weights.sig(x, colour, three), []).append(x)
+                groups.setdefault(sig, []).append(x)
             default = None
-            if part.marked[T] < part.size(T):
+            if len(t_states) < size:
                 x = t_states[0]
                 visited += positions[x]
-                default = weights.sig(x, colour, three, merged=True)
+                default = weights.sigs((x,), colour, three, merged=True)[0]
                 groups.pop(default, None)  # cancelled back to the default
                 if not groups:
-                    part.marked[T] = 0
                     continue
                 default = key_of(x, default)
             elif len(groups) == 1:
-                part.marked[T] = 0
                 continue
-            part.marked[T] = 0
             plans.append((T, groups, default))
         weights.commit(touched)
 
-        # phase 2: extract S from its compound (refine Q)
-        members[cmpB].pop(S)
-        cmp_size[cmpB] -= len(S_states)
-        cmpS = new_compound([S], len(S_states))
-        maybe_enqueue(cmpB)
+        # phase 2: extract S from its compound (refine Q) into a new one
+        p, q = prv[S], nxt[S]
+        if p < 0:
+            head[cmpB] = q
+        else:
+            nxt[p] = q
+        if q < 0:
+            tail[cmpB] = p
+        else:
+            prv[q] = p
+        count[cmpB] -= 1
+        cmp_size[cmpB] -= size_S
+        cmpS = len(trace) + 1
+        link(S, cmpS)
+        cmp_size[cmpS] = size_S
+        enqueue(cmpB)
 
-        # phase 3: refine P and record the event
-        refinements = []
+        # phase 3: refine P and record the split
+        trace.add_split(S, cmpB)
+        refined += len(plans)
         for T, groups, default in plans:
+            trace.add_refinement(T)
             items = [(key_of(g[0], sig), g) for sig, g in groups.items()]
             if default is not None:
-                children = [(T, default, None)]
+                trace.add_child(T, default, None)
                 moved = items
             else:
-                children = [(T, items[0][0], tuple(items[0][1]))]
+                trace.add_child(T, *items[0])
                 moved = items[1:]
             new_ids = part.extract_groups(T, [g for _, g in moved])
-            children.extend((nb, key, tuple(g))
-                            for nb, (key, g) in zip(new_ids, moved))
-            cmpT = qof[T]
-            for nb in new_ids:
-                members[cmpT][nb] = None
-                qof[nb] = cmpT
-            maybe_enqueue(cmpT)
-            refinements.append(Refinement(T, children))
-        trace.splits.append(SplitEvent(S, cmpB, cmpS, refinements))
+            cmpT = cmp_of[T]
+            for nb, (key, g) in zip(new_ids, moved):
+                trace.add_child(nb, key, g)
+                link(nb, cmpT)
+            enqueue(cmpT)
         if audit:
             part.audit()
-            assert all(len(ms) >= 1 for ms in members.values())
+            _audit_compounds(part, len(trace) + 1, cmp_of, nxt, prv, head,
+                             tail, count, cmp_size, queued, queue)
 
     stats = dict(  # the counters, read once the run is over
-        iterations=len(trace.splits), splitter_states=sum(in_splitter),
+        iterations=len(trace), splitter_states=sum(in_splitter),
         max_in_splitter=max(in_splitter, default=0), visited_edges=visited,
         new_blocks=part.num_blocks() - len(init_groups), key_walks=len(keys),
-        refined_parents=sum([len(ev.refinements) for ev in trace.splits]))
+        refined_parents=refined)
     blocks = [sorted(part.block_states(b)) for b in range(part.num_blocks())]
     return PartitionResult(blocks, list(part.block_of), trace, stats)
+
+
+def _audit_compounds(part, compounds, cmp_of, nxt, prv, head, tail, count,
+                     cmp_size, queued, queue):
+    """Each block is on exactly one compound's list, each list is linked
+    both ways and matches its compound's counts, and the compounds of two
+    or more blocks are the queued ones (tests only)."""
+    on = [0] * part.num_blocks()
+    for C in range(compounds):
+        b, before, k, size = head[C], -1, 0, 0
+        while b >= 0:
+            assert cmp_of[b] == C and prv[b] == before
+            on[b] += 1
+            k += 1
+            size += part.size(b)
+            before, b = b, nxt[b]
+        assert tail[C] == before and count[C] == k and cmp_size[C] == size
+        assert k < 2 or queued[C]
+    assert on == [1] * len(on)
+    assert sorted(queue) == [C for C in range(compounds) if queued[C]]
 
 
 def replay_trace(trace):
@@ -424,14 +532,15 @@ def replay_trace(trace):
     certify --verify does not run it: logic.check_certificates makes the
     same checks in its own replay."""
     block_of, listed_in, size = [None] * trace.n, [-1] * trace.n, {}
-    for bid, _val, states in trace.init.blocks:
+    _S, _B, [(_T, init)] = trace.event(-1)
+    for bid, _val, states in init:
         size[bid] = len(states)
         for s in states:
             block_of[s] = bid
-    for i, ev in enumerate(trace.splits):
-        for ref in ev.refinements:
-            T, rest = ref.parent, size[ref.parent]  # rest: listed by no child
-            for cid, _val, states in ref.children:
+    for i in range(len(trace)):
+        for T, children in trace.event(i)[2]:
+            rest = size[T]  # states listed by no child
+            for cid, _val, states in children:
                 for s in states or ():
                     if block_of[s] != T or listed_in[s] == i:
                         raise RefineError(i, T, s, "is not in the block, "
@@ -440,7 +549,7 @@ def replay_trace(trace):
                 if states is not None:
                     rest -= len(states)
                     size[cid] = len(states)
-            if ref.children[0][2] is None:  # the default child keeps the rest
+            if children[0][2] is None:  # the default child keeps the rest
                 if not rest:
                     raise RefineError(i, T, s,
                                       "leaves the default child empty")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from coalgcert.coalgebra import parse_coalgebra
+from coalgcert.coalgebra import Coalgebra, parse_coalgebra
+from coalgcert.functor import parse_functor
 from coalgcert.oracle import GeneratorSpec, generate
 
 MODELS = Path(__file__).parent / "models"
@@ -91,6 +92,24 @@ def composite_instance(seed, n=10):
             % (COMPOSITE_FUNCTOR, ", ".join("s%d" % i for i in range(n)),
                "\n".join(rows)))
     return parse_coalgebra(text)
+
+
+def hub_line(k):
+    """The fan-out family hub-line(k) of P, 3k + 5 states: three lines
+    c0 -> ... -> c(k-1) -> {}, a0 -> ... -> ak -> {} and
+    b0 -> ... -> b(k+1) -> {}, and two hubs h1 -> {c0, ..., c(k-1), a0}
+    and h2 -> {c0, ..., c(k-1), b0}.  The hubs share a block until the a
+    and b lines tell them apart, after the c line is peeled."""
+    names, rows = [], []
+    for line, length in (("c", k), ("a", k + 1), ("b", k + 2)):
+        first = len(names)
+        names += ["%s%d" % (line, i) for i in range(length)]
+        rows += [("set", (first + i + 1,)) for i in range(length - 1)]
+        rows.append(("set", ()))
+    hub = tuple(range(k))
+    names += ["h1", "h2"]
+    rows += [("set", hub + (k,)), ("set", hub + (2 * k + 1,))]
+    return Coalgebra(parse_functor("P"), tuple(names), tuple(rows))
 
 
 def realizable_values(c, rng=None, extra_subsets=8):

@@ -17,6 +17,9 @@ through the compiled readers.  Their Fraction weight layers are put in the
 package's form ('vec', ((key, a), ...), d) by one adapter, canonical_vec.
 reachable is the set-based walk that certdag.reach's listings are compared
 against, and predecessors(c, y) reads the in-edges of c's edge table.
+trace_events and rewrite_trace edit a refinement trace: the first reads it
+into lists, the second writes edited lists back through the trace's
+writer.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from coalgcert.functor import (
 from coalgcert.logic import (
     _WHY, _Extensions, _Induction, _mask, _members, _Mismatch,
 )
+from coalgcert.refiner import Trace
 from coalgcert.values import Scanner, ValueError_, fmap
 
 # the module, which the package's translate function hides
@@ -264,14 +268,17 @@ def check_extensions(certs, c=None):
     # blocks start in compound 0, a split moves S into its new compound,
     # and a refinement's children join their parent's compound.  A block
     # made by no event, such as a child of a dropped refinement, has none
-    compound_of = {bid: 0 for bid, _val, _states in certs.trace.init.blocks}
-    for split in certs.trace.splits:
-        if split.splitter in compound_of:
-            compound_of[split.splitter] = split.new_compound
-        for ref_ in split.refinements:
-            if ref_.parent in compound_of:
-                for cid, _val, _states in ref_.children:
-                    compound_of[cid] = compound_of[ref_.parent]
+    trace = certs.trace
+    _S, _B, [(_T, init)] = trace.event(-1)
+    compound_of = {bid: 0 for bid, _val, _states in init}
+    for i in range(len(trace)):
+        S, _B, refinements = trace.event(i)
+        if S in compound_of:
+            compound_of[S] = i + 1
+        for T, children in refinements:
+            if T in compound_of:
+                for cid, _val, _states in children:
+                    compound_of[cid] = compound_of[T]
     union = {}
     for bid, mask in enumerate(masks):
         if bid not in compound_of:
@@ -285,6 +292,44 @@ def check_extensions(certs, c=None):
             bad.append(("beta%d" % cmp_id, frozenset(_members(want)),
                         frozenset(_members(got))))
     return bad
+
+
+def trace_events(trace):
+    """(initial blocks, splits) of a trace, read through its accessor into
+    lists to edit: each initial block and child a list [block id, key,
+    states], states a list or None; each split a list [splitter,
+    compound, refinements], each refinement a list [parent, children]."""
+    def children(kids):
+        return [[b, key, None if states is None else list(states)]
+                for b, key, states in kids]
+    _S, _B, [(_T, init)] = trace.event(-1)
+    splits = []
+    for i in range(len(trace)):
+        S, B, refinements = trace.event(i)
+        splits.append([S, B, [[T, children(kids)] for T, kids in refinements]])
+    return children(init), splits
+
+
+def rewrite_trace(mode, n, init, splits):
+    """A trace written through the writer from trace_events' lists; equal
+    keys share one entry of the key table.  The writer refuses a non-int
+    id or state with TypeError."""
+    out, index = Trace(mode, n), {}
+
+    def add(b, key, states):
+        if key not in index:
+            index[key] = out.add_key(key)
+        out.add_child(b, index[key], states)
+
+    for child in init:
+        add(*child)
+    for S, B, refinements in splits:
+        out.add_split(S, B)
+        for T, kids in refinements:
+            out.add_refinement(T)
+            for child in kids:
+                add(*child)
+    return out
 
 
 def check_certificates_full(certs, c=None):
@@ -310,34 +355,31 @@ class FullInduction(_Induction):
 
     def replay(self):
         trace, n = self.certs.trace, self.c.n
-        self.apply(-1, None, trace.init.blocks, self.group(
-            "initial partition", None, range(n), trace.init.blocks, [0] * n,
-            0))
-        for i, ev in enumerate(trace.splits):
-            self.split(i, ev)
+        _S, _B, [(_T, init)] = trace.event(-1)
+        self.apply(-1, None, init, self.group(
+            "initial partition", None, range(n), init, [0] * n, 0))
+        for i in range(len(trace)):
+            self.split(i, *trace.event(i))
 
-    def split(self, i, ev):
-        where, S, blocks = "split %d" % i, ev.splitter, len(self.states)
-        if not (type(S) is int and 0 <= S < blocks
-                and self.compound[S] == ev.compound
-                and ev.new_compound == i + 1):
-            raise _Mismatch("%s: block %r is not in compound %r, or compound "
-                            "%r is not fresh"
-                            % (where, S, ev.compound, ev.new_compound))
-        self.S, self.B = S, ev.compound if self.binary else None
+    def split(self, i, S, B, refinements):
+        where, blocks = "split %d" % i, len(self.states)
+        if not (0 <= S < blocks and self.compound[S] == B):
+            raise _Mismatch("%s: block %d is not in compound %d"
+                            % (where, S, B))
+        self.S, self.B = S, B if self.binary else None
         self.split_S.append(self.version[S])
+        self.split_B.append(B)
         plans, fresh = {}, blocks
-        for ref_ in ev.refinements:
-            T = ref_.parent
-            if not (type(T) is int and 0 <= T < blocks) or T in plans:
-                raise _Mismatch("%s: %r is not a block, or refined twice"
+        for T, children in refinements:
+            if not 0 <= T < blocks or T in plans:
+                raise _Mismatch("%s: %d is not a block, or refined twice"
                                 % (where, T))
-            plans[T] = self.group(where, T, self.states[T], ref_.children,
-                                  self, fresh)
-            fresh += len(ref_.children) - 1
+            plans[T] = self.group(where, T, self.states[T], children, self,
+                                  fresh)
+            fresh += len(children) - 1
         self.compound[S] = i + 1
-        for ref_ in ev.refinements:
-            self.apply(i, ref_.parent, ref_.children, plans[ref_.parent])
+        for T, children in refinements:
+            self.apply(i, T, children, plans[T])
 
     def group(self, where, T, members, children, g, fresh):
         """Check the children of block T (None: the initial partition)
@@ -357,7 +399,7 @@ class FullInduction(_Induction):
                                     "child may keep the rest" % (where, cid))
                 default, states = cid, ()
             for x in states:
-                if not (type(x) is int and 0 <= x < self.c.n) or x in own \
+                if not 0 <= x < self.c.n or x in own \
                         or self.block_of[x] != T:
                     raise _Mismatch("%s, block %d: %s is not in the parent, "
                                     "or listed twice"

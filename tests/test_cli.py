@@ -23,6 +23,7 @@ from coalgcert.translate import default_logic
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
 from reference import (
     check_certificates_full, check_extensions, predecessors, reachable,
+    rewrite_trace, trace_events,
 )
 
 MODELS = Path(__file__).parent / "models"
@@ -746,35 +747,48 @@ def _move_state(result, certs, x):
     result.block_of[x] = dst
 
 
+def _rewrite(result, certs, edit):
+    """The trace, its splits edited in place by edit(splits), written
+    back through the trace's writer (tests/reference.py)."""
+    trace = result.trace
+    init, splits = trace_events(trace)
+    edit(splits)
+    result.trace = certs.trace = rewrite_trace(trace.mode, trace.n, init,
+                                               splits)
+
+
 def _drop_state(result, certs, i, r, k, x):
     """Child k of refinement r of split i loses state x."""
-    ref = result.trace.splits[i].refinements[r]
-    cid, val, states = ref.children[k]
-    ref.children[k] = (cid, val, tuple(s for s in states if s != x))
+    def edit(splits):
+        child = splits[i][2][r][1][k]
+        child[2] = [s for s in child[2] if s != x]
+    _rewrite(result, certs, edit)
 
 
 def _list_untouched(result, certs, i, r, x):
     """Child 1 of refinement r of split i also lists state x."""
-    children = result.trace.splits[i].refinements[r].children
-    cid, val, states = children[1]
-    children[1] = (cid, val, states + (x,))
+    def edit(splits):
+        splits[i][2][r][1][1][2].append(x)
+    _rewrite(result, certs, edit)
 
 
 def _drop_refinement(result, certs, i, r):
     """Split i loses its refinement r."""
-    del result.trace.splits[i].refinements[r]
+    def edit(splits):
+        del splits[i][2][r]
+    _rewrite(result, certs, edit)
 
 
-def _replayed(trace, n):
+def _replayed(init, splits, n):
     """(i, split i, each state's block before split i's refinements)."""
     block_of = [None] * n
-    for bid, _val, states in trace.init.blocks:
+    for bid, _val, states in init:
         for x in states:
             block_of[x] = bid
-    for i, ev in enumerate(trace.splits):
+    for i, ev in enumerate(splits):
         yield i, ev, list(block_of)
-        for ref in ev.refinements:
-            for cid, _val, states in ref.children:
+        for _T, children in ev[2]:
+            for cid, _val, states in children:
                 for x in states or ():
                     block_of[x] = cid
 
@@ -842,13 +856,13 @@ def _neg_cuts(certs):
 def corruptions(result, certs):
     """(kind, corrupt, args): each corrupt(result, certs, *args) changes
     one run's output in place."""
-    trace = result.trace
+    init, splits = trace_events(result.trace)
     # the modal refs of the versions, in version order: the initial blocks,
     # then each refinement's children (version 0 is the root)
     mods = iter(certs.versions[-1][1:])
     siblings = [[next(mods) for _ in children] for children in itertools.chain(
-        [trace.init.blocks],
-        (ref.children for ev in trace.splits for ref in ev.refinements))]
+        [init], (children for _S, _B, refinements in splits
+                 for _T, children in refinements))]
     for refs in siblings:
         if len(refs) >= 2:
             yield "label", _relabel, (refs[0][0], refs[1][0])
@@ -875,10 +889,10 @@ def corruptions(result, certs):
     # a moved child loses a state that no later split moves, which then
     # replays into the wrong block, or each state that a later split moves
     # again, which replays into the right one
-    for i, ev in enumerate(trace.splits):
-        for r, ref in enumerate(ev.refinements):
-            for k, (cid, _val, states) in enumerate(ref.children):
-                if cid == ref.parent:
+    for i, (_S, _B, refinements) in enumerate(splits):
+        for r, (T, children) in enumerate(refinements):
+            for k, (cid, _val, states) in enumerate(children):
+                if cid == T:
                     continue
                 x = next((x for x in states if result.block_of[x] == cid),
                          None)
@@ -888,29 +902,30 @@ def corruptions(result, certs):
     # that has no edge into S in a child that is not the default one, or
     # is dropped
     c = certs.coalgebra
-    for i, ev, block_of in _replayed(trace, c.n):
-        touched = {x for y in range(c.n) if block_of[y] == ev.splitter
+    for i, (S, _B, refinements), block_of in _replayed(init, splits, c.n):
+        touched = {x for y in range(c.n) if block_of[y] == S
                    for x in predecessors(c, y)}
-        for r, ref in enumerate(ev.refinements):
-            T = [x for x in range(c.n) if block_of[x] == ref.parent]
-            listed = {x for _cid, _val, states in ref.children
+        for r, (parent, children) in enumerate(refinements):
+            T = [x for x in range(c.n) if block_of[x] == parent]
+            listed = {x for _cid, _val, states in children
                       for x in states or ()}
             x = next((x for x in T if x not in touched and x not in listed),
                      None)
-            if ref.children[0][2] is None and x is not None:
+            if children[0][2] is None and x is not None:
                 yield "untouched listed", _list_untouched, (i, r, x)
             if touched.intersection(T):
                 yield "dropped refinement", _drop_refinement, (i, r)
     moved_later = set()  # states that a split after the current one moves
-    for i in reversed(range(len(trace.splits))):
-        for r, ref in enumerate(trace.splits[i].refinements):
-            for k, (cid, _val, states) in enumerate(ref.children):
-                if cid != ref.parent:
+    for i in reversed(range(len(splits))):
+        refinements = splits[i][2]
+        for r, (T, children) in enumerate(refinements):
+            for k, (cid, _val, states) in enumerate(children):
+                if cid != T:
                     for x in moved_later.intersection(states):
                         yield "moved again", _drop_state, (i, r, k, x)
-        moved_later.update(x for ref in trace.splits[i].refinements
-                           for cid, _val, states in ref.children
-                           if cid != ref.parent for x in states)
+        moved_later.update(x for T, children in refinements
+                           for cid, _val, states in children
+                           if cid != T for x in states)
 
 
 def _runs():

@@ -17,11 +17,12 @@ from coalgcert.logic import (
 from coalgcert.oracle import (
     GeneratorSpec, generate, layered_worstcase, naive_bisimilarity,
 )
-from coalgcert.refiner import PartitionResult, Refinement, SplitEvent, refine
+from coalgcert.refiner import PartitionResult, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 from reference import (
     check_certificates_full, check_extensions, predecessors, reachable,
+    rewrite_trace, trace_events,
 )
 from test_acceptance import composite_instance
 
@@ -295,27 +296,28 @@ def _proof_work(c, trace):
     not refine it, it has two or more states, a later split refines it,
     and the mode is generic."""
     block_of = [None] * c.n
-    for bid, _v, states in trace.init.blocks:
+    init, splits = trace_events(trace)
+    for bid, _v, states in init:
         for x in states:
             block_of[x] = bid
-    last = {ref.parent: i for i, ev in enumerate(trace.splits)
-            for ref in ev.refinements}
+    last = {T: i for i, (_S, _B, refinements) in enumerate(splits)
+            for T, _children in refinements}
     bound, parents = 2 * c.n, 0
-    for i, ev in enumerate(trace.splits):
+    for i, (S, _B, refinements) in enumerate(splits):
         size = Counter(block_of)
         touched = set()
         for y in range(c.n):
-            if block_of[y] == ev.splitter:
+            if block_of[y] == S:
                 preds = predecessors(c, y)
                 bound += len(preds)
                 touched.update(block_of[x] for x in preds)
-        refined = {ref.parent for ref in ev.refinements}
+        refined = {T for T, _children in refinements}
         bound += len(refined) + sum(
             1 for b in touched - refined if trace.mode == "generic"
             and size[b] > 1 and last.get(b, -1) > i)
-        for ref in ev.refinements:
-            parents += size[ref.parent]
-            for cid, _v, states in ref.children:
+        for T, children in refinements:
+            parents += size[T]
+            for cid, _v, states in children:
                 for x in states or ():
                     block_of[x] = cid
                 bound += len(states or ())
@@ -359,8 +361,9 @@ def test_check_certificates_checks_the_default_key(ts1):
     # has key {1}.  x is not keyed: the merged key {1} of the touched x1
     # and y tells
     res = refine(ts1)
-    res.trace.splits[0].refinements[0].children[0] = (0, ("set", (0, 1)),
-                                                      None)
+    init, splits = trace_events(res.trace)
+    splits[0][2][0][1][0] = [0, ("set", (0, 1)), None]
+    res.trace = rewrite_trace(res.trace.mode, ts1.n, init, splits)
     certs = build_certificates(ts1, res)
     assert check_extensions(certs) != []
     assert check_certificates(certs) == check_certificates_full(certs) == [
@@ -379,12 +382,13 @@ def test_check_certificates_needs_the_invariant():
                         "x0 -> {}\nx1 -> {x0, x4}\nx2 -> {x1, x3}\n"
                         "x3 -> {x0}\nx4 -> {x2}\n")
     res = refine(c)
-    splits = res.trace.splits
-    assert [(ev.splitter, len(ev.refinements)) for ev in splits] == [
+    init, splits = trace_events(res.trace)
+    assert [(S, len(refinements)) for S, _B, refinements in splits] == [
         (0, 1), (2, 1), (1, 0), (3, 0)]
-    splits[1:] = [SplitEvent(2, 0, 2, []), SplitEvent(3, 0, 3, [Refinement(
-        1, [(1, ("set", (0, 1)), None), (4, ("set", (0, 2)), (2,))])]),
-                  SplitEvent(1, 0, 4, [])]
+    splits[1:] = [[2, 0, []], [3, 0, [[
+        1, [[1, ("set", (0, 1)), None], [4, ("set", (0, 2)), [2]]]]]],
+                  [1, 0, []]]
+    res.trace = rewrite_trace(res.trace.mode, c.n, init, splits)
     certs = build_certificates(c, res)
     assert check_extensions(certs)[0] == (1, frozenset({4}), frozenset())
     assert check_certificates_full(certs) == [
@@ -422,8 +426,9 @@ def test_check_certificates_needs_stability(ts1):
     # a trace cut before its first split: the initial modalities still hold
     # at exactly their blocks, but that partition is not stable
     trace = refine(ts1).trace
-    trace.splits = []
-    blocks = [list(states) for _bid, _val, states in trace.init.blocks]
+    init, _splits = trace_events(trace)
+    trace = rewrite_trace(trace.mode, trace.n, init, [])
+    blocks = [states for _bid, _val, states in init]
     block_of = [bid for x in range(ts1.n)
                 for bid, states in enumerate(blocks) if x in states]
     certs = build_certificates(ts1, PartitionResult(blocks, block_of, trace,
@@ -440,8 +445,10 @@ def _set_node(nid, node):
 
 def _list_in_child(states):
     def corrupt(certs):
-        children = certs.trace.splits[0].refinements[0].children
-        children[1] = children[1][:2] + (states,)
+        init, splits = trace_events(certs.trace)
+        splits[0][2][0][1][1][2] = list(states)
+        certs.trace = rewrite_trace(certs.trace.mode, certs.trace.n, init,
+                                    splits)
     return corrupt
 
 
@@ -468,26 +475,37 @@ WEIRD = [None, -1, 10**6, "a", 0, 1, (0, False), ("top",)]
 
 
 def _malform(certs, draw):
-    """One random defect in a certificate set's trace, dag or blocks."""
+    """One random defect in a certificate set's trace, dag or blocks.  A
+    trace defect is written back through the trace's writer, which must
+    refuse a value other than an int in an id or a state."""
     trace, nodes = certs.trace, certs.dag.nodes
+    init, splits = trace_events(trace)
     weird = draw(st.sampled_from(WEIRD))
     kind = draw(st.integers(0, 7))
-    refs = [ref for ev in trace.splits for ref in ev.refinements]
-    if kind == 0 and trace.splits:
-        ev = draw(st.sampled_from(trace.splits))
-        field = draw(st.sampled_from(["splitter", "compound", "new_compound"]))
-        setattr(ev, field, weird)
+    refs = [ref for _S, _B, refinements in splits for ref in refinements]
+    into_int = False  # whether weird went into an id or a state
+    if kind == 0 and splits:  # the splitter or the compound
+        draw(st.sampled_from(splits))[draw(st.integers(0, 1))] = weird
+        into_int = True
     elif kind == 1 and refs:
-        draw(st.sampled_from(refs)).parent = weird
+        draw(st.sampled_from(refs))[0] = weird
+        into_int = True
     elif kind in (2, 3) and (refs or kind == 3):
-        children = (draw(st.sampled_from(refs)).children if kind == 2
-                    else trace.init.blocks)
+        children = draw(st.sampled_from(refs))[1] if kind == 2 else init
         if children:
             k = draw(st.integers(0, len(children) - 1))
             cid, val, states = children[k]
-            children[k] = draw(st.sampled_from([
-                (weird, val, states), (cid, weird, states), (cid, val, None),
-                (cid, val, ()), (cid, val, (states or ()) + (weird,))]))
+            variant = draw(st.integers(0, 4))
+            children[k] = [[weird, val, states], [cid, weird, states],
+                           [cid, val, None], [cid, val, []],
+                           [cid, val, (states or []) + [weird]]][variant]
+            into_int = variant in (0, 4)  # not the key, which any value is
+    if kind <= 3:
+        if into_int and type(weird) is not int:
+            with pytest.raises(TypeError):
+                rewrite_trace(trace.mode, trace.n, init, splits)
+        else:
+            certs.trace = rewrite_trace(trace.mode, trace.n, init, splits)
     elif kind == 4:
         nid = draw(st.integers(0, len(nodes) - 1))
         nodes[nid] = draw(st.sampled_from(
@@ -501,6 +519,32 @@ def _malform(certs, draw):
     elif kind == 7 and certs.blocks:
         k = draw(st.integers(0, len(certs.blocks) - 1))
         certs.blocks[k] = draw(st.sampled_from([[], [weird], [0]]))
+
+
+def test_trace_storage_refuses_what_is_not_an_int(ts1):
+    # ids and states live in int arrays: every WEIRD value that is not an
+    # int is refused in each of those fields, while the key field takes
+    # every WEIRD value through the key table
+    trace = refine(ts1).trace
+    fields = [lambda s, w: s[0].__setitem__(0, w),        # splitter
+              lambda s, w: s[0].__setitem__(1, w),        # compound
+              lambda s, w: s[0][2][0].__setitem__(0, w),  # parent
+              lambda s, w: s[0][2][0][1][1].__setitem__(0, w),  # block id
+              lambda s, w: s[0][2][0][1][1][2].append(w)]       # states
+    for weird in WEIRD:
+        for field in fields:
+            init, splits = trace_events(trace)
+            field(splits, weird)
+            if type(weird) is int:
+                rewrite_trace(trace.mode, trace.n, init, splits)
+            else:
+                with pytest.raises(TypeError):
+                    rewrite_trace(trace.mode, trace.n, init, splits)
+        init, splits = trace_events(trace)
+        splits[0][2][0][1][1][1] = init[0][1] = weird
+        init, splits = trace_events(rewrite_trace(trace.mode, trace.n, init,
+                                                  splits))
+        assert splits[0][2][0][1][1][1] == init[0][1] == weird
 
 
 @settings(max_examples=300, deadline=None)

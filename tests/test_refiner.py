@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -13,18 +14,23 @@ from coalgcert.oracle import (
     GeneratorSpec, generate, naive_bisimilarity, partition_key,
 )
 from coalgcert.refiner import (
-    InitEvent, Refinement, RefineError, SplitEvent, Trace, initial_partition,
-    refine, replay_trace,
+    RefineError, initial_partition, refine, replay_trace,
 )
 from coalgcert.values import fmap
 from conftest import (
-    CANCELLATIVE_FUNCTORS, FUNCTORS, composite_instance, random_instances,
+    CANCELLATIVE_FUNCTORS, FUNCTORS, composite_instance, hub_line,
+    random_instances,
 )
-from reference import predecessors
+from reference import predecessors, rewrite_trace, trace_events
 
 
 def canon(blocks):
     return partition_key(blocks)
+
+
+def events(trace):
+    """A trace's content, read through its accessor, for comparisons."""
+    return trace.mode, trace.n, trace_events(trace)
 
 
 def test_ts1_golden(ts1):
@@ -74,27 +80,29 @@ def test_replay_trace_checks_listings():
     checked = 0
     for label, c in random_instances():
         trace = refine(c).trace
-        for i, ev in enumerate(trace.splits):
-            for ref in ev.refinements:
-                saved = ref.children
-                (T, val, kept), (cid, val2, moved), *rest = saved
+        init, splits = trace_events(trace)
+        for i, (_S, _B, refinements) in enumerate(splits):
+            for ref in refinements:
+                T, saved = ref
+                [_T, val, kept], [cid, val2, moved], *rest = saved
                 if kept is None:
                     continue
                 wrong = [
-                    ([(T, val, kept[1:])] + saved[1:], kept[0], "in no child"),
-                    ([(T, val, kept + kept[:1])] + saved[1:], kept[0],
+                    ([[T, val, kept[1:]]] + saved[1:], kept[0], "in no child"),
+                    ([[T, val, kept + kept[:1]]] + saved[1:], kept[0],
                      "listed twice"),
-                    ([(T, val, None)] + rest + [(cid, val2, moved + kept)],
+                    ([[T, val, None]] + rest + [[cid, val2, moved + kept]],
                      kept[-1], "leaves the default child empty"),
                 ]
                 for children, x, why in wrong:
-                    ref.children = children
+                    ref[1] = children
                     with pytest.raises(RefineError) as err:
-                        replay_trace(trace)
+                        replay_trace(rewrite_trace(trace.mode, trace.n, init,
+                                                   splits))
                     assert err.value.args[:3] == (i, T, x), label
                     assert why in err.value.args[3], label
                     checked += 1
-                ref.children = saved
+                ref[1] = saved
     assert checked >= 100, checked
 
 
@@ -123,7 +131,7 @@ def test_edge_cases():
     const = parse_coalgebra("functor: C{k}\nstates: a, b\na -> k\nb -> k")
     res = refine(const)
     assert res.blocks == [[0, 1]]
-    assert res.trace.splits == []
+    assert len(res.trace) == 0
 
 
 def test_stats_counters_present():
@@ -133,7 +141,8 @@ def test_stats_counters_present():
     for key in ("iterations", "new_blocks", "refined_parents",
                 "visited_edges", "splitter_states", "max_in_splitter"):
         assert key in st and st[key] >= 0
-    assert st["new_blocks"] == len(res.blocks) - len(res.trace.init.blocks)
+    init, _splits = trace_events(res.trace)
+    assert st["new_blocks"] == len(res.blocks) - len(init)
 
 
 def whole_row_trace(c, mode):
@@ -142,9 +151,8 @@ def whole_row_trace(c, mode):
     fmap over their whole row."""
     n = c.n
     part, init_groups = initial_partition(c)
-    trace = Trace(mode, n, InitEvent(
-        [(b, v, tuple(sorted(part.block_states(b)))) for b, v in init_groups]),
-        [])
+    init = [[b, v, sorted(part.block_states(b))] for b, v in init_groups]
+    splits = []
     qof, members = {}, {}
     queue = deque()
 
@@ -202,22 +210,22 @@ def whole_row_trace(c, mode):
         for T, groups, default in plans:
             items = list(groups.items())
             if default is None:
-                children = [(T, items[0][0], tuple(items[0][1]))]
+                children = [[T, items[0][0], items[0][1]]]
                 items = items[1:]
             else:
-                children = [(T, default, None)]
+                children = [[T, default, None]]
             new_ids = part.extract_groups(T, [g for _, g in items])
-            children += [(nb, key, tuple(g))
-                         for nb, (key, g) in zip(new_ids, items)]
+            children += [[nb, key, g] for nb, (key, g) in zip(new_ids, items)]
             cmpT = qof[T]
             for nb in new_ids:
                 members[cmpT][nb] = None
                 qof[nb] = cmpT
             if len(members[cmpT]) >= 2 and cmpT not in queue:
                 queue.append(cmpT)
-            refinements.append(Refinement(T, children))
-        trace.splits.append(SplitEvent(S, cmpB, cmpS, refinements))
-    return trace
+            refinements.append([T, children])
+        assert cmpS == len(splits) + 1
+        splits.append([S, cmpB, refinements])
+    return rewrite_trace(mode, n, init, splits)
 
 
 def keyed_cases(n, seeds=range(5)):
@@ -237,22 +245,23 @@ def test_split_keys_match_whole_row_reference():
     is hit."""
     for n in (16, 40):
         for c, mode in keyed_cases(n):
-            assert refine(c, mode=mode, audit=True).trace == whole_row_trace(
-                c, mode), (pretty_functor(c.functor), mode, n)
+            assert events(refine(c, mode=mode, audit=True).trace) == events(
+                whole_row_trace(c, mode)), (pretty_functor(c.functor), mode, n)
 
 
 def trace_keys(trace):
     """(initial block, key) of every child of every refinement."""
-    root = {b: b for b, _v, _states in trace.init.blocks}
-    for ev in trace.splits:
-        for ref in ev.refinements:
-            for child, key, _states in ref.children:
-                root[child] = root[ref.parent]
+    init, splits = trace_events(trace)
+    root = {b: b for b, _v, _states in init}
+    for _S, _B, refinements in splits:
+        for T, children in refinements:
+            for child, key, _states in children:
+                root[child] = root[T]
                 yield root[child], key
 
 
 def test_equal_split_keys_are_one_object():
-    """The key table hands out one object per distinct split key."""
+    """Equal split keys are one entry of the key table."""
     for c, mode in keyed_cases(40, seeds=range(3)):
         seen = {}
         for _r, key in trace_keys(refine(c, mode=mode).trace):
@@ -271,17 +280,17 @@ def planted_copies(c, copies):
 def test_key_walks_count_distinct_keys(monkeypatch):
     """One row walk per distinct (initial block, key) of the trace, far
     fewer than the states keyed on planted copies."""
-    sig = refiner._SplitWeights.sig
-    calls = []
+    sigs = refiner._SplitWeights.sigs
+    calls = []  # one per state keyed
 
-    def counted(self, *args, **kw):
-        calls.append(1)
-        return sig(self, *args, **kw)
+    def counted(self, states, *args, **kw):
+        calls.extend(states)
+        return sigs(self, states, *args, **kw)
 
     base = generate(GeneratorSpec("(D(X) + C{stop})^{a,b}", 30, seed=1,
                                   density=0.1))
     c = planted_copies(base, 8)
-    monkeypatch.setattr(refiner._SplitWeights, "sig", counted)
+    monkeypatch.setattr(refiner._SplitWeights, "sigs", counted)
     for mode in refiner.MODES:
         calls.clear()
         res = refine(c, mode=mode)
@@ -299,10 +308,10 @@ def test_cancelling_weights_fall_back_to_default_key():
         "a -> {a: 2}\nb -> {a: 2}\nc -> {a: 2}\n")
     for mode in ("generic", "cancellative"):
         res = refine(c, mode=mode, audit=True)
-        assert res.trace == whole_row_trace(c, mode)
-        assert [res.blocks[ev.splitter] for ev in res.trace.splits] == [
-            [0, 1], [2, 3]]
-        assert all(not ev.refinements for ev in res.trace.splits)
+        assert events(res.trace) == events(whole_row_trace(c, mode))
+        _init, splits = trace_events(res.trace)
+        assert [res.blocks[S] for S, _B, _r in splits] == [[0, 1], [2, 3]]
+        assert all(not refinements for _S, _B, refinements in splits)
         assert canon(res.blocks) == canon([[0, 1], [2, 3], [4, 5, 6]])
 
 
@@ -330,10 +339,10 @@ def test_keys_canonical_over_leaf_scales(text):
         if mode == "cancellative" and not is_cancellative(c.functor):
             continue
         res = refine(c, mode=mode, audit=True)
-        assert res.trace == whole_row_trace(c, mode), mode
+        assert events(res.trace) == events(whole_row_trace(c, mode)), mode
         assert canon(res.blocks) == expected, mode
         assert res.block_of[0] == res.block_of[1], mode
-        for _b, value, states in res.trace.init.blocks:
+        for _b, value, states in trace_events(res.trace)[0]:
             assert all(fmap(c.structure[x], [0] * c.n) == value
                        for x in states)
 
@@ -344,10 +353,11 @@ def test_one_state_blocks_are_not_keyed(monkeypatch):
     mark = refiner.RefinablePartition.mark
     marked = []
 
-    def checked(part, s):
-        assert part.size(part.block_of[s]) >= 2, s
-        marked.append(s)
-        mark(part, s)
+    def checked(part, *states):
+        for s in states:
+            assert part.size(part.block_of[s]) >= 2, s
+        marked.extend(states)
+        mark(part, *states)
 
     for label, c in random_instances(seeds=range(4), n=16):
         for mode in refiner.MODES:
@@ -356,7 +366,8 @@ def test_one_state_blocks_are_not_keyed(monkeypatch):
             want = whole_row_trace(c, mode)  # marks one-state blocks too
             with monkeypatch.context() as m:
                 m.setattr(refiner.RefinablePartition, "mark", checked)
-                assert refine(c, mode=mode).trace == want, (label, mode)
+                assert events(refine(c, mode=mode).trace) == events(want), (
+                    label, mode)
     assert marked
 
 
@@ -378,3 +389,35 @@ def test_hub_work_follows_edges_into_splitter(n):
     res = refine(c)
     assert len(res.blocks) == n
     assert res.stats["visited_edges"] <= 2 * (n + c.m) * math.log2(n)
+
+
+def test_hub_line_work_is_quasilinear():
+    """On hub-line(k) refine's visited edges per (n + m) log2 n stay within
+    x1.5 as k grows eightfold, and the trace is the whole-row one."""
+    ratios = []
+    for k in (500, 1000, 2000, 4000):
+        c = hub_line(k)
+        ratios.append(refine(c).stats["visited_edges"]
+                      / ((c.n + c.m) * math.log2(c.n)))
+    assert max(ratios) <= 1.5 * min(ratios), ratios
+    c = hub_line(20)
+    assert events(refine(c, audit=True).trace) == events(
+        whole_row_trace(c, "generic"))
+
+
+def test_refine_trace_is_compact():
+    """The trace holds int arrays and the key table, no object per split:
+    at most 250 bytes per split on a composite system of 5,031 states."""
+    c = composite_instance(1, n=2000)
+    c.edges  # built before the measurement
+    tracemalloc.start()
+    try:
+        res = refine(c)
+        splits = len(res.trace)
+        held = tracemalloc.get_traced_memory()[0]
+        res.trace = None
+        trace_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert c.n == 5031 and splits == 2678, (c.n, splits)
+    assert trace_bytes <= 250 * splits, trace_bytes / splits

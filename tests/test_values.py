@@ -14,6 +14,7 @@ from coalgcert.values import (
     ValueError_, fmap, parse_rational, parse_value, pretty_value,
     validate_value,
 )
+from reference import trace_events
 
 F = Fraction
 
@@ -122,13 +123,13 @@ def test_weight_layers_match_fraction_arithmetic(fx, rows, cancel, colours):
             assert _fractions(v) == _by_fractions(exact, g), (t, g)
             assert parse_value(pretty_value(f, v, 3), f, 3) == v
     for mode in ("generic", "cancellative"):
-        trace = refine(c, mode=mode).trace
-        for _b, v, states in trace.init.blocks:
+        init, splits = trace_events(refine(c, mode=mode).trace)
+        for _b, v, states in init:
             assert _canonical(v)
             assert all(_fractions(v) == _by_fractions(_fractions(
                 c.structure[x]).items(), [0] * N_STATES) for x in states)
-        assert all(_canonical(v) for ev in trace.splits
-                   for ref in ev.refinements for _b, v, _s in ref.children)
+        assert all(_canonical(v) for _S, _B, refinements in splits
+                   for _T, children in refinements for _b, v, _s in children)
 
 
 def test_generated_weight_layers_are_canonical():
