@@ -10,7 +10,9 @@ implementation keeps that unit flat as n grows.  check_unit_ns is the
 proof's cost per the same unit, to read next to refine's.  The nodes
 column counts the dag nodes that serialize lists for all blocks, and
 nodes_per_u divides it by the same unit: the paper bounds the dag size by
-O((m + n) log n).
+O((m + n) log n).  cert_bytes_per_node is the memory that the certificate
+set holds, measured with tracemalloc in a separate, untimed pass, divided
+by the nodes of its arena: the constant per node of that bound.
 
 The cyclic garbage collector is disabled during timing: allocation-
 triggered full GC passes scan the whole live heap and otherwise dominate
@@ -20,6 +22,7 @@ import argparse
 import gc
 import math
 import time
+import tracemalloc
 
 from coalgcert.certdag import build_certificates, reach, serialize
 from coalgcert.logic import check_certificates
@@ -27,11 +30,26 @@ from coalgcert.oracle import GeneratorSpec, generate
 from coalgcert.refiner import refine
 
 
+def cert_bytes_per_node(c, res):
+    """Bytes that build_certificates' result holds, per node of its arena
+    (tracemalloc; not timed)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = build_certificates(c, res)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(certs.dag)
+
+
 def run(args):
-    print("%8s %9s %8s %10s %12s %10s %12s %9s %11s %9s %13s" %
+    print("%8s %9s %8s %10s %12s %10s %12s %9s %11s %9s %13s %19s" %
           ("n", "m", "blocks", "refine_s", "unit_ns", "certs_s",
            "serialize_s", "nodes", "nodes_per_u", "check_s",
-           "check_unit_ns"))
+           "check_unit_ns", "cert_bytes_per_node"))
     base_unit = None
     for exp in range(args.min_exp, args.max_exp + 1):
         n = 2 ** exp
@@ -67,11 +85,12 @@ def run(args):
         if base_unit is None:
             base_unit = unit
         nodes = sum(1 for _ in reach(certs.dag, list(certs.delta.values())))
+        per_node = cert_bytes_per_node(c, res)
         print("%8d %9d %8d %10.3f %12.2f %10.3f %12.3f %9d %11.4f %9.3f "
-              "%13.2f   (x%.2f)"
+              "%13.2f %19.1f   (x%.2f)"
               % (n, m, blocks, best_refine, unit * 1e9, best_certs,
                  best_serialize, nodes, nodes / u, best_check,
-                 best_check / u * 1e9, unit / base_unit))
+                 best_check / u * 1e9, per_node, unit / base_unit))
 
 
 def main():

@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import partial
 from operator import eq
 
-from .certdag import FormulaDag, reach
+from .certdag import AND, DS, MODAL, OR, TOP_NODE, FormulaDag, pack, reach
 from .functor import unnest
 from .partition import RefinablePartition
 from .translate import MODALITY
@@ -92,30 +92,32 @@ class _Extensions:
     def ext(self, dag, ref, memo):
         """Bitset extension of ref; memo maps node ids to bitsets, and
         gains every node below ref that it lacked."""
+        tag, left, right, label, labels = (
+            dag.tag, dag.left, dag.right, dag.label, dag.labels)
+        at = self.at
         for nid in reach(dag, [ref]):
             if nid in memo:  # and so is every node below it
                 continue
-            node = dag.nodes[nid]
-            if node[0] == "top":
+            t = tag[nid]
+            if t == AND:
+                memo[nid] = at(left[nid], memo) & at(right[nid], memo)
+            elif t == OR:
+                memo[nid] = at(left[nid], memo) | at(right[nid], memo)
+            elif t == TOP_NODE:
                 memo[nid] = self.full
-            elif node[0] == "and":
-                memo[nid] = self.at(node[1], memo) & self.at(node[2], memo)
-            elif node[0] == "modal":
-                memo[nid] = self.modal(node, memo)
-            elif node[0] == "ds":
-                memo[nid] = self.ds(node, memo)
-            elif node[0] == "or":
-                memo[nid] = self.at(node[1], memo) | self.at(node[2], memo)
+            elif t < DS:
+                memo[nid] = self.modal(labels[label[nid]], t - MODAL,
+                                       dag.args(nid), memo)
             else:
-                raise EvalError("bad node %r" % (node,))
-        return self.at(ref, memo)
+                memo[nid] = self.ds(labels[label[nid]], dag.args(nid), memo)
+        return at(pack(ref), memo)
 
-    def at(self, ref, memo):
-        """Bitset extension of ref, whose node memo holds."""
-        return self.full ^ memo[ref[0]] if ref[1] else memo[ref[0]]
+    def at(self, p, memo):
+        """Bitset extension of the packed reference p, whose node memo
+        holds."""
+        return self.full ^ memo[p >> 1] if p & 1 else memo[p >> 1]
 
-    def modal(self, node, memo):
-        _, val, arity, args = node
+    def modal(self, val, arity, args, memo):
         k = (1, 2, 3)[arity]
         if not validate_value(self.c.functor, val, k):
             raise EvalError("modal label %r does not fit palette %d" % (val, k))
@@ -131,10 +133,9 @@ class _Extensions:
         return self.step(classes, partial(eq, val),
                          lambda table: table.get(val, 0))
 
-    def ds(self, node, memo):
+    def ds(self, label, args, memo):
         """A domain-specific modality holds at x when its holds accepts x's
         row, coloured 1 on its argument's extension and 0 elsewhere."""
-        _, label, args = node
         if label[0] not in MODALITY:
             raise EvalError("unsubstituted placeholder in formula")
         test = partial(MODALITY[label[0]][1], label, f=self.c.functor)
@@ -239,7 +240,7 @@ class _Induction:
        version's key and the formulas as they were at its split."""
 
     def __init__(self, certs, c):
-        self.certs, self.c, self.nodes = certs, c, certs.dag.nodes
+        self.certs, self.c, self.dag = certs, c, certs.dag
         self.binary = certs.trace.mode != "cancellative"
         self.top = 2 if self.binary else 1  # the colour of S
         self.merge = [0, 1, 1] if self.binary else [0, 0]  # S into the rest
@@ -254,8 +255,7 @@ class _Induction:
         # listed it, and the child it listed it in
         self.listed, self.child, self.now = [-1] * c.n, [0] * c.n, 0
         trace = certs.trace  # the last split refining each block
-        self.last = {T: i for i in range(len(trace))
-                     for T, _children in trace.event(i)[2]}
+        self.last = {T: i for i in range(len(trace)) for T in trace.parents(i)}
 
     def __getitem__(self, y):
         """The colour of state y at the current split: 2 on S, 1 on the
@@ -274,10 +274,9 @@ class _Induction:
         for v, i in enumerate(self.vsplit):  # 5. modal nodes
             if i < 0:
                 continue
-            dS = (node_of[self.split_S[i]], False)
+            dS = 2 * node_of[self.split_S[i]]
             args = (dS, before[i]) if self.binary else (dS,)
-            if self.node(mod_of[v]) != ("modal", self.vval[v], len(args),
-                                        args):
+            if not self.is_modal(mod_of[v], self.vval[v], args):
                 b = self.vblock[v]
                 self.bad_root("block", b, self.certs.delta[b], self.states[b])
 
@@ -285,17 +284,27 @@ class _Induction:
         ok = type(x) is int and 0 <= x < self.c.n
         return self.c.states[x] if ok else repr(x)
 
-    def node(self, nid):
-        ok = type(nid) is int and 0 <= nid < len(self.nodes)
-        return self.nodes[nid] if ok else ()
+    def tag(self, nid):
+        """The tag of node nid, or -1 when nid is not a node id."""
+        tag = self.dag.tag
+        return tag[nid] if type(nid) is int and 0 <= nid < len(tag) else -1
 
-    def conj(self, ref, negated=False):
-        """(left id, right id) of the `and` node at the positive reference
-        ref, whose left operand is positive and whose right one is negated
-        just when `negated`; else None."""
-        node = self.node(ref[0]) if not ref[1] else ()
-        if node[:1] == ("and",) and not node[1][1] and node[2][1] == negated:
-            return node[1][0], node[2][0]
+    def is_modal(self, nid, val, args):
+        """Whether node nid is the modality <val>(args), args packed."""
+        dag = self.dag
+        return (self.tag(nid) == MODAL + len(args)
+                and dag.labels[dag.label[nid]] == val
+                and dag.args(nid) == args)
+
+    def conj(self, nid, negated=False):
+        """(left id, right id) of the `and` node nid, whose left operand is
+        positive and whose right one is negated just when `negated`; else
+        None."""
+        if self.tag(nid) != AND:
+            return None
+        left, right = self.dag.left[nid], self.dag.right[nid]
+        if (left & 1) == 0 and ((right & 1) == 1) == negated:
+            return left >> 1, right >> 1
         return None
 
     # ------------------------------------------------------ 1. keys
@@ -477,10 +486,10 @@ class _Induction:
             while node_of[v] is None:
                 node_of[v] = nid
                 if vpar[v] < 0:  # an initial block's modality ends the chain
-                    ok = self.node(nid) == ("modal", self.vval[v], 0, ())
+                    ok = self.is_modal(nid, self.vval[v], ())
                     mod_of[v] = nid
                     break
-                ops = self.conj((nid, False))
+                ops = self.conj(nid)
                 ok = ops is not None
                 if not ok:
                     break
@@ -493,8 +502,9 @@ class _Induction:
         return node_of, mod_of
 
     def beta_chains(self, node_of, mod_of):
-        """before[i]: the reference of beta(B) at split i, before the
-        update; None in cancellative mode, which has no compound formulas."""
+        """before[i]: the packed reference of beta(B) at split i, before
+        the update; None in cancellative mode, which has no compound
+        formulas."""
         beta, trace = self.certs.beta, self.certs.trace
         made = range(len(trace) + 1 if len(trace) and self.binary else 0)
         if set(beta) != set(made):
@@ -507,16 +517,16 @@ class _Induction:
             updates[B].append(i)
         before = [None] * len(trace)
         for C in made:
-            ref = beta[C]
+            ref = pack(beta[C])
             for i in reversed(updates[C]):
-                ops = self.conj(ref, negated=True)
+                ops = None if ref & 1 else self.conj(ref >> 1, negated=True)
                 if ops is None or not self.negation(i, C, ops[1], node_of,
                                                     mod_of):
                     break
-                before[i] = ref = (ops[0], False)
+                before[i] = ref = 2 * ops[0]
             else:  # down to true, or to delta(S) of split C - 1
-                if C == 0 and ref == (0, False) and self.node(0) == ("top",) \
-                        or C and ref == (node_of[self.split_S[C - 1]], False):
+                if C == 0 and ref == 0 and self.tag(0) == TOP_NODE \
+                        or C and ref == 2 * node_of[self.split_S[C - 1]]:
                     continue
             union = [x for bid, xs in enumerate(self.states)
                      if self.compound[bid] == C for x in xs]
@@ -533,7 +543,7 @@ class _Induction:
             if nid == mod_of[v]:  # the chain below v dropped
                 return B > 0 and (self.vdepth[self.vpar[v]]
                                   <= self.vdepth[self.split_S[B - 1]])
-            ops = self.conj((nid, False))
+            ops = self.conj(nid)
             if ops is None or ops[1] != mod_of[v]:
                 return False
             nid, v = ops[0], self.vpar[v]

@@ -113,8 +113,8 @@ class RefineError(RuntimeError):
 class Trace:
     """The steps of one run in int arrays (module docstring, "The trace").
     refine writes it through add_key, add_split, add_refinement and
-    add_child; readers read it through event(i).  len() counts the
-    splits."""
+    add_child; readers read it through event(i), and a split's refined
+    blocks alone through parents(i).  len() counts the splits."""
 
     def __init__(self, mode, n):
         self.mode, self.n = mode, n
@@ -159,6 +159,10 @@ class Trace:
             self.states.extend(states)
         self.child_states.append(len(self.states))
         self.ref_children[-1] += 1
+
+    def parents(self, i):
+        """The ids of the blocks that split i refines, in trace order."""
+        return self.ref_parent[self.split_refs[i + 1]:self.split_refs[i + 2]]
 
     def event(self, i):
         """Split i as (splitter, compound, refinements), each refinement

@@ -18,16 +18,21 @@ the nodes below the requested references: nullary labels map to the
 logic's decoding tau, a binary label <t>(delta, beta) to its decoding
 lam of t applied to (translated delta, translated beta minus delta), and
 a unary label of a negation-free run to its decoding kappa.  The
-translated arena is therefore linear in the certificate dag.  It is
-hash-consed, unlike the certificate arena, whose nodes logic._Induction
-tells apart by id.
+translated arena is therefore linear in the certificate dag.  Both arenas
+store their nodes in int columns (certdag's Storage), and the pass works
+on packed references: the translation of each generic node is one int of
+an array over the generic ids, and the translated arena is hash-consed
+on a node's four column ints, unlike the certificate arena, whose nodes
+logic._Induction tells apart by id.  The decodings build through the
+arena's add_ methods, on (id, negated) references.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 
-from .certdag import TOP, FormulaDag, reach
+from .certdag import AND, MODAL, TOP, FormulaDag, pack, reach, unpack
 from .functor import (
     Constant, Coproduct, Distribution, Exponent, MonoidValued, Powerset,
     Signature, pretty_functor, unnest,
@@ -49,12 +54,14 @@ class _SharedDag(FormulaDag):
 
     def __init__(self):
         super().__init__()
-        self.ids = {}
+        self.ids = {}  # (tag, left, right, label) -> packed reference
 
-    def _add(self, node):
-        if node not in self.ids:
-            self.ids[node] = super()._add(node)
-        return self.ids[node]
+    def push(self, tag, left=0, right=0, label=0):
+        key = (tag, left, right, label)
+        ref = self.ids.get(key)
+        if ref is None:
+            ref = self.ids[key] = super().push(tag, left, right, label)
+        return ref
 
 
 def _and(dag, a, b):
@@ -231,29 +238,29 @@ def translate(certs, logic, refs):
     the translated references, in the order of refs."""
     f = certs.coalgebra.functor
     lg = check_compatible(logic, f, certs.trace.mode)
-    dag, out = _SharedDag(), {}
+    g, dag = certs.dag, _SharedDag()
+    tag, left, right, label, labels = g.tag, g.left, g.right, g.label, g.labels
+    # packed translation by generic id; true (0) where nothing reaches
+    out = array("i", [0]) * (max((nid for nid, _ in refs), default=-1) + 1)
 
-    def tr(ref):
-        nid, neg = out[ref[0]]
-        return (nid, neg != ref[1])
+    def tr(p):  # a packed generic reference, translated
+        return out[p >> 1] ^ (p & 1)
 
-    for nid in reach(certs.dag, refs):
-        node = certs.dag.nodes[nid]
-        if node[0] == "top":
-            out[nid] = TOP
-        elif node[0] == "and":
-            out[nid] = _and(dag, tr(node[1]), tr(node[2]))
-        else:
-            _, val, arity, args = node
-            if arity == 0:
-                out[nid] = lg.tau(dag, f, val)
-            elif arity == 2:
-                d, b = tr(args[0]), tr(args[1])
-                out[nid] = lg.lam(dag, f, val, d,
-                                  _and(dag, b, (d[0], not d[1])))
-            else:
-                out[nid] = lg.kappa(dag, f, val, tr(args[0]))
-    return dag, [tr(r) for r in refs]
+    for nid in reach(g, refs):
+        t = tag[nid]
+        if t == AND:  # true, 0, is the unit of a conjunction
+            a, b = tr(left[nid]), tr(right[nid])
+            out[nid] = b if a == 0 else a if b == 0 else dag.push(AND, a, b)
+        elif t == MODAL:
+            out[nid] = pack(lg.tau(dag, f, labels[label[nid]]))
+        elif t == MODAL + 2:
+            d, b = unpack(tr(left[nid])), unpack(tr(right[nid]))
+            out[nid] = pack(lg.lam(dag, f, labels[label[nid]], d,
+                                   _and(dag, b, (d[0], not d[1]))))
+        elif t == MODAL + 1:
+            out[nid] = pack(lg.kappa(dag, f, labels[label[nid]],
+                                     unpack(tr(left[nid]))))
+    return dag, [unpack(tr(pack(r))) for r in refs]
 
 
 def ds_label(node):

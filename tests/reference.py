@@ -19,7 +19,9 @@ reachable is the set-based walk that certdag.reach's listings are compared
 against, and predecessors(c, y) reads the in-edges of c's edge table.
 trace_events and rewrite_trace edit a refinement trace: the first reads it
 into lists, the second writes edited lists back through the trace's
-writer.
+writer.  set_node writes a node, given as the tuple FormulaDag.nodes
+reads, over an arena's int columns.  frozenset_ext is the evaluator of
+those tuples that logic.eval_ref is compared against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from coalgcert.certdag import FormulaDag
+from coalgcert.certdag import AND, DS, MODAL, OR, TOP_NODE, FormulaDag, pack
 from coalgcert.coalgebra import Coalgebra, ModelError
 from coalgcert.functor import (
     INT, NAT, Constant, Coproduct, Distribution, Exponent, Identity,
@@ -65,6 +67,64 @@ def reachable(dag, refs, known=()):
         seen.add(nid)
         stack.extend(cid for cid, _ in dag.children(nid))
     return sorted(seen)
+
+
+def set_node(dag, nid, node):
+    """Write node, a tuple as dag.nodes reads it, over node nid's columns.
+    A tuple the columns cannot hold, of another shape or with an id that
+    is not an int, raises TypeError and leaves the arena as it was."""
+    shape = (node[0], len(node)) if type(node) is tuple and node else None
+    if shape == ("top", 1):
+        tag, args, label = TOP_NODE, (), 0
+    elif shape in (("and", 3), ("or", 3)):
+        tag, args, label = AND if shape[0] == "and" else OR, node[1:], 0
+    elif shape == ("modal", 4) and node[2] == len(node[3]) <= 2:
+        tag, args, label = MODAL + node[2], node[3], node[1]
+    elif shape == ("ds", 3) and len(node[2]) <= 2:
+        tag, args, label = DS + len(node[2]), node[2], node[1]
+    else:
+        raise TypeError("no arena node has the form %r" % (node,))
+    ops = [pack(a) for a in args] + [0, 0]
+    label = dag.intern(label) if tag >= MODAL else 0
+    for column, value in zip((dag.tag, dag.left, dag.right, dag.label),
+                             (tag, ops[0], ops[1], label)):
+        column[nid] = value
+
+
+def colouring(n, ext_s, ext_b):
+    col = [0] * n
+    for y in ext_b:
+        col[y] = 1
+    for y in ext_s:
+        if col[y] == 1:
+            col[y] = 2
+    return col
+
+
+def frozenset_ext(dag, ref, c, memo):
+    """Reference evaluator: frozenset extensions, and every modal node
+    applies F to the colouring of all n states."""
+    for nid in reachable(dag, [ref], memo):
+        node = dag.nodes[nid]
+        if node[0] == "top":
+            out = frozenset(range(c.n))
+        elif node[0] == "and":
+            out = (frozenset_ext(dag, node[1], c, memo)
+                   & frozenset_ext(dag, node[2], c, memo))
+        else:
+            _, val, arity, args = node
+            exts = [frozenset_ext(dag, a, c, memo) for a in args]
+            if arity == 0:
+                col = [0] * c.n
+            elif arity == 1:
+                col = [1 if y in exts[0] else 0 for y in range(c.n)]
+            else:
+                col = colouring(c.n, exts[0], exts[1])
+            out = frozenset(
+                x for x in range(c.n) if fmap(c.structure[x], col) == val)
+        memo[nid] = out
+    ext = memo[ref[0]]
+    return frozenset(range(c.n)) - ext if ref[1] else ext
 
 
 def predecessors(c, y):

@@ -1,7 +1,9 @@
 """Certificate dag construction, distinguishing formulas, size bounds."""
 
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -139,15 +141,16 @@ def test_shared_nodes(monkeypatch):
     real, stops = certdag._negation_target, Counter()
 
     def watched(dag, owner, delta_ref, compound, new_compound):
+        # references are packed, 2 id + neg; -1 marks an unowned node
         size = len(dag.nodes)
-        before = owner + [None] * (size - len(owner))
+        before = list(owner) + [-1] * (size - len(owner))
         ref = real(dag, owner, delta_ref, compound, new_compound)
         walked = [i for i, o in enumerate(before)
-                  if o is None and owner[i] == new_compound]
+                  if o == -1 and owner[i] == new_compound]
         if walked and dag.nodes[walked[0]][0] != "and":
             stop = "base"
         else:  # the first node of the chain below the walked ones
-            below = dag.nodes[walked[0]][1][0] if walked else delta_ref[0]
+            below = dag.nodes[walked[0]][1][0] if walked else delta_ref >> 1
             stop = "own" if before[below] == compound else "foreign"
         stops[stop] += 1
         if stop == "own":  # a fresh chain of the walked modal conjuncts
@@ -337,3 +340,92 @@ def test_deep_chain_walks_without_recursion(ts1):
     text = expand(dag, ref, label)
     assert text == "(" * 5000 + "<{0}>" + " & <{0}>)" * 5000
     assert expand(dag, (ref[0], True), label) == "~" + text
+
+
+def test_nodes_read_back_as_added():
+    # every node kind, through the arena's columns and the tuple view
+    dag = FormulaDag()
+    atom = dag.add_ds(("atom", 0), ())
+    m0 = dag.add_modal(("set", (0,)), 0, ())
+    added = [
+        (atom, ("ds", ("atom", 0), ())),
+        (m0, ("modal", ("set", (0,)), 0, ())),
+        (dag.add_modal(("set", (1,)), 1, ((m0[0], True),)),
+         ("modal", ("set", (1,)), 1, ((m0[0], True),))),
+        (dag.add_modal(("set", (0, 2)), 2, (m0, (atom[0], True))),
+         ("modal", ("set", (0, 2)), 2, (m0, (atom[0], True)))),
+        (dag.add_and(m0, (atom[0], True)), ("and", m0, (atom[0], True))),
+        (dag.add_or((m0[0], True), atom), ("or", (m0[0], True), atom)),
+        (dag.add_ds(("dia",), [(m0[0], True)]), ("ds", ("dia",), ((m0[0], True),))),
+    ]
+    nodes = dag.nodes
+    assert len(nodes) == len(dag) == len(added) + 1
+    assert nodes[0] == ("top",)
+    for (nid, neg), node in added:
+        assert (type(nid), neg) == (int, False)
+        assert nodes[nid] == node
+    assert nodes[-1] == added[-1][1] and nodes[-len(nodes)] == ("top",)
+    assert list(nodes) == [("top",)] + [node for _ref, node in added]
+    with pytest.raises(IndexError):
+        nodes[len(nodes)]
+    with pytest.raises(TypeError):
+        nodes[1] = ("top",)
+    with pytest.raises(CertError):
+        dag.add_modal(("set", (0,)), 3, (m0, m0, m0))
+
+
+def test_references_at_the_interface_are_pairs(ts1):
+    certs = build_certificates(ts1, refine(ts1))
+    phi = distinguish(certs, 0, 2)
+    assert type(phi) is tuple and list(map(type, phi)) == [int, bool]
+    for refs in (certs.delta, certs.beta):
+        assert list(refs) == list(range(len(refs)))
+        assert all(list(map(type, ref)) == [int, bool]
+                   for ref in refs.values())
+    certs.beta[1] = (3, True)
+    assert certs.beta[1] == (3, True)
+    with pytest.raises(KeyError):
+        certs.beta[len(certs.beta)] = (3, True)
+    with pytest.raises(TypeError):
+        certs.delta[0] = ("a", False)
+    assert certs.delta.get(-1) is None and -1 not in certs.delta
+
+
+LLTS_DEGREES = (0, 1, 2, 2, 3, 3, 4)
+
+
+def labelled_lts(n, seed):
+    """A random labelled transition system over P . (C{a,b,c} x X), drawn
+    as the benchmark's lts-labelled workload draws its models: out-degrees
+    dealt from LLTS_DEGREES and shuffled, successors (label, state)
+    drawn at random until each row has its degree."""
+    rng = random.Random(seed)
+    degrees = [LLTS_DEGREES[i % len(LLTS_DEGREES)] for i in range(n)]
+    rng.shuffle(degrees)
+    rows = []
+    for x, d in enumerate(degrees):
+        pairs = set()
+        while len(pairs) < d:
+            pairs.add((rng.choice("abc"), rng.randrange(n)))
+        rows.append("s%d -> {%s}" % (x, ", ".join(
+            "(%s, s%d)" % pair for pair in sorted(pairs))))
+    return parse_coalgebra("functor: P . (C{a,b,c} x X)\nstates: %s\n%s\n" % (
+        ", ".join("s%d" % x for x in range(n)), "\n".join(rows)))
+
+
+def test_certificates_hold_little_memory_per_node():
+    # the arena, delta, beta and the owner tags are int arrays: at most
+    # 100 bytes per dag node (tuple nodes held about 237)
+    c = labelled_lts(2500, 1)
+    result = refine(c)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = build_certificates(c, result)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(certs.dag) > 20000, len(certs.dag)
+    assert held <= 100 * len(certs.dag), held / len(certs.dag)

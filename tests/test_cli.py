@@ -23,7 +23,7 @@ from coalgcert.translate import default_logic
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
 from reference import (
     check_certificates_full, check_extensions, predecessors, reachable,
-    rewrite_trace, trace_events,
+    rewrite_trace, set_node, trace_events,
 )
 
 MODELS = Path(__file__).parent / "models"
@@ -735,7 +735,7 @@ def _relabel(result, certs, a, b):
     """Conjunct #a takes the label of its sibling #b: the states of a's
     block no longer satisfy it."""
     nodes = certs.dag.nodes
-    nodes[a] = ("modal", nodes[b][1]) + nodes[a][2:]
+    set_node(certs.dag, a, ("modal", nodes[b][1]) + nodes[a][2:])
 
 
 def _move_state(result, certs, x):
@@ -803,7 +803,7 @@ def _sibling_arg(result, certs, mod, sibling):
     got at the same split, as its first argument."""
     nodes = certs.dag.nodes
     args = nodes[mod][3]
-    nodes[mod] = nodes[mod][:3] + (((sibling, False),) + args[1:],)
+    set_node(certs.dag, mod, nodes[mod][:3] + (((sibling, False),) + args[1:],))
 
 
 def _neg_cut(result, certs, parent, cut):
@@ -813,16 +813,17 @@ def _neg_cut(result, certs, parent, cut):
     nodes = certs.dag.nodes
     kept = nodes[cut][2]
     if nodes[parent][1][0] == cut:  # parent is a fresh conjunction
-        nodes[parent] = ("and", kept, nodes[parent][2])
+        set_node(certs.dag, parent, ("and", kept, nodes[parent][2]))
     else:  # parent is the beta update
-        nodes[parent] = ("and", nodes[parent][1], (kept[0], True))
+        set_node(certs.dag, parent, ("and", nodes[parent][1], (kept[0], True)))
 
 
 def _neg_delta_cut(result, certs, update, cut):
     """The beta update #update negates the left operand of node #cut,
     delta(S) itself, in place of delta(S): its top conjunct is dropped."""
     nodes = certs.dag.nodes
-    nodes[update] = ("and", nodes[update][1], (nodes[cut][1][0], True))
+    set_node(certs.dag, update,
+             ("and", nodes[update][1], (nodes[cut][1][0], True)))
 
 
 def _neg_cuts(certs):

@@ -21,46 +21,10 @@ from coalgcert.refiner import PartitionResult, refine
 from coalgcert.values import fmap
 from conftest import CANCELLATIVE_FUNCTORS, FUNCTORS, random_instances
 from reference import (
-    check_certificates_full, check_extensions, predecessors, reachable,
-    rewrite_trace, trace_events,
+    check_certificates_full, check_extensions, colouring, frozenset_ext,
+    predecessors, reachable, rewrite_trace, set_node, trace_events,
 )
 from test_acceptance import composite_instance
-
-
-def _colouring(n, ext_s, ext_b):
-    col = [0] * n
-    for y in ext_b:
-        col[y] = 1
-    for y in ext_s:
-        if col[y] == 1:
-            col[y] = 2
-    return col
-
-
-def frozenset_ext(dag, ref, c, memo):
-    """Reference evaluator: frozenset extensions, and every modal node
-    applies F to the colouring of all n states."""
-    for nid in reachable(dag, [ref], memo):
-        node = dag.nodes[nid]
-        if node[0] == "top":
-            out = frozenset(range(c.n))
-        elif node[0] == "and":
-            out = (frozenset_ext(dag, node[1], c, memo)
-                   & frozenset_ext(dag, node[2], c, memo))
-        else:
-            _, val, arity, args = node
-            exts = [frozenset_ext(dag, a, c, memo) for a in args]
-            if arity == 0:
-                col = [0] * c.n
-            elif arity == 1:
-                col = [1 if y in exts[0] else 0 for y in range(c.n)]
-            else:
-                col = _colouring(c.n, exts[0], exts[1])
-            out = frozenset(
-                x for x in range(c.n) if fmap(c.structure[x], col) == val)
-        memo[nid] = out
-    ext = memo[ref[0]]
-    return frozenset(range(c.n)) - ext if ref[1] else ext
 
 
 def adequacy_probe(c, blocks, rng=None, samples=200, depth=3):
@@ -99,7 +63,7 @@ def adequacy_probe(c, blocks, rng=None, samples=200, depth=3):
         if arity == 1:
             col = [1 if y in exts[0] else 0 for y in range(n)]
         else:
-            col = _colouring(n, exts[0], exts[1])
+            col = colouring(n, exts[0], exts[1])
         val = fmap(c.structure[x], col)
         return dag.add_modal(val, arity, tuple(sub))
 
@@ -233,6 +197,18 @@ def assert_extensions_match_reference(c, certs):
             assert got == frozenset_ext(certs.dag, (nid, neg), c, ref_memo)
 
 
+@settings(max_examples=60, deadline=None)
+@given(fx=st.sampled_from(FUNCTORS), seed=st.integers(0, 1000),
+       data=st.data())
+def test_arena_evaluation_matches_tuple_nodes(fx, seed, data):
+    # eval_ref reads the arena's columns, frozenset_ext the tuples of nodes
+    c = generate(GeneratorSpec(functor=fx, n=10, seed=seed, density=0.25))
+    certs = build_certificates(c, refine(c))
+    ref = (data.draw(st.integers(0, len(certs.dag) - 1)), data.draw(
+        st.booleans()))
+    assert eval_ref(certs.dag, ref, c) == frozenset_ext(certs.dag, ref, c, {})
+
+
 @pytest.mark.parametrize("fx", FUNCTORS)
 def test_extensions_match_reference_generic(fx):
     for label, c in random_instances([fx], seeds=range(4), n=14):
@@ -264,7 +240,7 @@ def test_check_certificates_detects_corrupt_beta_label(ts1):
         for nid in reachable(certs.dag, [ref]):
             node = certs.dag.nodes[nid]
             if node[0] == "modal" and node[1] == ("set", (1,)):
-                certs.dag.nodes[nid] = ("modal", ("set", (2,))) + node[2:]
+                set_node(certs.dag, nid, ("modal", ("set", (2,))) + node[2:])
                 assert check_extensions(certs) != []
                 assert check_certificates(certs) != []
                 return
@@ -440,7 +416,7 @@ def test_check_certificates_needs_stability(ts1):
 
 
 def _set_node(nid, node):
-    return lambda certs: certs.dag.nodes.__setitem__(nid, node)
+    return lambda certs: set_node(certs.dag, nid, node)
 
 
 def _list_in_child(states):
@@ -477,7 +453,11 @@ WEIRD = [None, -1, 10**6, "a", 0, 1, (0, False), ("top",)]
 def _malform(certs, draw):
     """One random defect in a certificate set's trace, dag or blocks.  A
     trace defect is written back through the trace's writer, which must
-    refuse a value other than an int in an id or a state."""
+    refuse a value other than an int in an id or a state.  The arena's
+    columns, delta and beta hold packed ints under the ids 0, 1, ...:
+    they must refuse a node of no arena shape, or a reference whose id is
+    not an int, with TypeError, and a key outside their ids with
+    KeyError."""
     trace, nodes = certs.trace, certs.dag.nodes
     init, splits = trace_events(trace)
     weird = draw(st.sampled_from(WEIRD))
@@ -508,14 +488,29 @@ def _malform(certs, draw):
             certs.trace = rewrite_trace(trace.mode, trace.n, init, splits)
     elif kind == 4:
         nid = draw(st.integers(0, len(nodes) - 1))
-        nodes[nid] = draw(st.sampled_from(
-            nodes + [("and", (weird, False), (0, False)), ("modal",), ()]))
+        bad_and = ("and", (weird, False), (0, False))
+        node = draw(st.sampled_from(list(nodes) + [bad_and, ("modal",), ()]))
+        if node in (("modal",), ()) or node == bad_and \
+                and type(weird) is not int:
+            with pytest.raises(TypeError):
+                set_node(certs.dag, nid, node)
+        else:
+            set_node(certs.dag, nid, node)
     elif kind == 5 and certs.delta:
-        certs.delta[draw(st.sampled_from(sorted(certs.delta)))] = (weird, False)
+        bid = draw(st.sampled_from(sorted(certs.delta)))
+        if type(weird) is int:
+            certs.delta[bid] = (weird, False)
+        else:
+            with pytest.raises(TypeError):
+                certs.delta[bid] = (weird, False)
     elif kind == 6:
         ref = (draw(st.integers(0, len(nodes) - 1)), draw(st.booleans()))
-        keys = sorted(certs.beta, key=repr)  # earlier defects mix key types
-        certs.beta[draw(st.sampled_from(keys + [weird]))] = ref
+        cmp_id = draw(st.sampled_from(sorted(certs.beta) + [weird]))
+        if cmp_id in certs.beta:
+            certs.beta[cmp_id] = ref
+        else:
+            with pytest.raises(KeyError):
+                certs.beta[cmp_id] = ref
     elif kind == 7 and certs.blocks:
         k = draw(st.integers(0, len(certs.blocks) - 1))
         certs.blocks[k] = draw(st.sampled_from([[], [weird], [0]]))
@@ -571,13 +566,14 @@ def test_check_certificates_on_malformed_input(data):
 
 
 def test_malform_twice_on_beta(ts1):
-    # a compound formula under a weird key, then another beta defect: the
-    # helper sorts keys of mixed types
+    # a compound formula under a weird key, then another beta defect: beta
+    # refuses the key, which is no compound id, and keeps the other
     certs = build_certificates(ts1, refine(ts1))
     draws = iter([None, 6, 3, False, None, 1, 6, 3, True, 1])
     _malform(certs, lambda strategy: next(draws))
     _malform(certs, lambda strategy: next(draws))
-    assert set(certs.beta) == {0, 1, 2, None}
+    assert set(certs.beta) == {0, 1, 2}
+    assert certs.beta[1] == (3, True)
     assert check_certificates(certs) != []
 
 

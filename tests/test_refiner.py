@@ -421,3 +421,12 @@ def test_refine_trace_is_compact():
         tracemalloc.stop()
     assert c.n == 5031 and splits == 2678, (c.n, splits)
     assert trace_bytes <= 250 * splits, trace_bytes / splits
+
+
+def test_trace_parents_are_the_refined_blocks():
+    # parents(i) reads split i's refined blocks without decoding children
+    for label, c in random_instances(seeds=range(3), n=20):
+        trace = refine(c).trace
+        for i in range(len(trace)):
+            assert list(trace.parents(i)) == [
+                T for T, _children in trace.event(i)[2]], label
