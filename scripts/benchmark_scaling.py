@@ -6,13 +6,16 @@ powerset by default), runs partition refinement, certificate construction,
 the certificate listing (serialize) and the proof of certify --verify
 (check_certificates), and reports the refinement cost per
 (n + m) * log2(n) unit, where m counts the edges.  A quasilinear
-implementation keeps that unit flat as n grows.  check_unit_ns is the
-proof's cost per the same unit, to read next to refine's.  The nodes
-column counts the dag nodes that serialize lists for all blocks, and
-nodes_per_u divides it by the same unit: the paper bounds the dag size by
-O((m + n) log n).  cert_bytes_per_node is the memory that the certificate
-set holds, measured with tracemalloc in a separate, untimed pass, divided
-by the nodes of its arena: the constant per node of that bound.
+implementation keeps that unit flat as n grows.  splits counts the
+refinement's splits and refine_us_per_split divides refine_s by it: the
+constant per split, which the unit folds in with the edges read.
+check_unit_ns is the proof's cost per the same unit, to read next to
+refine's.  The nodes column counts the dag nodes that serialize lists
+for all blocks, and nodes_per_u divides it by the same unit: the paper
+bounds the dag size by O((m + n) log n).  cert_bytes_per_node is the
+memory that the certificate set holds, measured with tracemalloc in a
+separate, untimed pass, divided by the nodes of its arena: the constant
+per node of that bound.
 
 The cyclic garbage collector is disabled during timing: allocation-
 triggered full GC passes scan the whole live heap and otherwise dominate
@@ -46,10 +49,11 @@ def cert_bytes_per_node(c, res):
 
 
 def run(args):
-    print("%8s %9s %8s %10s %12s %10s %12s %9s %11s %9s %13s %19s" %
-          ("n", "m", "blocks", "refine_s", "unit_ns", "certs_s",
-           "serialize_s", "nodes", "nodes_per_u", "check_s",
-           "check_unit_ns", "cert_bytes_per_node"))
+    print("%8s %9s %8s %10s %12s %8s %19s %10s %12s %9s %11s %9s %13s %19s"
+          % ("n", "m", "blocks", "refine_s", "unit_ns", "splits",
+             "refine_us_per_split", "certs_s", "serialize_s", "nodes",
+             "nodes_per_u", "check_s", "check_unit_ns",
+             "cert_bytes_per_node"))
     base_unit = None
     for exp in range(args.min_exp, args.max_exp + 1):
         n = 2 ** exp
@@ -86,9 +90,11 @@ def run(args):
             base_unit = unit
         nodes = sum(1 for _ in reach(certs.dag, list(certs.delta.values())))
         per_node = cert_bytes_per_node(c, res)
-        print("%8d %9d %8d %10.3f %12.2f %10.3f %12.3f %9d %11.4f %9.3f "
-              "%13.2f %19.1f   (x%.2f)"
-              % (n, m, blocks, best_refine, unit * 1e9, best_certs,
+        splits = res.stats["iterations"]
+        print("%8d %9d %8d %10.3f %12.2f %8d %19.2f %10.3f %12.3f %9d %11.4f "
+              "%9.3f %13.2f %19.1f   (x%.2f)"
+              % (n, m, blocks, best_refine, unit * 1e9, splits,
+                 best_refine / max(splits, 1) * 1e6, best_certs,
                  best_serialize, nodes, nodes / u, best_check,
                  best_check / u * 1e9, per_node, unit / base_unit))
 

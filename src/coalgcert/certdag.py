@@ -1,8 +1,10 @@
 r"""Certificate construction over a shared formula dag.
 
-Certificates are built by replaying a refinement trace.  Every block of the
-initial partition gets a nullary modal formula; afterwards each split of a
-block appends one conjunct per child:
+Certificates are built by replaying a refinement trace, read straight
+from its arrays (refiner.Trace: splits, refinements, children and key
+indices), never through Trace.event, whose states the builder does not
+need.  Every block of the initial partition gets a nullary modal formula;
+afterwards each split of a block appends one conjunct per child:
 
     delta(child) = delta(parent) /\ <key>(delta(S), beta(B))     three-colour
     delta(child) = delta(parent) /\ <key>(delta(S))              two-colour
@@ -23,9 +25,11 @@ arena size.
 
 Sharing.  At one split delta(S) and beta(B) are fixed, so all children
 with key t, under any parent, share one modal node <t>(delta(S), beta(B)):
-it holds at exactly the states with key t.  Owner tags sit only on `and`
-nodes, one fresh per child, and on chain bases, never on a split's modal
-nodes, so each tagged node still lies on one delta chain.
+it holds at exactly the states with key t.  Equal split keys are one
+entry of the trace's key table, so the builder looks the node up by key
+index.  Owner tags sit only on `and` nodes, one fresh per child, and on
+chain bases, never on a split's modal nodes, so each tagged node still
+lies on one delta chain.
 
 Storage.  The arena is four parallel int arrays, one entry per node: its
 tag, its left and right operands, and the index of its label in a table
@@ -295,19 +299,8 @@ def _negation_target(dag, owner, delta_ref, compound, new_compound):
     return ref
 
 
-def _add_version(par, jump, depth, mod, p, ref):
-    """Append a version under version p, with modal ref ref; its index."""
-    j = jump[p]
-    skew = depth[p] - depth[j] == depth[j] - depth[jump[j]]
-    jump.append(jump[j] if skew else p)
-    par.append(p)
-    depth.append(depth[p] + 1)
-    mod.append(ref)
-    return len(par) - 1
-
-
 def build_certificates(c, result):
-    """Replay a refinement trace into a certificate set.
+    """Replay a refinement trace's arrays into a certificate set.
 
     Generic traces carry three-colour keys and produce binary
     modalities with compound formulas; cancellative traces carry two-colour
@@ -316,36 +309,57 @@ def build_certificates(c, result):
     binary = trace.mode != "cancellative"
     dag = FormulaDag()
     push, intern = dag.push, dag.intern
+    keys, split_S, split_B, split_refs = (
+        trace.keys, trace.split_S, trace.split_B, trace.split_refs)
+    ref_parent, ref_children, child_block, child_key = (
+        trace.ref_parent, trace.ref_children, trace.child_block,
+        trace.child_key)
     owner = array("i")  # see _negation_target
     # packed references, by block id and by compound id
     delta = array("i", [0]) * len(result.blocks)
     beta = array("i", [0]) * (len(trace) + 1 if binary and len(trace) else 0)
-    tree = par, jump, depth, modal = [0], [0], [0], [None]
+    # the version tree (module docstring), with skew-binary jump pointers
+    par, jump, depth, modal = [0], [0], [0], [None]
     version = [0] * len(result.blocks)  # block id -> its current version
-    _S, _B, [(_T, init)] = trace.event(-1)
-    for bid, val, _states in init:
-        delta[bid] = push(MODAL, 0, 0, intern(val))
-        version[bid] = _add_version(*tree, 0, unpack(delta[bid]))
+    for k in range(ref_children[0], ref_children[1]):  # the initial blocks
+        bid = child_block[k]
+        delta[bid] = ref = push(MODAL, 0, 0, intern(keys[child_key[k]]))
+        par.append(0)
+        jump.append(0)
+        depth.append(1)
+        modal.append(unpack(ref))
+        version[bid] = len(par) - 1
     tag = MODAL + 2 if binary else MODAL + 1
     bB = 0  # true: cancellative modalities have no second argument
     for i in range(len(trace)):
-        S, B, refinements = trace.event(i)
-        dS = delta[S]
+        dS = delta[split_S[i]]
         if binary:
+            B = split_B[i]
             bB = beta[B]
             beta[i + 1] = dS  # split i's new compound {S}
             neg = _negation_target(dag, owner, dS, B, i + 1)
             beta[B] = push(AND, bB, neg | 1)
-        mods = {}  # key -> its modal node at this split, packed and pair
-        for T, children in refinements:
+        mods = {}  # key index -> its modal node here, packed and pair
+        for r in range(split_refs[i + 1], split_refs[i + 2]):
+            T = ref_parent[r]
             old, p = delta[T], version[T]
-            for cid, val, _states in children:
-                mod = mods.get(val)
+            j, d = jump[p], depth[p]  # the children's jump pointer, below
+            j = jump[j] if d - depth[j] == depth[j] - depth[jump[j]] else p
+            for k in range(ref_children[r], ref_children[r + 1]):
+                key = child_key[k]
+                if key < 0:
+                    key = ~key  # the default child
+                mod = mods.get(key)
                 if mod is None:
-                    ref = push(tag, dS, bB, intern(val))
-                    mod = mods[val] = ref, unpack(ref)
+                    ref = push(tag, dS, bB, intern(keys[key]))
+                    mod = mods[key] = ref, unpack(ref)
+                cid = child_block[k]
                 delta[cid] = push(AND, old, mod[0])
-                version[cid] = _add_version(*tree, p, mod[1])
+                par.append(p)
+                jump.append(j)
+                depth.append(d + 1)
+                modal.append(mod[1])
+                version[cid] = len(par) - 1
     # the loop made the version ids among the dag's ints; a query, often on
     # a cold cache, reads fewer lines when they are one run of int objects
     ids = list(range(len(par)))

@@ -2,10 +2,10 @@
 
 States live in a permuted array; each block owns a contiguous slice and a
 counter for the marked prefix.  Marking a state moves it to the front of
-its block's slice, so the refiner can tell in O(1) whether it touched every
-state of a block.  Splitting moves only the states that leave the block, so
-the cost of a split is proportional to how many states were marked or
-keyed, never to the total number of states.
+its block's slice, so the proof's replay can tell in O(1) whether it
+touched every state of a block.  Splitting moves only the states that
+leave the block, so the cost of a split is proportional to how many
+states were marked or keyed, never to the total number of states.
 """
 
 from __future__ import annotations

@@ -20,23 +20,30 @@ by the leaves of its state: cell (x, C) holds the number of edges from x
 into C and, per leaf l of x, w(l, C).
 Initially each state has one cell, toward the root compound, holding its
 totals, and each in-edge points at its source's cell toward the compound
-of its target.  Splitting S off B:
+of its target.  Splitting S off B is one pass of refine's loop, in
+phases over flat arrays bound once per run (the edge table, the cells,
+and the partition's elems, loc, first and end), with no call per edge
+or per child; a keyed state costs one call, for its signature:
 
   1. walk the in-edges of S; for each source x (a touched state) remember
      its cell (x, B) from the edge, accumulate its weights into S in a
      fresh cell (x, S), each in its leaf's slot, and point the edge at
      that cell;
-  2. group the touched states by a flat signature, read from the cells,
+  2. per touched block, move its touched states to the front of its
+     slice and group them by a flat signature, read from the cells,
      never a collection's contents: per leaf, in leaf order, a set leaf's
      mask of the colours present among (total - w(l,B), w(l,B) - w_S,
      w_S), a vec leaf's three weights (two-colour: total - w_S, w_S) and
      its denominator, divided by their gcd; then the colours of its
      identity and op positions (EdgeTable.ident), in row order;
   3. subtract the weights into S from cell (x, B); a cell no edge points
-     to any more is recycled.
+     to any more is recycled;
+  4. extract S from its compound into a new one (below);
+  5. split each refined block's groups off, in one partition call, and
+     record the refinement in one trace call.
 
 A block of one state can never split, so its touched state is not keyed;
-steps 1 and 3 still run for it, to keep its cells right.  States without
+phases 1 and 3 still run for it, to keep its cells right.  States without
 an edge into S keep their block's shared default key.  P is stable for Q:
 the states of a block share the value of F(chi_C) for every compound C.
 So the default key is the key any state of the block gets with S merged
@@ -45,8 +52,8 @@ cancellative mode); it is computed from the block's first touched state.
 Keyed states whose key equals the default key (possible with cancelling
 weights) merge back into the default group.
 
-A group's key is fmap's value, kept in one table per run by (initial
-block, signature); a miss builds it from the signature by walk_row, the
+A group's key is fmap's value, kept per run in one table per initial
+block, by signature; a miss builds it from the signature by walk_row, the
 walk that numbered the leaves.  F! . c records every tag, atom, operation,
 arity, set emptiness and vec total, so an initial block's rows share their
 shape; both codes are injective, so there equal signatures are equal keys.
@@ -68,8 +75,9 @@ compound of two or more blocks waits in a FIFO queue.
 The trace.  Every refinement step is recorded in a Trace, from which the
 certificate builder, the proof and the distinguishing-formula search
 replay the whole run; it holds no object per split, only int arrays
-and the key table, written through its add_ methods and read through
-Trace.event:
+and the key table, written through add_key, add_split and one
+add_refinement per refinement.  certdag.build_certificates reads the
+arrays; readers that need a split's states read Trace.event:
 
   per split i:       its splitter and its compound B (the new compound
                      {S} is i + 1), and the offset of its refinements;
@@ -111,10 +119,10 @@ class RefineError(RuntimeError):
 
 
 class Trace:
-    """The steps of one run in int arrays (module docstring, "The trace").
-    refine writes it through add_key, add_split, add_refinement and
-    add_child; readers read it through event(i), and a split's refined
-    blocks alone through parents(i).  len() counts the splits."""
+    """The steps of one run in int arrays (module docstring, "The trace"),
+    written through add_key, add_split and add_refinement.  event(i) reads
+    split i with its states, parents(i) its refined blocks alone; len()
+    counts the splits."""
 
     def __init__(self, mode, n):
         self.mode, self.n = mode, n
@@ -122,9 +130,8 @@ class Trace:
         self.split_S, self.split_B = array("i"), array("i")
         # offsets: the refinements of split i are split_refs[i + 1] up to
         # split_refs[i + 2]; refinement 0 is the initial partition
-        self.split_refs = array("i", [0, 1])
-        self.ref_parent = array("i", [-1])
-        self.ref_children = array("i", [0, 0])
+        self.split_refs = array("i", [0, 0])
+        self.ref_parent, self.ref_children = array("i"), array("i", [0])
         self.child_block, self.child_key = array("i"), array("i")
         self.child_states, self.states = array("i", [0]), array("i")
 
@@ -141,24 +148,24 @@ class Trace:
         self.split_B.append(compound)
         self.split_refs.append(self.split_refs[-1])
 
-    def add_refinement(self, parent):
-        """Open a refinement of the last split."""
+    def add_refinement(self, parent, children):
+        """Add a refinement of block parent to the last split, or the
+        initial partition (parent -1) before the first split.  children
+        are (block id, index of its key in the table, states) triples,
+        states None for the default child."""
+        block, key, at, states = (
+            self.child_block, self.child_key, self.child_states, self.states)
         self.ref_parent.append(parent)
-        self.ref_children.append(self.ref_children[-1])
+        for b, k, g in children:
+            block.append(b)
+            if g is None:
+                key.append(~k)
+            else:
+                key.append(k)
+                states.extend(g)
+            at.append(len(states))
+        self.ref_children.append(len(block))
         self.split_refs[-1] += 1
-
-    def add_child(self, block, key, states):
-        """Add a child to the last refinement, or to the initial partition
-        before the first split: its block id, its key's index in the
-        table, and its states, or None for the default child."""
-        self.child_block.append(block)
-        if states is None:
-            self.child_key.append(~key)
-        else:
-            self.child_key.append(key)
-            self.states.extend(states)
-        self.child_states.append(len(self.states))
-        self.ref_children[-1] += 1
 
     def parents(self, i):
         """The ids of the blocks that split i refines, in trace order."""
@@ -216,127 +223,25 @@ def initial_partition(c):
     return part, part.split_by_key(0, key)
 
 
-class _SplitWeights:
-    """Per-compound leaf weights over the coalgebra's edge table (see the
-    module docstring).  Cells live in the flat list cw: cell c holds the
-    edge count at cw[c] and the weight of leaf j at cw[c + 1 + j]; edge p
-    counts in cell cell[p] of its source."""
-
-    def __init__(self, c):
-        n = c.n
-        self.edges = e = c.edges
-        leaf_start, total = e.leaf_start, e.total
-        self.cw = cw = [0]  # cell 0: the dummy cell of every leafless state
-        home = [0] * n
-        for x, d in enumerate(e.degree):
-            lo, hi = leaf_start[x], leaf_start[x + 1]
-            if hi > lo:
-                home[x] = len(cw)
-                cw.append(d)
-                cw.extend(total[lo:hi])
-        self.cell = array("i", map(home.__getitem__, e.src))
-        widest = max((leaf_start[x + 1] - leaf_start[x] for x in range(n)),
-                     default=0)
-        self.zeros = [[0] * (k + 1) for k in range(widest + 1)]
-        self.free = [[] for _ in range(widest + 1)]  # recycled cells by width
-        # per state, valid for the touched states of the current split:
-        # its cell toward B, its cell toward S, and the split it was
-        # last touched in
-        self.toward_B = [0] * n
-        self.toward_S = [0] * n
-        self.touched_in = [0] * n
-        self.splits = 0
-
-    def collect(self, S_states, block_of):
-        """Read the edges into S.
-
-        Returns (touched states grouped by block in order of first touch,
-        number of edges read).  Each touched state's cell toward B and its
-        fresh cell holding its weights into S are kept for key() and
-        commit().  States without leaves share the dummy cell 0."""
-        e, cell, cw = self.edges, self.cell, self.cw
-        start, src, slot, wt, leaf_start = (
-            e.start, e.src, e.slot, e.wt, e.leaf_start)
-        free, zeros = self.free, self.zeros
-        toward_B, toward_S, touched_in = (
-            self.toward_B, self.toward_S, self.touched_in)
-        self.splits += 1
-        now = self.splits
-        touched = {}
-        read = 0
-        for y in S_states:
-            lo, hi = start[y], start[y + 1]
-            read += hi - lo
-            for p in range(lo, hi):
-                x = src[p]
-                if touched_in[x] == now:
-                    cs = toward_S[x]
-                else:
-                    touched_in[x] = now
-                    toward_B[x] = cell[p]
-                    width = leaf_start[x + 1] - leaf_start[x]
-                    if not width:
-                        cs = 0
-                    elif free[width]:
-                        cs = free[width].pop()
-                        cw[cs:cs + width + 1] = zeros[width]
-                    else:
-                        cs = len(cw)
-                        cw.extend(zeros[width])
-                    toward_S[x] = cs
-                    touched.setdefault(block_of[x], []).append(x)
-                cell[p] = cs
-                cw[cs] += 1
-                s = slot[p]
-                if s:
-                    cw[cs + s] += wt[p]
-        return touched, read
-
-    def sigs(self, states, colour, three, merged=False):
-        """The signatures of touched states, in order (module docstring,
-        step 2).  With ``merged`` S counts as part of B (generic) or of the
-        outside (two-colour): that is the block's default key."""
-        e, cw, toward_B, toward_S = (
-            self.edges, self.cw, self.toward_B, self.toward_S)
-        total, scale, leaf_start, ident, ident_start = (
-            e.total, e.scale, e.leaf_start, e.ident, e.ident_start)
-        out = []
-        for x in states:
-            lo, hi = leaf_start[x], leaf_start[x + 1]
-            b = toward_B[x] + 1 - lo   # cw[b + j] is leaf j's weight into B
-            s = toward_S[x] + 1 - lo
-            sig = []
-            for j in range(lo, hi):
-                t, d, wb = total[j], scale[j], cw[b + j]
-                ws = 0 if merged else cw[s + j]
-                if not d:
-                    sig.append((t > wb) | (wb > ws) << 1 | (ws > 0) << 2)
-                    continue  # a vec leaf; cancellative functors have no sets
-                w = (t - wb, wb - ws, ws, d) if three else (t - ws, ws, d)
-                g = gcd(*w)
-                sig.append(tuple([a // g for a in w]) if g > 1 else w)
-            if ident_start[x + 1] > ident_start[x]:
-                cols = map(colour, ident[ident_start[x]:ident_start[x + 1]])
-                sig += ([1 if k and three else 0 for k in cols] if merged
-                        else cols)
-            out.append(tuple(sig))
-        return out
-
-    def commit(self, touched):
-        """Move the weights into S out of the touched states' cells toward B."""
-        cw, leaf_start, free = self.cw, self.edges.leaf_start, self.free
-        for states in touched.values():
-            for x in states:
-                width = leaf_start[x + 1] - leaf_start[x]
-                if not width:
-                    continue
-                cb, cs = self.toward_B[x], self.toward_S[x]
-                cw[cb] -= cw[cs]
-                if cw[cb] == 0:  # every edge of x into B went into S
-                    free[width].append(cb)
-                else:
-                    for i in range(1, width + 1):
-                        cw[cb + i] -= cw[cs + i]
+def _cells(e, n):
+    """The initial cells over the edge table e (module docstring), as
+    (cw, cell, width, zeros, free).  Cells live in the flat list cw: cell c
+    holds the edge count at cw[c] and the weight of leaf j at cw[c + 1 + j];
+    edge p counts in cell cell[p] of its source; state x has width[x]
+    leaves.  Cell 0 is the dummy cell of every leafless state; zeros[k] is
+    a fresh cell of k leaves, and free[k] lists the recycled ones."""
+    leaf_start, total = e.leaf_start, e.total
+    width = [leaf_start[x + 1] - leaf_start[x] for x in range(n)]
+    cw, home = [0], [0] * n
+    for x, d in enumerate(e.degree):
+        if width[x]:
+            home[x] = len(cw)
+            cw.append(d)
+            cw.extend(total[leaf_start[x]:leaf_start[x + 1]])
+    cell = array("i", map(home.__getitem__, e.src))
+    widest = max(width, default=0)
+    zeros = [[0] * (k + 1) for k in range(widest + 1)]
+    return cw, cell, width, zeros, [[] for _ in range(widest + 1)]
 
 
 def refine(c, mode="generic", audit=False):
@@ -352,31 +257,66 @@ def refine(c, mode="generic", audit=False):
         raise RefineError(why)
     if mode == "cancellative" and not is_cancellative(c.functor):
         raise RefineError("functor is not cancellative; use generic mode")
-    structure = c.structure
-    n = c.n
+    structure, n, e = c.structure, c.n, c.edges
     part, init_groups = initial_partition(c)
     trace = Trace(mode, n)
-    for b, v in init_groups:
-        trace.add_child(b, trace.add_key(v), sorted(part.block_states(b)))
-    visited, in_splitter = 0, [0] * n  # edges read; times each x was in S
-    block_of, first, end, marked = part.block_of, part.first, part.end, \
-        part.marked
+    trace.add_refinement(-1, [
+        (b, trace.add_key(v), sorted(part.block_states(b)))
+        for b, v in init_groups])
+    elems, loc, block_of, first, end = (
+        part.elems, part.loc, part.block_of, part.first, part.end)
     init_of = list(block_of)
-    weights = _SplitWeights(c)
-    positions, leaf_start = c.edges.positions, c.edges.leaf_start
-    keys = {}  # (initial block, signature) -> index in the key table
+    # per initial block: signature -> index of its key in the key table
+    tables = [{} for _ in init_groups]
+    cw, cell, width, zeros, free = _cells(e, n)
+    start, src, slot, wt, positions, total, scale = (
+        e.start, e.src, e.slot, e.wt, e.positions, e.total, e.scale)
+    leaf_start, ident, ident_start = e.leaf_start, e.ident, e.ident_start
+    # per state, valid for the touched states of the current split: its
+    # cell toward B, its cell toward S, and the split it was last touched in
+    toward_B, toward_S, touched_in = [0] * n, [0] * n, [-1] * n
+    # edges read; times each x was in S; signatures read
+    visited, in_splitter, keyed = 0, [0] * n, 0
+    three = mode == "generic"
+    in_S = 2 if three else 1  # the colour of S
 
-    def key_of(x, sig):
-        r = (init_of[x], sig)
-        if r not in keys:  # a miss: walk x's row, reading sig's codes
-            k = leaf_start[x + 1] - leaf_start[x]  # x's leaves' codes
-            leaves = iter([vec(enumerate(a[:-1]), a[-1]) if type(a) is tuple
-                           else _SET_KEYS[a] for a in sig[:k]])
-            colours = iter(sig[k:])
-            keys[r] = trace.add_key(walk_row(
-                structure[x], lambda _node: next(leaves),
-                lambda _y: next(colours)))
-        return keys[r]
+    def walk(x, sig):  # a key-table miss: walk x's row, reading sig's codes
+        k = width[x]  # x's leaves' codes
+        leaves = iter([vec(enumerate(a[:-1]), a[-1]) if type(a) is tuple
+                       else _SET_KEYS[a] for a in sig[:k]])
+        colours = iter(sig[k:])
+        return trace.add_key(walk_row(
+            structure[x], lambda _node: next(leaves),
+            lambda _y: next(colours)))
+
+    def signature(x, merged):
+        """x's signature (module docstring, phase 2).  With ``merged`` S
+        counts as part of B (generic) or of the outside (two-colour): that
+        is the block's default key."""
+        lo, hi = leaf_start[x], leaf_start[x + 1]
+        b = toward_B[x] + 1 - lo  # cw[b + j] is leaf j's weight into B
+        s = toward_S[x] + 1 - lo
+        sig = []
+        for j in range(lo, hi):
+            t, d, wb = total[j], scale[j], cw[b + j]
+            ws = 0 if merged else cw[s + j]
+            if not d:
+                sig.append((t > wb) | (wb > ws) << 1 | (ws > 0) << 2)
+            elif three:  # a vec leaf's weights, divided by their gcd
+                w0, w1 = t - wb, wb - ws
+                g = gcd(w0, w1, ws, d)
+                sig.append((w0 // g, w1 // g, ws // g, d // g) if g > 1
+                           else (w0, w1, ws, d))
+            else:  # cancellative functors have no sets
+                w0 = t - ws
+                g = gcd(w0, ws, d)
+                sig.append((w0 // g, ws // g, d // g) if g > 1
+                           else (w0, ws, d))
+        for y in ident[ident_start[x]:ident_start[x + 1]]:
+            b = block_of[y]  # y's colour: in S, elsewhere in B, or outside
+            sig.append(in_S if b == S and not merged else
+                       1 if three and cmp_of[b] == cmpB else 0)
+        return tuple(sig)
 
     # the compounds (module docstring, "The compounds"): per block its
     # compound and its neighbours on the compound's list, -1 for none; per
@@ -387,37 +327,16 @@ def refine(c, mode="generic", audit=False):
     cmp_size, queued = [0] * n, [False] * n
     queue = deque()
 
-    def link(b, cid):  # block b joins the end of compound cid's list
-        t = tail[cid]
-        if t < 0:
-            head[cid] = b
-        else:
-            nxt[t] = b
-        prv[b], nxt[b], cmp_of[b], tail[cid] = t, -1, cid, b
-        count[cid] += 1
+    if n:  # the root compound 0 lists the initial blocks, in order
+        k = len(init_groups)
+        for b in range(1, k):
+            nxt[b - 1], prv[b] = b, b - 1
+        head[0], tail[0], count[0], cmp_size[0] = 0, k - 1, k, n
+        if k >= 2:
+            queue.append(0)
+            queued[0] = True
 
-    def enqueue(cid):
-        if count[cid] >= 2 and not queued[cid]:
-            queue.append(cid)
-            queued[cid] = True
-
-    # colours of a state under the current split of S off B
-    three = mode == "generic"
-    if three:
-        def colour(y):
-            b = block_of[y]
-            return 2 if b == S else (1 if cmp_of[b] == cmpB else 0)
-    else:
-        def colour(y):
-            return 1 if block_of[y] == S else 0
-
-    if n:  # the root compound 0 lists the initial blocks
-        for b in range(part.num_blocks()):
-            link(b, 0)
-        cmp_size[0] = n
-        enqueue(0)
-
-    refined = 0
+    splits = refined = 0
     while queue:
         cmpB = queue.popleft()
         queued[cmpB] = False
@@ -426,41 +345,93 @@ def refine(c, mode="generic", audit=False):
         a = head[cmpB]
         b2 = nxt[a]
         S = a if end[a] - first[a] <= end[b2] - first[b2] else b2
-        S_states = part.block_states(S)
+        S_states = elems[first[S]:end[S]]
         size_S = len(S_states)
         assert 2 * size_S <= cmp_size[cmpB]
-        for s in S_states:
-            in_splitter[s] += 1
 
-        # phase 1: key the affected states while S still counts as part of B
-        plans = []  # (parent, signature -> states, default key or None)
-        touched, read = weights.collect(S_states, block_of)
-        visited += read
+        # phase 1: read the in-edges of S into the touched states' cells
+        touched = {}  # block -> its touched states, in order of first touch
+        for y in S_states:
+            in_splitter[y] += 1
+            lo, hi = start[y], start[y + 1]
+            visited += hi - lo
+            for p in range(lo, hi):
+                x = src[p]
+                if touched_in[x] == splits:
+                    cs = toward_S[x]
+                else:
+                    touched_in[x] = splits
+                    toward_B[x] = cell[p]
+                    k = width[x]
+                    if not k:
+                        cs = 0
+                    elif free[k]:
+                        cs = free[k].pop()
+                        cw[cs:cs + k + 1] = zeros[k]
+                    else:
+                        cs = len(cw)
+                        cw += zeros[k]
+                    toward_S[x] = cs
+                    T = block_of[x]
+                    if T in touched:
+                        touched[T].append(x)
+                    else:
+                        touched[T] = [x]
+                cell[p] = cs
+                cw[cs] += 1
+                s = slot[p]
+                if s:
+                    cw[cs + s] += wt[p]
+
+        # phases 2 and 3, per touched block T: key its touched states while
+        # S still counts as part of B, then move their weights into S out of
+        # their cells toward B
+        plans = []  # (T, its key table, signature -> states, default key)
         for T, t_states in touched.items():
-            size = end[T] - first[T]
-            if size == 1:
-                continue  # a one-state block cannot split
-            part.mark(*t_states)  # to the front of T's slice, whose order
-            marked[T] = 0         # later splits read
-            groups = {}  # signature -> states
-            for x, sig in zip(t_states, weights.sigs(t_states, colour, three)):
-                visited += positions[x]
-                groups.setdefault(sig, []).append(x)
-            default = None
-            if len(t_states) < size:
+            f = first[T]
+            size = end[T] - f
+            if size > 1:  # a one-state block cannot split
                 x = t_states[0]
-                visited += positions[x]
-                default = weights.sigs((x,), colour, three, merged=True)[0]
-                groups.pop(default, None)  # cancelled back to the default
-                if not groups:
-                    continue
-                default = key_of(x, default)
-            elif len(groups) == 1:
-                continue
-            plans.append((T, groups, default))
-        weights.commit(touched)
+                default = None
+                if len(t_states) < size:
+                    visited += positions[x]
+                    default = signature(x, True)
+                    keyed += 1
+                tbl = tables[init_of[x]]
+                groups = {}  # signature -> states
+                for x in t_states:
+                    # to the front of T's slice, whose order later splits read
+                    i, y = loc[x], elems[f]
+                    elems[i], elems[f], loc[y], loc[x] = y, x, i, f
+                    f += 1
+                    visited += positions[x]
+                    sig = signature(x, False)
+                    if sig in groups:
+                        groups[sig].append(x)
+                    else:
+                        groups[sig] = [x]
+                keyed += len(t_states)
+                if default is not None:
+                    groups.pop(default, None)  # cancelled back to the default
+                    if groups:
+                        j = tbl.get(default)
+                        if j is None:
+                            j = tbl[default] = walk(t_states[0], default)
+                        plans.append((T, tbl, groups, j))
+                elif len(groups) > 1:
+                    plans.append((T, tbl, groups, None))
+            for x in t_states:
+                k = width[x]
+                if k:
+                    cb, cs = toward_B[x], toward_S[x]
+                    cw[cb] -= cw[cs]
+                    if cw[cb] == 0:  # every edge of x into B went into S
+                        free[k].append(cb)
+                    else:
+                        for i in range(1, k + 1):
+                            cw[cb + i] -= cw[cs + i]
 
-        # phase 2: extract S from its compound (refine Q) into a new one
+        # phase 4: extract S from its compound (refine Q) into a new one
         p, q = prv[S], nxt[S]
         if p < 0:
             head[cmpB] = q
@@ -472,38 +443,51 @@ def refine(c, mode="generic", audit=False):
             prv[q] = p
         count[cmpB] -= 1
         cmp_size[cmpB] -= size_S
-        cmpS = len(trace) + 1
-        link(S, cmpS)
-        cmp_size[cmpS] = size_S
-        enqueue(cmpB)
+        splits += 1
+        cmpS = splits  # split i's new compound is i + 1
+        head[cmpS], tail[cmpS], count[cmpS], cmp_size[cmpS] = S, S, 1, size_S
+        prv[S], nxt[S], cmp_of[S] = -1, -1, cmpS
+        if count[cmpB] >= 2 and not queued[cmpB]:
+            queue.append(cmpB)
+            queued[cmpB] = True
 
-        # phase 3: refine P and record the split
+        # phase 5: refine P and record the split
         trace.add_split(S, cmpB)
         refined += len(plans)
-        for T, groups, default in plans:
-            trace.add_refinement(T)
-            items = [(key_of(g[0], sig), g) for sig, g in groups.items()]
-            if default is not None:
-                trace.add_child(T, default, None)
-                moved = items
-            else:
-                trace.add_child(T, *items[0])
-                moved = items[1:]
-            new_ids = part.extract_groups(T, [g for _, g in moved])
+        for T, tbl, groups, default in plans:
+            new = nb = len(first)  # the id of T's first new block
+            children = [] if default is None else [(T, default, None)]
+            for sig, g in groups.items():
+                j = tbl.get(sig)
+                if j is None:
+                    j = tbl[sig] = walk(g[0], sig)
+                if children:
+                    children.append((nb, j, g))
+                    nb += 1
+                else:  # no default child: the first group keeps T's id
+                    children.append((T, j, g))
+            part.extract_groups(T, [g for _b, _j, g in children[1:]])
+            trace.add_refinement(T, children)
             cmpT = cmp_of[T]
-            for nb, (key, g) in zip(new_ids, moved):
-                trace.add_child(nb, key, g)
-                link(nb, cmpT)
-            enqueue(cmpT)
+            t = tail[cmpT]  # the new blocks join the end of T's compound
+            for b in range(new, nb):
+                nxt[t], prv[b], cmp_of[b] = b, t, cmpT
+                t = b
+            tail[cmpT] = t
+            count[cmpT] += nb - new
+            if not queued[cmpT]:
+                queue.append(cmpT)
+                queued[cmpT] = True
         if audit:
             part.audit()
-            _audit_compounds(part, len(trace) + 1, cmp_of, nxt, prv, head,
-                             tail, count, cmp_size, queued, queue)
+            _audit_compounds(part, splits + 1, cmp_of, nxt, prv, head, tail,
+                             count, cmp_size, queued, queue)
 
     stats = dict(  # the counters, read once the run is over
         iterations=len(trace), splitter_states=sum(in_splitter),
         max_in_splitter=max(in_splitter, default=0), visited_edges=visited,
-        new_blocks=part.num_blocks() - len(init_groups), key_walks=len(keys),
+        new_blocks=part.num_blocks() - len(init_groups),
+        key_walks=sum(map(len, tables)), keyed_states=keyed,
         refined_parents=refined)
     blocks = [sorted(part.block_states(b)) for b in range(part.num_blocks())]
     return PartitionResult(blocks, list(part.block_of), trace, stats)

@@ -376,19 +376,17 @@ def rewrite_trace(mode, n, init, splits):
     id or state with TypeError."""
     out, index = Trace(mode, n), {}
 
-    def add(b, key, states):
-        if key not in index:
-            index[key] = out.add_key(key)
-        out.add_child(b, index[key], states)
+    def children(kids):
+        for b, key, states in kids:
+            if key not in index:
+                index[key] = out.add_key(key)
+            yield b, index[key], states
 
-    for child in init:
-        add(*child)
+    out.add_refinement(-1, children(init))
     for S, B, refinements in splits:
         out.add_split(S, B)
         for T, kids in refinements:
-            out.add_refinement(T)
-            for child in kids:
-                add(*child)
+            out.add_refinement(T, children(kids))
     return out
 
 

@@ -18,7 +18,7 @@ from coalgcert.coalgebra import parse_coalgebra
 from coalgcert.functor import pretty_functor
 from coalgcert.logic import check_certificates, eval_ref
 from coalgcert.oracle import layered_worstcase, naive_bisimilarity
-from coalgcert.refiner import refine
+from coalgcert.refiner import Trace, refine
 from coalgcert.translate import default_logic, ds_label, translate
 from conftest import CANCELLATIVE_FUNCTORS, chain_text, random_instances
 from reference import check_extensions, reachable
@@ -429,3 +429,20 @@ def test_certificates_hold_little_memory_per_node():
         tracemalloc.stop()
     assert len(certs.dag) > 20000, len(certs.dag)
     assert held <= 100 * len(certs.dag), held / len(certs.dag)
+
+
+def test_build_reads_the_trace_arrays(ts1, monkeypatch):
+    """build_certificates replays the trace from its arrays, never through
+    Trace.event: with event refusing every call it builds the listing it
+    built before, and the proof accepts that certificate set."""
+    def refuse(_trace, i):
+        raise AssertionError("Trace.event(%d) called" % i)
+
+    for c in (ts1, composite_instance(3, n=40)):
+        result = refine(c)
+        want = serialize(build_certificates(c, result))
+        with monkeypatch.context() as m:
+            m.setattr(Trace, "event", refuse)
+            certs = build_certificates(c, result)
+        assert serialize(certs) == want
+        assert check_certificates(certs) == []

@@ -277,26 +277,17 @@ def planted_copies(c, copies):
     return Coalgebra(c.functor, names, tuple(rows))
 
 
-def test_key_walks_count_distinct_keys(monkeypatch):
+def test_key_walks_count_distinct_keys():
     """One row walk per distinct (initial block, key) of the trace, far
     fewer than the states keyed on planted copies."""
-    sigs = refiner._SplitWeights.sigs
-    calls = []  # one per state keyed
-
-    def counted(self, states, *args, **kw):
-        calls.extend(states)
-        return sigs(self, states, *args, **kw)
-
     base = generate(GeneratorSpec("(D(X) + C{stop})^{a,b}", 30, seed=1,
                                   density=0.1))
     c = planted_copies(base, 8)
-    monkeypatch.setattr(refiner._SplitWeights, "sigs", counted)
     for mode in refiner.MODES:
-        calls.clear()
         res = refine(c, mode=mode)
-        walks = res.stats["key_walks"]
+        walks, keyed = res.stats["key_walks"], res.stats["keyed_states"]
         assert walks == len(set(trace_keys(res.trace))), mode
-        assert 0 < 4 * walks < len(calls), (mode, walks, len(calls))
+        assert 0 < 4 * walks < keyed, (mode, walks, keyed)
 
 
 def test_cancelling_weights_fall_back_to_default_key():
@@ -347,28 +338,45 @@ def test_keys_canonical_over_leaf_scales(text):
                        for x in states)
 
 
-def test_one_state_blocks_are_not_keyed(monkeypatch):
-    """refine marks, and then keys, only states of blocks with at least two
-    states; skipping the others leaves the whole-row reference's trace."""
-    mark = refiner.RefinablePartition.mark
-    marked = []
-
-    def checked(part, *states):
+def keyed_by_replay(c, trace):
+    """The signatures a refine that keys only blocks of two or more states
+    reads, from its trace: per split and per such block T with touched
+    states, one per touched state, and one more for the default key when
+    some state of T is untouched."""
+    init, splits = trace_events(trace)
+    block_of = [None] * c.n
+    for b, _key, states in init:
         for s in states:
-            assert part.size(part.block_of[s]) >= 2, s
-        marked.extend(states)
-        mark(part, *states)
+            block_of[s] = b
+    keyed = 0
+    for S, _B, refinements in splits:
+        touched = {}
+        for y in [y for y in range(c.n) if block_of[y] == S]:
+            for x in predecessors(c, y):
+                touched.setdefault(block_of[x], set()).add(x)
+        for T, xs in touched.items():
+            size = block_of.count(T)
+            if size >= 2:
+                keyed += len(xs) + (len(xs) < size)
+        for _T, children in refinements:
+            for b, _key, states in children:
+                for s in states or ():
+                    block_of[s] = b
+    return keyed
 
+
+def test_one_state_blocks_are_not_keyed():
+    """refine keys only touched states of blocks with at least two states;
+    skipping the others leaves the whole-row reference's trace."""
     for label, c in random_instances(seeds=range(4), n=16):
         for mode in refiner.MODES:
             if mode == "cancellative" and not is_cancellative(c.functor):
                 continue
-            want = whole_row_trace(c, mode)  # marks one-state blocks too
-            with monkeypatch.context() as m:
-                m.setattr(refiner.RefinablePartition, "mark", checked)
-                assert events(refine(c, mode=mode).trace) == events(want), (
-                    label, mode)
-    assert marked
+            want = whole_row_trace(c, mode)  # keys one-state blocks too
+            res = refine(c, mode=mode)
+            assert events(res.trace) == events(want), (label, mode)
+            assert res.stats["keyed_states"] == keyed_by_replay(
+                c, res.trace), (label, mode)
 
 
 def hub_family(n, hubs=3):
